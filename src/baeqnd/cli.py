@@ -10,7 +10,7 @@ timestamp in the metadata varies between runs.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric precondition failure
 (narrow grid, degenerate conditioning, calibration mismatch), 4 truncation
-overflow.
+overflow (circuit occupation or measurement-kernel leak above --dim).
 """
 
 from __future__ import annotations
@@ -319,16 +319,22 @@ def _cmd_setup_check(args):
     inputs = {"vacuum": FockState.vacuum(args.dim), "one_photon": FockState.number(args.dim, 1)}
     grid = _resolve_grid(args, params.delta_x)
     defects = {}
-    scales = {}
+    # The report's calibration is the vacuum one; only other inputs need their own.
+    scales = {"vacuum": float(calibration.scale)}
     for name, state in inputs.items():
         defects[name] = float(
             equivalence_defect(state, params, grid, circuit=circuit, calibration=calibration)
         )
-        scales[name] = float(
-            calibrate_outcome_map(params, circuit=circuit, signal_in=state).scale
-        )
+        if name != "vacuum":
+            scales[name] = float(
+                calibrate_outcome_map(params, circuit=circuit, signal_in=state).scale
+            )
     rows = []
     for dim in dims:
+        # Same circuit, grid and calibration as the vacuum defect above.
+        if dim == args.dim:
+            rows.append([int(dim), defects["vacuum"], ""])
+            continue
         sub = SetupParams(gain, dim, dim)
         sub_grid = make_grid("uniform", args.grid_span, args.grid_count)
         try:

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the truncation limit."""
 
 
 class BaeQndError(Exception):
@@ -29,8 +29,13 @@ class DegenerateConditioningError(BaeQndError):
     """Conditioning on an outcome whose probability density underflows."""
 
 
+#: Probability allowed at or above a truncation edge (the circuit's top-quarter
+#: occupation, or what the measurement kernel loses above the top level).
+TRUNCATION_OCCUPATION_LIMIT = 1e-6
+
+
 class TruncationOverflowError(BaeQndError):
-    """A state has accumulated non-negligible weight near the truncation edge."""
+    """More than TRUNCATION_OCCUPATION_LIMIT sits at or above a truncation edge."""
 
 
 class SetupMismatchError(BaeQndError):

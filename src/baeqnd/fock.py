@@ -32,12 +32,6 @@ from .errors import (
 #: Highest wavefunction level for which the recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
 
-#: Default tolerance for algebraic operator identities.
-ALGEBRAIC_TOL = 1e-10
-
-#: Default tolerance for identities established by numerical quadrature.
-QUADRATURE_TOL = 1e-6
-
 _GRID_KINDS = ("uniform", "gauss-hermite")
 
 
@@ -212,12 +206,31 @@ def x_second_moment(state: FockState) -> float:
     return float(np.real((x @ x).expectation(state)))
 
 
+def _hermite_levels(count: int, xi: np.ndarray, seed):
+    """Yield seed * h_n(xi), n = 0..count-1, for the orthonormal Hermite polynomials.
+
+    h_0 = pi^(-1/4), h_{n+1} = sqrt(2/(n+1)) xi h_n - sqrt(n/(n+1)) h_{n-1}: no
+    factorials, and a Gaussian folded into the seed keeps every level inside
+    double-precision range.  Two levels are alive at a time; callers must not
+    modify the yielded arrays.  This is the package's only Hermite recurrence.
+    """
+    prev = np.pi**-0.25 * seed
+    yield prev
+    if count == 1:
+        return
+    cur = np.sqrt(2.0) * xi * prev
+    yield cur
+    for n in range(1, count - 1):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
+        yield cur
+
+
 def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
     """Wavefunctions psi_0..psi_{count-1} evaluated at x, shape (count, *x.shape).
 
-    Uses the three-term recurrence on the normalized functions,
-    psi_{n+1} = (2 x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1), which stays
-    bounded (no explicit factorials) up to MAX_WAVEFUNCTION_LEVEL.
+    psi_n(x) = 2^(1/4) exp(-x^2) h_n(sqrt(2) x), with h_n the orthonormal
+    Hermite polynomials of :func:`_hermite_levels`; bounded up to
+    MAX_WAVEFUNCTION_LEVEL.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidParameterError(f"wavefunction count must be >= 1, got {count!r}")
@@ -228,23 +241,13 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("wavefunction argument must be finite")
-    out = np.empty((count,) + x.shape, dtype=np.float64)
-    out[0] = (2.0 / np.pi) ** 0.25 * np.exp(-x * x)
-    if count > 1:
-        out[1] = 2.0 * x * out[0]
-    for n in range(1, count - 1):
-        out[n + 1] = (2.0 * x * out[n] - np.sqrt(n) * out[n - 1]) / np.sqrt(n + 1.0)
-    return out
+    return np.stack(list(_hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))))
 
 
 def oscillator_wavefunction(n: int, x) -> np.ndarray | float:
     """Real position wavefunction psi_n(x) of the photon-number state |n>."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise OutOfRangeError(f"wavefunction level must be a non-negative integer, got {n!r}")
-    if n > MAX_WAVEFUNCTION_LEVEL:
-        raise OutOfRangeError(
-            f"wavefunction level {n} exceeds supported maximum {MAX_WAVEFUNCTION_LEVEL}"
-        )
     arr = np.asarray(x, dtype=np.float64)
     value = wavefunction_table(n + 1, arr)[n]
     if np.isscalar(x) or arr.ndim == 0:

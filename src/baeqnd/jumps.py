@@ -13,6 +13,12 @@ own deterministic random stream seeded by (seed, shard index).  Within a
 shard, outcome uniforms are drawn first and photon uniforms second, so the
 record stream is byte-identical no matter how many workers execute the
 shards.
+
+At small dx the measurement lifts part of the input above the truncation.
+The deterministic integrals and the sampler's outcome table raise
+TruncationOverflowError when that lost probability exceeds
+TRUNCATION_OCCUPATION_LIMIT (the per-shot photon draw renormalises and would
+hide it).
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    TRUNCATION_OCCUPATION_LIMIT,
     DegenerateConditioningError,
     DimensionMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
+    TruncationOverflowError,
 )
 from .fock import FockState, QuadratureGrid, make_grid, number_operator, quadrature_x, x_second_moment
 from .measurement import MeasurementModel, measurement_amplitudes
@@ -97,6 +105,16 @@ def _check_wide(state: FockState, model: MeasurementModel, grid: QuadratureGrid)
         )
 
 
+def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
+    """Raise when the outcome density integrates to less than the input's squared norm."""
+    leaked = state.norm() ** 2 - mass
+    if leaked > TRUNCATION_OCCUPATION_LIMIT:
+        raise TruncationOverflowError(
+            f"measurement kernel leaks mass {leaked:.3e} above level {model.dim - 1} at "
+            f"delta_x {model.delta_x:g}; increase the truncation dimension"
+        )
+
+
 def default_grid(state: FockState, model: MeasurementModel, count: int = 4001) -> QuadratureGrid:
     """Uniform grid wide enough for the deterministic jump integrals.
 
@@ -114,6 +132,7 @@ def _outcome_cdf(state: FockState, model: MeasurementModel):
     density = np.sum(np.abs(measurement_amplitudes(state, model, xs)) ** 2, axis=1)
     increments = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
+    _check_captured(state, model, float(cdf[-1]))
     # Strictly increasing CDF so the inverse is single valued in the tails;
     # the tilt shifts probability by ~1e-12, far below sampling noise.
     cdf += np.arange(cdf.size) * 1e-16
@@ -228,7 +247,9 @@ def jump_probability(
     if baseline_n is None:
         baseline_n = _baseline_photon(state)
     probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
-    off_baseline = probs.sum(axis=1) - probs[:, baseline_n]
+    density = probs.sum(axis=1)
+    _check_captured(state, model, grid.integrate(density))
+    off_baseline = density - probs[:, baseline_n]
     return float(grid.integrate(off_baseline))
 
 
@@ -246,6 +267,7 @@ def measured_correlation(
         raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
     _check_wide(state, model, grid)
     probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
+    _check_captured(state, model, grid.integrate(probs.sum(axis=1)))
     ns = np.arange(model.dim)
     weighted = probs @ ns
     return float(grid.integrate(weighted * (grid.nodes**2 - model.delta_x**2)))

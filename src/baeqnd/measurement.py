@@ -9,18 +9,14 @@ a Gaussian function of the quadrature operator x.  Squaring it gives the
 outcome probability density of an input state, and its action followed by
 normalization gives the conditional post-measurement state.
 
-Two evaluation strategies are provided and cross-checked against each other:
-
-* "closed-form": each matrix element <n|P(x_m)|m> is a Gaussian-Hermite
-  integral.  Completing the square analytically reduces it to the integral
-  of a polynomial of degree n+m against exp(-u^2), which a Gauss-Hermite
-  rule with dim nodes evaluates exactly; the result is exact up to floating
-  point.
-* "quadrature": the same position-space integral on a dense uniform grid;
-  an independent cross-check path.
-
-Both strategies build the operator as M M^T with a positive prefactor, so
-the result is symmetric positive semidefinite by construction.
+Each matrix element <n|P(x_m)|m> is a Gaussian-Hermite integral.
+Completing the square analytically reduces it to the integral of a
+polynomial of degree n+m against exp(-u^2), which a Gauss-Hermite rule with
+dim nodes evaluates exactly, so every result is exact up to floating point.
+The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`:
+operators are built from a factor table as M M^T with a positive prefactor
+(symmetric positive semidefinite by construction), and amplitudes of a state
+stream the levels twice, once to contract the state and once to project.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -42,9 +38,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
-from .fock import FockOperator, FockState, QuadratureGrid, trusted_levels, wavefunction_table
-
-EVAL_STRATEGIES = ("closed-form", "quadrature")
+from .fock import FockOperator, FockState, QuadratureGrid, _hermite_levels, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -53,17 +47,15 @@ UNDERFLOW_DENSITY = 1e-300
 #: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
 DEFAULT_N_MAX = 4
 
-_QUADRATURE_COUNT = 4001
 _CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Measurement resolution plus truncation dimension and evaluation strategy."""
+    """Measurement resolution plus truncation dimension."""
 
     delta_x: float
     dim: int
-    eval_strategy: str = "closed-form"
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -73,10 +65,6 @@ class MeasurementModel:
         if not isinstance(dx, (int, float, np.floating)) or not np.isfinite(dx) or dx <= 0:
             raise InvalidParameterError(f"delta_x must be positive and finite, got {dx!r}")
         object.__setattr__(self, "delta_x", float(dx))
-        if self.eval_strategy not in EVAL_STRATEGIES:
-            raise InvalidParameterError(
-                f"eval_strategy must be one of {EVAL_STRATEGIES}, got {self.eval_strategy!r}"
-            )
 
     @property
     def kappa(self) -> float:
@@ -120,22 +108,6 @@ def _gh_rule(count: int):
     return u, w
 
 
-def _hermite_rows(count: int, xi: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Rows scale * h_n(xi) for the orthonormal Hermite polynomials h_n.
-
-    h_0 = pi^(-1/4), h_{n+1} = sqrt(2/(n+1)) xi h_n - sqrt(n/(n+1)) h_{n-1}.
-    The scale factor is folded into the n=0 seed so one Gaussian suppression
-    per factor keeps the rows inside double-precision range.
-    """
-    out = np.empty((count,) + xi.shape, dtype=np.float64)
-    out[0] = np.pi**-0.25 * scale
-    if count > 1:
-        out[1] = np.sqrt(2.0) * xi * out[0]
-    for n in range(1, count - 1):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
-
-
 def _closed_form_factors(model: MeasurementModel, x_values: np.ndarray, squared: bool = False):
     """Factor matrix G and prefactor c with <n|P(x_b)|m> = c * (G_b G_b^T)_{nm}.
 
@@ -155,42 +127,13 @@ def _closed_form_factors(model: MeasurementModel, x_values: np.ndarray, squared:
     x0 = kappa * x_values / alpha
     xi = np.sqrt(2.0) * (x0[:, None] + u[None, :] / np.sqrt(alpha))
     half_const = np.exp(-kappa * x_values**2 / alpha)
-    rows = _hermite_rows(dim, xi, half_const[:, None])
+    rows = np.empty((dim,) + xi.shape)
+    for n, level in enumerate(_hermite_levels(dim, xi, half_const[:, None])):
+        rows[n] = level
     rows *= np.sqrt(w)[None, None, :]
     norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
     pref = norm * np.sqrt(2.0 / alpha)
     return rows, pref
-
-
-@lru_cache(maxsize=16)
-def _position_rule(dim: int):
-    """Dense position grid and wavefunction table for the quadrature strategy."""
-    span = np.sqrt(dim - 0.5) + 8.0
-    nodes = np.linspace(-span, span, _QUADRATURE_COUNT)
-    step = 2.0 * span / (_QUADRATURE_COUNT - 1)
-    weights = np.full(_QUADRATURE_COUNT, step)
-    weights[0] = weights[-1] = step / 2.0
-    table = wavefunction_table(dim, nodes)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    table.setflags(write=False)
-    return nodes, weights, table
-
-
-def _quadrature_factors(model: MeasurementModel, x_values: np.ndarray, squared: bool = False):
-    """Same contract as :func:`_closed_form_factors` via the dense grid."""
-    nodes, weights, table = _position_rule(model.dim)
-    kappa = 2.0 * model.kappa if squared else model.kappa
-    kernel = np.exp(-kappa * (nodes[None, :] - x_values[:, None]) ** 2)
-    rows = table[:, None, :] * np.sqrt(kernel * weights[None, :])[None, :, :]
-    pref = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
-    return rows, pref
-
-
-def _factors(model: MeasurementModel, x_values: np.ndarray, squared: bool = False):
-    if model.eval_strategy == "closed-form":
-        return _closed_form_factors(model, x_values, squared)
-    return _quadrature_factors(model, x_values, squared)
 
 
 def _check_outcomes(x_values) -> np.ndarray:
@@ -207,7 +150,7 @@ def measurement_operator(model: MeasurementModel, x_m: float) -> FockOperator:
     x = _check_outcomes(x_m)
     if x.size != 1:
         raise InvalidParameterError("measurement_operator takes a single outcome")
-    rows, pref = _factors(model, x)
+    rows, pref = _closed_form_factors(model, x)
     g = rows[:, 0, :]
     return FockOperator(pref * (g @ g.T))
 
@@ -222,7 +165,7 @@ def measurement_operator_squared(model: MeasurementModel, x_m: float) -> FockOpe
     x = _check_outcomes(x_m)
     if x.size != 1:
         raise InvalidParameterError("measurement_operator_squared takes a single outcome")
-    rows, pref = _factors(model, x, squared=True)
+    rows, pref = _closed_form_factors(model, x, squared=True)
     g = rows[:, 0, :]
     return FockOperator(pref * (g @ g.T))
 
@@ -237,43 +180,8 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     chunk = max(1, _CHUNK_ELEMENTS // (model.dim * model.dim))
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
-        rows, pref = _factors(model, x[sl], squared)
+        rows, pref = _closed_form_factors(model, x[sl], squared)
         out[sl] = pref * np.einsum("nbk,mbk->bnm", rows, rows, optimize=True)
-    return out
-
-
-def _hermite_contract(count: int, xi: np.ndarray, seed: np.ndarray, coeffs: np.ndarray):
-    """Sum_m coeffs[m] * rows_m and all rows contracted against a running seed.
-
-    Streams the three-term recurrence so only three (batch, nodes) arrays are
-    alive at a time; returns sum_m coeffs[m] * (seed-scaled row m), the state
-    contraction needed by the amplitude kernel.
-    """
-    prev = np.pi**-0.25 * seed
-    acc = coeffs[0] * prev
-    if count == 1:
-        return acc
-    cur = np.sqrt(2.0) * xi * prev
-    acc = acc + coeffs[1] * cur
-    for n in range(1, count - 1):
-        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
-        if coeffs[n + 1] != 0.0:
-            acc = acc + coeffs[n + 1] * cur
-    return acc
-
-
-def _hermite_project(count: int, xi: np.ndarray, seed: np.ndarray, weighted: np.ndarray):
-    """Rows of sum_k row_n(xi_bk) * weighted_bk for every level n."""
-    out = np.empty((xi.shape[0], count), dtype=weighted.dtype)
-    prev = np.pi**-0.25 * seed
-    out[:, 0] = (prev * weighted).sum(axis=1)
-    if count == 1:
-        return out
-    cur = np.sqrt(2.0) * xi * prev
-    out[:, 1] = (cur * weighted).sum(axis=1)
-    for n in range(1, count - 1):
-        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
-        out[:, n + 1] = (cur * weighted).sum(axis=1)
     return out
 
 
@@ -288,17 +196,6 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     dim = model.dim
     out = np.empty((x.size, dim), dtype=amps.dtype)
 
-    if model.eval_strategy == "quadrature":
-        nodes, weights, table = _position_rule(dim)
-        pref = (2.0 * np.pi * model.delta_x**2) ** -0.25
-        source = (amps @ table) * weights
-        chunk = max(1, _CHUNK_ELEMENTS // nodes.size)
-        for start in range(0, x.size, chunk):
-            sl = slice(start, min(start + chunk, x.size))
-            kernel = np.exp(-model.kappa * (nodes[None, :] - x[sl, None]) ** 2)
-            out[sl] = pref * (kernel * source[None, :]) @ table.T
-        return out
-
     kappa = model.kappa
     alpha = 2.0 + kappa
     u, w = _gh_rule(dim)
@@ -308,9 +205,18 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
         sl = slice(start, min(start + chunk, x.size))
         xb = x[sl]
         xi = np.sqrt(2.0) * ((kappa * xb / alpha)[:, None] + u[None, :] / np.sqrt(alpha))
-        seed = np.exp(-kappa * xb**2 / alpha)[:, None] * np.ones_like(xi)
-        source = _hermite_contract(dim, xi, seed, amps) * (w[None, :] * seed)
-        out[sl] = pref * _hermite_project(dim, xi, np.ones_like(xi), source)
+        seed = np.exp(-kappa * xb**2 / alpha)[:, None]
+        # Contract the state: sum_n amps[n] * seed * h_n(xi), skipping the
+        # zero amplitudes of number-state inputs.
+        levels = _hermite_levels(dim, xi, seed)
+        contracted = amps[0] * next(levels)
+        for n, level in enumerate(levels, start=1):
+            if amps[n] != 0.0:
+                contracted = contracted + amps[n] * level
+        source = contracted * (w[None, :] * seed)
+        # Project onto every level; the seed is already folded into source.
+        for n, level in enumerate(_hermite_levels(dim, xi, 1.0)):
+            out[sl, n] = pref * (level * source).sum(axis=1)
     return out
 
 

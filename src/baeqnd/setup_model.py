@@ -44,6 +44,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from .errors import (
+    TRUNCATION_OCCUPATION_LIMIT,
     DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
@@ -56,10 +57,6 @@ from .measurement import (
     MeasurementModel,
     measurement_amplitudes,
 )
-
-#: Occupation at or above the trusted cut of either rail beyond which results
-#: are rejected as truncation overflow.
-TRUNCATION_OCCUPATION_LIMIT = 1e-6
 
 #: Calibration residual above which the setup/kernel comparison is aborted:
 #: a residual this large signals a convention bug, not a tolerance issue.

@@ -33,6 +33,18 @@ def kernel_element_quad(n: int, m: int, delta_x: float, x_m: float) -> float:
     return pref * val
 
 
+def kernel_operator_dense(dim: int, delta_x: float, x_m: float, count: int = 4001) -> np.ndarray:
+    """Matrix <n|P(x_m)|m>, n, m < dim, by the trapezoid rule on a dense uniform grid."""
+    span = np.sqrt(dim - 0.5) + 8.0
+    x = np.linspace(-span, span, count)
+    weights = np.full(count, x[1] - x[0])
+    weights[0] = weights[-1] = weights[1] / 2.0
+    table = np.array([psi_reference(n, x) for n in range(dim)])
+    kernel = np.exp(-((x - x_m) ** 2) / (4.0 * delta_x**2))
+    pref = (2.0 * np.pi * delta_x**2) ** -0.25
+    return pref * (table * (kernel * weights)) @ table.T
+
+
 def vacuum_diag_element(delta_x: float) -> float:
     """<0|P(0)|0> = (2 pi dx^2)^(-1/4) (2/pi)^(1/2) sqrt(pi/alpha), alpha = 2 + 1/(4 dx^2)."""
     alpha = 2.0 + 1.0 / (4.0 * delta_x**2)

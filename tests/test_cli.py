@@ -78,6 +78,14 @@ class TestJumpSweep:
         assert ratios == sorted(ratios)
         assert ratios[-1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_kernel_leak_exits_truncation(self, tmp_path, capsys):
+        # At dx 0.1 the kernel sends 2.7e-2 of the vacuum above level 31.
+        out = tmp_path / "sweep.json"
+        code = main(["jump-sweep", "--delta-x", "0.1", "--dim", "32", "--out", str(out)])
+        assert code == EXIT_TRUNCATION
+        assert not out.exists()
+        assert "--dim 48" in capsys.readouterr().err
+
 
 class TestCorrelation:
     def test_exact_only_when_shots_omitted(self, tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baeqnd.errors import (
     DimensionMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
+    TruncationOverflowError,
 )
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
@@ -138,6 +141,41 @@ class TestJumpProbability:
         model = MeasurementModel(10.0, 16)
         with pytest.raises(GridTooNarrowError):
             jump_probability(vac, model, make_grid("uniform", 10.0, 101))
+
+
+class TestKernelTruncationGuard:
+    def test_leak_below_limit_matches_closed_form(self):
+        # The kernel leaks 2.6e-7 of the vacuum above level 47 at dx 0.2.
+        vac = FockState.vacuum(48)
+        model = MeasurementModel(0.2, 48)
+        value = jump_probability(vac, model, default_grid(vac, model))
+        assert value == pytest.approx(jump_probability_exact(0.2), abs=1e-6)
+
+    def test_integrals_reject_leaking_kernel(self):
+        vac = FockState.vacuum(32)
+        model = MeasurementModel(0.1, 32)
+        grid = default_grid(vac, model)
+        with pytest.raises(TruncationOverflowError, match="leaks mass 2.7"):
+            jump_probability(vac, model, grid)
+        with pytest.raises(TruncationOverflowError):
+            measured_correlation(vac, model, grid)
+
+    def test_sampler_rejects_leaking_kernel(self):
+        # Each shot's photon draw renormalises, so without the guard the
+        # sampled jump fraction would come out far from the truth.
+        with pytest.raises(TruncationOverflowError):
+            run_experiment(FockState.vacuum(32), MeasurementModel(0.05, 32), 1000, seed=3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.05, 20.0), dim=st.sampled_from([8, 16, 32, 48]))
+    def test_matches_closed_form_or_raises(self, dx, dim):
+        vac = FockState.vacuum(dim)
+        model = MeasurementModel(dx, dim)
+        try:
+            value = jump_probability(vac, model, default_grid(vac, model))
+        except TruncationOverflowError:
+            return
+        assert abs(value - jump_probability_exact(dx)) <= 2e-6
 
 
 class TestMeasuredCorrelation:

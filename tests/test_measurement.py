@@ -26,6 +26,7 @@ from baeqnd.measurement import (
 
 from oracles import (
     kernel_element_quad,
+    kernel_operator_dense,
     p1_asymptotic,
     p1_exact,
     vacuum_density,
@@ -74,19 +75,17 @@ class TestMeasurementOperator:
 
     @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0])
     def test_strategy_equivalence(self, dx):
-        closed = MeasurementModel(dx, 16, "closed-form")
-        grid = MeasurementModel(dx, 16, "quadrature")
+        # Gauss-Hermite closed form against a dense-grid position integral.
+        model = MeasurementModel(dx, 16)
         t = trusted_levels(16)
         for x_m in (-6.0, -0.4, 0.0, 2.2, 9.0):
-            a = measurement_operator(closed, x_m).entries.real[:t, :t]
-            b = measurement_operator(grid, x_m).entries.real[:t, :t]
+            a = measurement_operator(model, x_m).entries.real[:t, :t]
+            b = kernel_operator_dense(16, dx, x_m)[:t, :t]
             np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_invalid_model(self):
         with pytest.raises(InvalidParameterError):
             MeasurementModel(0.0, 8)
-        with pytest.raises(InvalidParameterError):
-            MeasurementModel(1.0, 8, "spectral")
         with pytest.raises(InvalidParameterError):
             measurement_operator(MeasurementModel(1.0, 8), np.nan)
 
