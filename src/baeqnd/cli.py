@@ -80,25 +80,8 @@ def _env_threads() -> int:
     return value
 
 
-def _pyify(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
-def _canonical_payload_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
-
-
-def _checksum(payload: dict) -> str:
-    return "sha256:" + hashlib.sha256(_canonical_payload_bytes(payload)).hexdigest()
+def _compact_json(obj, allow_nan: bool = True) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 def _format_cell(value) -> str:
@@ -130,23 +113,24 @@ def _report_csv(report: dict) -> str:
 
 
 def _write_envelope(args, payload: dict, seed) -> None:
-    payload = _pyify(payload)
+    # The canonical payload text is hashed and written as is: one serialisation.
+    canonical = _compact_json(payload, allow_nan=False).encode()
+    checksum = "sha256:" + hashlib.sha256(canonical).hexdigest()
     meta = {
         "tool": "bae-qnd-sim",
         "version": __version__,
         "command": args.command,
-        "config": _pyify(vars(args).copy()),
+        "config": vars(args).copy(),
         "seed": seed,
         "threads": _env_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    checksum = _checksum(payload)
     out = args.out
     if args.format == "json":
-        envelope = {"meta": meta, "payload": payload, "checksum": checksum}
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(envelope, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        # Keys sort as checksum, meta, payload, so the payload text goes last.
+        head = _compact_json({"checksum": checksum, "meta": meta})[:-1]
+        with open(out, "wb") as fh:
+            fh.writelines([head.encode(), b',"payload":', canonical, b"}\n"])
         print(f"wrote {out}")
         return
     table = payload.get("table")
@@ -163,8 +147,7 @@ def _write_envelope(args, payload: dict, seed) -> None:
         "csv_sha256": "sha256:" + hashlib.sha256(csv_text.encode()).hexdigest(),
     }
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_compact_json(sidecar) + "\n")
     print(f"wrote {out} and {out}.meta.json")
 
 
@@ -221,14 +204,12 @@ def _cmd_distribution(args):
         + ["p1_asymptotic", "x_scaled", "p1_scaled", "p1_asymptotic_scaled"]
     )
     p1 = table.per_photon[1] if args.n_max >= 1 else np.zeros(grid.count)
-    rows = []
+    x = grid.nodes
     cube = delta_x**3
-    for i, x in enumerate(grid.nodes):
-        row = [float(x), float(table.density[i])]
-        row += [float(table.per_photon[n][i]) for n in range(args.n_max + 1)]
-        row += [float(asym[i]), float(x / delta_x), float(cube * p1[i]), float(cube * asym[i])]
-        rows.append(row)
-    return {"table": {"columns": columns, "rows": rows}}, None
+    stacked = np.column_stack(
+        [x, table.density, *table.per_photon, asym, x / delta_x, cube * p1, cube * asym]
+    )
+    return {"table": {"columns": columns, "rows": stacked.tolist()}}, None
 
 
 @_command("jump-sweep")
@@ -259,10 +240,8 @@ def _cmd_correlation(args):
     else:
         if args.seed is None:
             raise InvalidParameterError("--shots requires --seed (no silent default seed)")
-        records = run_experiment(
-            state, model, args.shots, args.seed, threads=_env_threads()
-        )
-        report = summarize(records, state, model, grid)
+        shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
+        report = summarize(shots, state, model, grid)
         seed = args.seed
     return {"report": report.to_dict()}, seed
 
@@ -362,12 +341,15 @@ def _cmd_simulate(args):
     delta_x = _require_delta_x(args)
     if args.shots is None or args.seed is None:
         raise InvalidParameterError("simulate requires --shots and --seed")
+    if args.record_limit is not None and args.record_limit < 0:
+        raise InvalidParameterError(f"--record-limit must be >= 0, got {args.record_limit}")
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
-    records = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-    report = summarize(records, state, model)
-    emit = records if args.record_limit is None else records[: args.record_limit]
-    rows = [[r.shot_index, r.rng_stream_id, float(r.x_m), r.photon_n] for r in emit]
+    shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
+    report = summarize(shots, state, model)
+    emit = slice(args.record_limit)
+    columns = (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)
+    rows = list(zip(*(column[emit].tolist() for column in columns)))
     return {
         "table": {"columns": ["shot_index", "rng_stream_id", "x_m", "photon_n"], "rows": rows},
         "report": report.to_dict(),

@@ -11,8 +11,7 @@ correlation (<x^2 n + 2 x n x + n x^2>/4 - <x^2><n>) of the input state.
 Monte Carlo shots are sharded into fixed-size blocks, each drawn from its
 own deterministic random stream seeded by (seed, shard index).  Within a
 shard, outcome uniforms are drawn first and photon uniforms second, so the
-record stream is byte-identical no matter how many workers execute the
-shards.
+shot table is byte-identical no matter how many workers execute the shards.
 
 At small dx the measurement lifts part of the input above the truncation.
 The deterministic integrals and the sampler's outcome table raise
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -41,21 +39,43 @@ from .fock import FockState, QuadratureGrid, make_grid, number_operator, quadrat
 from .measurement import MeasurementModel, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
-#: sampled records, do not depend on how many workers run them.
+#: sampled shots, do not depend on how many workers run them.
 SHARD_SIZE = 50_000
 
 #: Node count of the inverse-CDF sampling table.
 SAMPLING_GRID_COUNT = 8193
 
 
-@dataclass(frozen=True, slots=True)
-class OutcomeRecord:
-    """One Monte Carlo shot: outcome, detected photons, and seed lineage."""
+@dataclass(frozen=True)
+class ShotTable:
+    """Monte Carlo shots in shot order: outcome x_m and detected photon number.
 
-    x_m: float
-    photon_n: int
-    shot_index: int
-    rng_stream_id: int
+    Shot s was drawn from random stream s // SHARD_SIZE, so the lineage
+    columns shot_index and rng_stream_id are derived, not stored.
+    """
+
+    x_m: np.ndarray
+    photon_n: np.ndarray
+
+    def __post_init__(self):
+        x_m = np.array(self.x_m, dtype=np.float64)
+        photon_n = np.array(self.photon_n, dtype=np.int64)
+        if x_m.ndim != 1 or x_m.shape != photon_n.shape:
+            raise DimensionMismatchError("x_m and photon_n must be 1-D columns of equal length")
+        for name, column in (("x_m", x_m), ("photon_n", photon_n)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.x_m.size
+
+    @property
+    def shot_index(self) -> np.ndarray:
+        return np.arange(len(self))
+
+    @property
+    def rng_stream_id(self) -> np.ndarray:
+        return self.shot_index // SHARD_SIZE
 
 
 @dataclass(frozen=True)
@@ -167,7 +187,7 @@ def _photon_samples(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.sum(cum < (u * totals)[:, None], axis=1)
 
 
-def _run_shard(state, model, xs, cdf, seed, stream_id, start, count):
+def _run_shard(state, model, xs, cdf, seed, stream_id, count):
     rng = np.random.default_rng([seed, stream_id])
     u_x = rng.random(count)
     x = np.interp(u_x, cdf, xs)
@@ -175,7 +195,7 @@ def _run_shard(state, model, xs, cdf, seed, stream_id, start, count):
     probs = np.abs(amps) ** 2
     u_n = rng.random(count)
     n = _photon_samples(probs, u_n)
-    return stream_id, start, x, n
+    return x, n
 
 
 def run_experiment(
@@ -185,44 +205,30 @@ def run_experiment(
     seed: int,
     *,
     threads: int = 1,
-) -> list[OutcomeRecord]:
+) -> ShotTable:
     """Independent measurement shots: sample x_m, condition, sample photons.
 
     Deterministic for a fixed seed: shard s draws from default_rng([seed, s]),
-    and shards are merged in shot order, so serial and threaded execution
-    produce identical record lists.
+    and shards are concatenated in shot order, so serial and threaded
+    execution produce identical tables.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise InvalidParameterError(f"shots must be a positive integer, got {shots!r}")
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
+    for name, value, low in (("shots", shots, 1), ("seed", seed, 0), ("threads", threads, 1)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
     xs, cdf = _outcome_cdf(state, model)
-    shards = []
-    start = 0
-    stream_id = 0
-    while start < shots:
+
+    def work(start):
         count = min(SHARD_SIZE, shots - start)
-        shards.append((stream_id, start, count))
-        start += count
-        stream_id += 1
+        return _run_shard(state, model, xs, cdf, seed, start // SHARD_SIZE, count)
 
-    def work(shard):
-        sid, offset, count = shard
-        return _run_shard(state, model, xs, cdf, seed, sid, offset, count)
-
-    if threads > 1 and len(shards) > 1:
+    starts = range(0, shots, SHARD_SIZE)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(work, shards))
+            parts = list(pool.map(work, starts))
     else:
-        parts = [work(s) for s in shards]
-
-    records: list[OutcomeRecord] = []
-    for sid, offset, x, n in sorted(parts, key=lambda p: p[1]):
-        records.extend(
-            OutcomeRecord(float(xv), int(nv), offset + i, sid)
-            for i, (xv, nv) in enumerate(zip(x, n))
-        )
-    return records
+        parts = [work(s) for s in starts]
+    x, n = (np.concatenate(column) for column in zip(*parts))
+    return ShotTable(x_m=x, photon_n=n)
 
 
 def _baseline_photon(state: FockState) -> int:
@@ -305,7 +311,7 @@ def operator_correlation(state: FockState, dim: int | None = None) -> float:
 
 
 def summarize(
-    records: Sequence[OutcomeRecord],
+    table: ShotTable,
     state: FockState,
     model: MeasurementModel,
     grid: QuadratureGrid | None = None,
@@ -316,15 +322,15 @@ def summarize(
     mean of n (x_m^2 - dx^2), and the sample covariance of (n, x_m^2), each
     with a shot-noise standard error.
     """
-    if len(records) == 0:
-        raise InvalidParameterError("records must be nonempty")
+    shots = len(table)
+    if shots == 0:
+        raise InvalidParameterError("the shot table must be nonempty")
     if grid is None:
         grid = default_grid(state, model)
     exact = _exact_report_fields(state, model, grid)
 
-    x = np.fromiter((r.x_m for r in records), dtype=np.float64, count=len(records))
-    n = np.fromiter((r.photon_n for r in records), dtype=np.float64, count=len(records))
-    shots = len(records)
+    x = table.x_m
+    n = table.photon_n.astype(np.float64)
     baseline = _baseline_photon(state)
 
     jumped = (n != baseline).astype(np.float64)

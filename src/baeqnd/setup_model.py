@@ -460,7 +460,18 @@ def equivalence_defect(
             worst = max(worst, abs(p_setup - p_kernel) + 1.0)
             continue
         ref = kernel_amps[i] / np.sqrt(p_kernel)
-        overlap = abs(np.vdot(out / out_norm, ref))
-        trace_distance = float(np.sqrt(max(0.0, 1.0 - min(1.0, overlap) ** 2)))
-        worst = max(worst, abs(p_setup - p_kernel) + trace_distance)
+        worst = max(worst, abs(p_setup - p_kernel) + _trace_distance(out / out_norm, ref))
     return worst
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance sqrt(1 - |<a|b>|^2) between two normalised pure states.
+
+    Evaluated from the phase-aligned difference d2 = |a - e^{i phi} b|^2 =
+    2 (1 - |<a|b>|), which keeps its relative precision for nearly equal
+    states where 1 - |<a|b>|^2 cancels to rounding noise.
+    """
+    inner = np.vdot(a, b)
+    phase = np.conj(inner) / abs(inner) if inner != 0 else 1.0
+    half = 0.5 * float(np.sum(np.abs(a - phase * b) ** 2))
+    return float(np.sqrt(max(0.0, half * (2.0 - half))))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,6 +114,15 @@ class TestCorrelation:
                      "--out", str(tmp_path / "c.json")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["correlation", "simulate"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "c.json"
+        code = main([command, "--delta-x", "5", "--dim", "16", "--shots", "100",
+                     "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
+
 
 class TestPovmCheck:
     def test_defect_reported(self, tmp_path):
@@ -202,8 +212,32 @@ class TestSimulate:
         assert len(payload["table"]["rows"]) == 7
         assert payload["report"]["shots"] == 5000
 
+    @pytest.mark.parametrize("limit", ["-1", "-5"])
+    def test_negative_record_limit_is_config_error(self, tmp_path, capsys, limit):
+        out = tmp_path / "sim.json"
+        code = main(["simulate", "--delta-x", "5", "--dim", "16", "--shots", "100",
+                     "--seed", "1", "--record-limit", limit, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "--record-limit" in capsys.readouterr().err
+
 
 class TestEnvelope:
+    def test_checksum_definition(self, tmp_path):
+        # checksum = SHA-256 of the payload with sorted keys and no whitespace;
+        # the CSV twin carries the same checksum and the SHA-256 of its bytes.
+        args = ["simulate", "--delta-x", "5", "--dim", "16", "--shots", "300",
+                "--seed", "4"]
+        json_out, csv_out = tmp_path / "sim.json", tmp_path / "sim.csv"
+        assert main(args + ["--out", str(json_out)]) == EXIT_OK
+        assert main(args + ["--out", str(csv_out), "--format", "csv"]) == EXIT_OK
+        envelope = read_envelope(json_out)
+        canonical = json.dumps(envelope["payload"], sort_keys=True, separators=(",", ":"))
+        assert envelope["checksum"] == "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        sidecar = read_envelope(Path(str(csv_out) + ".meta.json"))
+        assert sidecar["csv_sha256"] == "sha256:" + hashlib.sha256(csv_out.read_bytes()).hexdigest()
+        assert sidecar["checksum"] == envelope["checksum"]
+
     def test_metadata_suffices_to_reproduce(self, tmp_path):
         out = tmp_path / "corr.json"
         assert main(["correlation", "--delta-x", "2", "--dim", "16",

@@ -11,8 +11,9 @@ from baeqnd.errors import (
 )
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
+    SHARD_SIZE,
     CorrelationReport,
-    OutcomeRecord,
+    ShotTable,
     default_grid,
     exact_report,
     jump_probability,
@@ -62,10 +63,10 @@ class TestSampling:
     def test_jump_fraction_matches_exact(self):
         vac = FockState.vacuum(32)
         model = MeasurementModel(2.0, 32)
-        records = run_experiment(vac, model, 200_000, seed=5)
-        fraction = np.mean([r.photon_n >= 1 for r in records])
+        shots = run_experiment(vac, model, 200_000, seed=5)
+        fraction = np.mean(shots.photon_n >= 1)
         exact = jump_probability(vac, model, default_grid(vac, model))
-        sigma = np.sqrt(exact * (1.0 - exact) / len(records))
+        sigma = np.sqrt(exact * (1.0 - exact) / len(shots))
         assert abs(fraction - exact) < 3.0 * sigma
 
 
@@ -74,30 +75,58 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameterError):
             run_experiment(FockState.vacuum(8), MeasurementModel(1.0, 8), 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_experiment(FockState.vacuum(8), MeasurementModel(1.0, 8), 10, seed=seed)
+
     def test_records_carry_lineage(self):
-        records = run_experiment(FockState.vacuum(16), MeasurementModel(5.0, 16),
-                                 1000, seed=11)
-        assert [r.shot_index for r in records] == list(range(1000))
-        assert all(r.rng_stream_id == 0 for r in records)
-        assert all(0 <= r.photon_n < 16 for r in records)
+        shots = run_experiment(FockState.vacuum(16), MeasurementModel(5.0, 16),
+                               1000, seed=11)
+        assert len(shots) == 1000
+        np.testing.assert_array_equal(shots.shot_index, np.arange(1000))
+        np.testing.assert_array_equal(shots.rng_stream_id, np.zeros(1000))
+        assert shots.x_m.dtype == np.float64 and shots.photon_n.dtype == np.int64
+        assert np.all((shots.photon_n >= 0) & (shots.photon_n < 16))
+        with pytest.raises(ValueError):
+            shots.x_m[0] = 0.0
 
     def test_identical_seeds_identical_records(self):
         args = (FockState.vacuum(16), MeasurementModel(5.0, 16), 2000)
-        assert run_experiment(*args, seed=7) == run_experiment(*args, seed=7)
+        a, b = run_experiment(*args, seed=7), run_experiment(*args, seed=7)
+        assert np.array_equal(a.x_m, b.x_m)
+        assert np.array_equal(a.photon_n, b.photon_n)
 
     def test_parallel_equals_serial(self):
         vac = FockState.vacuum(32)
         model = MeasurementModel(5.0, 32)
         serial = run_experiment(vac, model, 120_000, seed=3, threads=1)
         threaded = run_experiment(vac, model, 120_000, seed=3, threads=4)
-        assert serial == threaded
+        assert np.array_equal(serial.x_m, threaded.x_m)
+        assert np.array_equal(serial.photon_n, threaded.photon_n)
+
+    def test_uneven_last_shard(self):
+        vac = FockState.vacuum(8)
+        model = MeasurementModel(5.0, 8)
+        shots = SHARD_SIZE + 3
+        serial = run_experiment(vac, model, shots, seed=13, threads=1)
+        threaded = run_experiment(vac, model, shots, seed=13, threads=2)
+        np.testing.assert_array_equal(serial.shot_index, np.arange(shots))
+        stream = serial.rng_stream_id
+        assert np.all(stream[:SHARD_SIZE] == 0) and np.all(stream[SHARD_SIZE:] == 1)
+        assert np.array_equal(serial.x_m, threaded.x_m)
+        assert np.array_equal(serial.photon_n, threaded.photon_n)
+        # The first shard's stream does not depend on the total shot count.
+        whole = run_experiment(vac, model, SHARD_SIZE, seed=13)
+        assert np.array_equal(whole.x_m, serial.x_m[:SHARD_SIZE])
+        assert np.array_equal(whole.photon_n, serial.photon_n[:SHARD_SIZE])
 
     def test_jump_shots_concentrate_near_peaks(self):
         # Conditional mean of x^2 among jump shots tends to 3 dx^2.
         vac = FockState.vacuum(32)
         model = MeasurementModel(5.0, 32)
-        records = run_experiment(vac, model, 400_000, seed=21)
-        jumps = np.array([r.x_m for r in records if r.photon_n >= 1])
+        shots = run_experiment(vac, model, 400_000, seed=21)
+        jumps = shots.x_m[shots.photon_n >= 1]
         assert jumps.size > 500
         se = np.std(jumps**2) / np.sqrt(jumps.size)
         assert abs(np.mean(jumps**2) - 3.0 * model.delta_x**2) < 4.0 * se
@@ -247,8 +276,8 @@ class TestSummarize:
     def test_estimators_within_three_sigma(self):
         vac = FockState.vacuum(32)
         model = MeasurementModel(5.0, 32)
-        records = run_experiment(vac, model, 200_000, seed=123)
-        report = summarize(records, vac, model)
+        shots = run_experiment(vac, model, 200_000, seed=123)
+        report = summarize(shots, vac, model)
         assert abs(report.jump_fraction - report.jump_probability) <= (
             3.0 * report.standard_errors["jump_fraction"]
         )
@@ -261,8 +290,8 @@ class TestSummarize:
         # estimator only dx^2; they differ by <n>/4 in expectation.
         vac = FockState.vacuum(32)
         model = MeasurementModel(5.0, 32)
-        records = run_experiment(vac, model, 400_000, seed=8)
-        report = summarize(records, vac, model)
+        shots = run_experiment(vac, model, 400_000, seed=8)
+        report = summarize(shots, vac, model)
         gap = report.measured_c - report.measured_covariance
         assert gap == pytest.approx(report.jump_probability / 4.0, abs=5e-4)
 
@@ -277,13 +306,18 @@ class TestSummarize:
     def test_report_round_trips(self):
         vac = FockState.vacuum(16)
         model = MeasurementModel(2.0, 16)
-        records = run_experiment(vac, model, 1000, seed=2)
-        report = summarize(records, vac, model)
+        shots = run_experiment(vac, model, 1000, seed=2)
+        report = summarize(shots, vac, model)
         assert CorrelationReport.from_dict(report.to_dict()) == report
 
     def test_empty_records_rejected(self):
+        empty = ShotTable(x_m=np.empty(0), photon_n=np.empty(0, dtype=np.int64))
         with pytest.raises(InvalidParameterError):
-            summarize([], FockState.vacuum(8), MeasurementModel(1.0, 8))
+            summarize(empty, FockState.vacuum(8), MeasurementModel(1.0, 8))
+
+    def test_shot_table_columns_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            ShotTable(x_m=np.zeros(3), photon_n=np.zeros(2, dtype=np.int64))
 
     def test_negative_standard_errors_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -293,8 +327,3 @@ class TestSummarize:
                 jump_probability=0.01,
                 standard_errors={"measured_c": -1.0},
             )
-
-    def test_record_equality_for_serialization(self):
-        record = OutcomeRecord(x_m=1.5, photon_n=1, shot_index=3, rng_stream_id=0)
-        same = OutcomeRecord(x_m=1.5, photon_n=1, shot_index=3, rng_stream_id=0)
-        assert record == same

@@ -11,6 +11,7 @@ from baeqnd.fock import FockState, make_grid, quadrature_x, quadrature_y
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
+    _trace_distance,
     SetupParams,
     TwoModeState,
     beam_splitter,
@@ -226,6 +227,17 @@ class TestCalibration:
 
 
 class TestEquivalence:
+    def test_trace_distance_resolves_tiny_rotations(self):
+        # 1 - overlap^2 cancels to 0 here; the phase-aligned difference does not.
+        angle = 1e-10
+        a = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
+        b = np.exp(0.7j) * np.array([np.cos(angle), np.sin(angle), 0.0])
+        assert _trace_distance(a, b) == pytest.approx(angle, rel=0.01)
+        assert _trace_distance(a, a) == 0.0
+        assert _trace_distance(a, np.array([0.0, 1j, 0.0])) == pytest.approx(1.0)
+        c = np.array([0.6, 0.8j, 0.0])
+        assert _trace_distance(a, c) == pytest.approx(np.sqrt(1.0 - 0.36), rel=1e-12)
+
     @pytest.mark.parametrize("gain", [1.2, 1.5, 2.0])
     def test_defect_small_for_both_inputs(self, gain):
         params = SetupParams(gain, 40, 40)
