@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fock import FockState, make_grid
 from .jumps import (
-    default_grid,
+    default_span,
     exact_report,
     jump_probability,
     run_experiment,
@@ -80,8 +80,9 @@ def _env_threads() -> int:
     return value
 
 
-def _compact_json(obj, allow_nan: bool = True) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
+def _compact_json(obj) -> str:
+    # NaN and infinity are not JSON: refuse them rather than write an invalid file.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _format_cell(value) -> str:
@@ -114,7 +115,7 @@ def _report_csv(report: dict) -> str:
 
 def _write_envelope(args, payload: dict, seed) -> None:
     # The canonical payload text is hashed and written as is: one serialisation.
-    canonical = _compact_json(payload, allow_nan=False).encode()
+    canonical = _compact_json(payload).encode()
     checksum = "sha256:" + hashlib.sha256(canonical).hexdigest()
     meta = {
         "tool": "bae-qnd-sim",
@@ -138,16 +139,17 @@ def _write_envelope(args, payload: dict, seed) -> None:
         csv_text = _report_csv(payload.get("report", payload))
     else:
         csv_text = _table_csv(table)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
     sidecar = {
         "meta": meta,
         "payload_without_table": {k: v for k, v in payload.items() if k != "table"},
         "checksum": checksum,
         "csv_sha256": "sha256:" + hashlib.sha256(csv_text.encode()).hexdigest(),
     }
+    sidecar_text = _compact_json(sidecar) + "\n"
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(csv_text)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_compact_json(sidecar) + "\n")
+        fh.write(sidecar_text)
     print(f"wrote {out} and {out}.meta.json")
 
 
@@ -182,19 +184,22 @@ def _auto_span(delta_x: float) -> float:
     return 6.0 * np.sqrt(delta_x**2 + 1.0)
 
 
-def _resolve_grid(args, delta_x: float, default_span=None):
-    span = args.grid_span if args.grid_span is not None else (
-        default_span if default_span is not None else _auto_span(delta_x)
-    )
-    args.grid_span = float(span)
-    return make_grid("uniform", float(span), args.grid_count)
+def _resolve_grid(args, fallback_span: float):
+    """Uniform grid of --grid-span (fallback_span when not given) and --grid-count.
+
+    The span used replaces --grid-span in args, so meta.config records it.
+    """
+    span = float(args.grid_span if args.grid_span is not None else fallback_span)
+    grid = make_grid("uniform", span, args.grid_count)
+    args.grid_span = span
+    return grid
 
 
 @_command("distribution")
 def _cmd_distribution(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
-    grid = _resolve_grid(args, delta_x)
+    grid = _resolve_grid(args, _auto_span(delta_x))
     state = FockState.vacuum(args.dim)
     table = outcome_density_table(state, model, grid, n_max=args.n_max)
     asym = asymptotic_p1(delta_x, grid.nodes)
@@ -216,13 +221,18 @@ def _cmd_distribution(args):
 def _cmd_jump_sweep(args):
     sweep = _require_delta_x(args, count=None)
     rows = []
+    spans = []
     for dx in sweep:
         model = MeasurementModel(dx, args.dim)
         state = FockState.vacuum(args.dim)
-        grid = default_grid(state, model, count=args.grid_count)
+        span = float(args.grid_span if args.grid_span is not None else default_span(state, model))
+        grid = make_grid("uniform", span, args.grid_count)
         exact = jump_probability(state, model, grid)
         asym = 1.0 / (16.0 * dx * dx)
         rows.append([float(dx), float(exact), float(asym), float(exact / asym)])
+        spans.append(span)
+    # One span per --delta-x value, as used.
+    args.grid_span = spans
     return {
         "table": {"columns": ["delta_x", "jump_exact", "jump_asymptotic", "ratio"], "rows": rows}
     }, None
@@ -233,7 +243,7 @@ def _cmd_correlation(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
-    grid = default_grid(state, model, count=args.grid_count)
+    grid = _resolve_grid(args, default_span(state, model))
     if args.shots is None:
         report = exact_report(state, model, grid)
         seed = None
@@ -296,7 +306,7 @@ def _cmd_setup_check(args):
     circuit = SetupCircuit(params)
     calibration = calibrate_outcome_map(params, circuit=circuit)
     inputs = {"vacuum": FockState.vacuum(args.dim), "one_photon": FockState.number(args.dim, 1)}
-    grid = _resolve_grid(args, params.delta_x)
+    grid = _resolve_grid(args, _auto_span(params.delta_x))
     defects = {}
     # The report's calibration is the vacuum one; only other inputs need their own.
     scales = {"vacuum": float(calibration.scale)}
@@ -345,8 +355,9 @@ def _cmd_simulate(args):
         raise InvalidParameterError(f"--record-limit must be >= 0, got {args.record_limit}")
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
+    grid = _resolve_grid(args, default_span(state, model))
     shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-    report = summarize(shots, state, model)
+    report = summarize(shots, state, model, grid)
     emit = slice(args.record_limit)
     columns = (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)
     rows = list(zip(*(column[emit].tolist() for column in columns)))

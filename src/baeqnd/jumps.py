@@ -13,11 +13,19 @@ own deterministic random stream seeded by (seed, shard index).  Within a
 shard, outcome uniforms are drawn first and photon uniforms second, so the
 shot table is byte-identical no matter how many workers execute the shards.
 
+The sampler evaluates the measurement kernel once per (state, model): the joint
+table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT nodes x_i.  Its row sums give
+the outcome CDF, which is inverted by linear interpolation to draw x_m; the
+shot's photon probabilities are the same linear interpolation between the two
+table rows around x_m, so each shot costs O(dim) and no kernel call.  Over
+dx 0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated
+conditional photon CDF stays within 2e-5 of the exact one at x_m.
+
 At small dx the measurement lifts part of the input above the truncation.
-The deterministic integrals and the sampler's outcome table raise
+The deterministic integrals and the sampling table raise
 TruncationOverflowError when that lost probability exceeds
-TRUNCATION_OCCUPATION_LIMIT (the per-shot photon draw renormalises and would
-hide it).
+TRUNCATION_OCCUPATION_LIMIT (the photon draw normalises each shot's
+probabilities and would hide it).
 """
 
 from __future__ import annotations
@@ -135,21 +143,26 @@ def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> N
         )
 
 
-def default_grid(state: FockState, model: MeasurementModel, count: int = 4001) -> QuadratureGrid:
-    """Uniform grid wide enough for the deterministic jump integrals.
+def default_span(state: FockState, model: MeasurementModel) -> float:
+    """Half-width of the default grid of the deterministic jump integrals: 8 sigma.
 
     Wider than the sampling grid: the correlation integral weights the tails
     by x^4, so 6 sigma leaves a visible remainder while 8 sigma does not.
     """
-    span = 8.0 * np.sqrt(model.delta_x**2 + x_second_moment(state) + 1.0)
-    return make_grid("uniform", span, count)
+    return 8.0 * np.sqrt(model.delta_x**2 + x_second_moment(state) + 1.0)
 
 
-def _outcome_cdf(state: FockState, model: MeasurementModel):
-    xs = np.linspace(
-        -sampling_span(state, model), sampling_span(state, model), SAMPLING_GRID_COUNT
-    )
-    density = np.sum(np.abs(measurement_amplitudes(state, model, xs)) ** 2, axis=1)
+def default_grid(state: FockState, model: MeasurementModel, count: int = 4001) -> QuadratureGrid:
+    """Uniform grid of default_span, wide enough for the deterministic jump integrals."""
+    return make_grid("uniform", default_span(state, model), count)
+
+
+def _sampling_table(state: FockState, model: MeasurementModel):
+    """Sampling nodes xs, the outcome CDF on them and the joint table |<n|P(xs)|psi>|^2."""
+    span = sampling_span(state, model)
+    xs = np.linspace(-span, span, SAMPLING_GRID_COUNT)
+    joint = np.abs(measurement_amplitudes(state, model, xs)) ** 2
+    density = joint.sum(axis=1)
     increments = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
     _check_captured(state, model, float(cdf[-1]))
@@ -157,14 +170,14 @@ def _outcome_cdf(state: FockState, model: MeasurementModel):
     # the tilt shifts probability by ~1e-12, far below sampling noise.
     cdf += np.arange(cdf.size) * 1e-16
     cdf /= cdf[-1]
-    return xs, cdf
+    return xs, cdf, joint
 
 
 def sample_outcome(state: FockState, model: MeasurementModel, rng, size: int | None = None):
     """Draw outcome(s) from the measurement density by inverse-CDF lookup."""
     if state.dim != model.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    xs, cdf = _outcome_cdf(state, model)
+    xs, cdf, _ = _sampling_table(state, model)
     u = rng.random() if size is None else rng.random(size)
     return np.interp(u, cdf, xs)
 
@@ -187,14 +200,20 @@ def _photon_samples(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.sum(cum < (u * totals)[:, None], axis=1)
 
 
-def _run_shard(state, model, xs, cdf, seed, stream_id, count):
+def _interpolated_rows(xs: np.ndarray, joint: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows of the joint table interpolated linearly to the outcomes x."""
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    # Rounding in np.interp can leave x an ulp outside its cell: keep 0 <= w <= 1.
+    w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)[:, None]
+    return (1.0 - w) * joint[i] + w * joint[i + 1]
+
+
+def _run_shard(xs, cdf, joint, seed, stream_id, count):
     rng = np.random.default_rng([seed, stream_id])
     u_x = rng.random(count)
     x = np.interp(u_x, cdf, xs)
-    amps = measurement_amplitudes(state, model, x)
-    probs = np.abs(amps) ** 2
     u_n = rng.random(count)
-    n = _photon_samples(probs, u_n)
+    n = _photon_samples(_interpolated_rows(xs, joint, x), u_n)
     return x, n
 
 
@@ -206,8 +225,9 @@ def run_experiment(
     *,
     threads: int = 1,
 ) -> ShotTable:
-    """Independent measurement shots: sample x_m, condition, sample photons.
+    """Independent measurement shots: sample x_m, then the photon number at x_m.
 
+    Both draws read one sampling table, shared read-only by the threads.
     Deterministic for a fixed seed: shard s draws from default_rng([seed, s]),
     and shards are concatenated in shot order, so serial and threaded
     execution produce identical tables.
@@ -215,11 +235,11 @@ def run_experiment(
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0), ("threads", threads, 1)):
         if not isinstance(value, (int, np.integer)) or value < low:
             raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    xs, cdf = _outcome_cdf(state, model)
+    xs, cdf, joint = _sampling_table(state, model)
 
     def work(start):
         count = min(SHARD_SIZE, shots - start)
-        return _run_shard(state, model, xs, cdf, seed, start // SHARD_SIZE, count)
+        return _run_shard(xs, cdf, joint, seed, start // SHARD_SIZE, count)
 
     starts = range(0, shots, SHARD_SIZE)
     if threads > 1 and len(starts) > 1:
@@ -235,6 +255,25 @@ def _baseline_photon(state: FockState) -> int:
     return int(np.argmax(state.probabilities()))
 
 
+def _grid_joint(state: FockState, model: MeasurementModel, grid: QuadratureGrid) -> np.ndarray:
+    """Joint table |<n|P(x)|state>|^2 on the grid nodes, checked for width and leaked mass."""
+    if state.dim != model.dim:
+        raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
+    _check_wide(state, model, grid)
+    probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
+    _check_captured(state, model, grid.integrate(probs.sum(axis=1)))
+    return probs
+
+
+def _off_baseline_mass(probs: np.ndarray, grid: QuadratureGrid, baseline_n: int) -> float:
+    return float(grid.integrate(probs.sum(axis=1) - probs[:, baseline_n]))
+
+
+def _correlation_integral(probs: np.ndarray, grid: QuadratureGrid, delta_x: float) -> float:
+    weighted = probs @ np.arange(probs.shape[1])
+    return float(grid.integrate(weighted * (grid.nodes**2 - delta_x**2)))
+
+
 def jump_probability(
     state: FockState,
     model: MeasurementModel,
@@ -247,16 +286,10 @@ def jump_probability(
     The baseline defaults to the input's most probable photon number (0 for
     vacuum, so this is the total weight of all n >= 1 columns).
     """
-    if state.dim != model.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    _check_wide(state, model, grid)
+    probs = _grid_joint(state, model, grid)
     if baseline_n is None:
         baseline_n = _baseline_photon(state)
-    probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
-    density = probs.sum(axis=1)
-    _check_captured(state, model, grid.integrate(density))
-    off_baseline = density - probs[:, baseline_n]
-    return float(grid.integrate(off_baseline))
+    return _off_baseline_mass(probs, grid, baseline_n)
 
 
 def measured_correlation(
@@ -269,14 +302,7 @@ def measured_correlation(
     wide-kernel approximation.  For a vacuum input this approaches 1/8 as the
     resolution grows.
     """
-    if state.dim != model.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    _check_wide(state, model, grid)
-    probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
-    _check_captured(state, model, grid.integrate(probs.sum(axis=1)))
-    ns = np.arange(model.dim)
-    weighted = probs @ ns
-    return float(grid.integrate(weighted * (grid.nodes**2 - model.delta_x**2)))
+    return _correlation_integral(_grid_joint(state, model, grid), grid, model.delta_x)
 
 
 def operator_correlation(state: FockState, dim: int | None = None) -> float:
@@ -371,8 +397,9 @@ def exact_report(
 
 
 def _exact_report_fields(state, model, grid) -> dict:
+    probs = _grid_joint(state, model, grid)
     return {
-        "exact_c_integral": measured_correlation(state, model, grid),
+        "exact_c_integral": _correlation_integral(probs, grid, model.delta_x),
         "operator_c": operator_correlation(state),
-        "jump_probability": jump_probability(state, model, grid),
+        "jump_probability": _off_baseline_mass(probs, grid, _baseline_photon(state)),
     }

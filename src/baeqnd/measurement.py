@@ -16,7 +16,8 @@ dim nodes evaluates exactly, so every result is exact up to floating point.
 The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`:
 operators are built from a factor table as M M^T with a positive prefactor
 (symmetric positive semidefinite by construction), and amplitudes of a state
-stream the levels twice, once to contract the state and once to project.
+stream the levels twice, once to contract the state (up to its last nonzero
+level) and once to project onto every level.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -195,6 +196,8 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
         amps = amps.real
     dim = model.dim
     out = np.empty((x.size, dim), dtype=amps.dtype)
+    support = np.flatnonzero(amps)
+    top = int(support[-1]) if support.size else 0
 
     kappa = model.kappa
     alpha = 2.0 + kappa
@@ -207,8 +210,8 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
         xi = np.sqrt(2.0) * ((kappa * xb / alpha)[:, None] + u[None, :] / np.sqrt(alpha))
         seed = np.exp(-kappa * xb**2 / alpha)[:, None]
         # Contract the state: sum_n amps[n] * seed * h_n(xi), skipping the
-        # zero amplitudes of number-state inputs.
-        levels = _hermite_levels(dim, xi, seed)
+        # zero amplitudes and stopping at the last nonzero one.
+        levels = _hermite_levels(top + 1, xi, seed)
         contracted = amps[0] * next(levels)
         for n, level in enumerate(levels, start=1):
             if amps[n] != 0.0:

@@ -222,6 +222,56 @@ class TestSimulate:
         assert "--record-limit" in capsys.readouterr().err
 
 
+class TestGridFlags:
+    COMMANDS = {
+        "correlation": ["correlation", "--delta-x", "2", "--dim", "16"],
+        "jump-sweep": ["jump-sweep", "--delta-x", "2", "--dim", "16"],
+        "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100",
+                     "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0"])
+    def test_invalid_span_is_config_error(self, tmp_path, command, span):
+        out = tmp_path / "out.json"
+        code = main(self.COMMANDS[command] + ["--grid-span", span, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_narrow_span_is_numeric_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        code = main(self.COMMANDS[command] + ["--grid-span", "5", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert "grid span" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_span_and_count_are_used_and_recorded(self, tmp_path, command):
+        base, wide = tmp_path / "base.json", tmp_path / "wide.json"
+        assert main(self.COMMANDS[command] + ["--out", str(base)]) == EXIT_OK
+        assert main(self.COMMANDS[command] + ["--grid-span", "30", "--grid-count", "1501",
+                                              "--out", str(wide)]) == EXIT_OK
+        base_env, wide_env = read_envelope(base), read_envelope(wide)
+        assert base_env["checksum"] != wide_env["checksum"]
+        recorded = base_env["meta"]["config"]["grid_span"]
+        if command == "jump-sweep":
+            assert wide_env["meta"]["config"]["grid_span"] == [30.0]
+            (recorded,) = recorded
+        else:
+            assert wide_env["meta"]["config"]["grid_span"] == 30.0
+        # The default is the span of the integrals' default grid, 8 sigma.
+        assert recorded == pytest.approx(8.0 * np.sqrt(2.0**2 + 0.25 + 1.0), rel=1e-15)
+
+    def test_simulate_and_correlation_reports_agree(self, tmp_path):
+        flags = ["--delta-x", "5", "--dim", "16", "--shots", "1000", "--seed", "3"]
+        corr, sim = tmp_path / "corr.json", tmp_path / "sim.json"
+        assert main(["correlation", *flags, "--out", str(corr)]) == EXIT_OK
+        assert main(["simulate", *flags, "--out", str(sim)]) == EXIT_OK
+        report = read_envelope(corr)["payload"]["report"]
+        assert report == read_envelope(sim)["payload"]["report"]
+
+
 class TestEnvelope:
     def test_checksum_definition(self, tmp_path):
         # checksum = SHA-256 of the payload with sorted keys and no whitespace;
@@ -247,6 +297,7 @@ class TestEnvelope:
         rerun = tmp_path / "rerun.json"
         assert main(["correlation", "--delta-x", str(config["delta_x"][0]),
                      "--dim", str(config["dim"]),
+                     "--grid-span", repr(config["grid_span"]),
                      "--grid-count", str(config["grid_count"]),
                      "--out", str(rerun)]) == EXIT_OK
         assert read_envelope(rerun)["checksum"] == envelope["checksum"]

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baeqnd import jumps
 from baeqnd.errors import (
     DimensionMismatchError,
     GridTooNarrowError,
@@ -11,6 +14,7 @@ from baeqnd.errors import (
 )
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
+    SAMPLING_GRID_COUNT,
     SHARD_SIZE,
     CorrelationReport,
     ShotTable,
@@ -24,7 +28,7 @@ from baeqnd.jumps import (
     sample_photon_number,
     summarize,
 )
-from baeqnd.measurement import MeasurementModel, conditional_state
+from baeqnd.measurement import MeasurementModel, conditional_state, measurement_amplitudes
 
 from oracles import correlation_exact, jump_probability_exact, p1_asymptotic
 
@@ -130,6 +134,54 @@ class TestRunExperiment:
         assert jumps.size > 500
         se = np.std(jumps**2) / np.sqrt(jumps.size)
         assert abs(np.mean(jumps**2) - 3.0 * model.delta_x**2) < 4.0 * se
+
+
+def _photon_cdf(probs: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(probs, axis=1)
+    return cum / cum[:, -1:]
+
+
+class TestTabulatedPhotonDraw:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.15, 20.0), dim=st.sampled_from([8, 16, 32, 64, 96]),
+           photons=st.sampled_from([0, 1]))
+    def test_matches_exact_kernel_or_raises(self, dx, dim, photons):
+        # Oracle: the exact per-shot kernel |<n|P(x_m)|psi>|^2 at each sampled x_m.
+        state = FockState.number(dim, photons)
+        model = MeasurementModel(dx, dim)
+        tables = []
+        build = jumps._sampling_table
+
+        def kept(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        try:
+            with mock.patch.object(jumps, "_sampling_table", kept):
+                shots = run_experiment(state, model, 2000, seed=5)
+        except TruncationOverflowError:
+            return
+        (xs, cdf, joint), = tables
+        u_x = np.random.default_rng([5, 0]).random(2000)
+        assert np.array_equal(shots.x_m, np.interp(u_x, cdf, xs))
+        exact = np.abs(measurement_amplitudes(state, model, shots.x_m)) ** 2
+        tabulated = jumps._interpolated_rows(xs, joint, shots.x_m)
+        assert np.max(np.abs(_photon_cdf(tabulated) - _photon_cdf(exact))) <= 5e-5
+
+    @pytest.mark.parametrize("shots, threads", [(1000, 1), (120_000, 1), (120_000, 2)])
+    def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):
+        # The sampling table is the sampler's only kernel evaluation.
+        rows = []
+        kernel = jumps.measurement_amplitudes
+
+        def counting(state, model, x_values):
+            rows.append(np.size(x_values))
+            return kernel(state, model, x_values)
+
+        monkeypatch.setattr(jumps, "measurement_amplitudes", counting)
+        run_experiment(FockState.vacuum(8), MeasurementModel(5.0, 8), shots, seed=1,
+                       threads=threads)
+        assert sum(rows) == SAMPLING_GRID_COUNT
 
 
 class TestJumpProbability:

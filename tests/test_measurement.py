@@ -19,6 +19,7 @@ from baeqnd.measurement import (
     measurement_amplitudes,
     measurement_operator,
     measurement_operator_squared,
+    operator_batch,
     outcome_density,
     outcome_density_table,
     truncated_square_defect,
@@ -88,6 +89,20 @@ class TestMeasurementOperator:
             MeasurementModel(0.0, 8)
         with pytest.raises(InvalidParameterError):
             measurement_operator(MeasurementModel(1.0, 8), np.nan)
+
+
+class TestMeasurementAmplitudes:
+    @pytest.mark.parametrize("dx, dim", [(0.3, 48), (1.0, 16), (5.0, 32)])
+    def test_low_support_state_matches_operator_batch(self, dx, dim):
+        # The contraction stops at the last nonzero level (here 2); the
+        # projection still covers every level.
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[:3] = [0.6, 0.48j, -0.64]
+        model = MeasurementModel(dx, dim)
+        x = np.linspace(-6.0 * np.sqrt(dx**2 + 1.0), 6.0 * np.sqrt(dx**2 + 1.0), 61)
+        expected = operator_batch(model, x) @ amps
+        got = measurement_amplitudes(FockState(amps), model, x)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 class TestOutcomeDensity:
