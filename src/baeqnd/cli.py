@@ -8,6 +8,12 @@ carrying the metadata, any non-tabular payload, and the checksums.  Payload
 bytes are deterministic for a fixed configuration and seed; only the
 timestamp in the metadata varies between runs.
 
+Only distribution, povm-check and setup-check tabulate or integrate on an
+outcome grid, so only they take --grid-span and --grid-count; meta.config
+records the span used.  jump-sweep, correlation and simulate integrate with
+an exact Gauss-Hermite rule whose node count follows from --dim and the
+input, and argparse refuses the grid flags there (exit 2, no file).
+
 Exit codes: 0 success, 2 configuration error, 3 numeric precondition failure
 (narrow grid, degenerate conditioning, calibration mismatch), 4 truncation
 overflow (circuit occupation or measurement-kernel leak above --dim).
@@ -34,13 +40,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .fock import FockState, make_grid
-from .jumps import (
-    default_span,
-    exact_report,
-    jump_probability,
-    run_experiment,
-    summarize,
-)
+from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
     MeasurementModel,
     asymptotic_p1,
@@ -55,6 +55,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TRUNCATION = 4
+
+#: Commands that tabulate or integrate on an outcome grid and so take
+#: --grid-span and --grid-count; the jump integrals use an exact rule instead.
+_GRID_COMMANDS = ("distribution", "povm-check", "setup-check")
 
 _COMMANDS = {}
 
@@ -221,18 +225,10 @@ def _cmd_distribution(args):
 def _cmd_jump_sweep(args):
     sweep = _require_delta_x(args, count=None)
     rows = []
-    spans = []
     for dx in sweep:
-        model = MeasurementModel(dx, args.dim)
-        state = FockState.vacuum(args.dim)
-        span = float(args.grid_span if args.grid_span is not None else default_span(state, model))
-        grid = make_grid("uniform", span, args.grid_count)
-        exact = jump_probability(state, model, grid)
+        exact = jump_probability(FockState.vacuum(args.dim), MeasurementModel(dx, args.dim))
         asym = 1.0 / (16.0 * dx * dx)
         rows.append([float(dx), float(exact), float(asym), float(exact / asym)])
-        spans.append(span)
-    # One span per --delta-x value, as used.
-    args.grid_span = spans
     return {
         "table": {"columns": ["delta_x", "jump_exact", "jump_asymptotic", "ratio"], "rows": rows}
     }, None
@@ -243,15 +239,14 @@ def _cmd_correlation(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
-    grid = _resolve_grid(args, default_span(state, model))
     if args.shots is None:
-        report = exact_report(state, model, grid)
+        report = exact_report(state, model)
         seed = None
     else:
         if args.seed is None:
             raise InvalidParameterError("--shots requires --seed (no silent default seed)")
         shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-        report = summarize(shots, state, model, grid)
+        report = summarize(shots, state, model)
         seed = args.seed
     return {"report": report.to_dict()}, seed
 
@@ -259,12 +254,13 @@ def _cmd_correlation(args):
 @_command("povm-check")
 def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
+    required = float(completeness_required_span(MeasurementModel(delta_x, args.dim)))
+    # Every audited dim is integrated on the one grid that meta.config records.
+    grid = _resolve_grid(args, required)
     rows = []
     dims = sorted({d for d in (args.dim - 16, args.dim - 8, args.dim) if d >= 8})
     for dim in dims:
         model = MeasurementModel(delta_x, dim)
-        span = args.grid_span if args.grid_span is not None else completeness_required_span(model)
-        grid = make_grid("uniform", float(span), args.grid_count)
         # Exact-kernel defect is the audit; the truncated-square variants show
         # that what truncation breaks stays localized at the top levels.
         rows.append([
@@ -274,9 +270,6 @@ def _cmd_povm_check(args):
             float(truncated_square_defect(model, grid)),
             float(truncated_square_defect(model, grid, include_untrusted=True)),
         ])
-    model = MeasurementModel(delta_x, args.dim)
-    if args.grid_span is None:
-        args.grid_span = float(completeness_required_span(model))
     return {
         "table": {
             "columns": [
@@ -290,7 +283,7 @@ def _cmd_povm_check(args):
         },
         "report": {
             "delta_x": delta_x,
-            "required_span": float(completeness_required_span(model)),
+            "required_span": required,
             "grid_span": float(args.grid_span),
             "grid_count": args.grid_count,
             "max_defect": max(r[2] for r in rows),
@@ -355,9 +348,8 @@ def _cmd_simulate(args):
         raise InvalidParameterError(f"--record-limit must be >= 0, got {args.record_limit}")
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
-    grid = _resolve_grid(args, default_span(state, model))
     shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-    report = summarize(shots, state, model, grid)
+    report = summarize(shots, state, model)
     emit = slice(args.record_limit)
     columns = (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)
     rows = list(zip(*(column[emit].tolist() for column in columns)))
@@ -393,9 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gain-a", type=float, default=None,
                        help="amplifier gain (setup-check only)")
         p.add_argument("--dim", type=int, default=32, help="Fock truncation dimension")
-        p.add_argument("--grid-span", type=float, default=None,
-                       help="outcome grid half-width (default: command-specific)")
-        p.add_argument("--grid-count", type=int, default=2001, help="outcome grid nodes")
+        if name in _GRID_COMMANDS:
+            p.add_argument("--grid-span", type=float, default=None,
+                           help="outcome grid half-width (default: command-specific)")
+            p.add_argument("--grid-count", type=int, default=2001, help="outcome grid nodes")
         p.add_argument("--n-max", type=int, default=4, help="highest tabulated photon number")
         p.add_argument("--shots", type=int, default=None, help="Monte Carlo shots")
         p.add_argument("--seed", type=int, default=None, help="random seed (required for shots)")

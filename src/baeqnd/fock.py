@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import (
     DimensionMismatchError,
@@ -32,7 +31,7 @@ from .errors import (
 #: Highest wavefunction level for which the recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
 
-_GRID_KINDS = ("uniform", "gauss-hermite")
+_GRID_KINDS = ("uniform",)
 
 
 def _require_dim(dim) -> int:
@@ -306,10 +305,8 @@ class QuadratureGrid:
 def make_grid(kind: str, span: float, count: int) -> QuadratureGrid:
     """Build an integration grid covering [-span, span].
 
-    "uniform": equally spaced nodes with trapezoid weights (weights sum to
-    2*span exactly).  "gauss-hermite": Gauss-Hermite nodes rescaled so the
-    outermost node sits at +-span, with the Gaussian weight factored out;
-    weights sum to span/u_max * sum_k w_k exp(u_k^2).
+    "uniform", the only kind: equally spaced nodes with trapezoid weights
+    (weights sum to 2*span exactly).
     """
     if kind not in _GRID_KINDS:
         raise InvalidParameterError(f"grid kind must be one of {_GRID_KINDS}, got {kind!r}")
@@ -317,14 +314,8 @@ def make_grid(kind: str, span: float, count: int) -> QuadratureGrid:
         raise InvalidParameterError(f"grid span must be positive and finite, got {span!r}")
     if not isinstance(count, (int, np.integer)) or count < 2:
         raise InvalidParameterError(f"grid count must be an integer >= 2, got {count!r}")
-    if kind == "uniform":
-        nodes = np.linspace(-span, span, count)
-        step = 2.0 * span / (count - 1)
-        weights = np.full(count, step)
-        weights[0] = weights[-1] = step / 2.0
-        return QuadratureGrid(nodes, weights, kind)
-    u, w = roots_hermite(count)
-    scale = span / float(u[-1])
-    nodes = scale * u
-    weights = scale * w * np.exp(u * u)
+    nodes = np.linspace(-span, span, count)
+    step = 2.0 * span / (count - 1)
+    weights = np.full(count, step)
+    weights[0] = weights[-1] = step / 2.0
     return QuadratureGrid(nodes, weights, kind)

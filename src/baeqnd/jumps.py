@@ -21,6 +21,16 @@ table rows around x_m, so each shot costs O(dim) and no kernel call.  Over
 dx 0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated
 conditional photon CDF stays within 2e-5 of the exact one at x_m.
 
+The deterministic integrals (jump probability, correlation integral and the
+captured mass behind the truncation guard) take no grid.  Each joint density
+|<n|P(x_m)|psi>|^2 is exp(-g x_m^2) times a polynomial in x_m of degree at
+most 2 (n + top), where g = 4 kappa / (2 + kappa), kappa = 1/(4 dx^2), and top
+is the input's highest nonzero level.  With n <= dim - 1 and the correlation's
+extra x_m^2 weight the degree stays at most 2 (dim + top), so a Gauss-Hermite
+rule with N = dim + top + 2 nodes (exact to degree 2N - 1), scaled by
+1/sqrt(g), integrates all three exactly (Golub & Welsch, Math. Comp. 23
+(1969) 221); see measurement._outcome_rule.
+
 At small dx the measurement lifts part of the input above the truncation.
 The deterministic integrals and the sampling table raise
 TruncationOverflowError when that lost probability exceeds
@@ -35,16 +45,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    TRUNCATION_OCCUPATION_LIMIT,
-    DegenerateConditioningError,
-    DimensionMismatchError,
-    GridTooNarrowError,
-    InvalidParameterError,
-    TruncationOverflowError,
-)
-from .fock import FockState, QuadratureGrid, make_grid, number_operator, quadrature_x, x_second_moment
-from .measurement import MeasurementModel, measurement_amplitudes
+from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
+from .fock import FockState, QuadratureGrid, number_operator, quadrature_x, x_second_moment
+from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
 #: sampled shots, do not depend on how many workers run them.
@@ -118,43 +121,6 @@ class CorrelationReport:
 def sampling_span(state: FockState, model: MeasurementModel) -> float:
     """Half-width of the adaptive sampling grid: 6 sigma of the outcome spread."""
     return 6.0 * np.sqrt(model.delta_x**2 + x_second_moment(state) + 1.0)
-
-
-def required_span(state: FockState, model: MeasurementModel) -> float:
-    """Minimum grid half-width accepted by the deterministic integrals."""
-    return 6.0 * np.sqrt(model.delta_x**2 + x_second_moment(state) + 0.5)
-
-
-def _check_wide(state: FockState, model: MeasurementModel, grid: QuadratureGrid) -> None:
-    needed = required_span(state, model)
-    if grid.span < needed:
-        raise GridTooNarrowError(
-            f"grid span {grid.span:.3g} < required {needed:.3g} for these jump integrals"
-        )
-
-
-def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
-    """Raise when the outcome density integrates to less than the input's squared norm."""
-    leaked = state.norm() ** 2 - mass
-    if leaked > TRUNCATION_OCCUPATION_LIMIT:
-        raise TruncationOverflowError(
-            f"measurement kernel leaks mass {leaked:.3e} above level {model.dim - 1} at "
-            f"delta_x {model.delta_x:g}; increase the truncation dimension"
-        )
-
-
-def default_span(state: FockState, model: MeasurementModel) -> float:
-    """Half-width of the default grid of the deterministic jump integrals: 8 sigma.
-
-    Wider than the sampling grid: the correlation integral weights the tails
-    by x^4, so 6 sigma leaves a visible remainder while 8 sigma does not.
-    """
-    return 8.0 * np.sqrt(model.delta_x**2 + x_second_moment(state) + 1.0)
-
-
-def default_grid(state: FockState, model: MeasurementModel, count: int = 4001) -> QuadratureGrid:
-    """Uniform grid of default_span, wide enough for the deterministic jump integrals."""
-    return make_grid("uniform", default_span(state, model), count)
 
 
 def _sampling_table(state: FockState, model: MeasurementModel):
@@ -255,46 +221,30 @@ def _baseline_photon(state: FockState) -> int:
     return int(np.argmax(state.probabilities()))
 
 
-def _grid_joint(state: FockState, model: MeasurementModel, grid: QuadratureGrid) -> np.ndarray:
-    """Joint table |<n|P(x)|state>|^2 on the grid nodes, checked for width and leaked mass."""
-    if state.dim != model.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    _check_wide(state, model, grid)
-    probs = np.abs(measurement_amplitudes(state, model, grid.nodes)) ** 2
-    _check_captured(state, model, grid.integrate(probs.sum(axis=1)))
-    return probs
+def _off_baseline_mass(probs: np.ndarray, rule: QuadratureGrid, baseline_n: int) -> float:
+    return float(rule.integrate(probs.sum(axis=1) - probs[:, baseline_n]))
 
 
-def _off_baseline_mass(probs: np.ndarray, grid: QuadratureGrid, baseline_n: int) -> float:
-    return float(grid.integrate(probs.sum(axis=1) - probs[:, baseline_n]))
-
-
-def _correlation_integral(probs: np.ndarray, grid: QuadratureGrid, delta_x: float) -> float:
+def _correlation_integral(probs: np.ndarray, rule: QuadratureGrid, delta_x: float) -> float:
     weighted = probs @ np.arange(probs.shape[1])
-    return float(grid.integrate(weighted * (grid.nodes**2 - delta_x**2)))
+    return float(rule.integrate(weighted * (rule.nodes**2 - delta_x**2)))
 
 
 def jump_probability(
-    state: FockState,
-    model: MeasurementModel,
-    grid: QuadratureGrid,
-    *,
-    baseline_n: int | None = None,
+    state: FockState, model: MeasurementModel, *, baseline_n: int | None = None
 ) -> float:
     """Total probability that the detected photon number leaves the baseline.
 
     The baseline defaults to the input's most probable photon number (0 for
     vacuum, so this is the total weight of all n >= 1 columns).
     """
-    probs = _grid_joint(state, model, grid)
+    rule, probs = _exact_joint(state, model)
     if baseline_n is None:
         baseline_n = _baseline_photon(state)
-    return _off_baseline_mass(probs, grid, baseline_n)
+    return _off_baseline_mass(probs, rule, baseline_n)
 
 
-def measured_correlation(
-    state: FockState, model: MeasurementModel, grid: QuadratureGrid
-) -> float:
+def measured_correlation(state: FockState, model: MeasurementModel) -> float:
     """Deterministic jump/outcome correlation integral.
 
     Sum over n >= 1 of n times the integral of the joint photon/outcome
@@ -302,7 +252,8 @@ def measured_correlation(
     wide-kernel approximation.  For a vacuum input this approaches 1/8 as the
     resolution grows.
     """
-    return _correlation_integral(_grid_joint(state, model, grid), grid, model.delta_x)
+    rule, probs = _exact_joint(state, model)
+    return _correlation_integral(probs, rule, model.delta_x)
 
 
 def operator_correlation(state: FockState, dim: int | None = None) -> float:
@@ -336,12 +287,7 @@ def operator_correlation(state: FockState, dim: int | None = None) -> float:
     return float(np.real(value))
 
 
-def summarize(
-    table: ShotTable,
-    state: FockState,
-    model: MeasurementModel,
-    grid: QuadratureGrid | None = None,
-) -> CorrelationReport:
+def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> CorrelationReport:
     """Combine sampled estimators with their deterministic counterparts.
 
     Sampled quantities: the jump fraction, the correlation estimator
@@ -351,9 +297,7 @@ def summarize(
     shots = len(table)
     if shots == 0:
         raise InvalidParameterError("the shot table must be nonempty")
-    if grid is None:
-        grid = default_grid(state, model)
-    exact = _exact_report_fields(state, model, grid)
+    exact = _exact_report_fields(state, model)
 
     x = table.x_m
     n = table.photon_n.astype(np.float64)
@@ -387,19 +331,15 @@ def summarize(
     )
 
 
-def exact_report(
-    state: FockState, model: MeasurementModel, grid: QuadratureGrid | None = None
-) -> CorrelationReport:
+def exact_report(state: FockState, model: MeasurementModel) -> CorrelationReport:
     """Deterministic quantities only; sampled fields are absent."""
-    if grid is None:
-        grid = default_grid(state, model)
-    return CorrelationReport(**_exact_report_fields(state, model, grid))
+    return CorrelationReport(**_exact_report_fields(state, model))
 
 
-def _exact_report_fields(state, model, grid) -> dict:
-    probs = _grid_joint(state, model, grid)
+def _exact_report_fields(state, model) -> dict:
+    rule, probs = _exact_joint(state, model)
     return {
-        "exact_c_integral": _correlation_integral(probs, grid, model.delta_x),
+        "exact_c_integral": _correlation_integral(probs, rule, model.delta_x),
         "operator_c": operator_correlation(state),
-        "jump_probability": _off_baseline_mass(probs, grid, _baseline_photon(state)),
+        "jump_probability": _off_baseline_mass(probs, rule, _baseline_photon(state)),
     }

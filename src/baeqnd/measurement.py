@@ -19,6 +19,12 @@ operators are built from a factor table as M M^T with a positive prefactor
 stream the levels twice, once to contract the state (up to its last nonzero
 level) and once to project onto every level.
 
+The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
+integrals over the outcome have an exact Gauss-Hermite rule too
+(_outcome_rule).  It measures the mass the kernel loses above the
+truncation, which the density table and the jump integrals refuse above
+TRUNCATION_OCCUPATION_LIMIT.
+
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
 distorted and the approach is inexact in a way that is hard to bound.
@@ -33,11 +39,13 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .errors import (
+    TRUNCATION_OCCUPATION_LIMIT,
     DegenerateConditioningError,
     DimensionMismatchError,
     GridTooNarrowError,
     InvalidParameterError,
     OutOfRangeError,
+    TruncationOverflowError,
 )
 from .fock import FockOperator, FockState, QuadratureGrid, _hermite_levels, trusted_levels
 
@@ -107,6 +115,58 @@ def _gh_rule(count: int):
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w
+
+
+def _top_level(amps: np.ndarray) -> int:
+    """Highest level with a nonzero amplitude (0 for the zero vector)."""
+    support = np.flatnonzero(amps)
+    return int(support[-1]) if support.size else 0
+
+
+def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
+    """Gauss-Hermite rule in the outcome variable, exact for the jump integrals.
+
+    Each |<n|P(x)|state>|^2 is exp(-g x^2) times a polynomial of degree at
+    most 2 (n + top), with g = 4 kappa / (2 + kappa) and top the state's
+    highest nonzero level; an extra x^2 weight adds degree 2.  N = dim + top + 2
+    nodes integrate degree 2N - 1 > 2 (dim + top) exactly, so the captured
+    mass, the jump probability and the correlation integral carry no
+    quadrature error.  The nodes are scaled by 1/sqrt(g) and the Gaussian is
+    factored into the weights, so the rule integrates plain samples.
+
+    The factored weights w_k exp(u_k^2) are taken in Christoffel form,
+    1 / sum_j (h_j(u_k) exp(-u_k^2 / 2))^2 over the N orthonormal Hermite
+    levels, which stays finite where w_k itself underflows (N above ~360).
+    """
+    kappa = model.kappa
+    scale = 1.0 / np.sqrt(4.0 * kappa / (2.0 + kappa))
+    count = model.dim + _top_level(state.amplitudes) + 2
+    u, _ = _gh_rule(count)
+    christoffel = sum(level**2 for level in _hermite_levels(count, u, np.exp(-0.5 * u * u)))
+    return QuadratureGrid(scale * u, scale / christoffel, "gauss-hermite")
+
+
+def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
+    """Raise when the outcome density integrates to less than the input's squared norm."""
+    if not np.isfinite(mass):
+        # The kernel's recurrence overflows at extreme outcomes once dim reaches ~600.
+        raise OutOfRangeError(
+            f"measurement kernel overflows at dim {model.dim}, delta_x {model.delta_x:g}"
+        )
+    leaked = state.norm() ** 2 - mass
+    if leaked > TRUNCATION_OCCUPATION_LIMIT:
+        raise TruncationOverflowError(
+            f"measurement kernel leaks mass {leaked:.3e} above level {model.dim - 1} at "
+            f"delta_x {model.delta_x:g}; increase the truncation dimension"
+        )
+
+
+def _exact_joint(state: FockState, model: MeasurementModel):
+    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass."""
+    rule = _outcome_rule(state, model)
+    joint = np.abs(measurement_amplitudes(state, model, rule.nodes)) ** 2
+    _check_captured(state, model, rule.integrate(joint.sum(axis=1)))
+    return rule, joint
 
 
 def _closed_form_factors(model: MeasurementModel, x_values: np.ndarray, squared: bool = False):
@@ -196,8 +256,7 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
         amps = amps.real
     dim = model.dim
     out = np.empty((x.size, dim), dtype=amps.dtype)
-    support = np.flatnonzero(amps)
-    top = int(support[-1]) if support.size else 0
+    top = _top_level(amps)
 
     kappa = model.kappa
     alpha = 2.0 + kappa
@@ -330,9 +389,15 @@ def outcome_density_table(
     grid: QuadratureGrid,
     n_max: int = DEFAULT_N_MAX,
 ) -> OutcomeDensityTable:
-    """Tabulate the outcome density and the first n_max+1 per-photon rows."""
+    """Tabulate the outcome density and the first n_max+1 per-photon rows.
+
+    Raises TruncationOverflowError when the kernel loses more than
+    TRUNCATION_OCCUPATION_LIMIT of the input above the truncation, which
+    would leave the tabulated density short of its true mass.
+    """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max < model.dim:
         raise OutOfRangeError(f"n_max {n_max!r} outside 0..{model.dim - 1}")
+    _exact_joint(state, model)
     amps = measurement_amplitudes(state, model, grid.nodes)
     joint = np.abs(amps) ** 2
     density = joint.sum(axis=1)

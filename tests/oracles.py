@@ -90,8 +90,29 @@ def p1_asymptotic(delta_x: float, x_m) -> np.ndarray:
 
 
 def jump_probability_exact(delta_x: float) -> float:
-    """1 - integral of |<0|P|0>|^2 = 1 - (1 + 1/(8 dx^2))^(-1/2), closed form."""
-    return 1.0 - (1.0 + 1.0 / (8.0 * delta_x**2)) ** -0.5
+    """1 - integral of |<0|P|0>|^2 = 1 - (1 + 1/(8 dx^2))^(-1/2), closed form.
+
+    Evaluated as -expm1(-log1p(1/(8 dx^2))/2), which does not cancel at wide dx.
+    """
+    return -math.expm1(-0.5 * math.log1p(1.0 / (8.0 * delta_x**2)))
+
+
+def trapezoid_jump_integrals(joint, delta_x: float, span: float, count: int = 4001,
+                             baseline: int = 0) -> tuple[float, float]:
+    """(jump probability, correlation integral) by the trapezoid rule on [-span, span].
+
+    joint(x) returns the table |<n|P(x)|psi>|^2 of shape (len(x), dim).  The
+    outcome variable is integrated on a dense uniform grid instead of an exact
+    Gauss-Hermite rule; with span = 8 sqrt(dx^2 + <x^2> + 1) and 4001 nodes
+    the grid error stays below 3e-12 relative for dx 0.5-20 (vacuum, dim 32).
+    """
+    x = np.linspace(-span, span, count)
+    weights = np.full(count, x[1] - x[0])
+    weights[0] = weights[-1] = weights[1] / 2.0
+    probs = joint(x)
+    jump = weights @ (probs.sum(axis=1) - probs[:, baseline])
+    correlation = weights @ ((probs @ np.arange(probs.shape[1])) * (x**2 - delta_x**2))
+    return float(jump), float(correlation)
 
 
 def correlation_exact(delta_x: float) -> float:

@@ -13,7 +13,6 @@ import pytest
 from baeqnd.cli import EXIT_OK, main
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
-    default_grid,
     jump_probability,
     measured_correlation,
     operator_correlation,
@@ -96,7 +95,7 @@ def test_criterion_3_jump_probability():
         ratios = []
         for delta_x in (2.0, 4.0, 5.0, 10.0, 20.0):
             model = MeasurementModel(delta_x, 32)
-            exact = jump_probability(vac, model, default_grid(vac, model))
+            exact = jump_probability(vac, model)
             ratios.append((delta_x, exact * 16.0 * delta_x**2))
         by_dx = dict(ratios)
         assert by_dx[4.0] == pytest.approx(1.0, abs=0.02)
@@ -114,7 +113,7 @@ def test_criterion_4_correlation_constants():
         vac = FockState.vacuum(32)
         for delta_x in (5.0, 10.0, 20.0):
             model = MeasurementModel(delta_x, 32)
-            value = measured_correlation(vac, model, default_grid(vac, model))
+            value = measured_correlation(vac, model)
             assert value == pytest.approx(0.125, rel=0.01)
         # The two orderings with the photon-number operator on the outside
         # annihilate the vacuum; only the sandwiched term survives.

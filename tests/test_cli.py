@@ -65,6 +65,14 @@ class TestDistribution:
         assert code == EXIT_CONFIG
         assert "delta-x" in capsys.readouterr().err
 
+    def test_kernel_leak_exits_truncation(self, tmp_path, capsys):
+        # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31.
+        out = tmp_path / "dist.json"
+        code = main(["distribution", "--delta-x", "0.05", "--dim", "32", "--out", str(out)])
+        assert code == EXIT_TRUNCATION
+        assert not out.exists()
+        assert "leaks mass" in capsys.readouterr().err
+
 
 class TestJumpSweep:
     def test_ratio_column(self, tmp_path):
@@ -109,6 +117,12 @@ class TestCorrelation:
         assert report["measured_c"] is not None
         assert report["standard_errors"]["measured_c"] > 0
 
+    def test_kernel_leak_exits_truncation(self, tmp_path):
+        out = tmp_path / "corr.json"
+        code = main(["correlation", "--delta-x", "0.05", "--dim", "32", "--out", str(out)])
+        assert code == EXIT_TRUNCATION
+        assert not out.exists()
+
     def test_shots_without_seed_is_config_error(self, tmp_path):
         code = main(["correlation", "--delta-x", "5", "--shots", "100",
                      "--out", str(tmp_path / "c.json")])
@@ -133,6 +147,17 @@ class TestPovmCheck:
         assert payload["report"]["max_defect"] < 1e-8
         dims = [row[0] for row in payload["table"]["rows"]]
         assert dims == sorted(dims)
+
+    def test_recorded_span_reproduces_payload(self, tmp_path):
+        # Every audited dim is integrated on the one span that meta.config records.
+        out, rerun = tmp_path / "povm.json", tmp_path / "rerun.json"
+        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--out", str(out)]) == EXIT_OK
+        envelope = read_envelope(out)
+        span = envelope["meta"]["config"]["grid_span"]
+        assert span == envelope["payload"]["report"]["grid_span"]
+        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--grid-span", repr(span),
+                     "--out", str(rerun)]) == EXIT_OK
+        assert read_envelope(rerun)["checksum"] == envelope["checksum"]
 
     def test_narrow_grid_distinct_exit_code(self, tmp_path, capsys):
         code = main(["povm-check", "--delta-x", "1", "--dim", "16",
@@ -230,38 +255,24 @@ class TestGridFlags:
                      "--seed", "1"],
     }
 
+    # The jump integrals use an exact rule, so these commands take no grid
+    # flag at all: argparse refuses any span or count before a file is opened.
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0"])
-    def test_invalid_span_is_config_error(self, tmp_path, command, span):
+    @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0", "5"])
+    def test_invalid_span_is_config_error(self, tmp_path, capsys, command, span):
         out = tmp_path / "out.json"
         code = main(self.COMMANDS[command] + ["--grid-span", span, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
+        assert f"unrecognized arguments: --grid-span {span}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_narrow_span_is_numeric_error(self, tmp_path, capsys, command):
+    def test_grid_count_is_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "out.json"
-        code = main(self.COMMANDS[command] + ["--grid-span", "5", "--out", str(out)])
-        assert code == EXIT_NUMERIC
+        code = main(self.COMMANDS[command] + ["--grid-count", "1501", "--out", str(out)])
+        assert code == EXIT_CONFIG
         assert not out.exists()
-        assert "grid span" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_span_and_count_are_used_and_recorded(self, tmp_path, command):
-        base, wide = tmp_path / "base.json", tmp_path / "wide.json"
-        assert main(self.COMMANDS[command] + ["--out", str(base)]) == EXIT_OK
-        assert main(self.COMMANDS[command] + ["--grid-span", "30", "--grid-count", "1501",
-                                              "--out", str(wide)]) == EXIT_OK
-        base_env, wide_env = read_envelope(base), read_envelope(wide)
-        assert base_env["checksum"] != wide_env["checksum"]
-        recorded = base_env["meta"]["config"]["grid_span"]
-        if command == "jump-sweep":
-            assert wide_env["meta"]["config"]["grid_span"] == [30.0]
-            (recorded,) = recorded
-        else:
-            assert wide_env["meta"]["config"]["grid_span"] == 30.0
-        # The default is the span of the integrals' default grid, 8 sigma.
-        assert recorded == pytest.approx(8.0 * np.sqrt(2.0**2 + 0.25 + 1.0), rel=1e-15)
+        assert "unrecognized arguments: --grid-count 1501" in capsys.readouterr().err
 
     def test_simulate_and_correlation_reports_agree(self, tmp_path):
         flags = ["--delta-x", "5", "--dim", "16", "--shots", "1000", "--seed", "3"]
@@ -294,11 +305,10 @@ class TestEnvelope:
                      "--out", str(out)]) == EXIT_OK
         envelope = read_envelope(out)
         config = envelope["meta"]["config"]
+        assert "grid_span" not in config and "grid_count" not in config
         rerun = tmp_path / "rerun.json"
         assert main(["correlation", "--delta-x", str(config["delta_x"][0]),
                      "--dim", str(config["dim"]),
-                     "--grid-span", repr(config["grid_span"]),
-                     "--grid-count", str(config["grid_count"]),
                      "--out", str(rerun)]) == EXIT_OK
         assert read_envelope(rerun)["checksum"] == envelope["checksum"]
 

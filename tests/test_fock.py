@@ -21,6 +21,7 @@ from baeqnd.fock import (
     wavefunction_table,
     x_second_moment,
 )
+from baeqnd.measurement import MeasurementModel, _outcome_rule
 
 from oracles import psi_reference
 
@@ -168,9 +169,10 @@ class TestGrids:
         assert grid.weights.sum() == pytest.approx(10.0, abs=1e-12)
 
     def test_gauss_hermite_symmetric(self):
-        grid = make_grid("gauss-hermite", 3.0, 2)
-        np.testing.assert_allclose(grid.nodes, -grid.nodes[::-1], atol=1e-12)
-        assert np.all(grid.weights > 0)
+        rule = _outcome_rule(FockState.number(8, 2), MeasurementModel(1.0, 8))
+        assert rule.count == 8 + 2 + 2
+        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
+        assert np.all(rule.weights > 0)
 
     def test_gaussian_integral(self):
         grid = make_grid("uniform", 8.0, 2001)
@@ -184,6 +186,8 @@ class TestGrids:
             make_grid("uniform", 1.0, 1)
         with pytest.raises(InvalidParameterError):
             make_grid("chebyshev", 1.0, 11)
+        with pytest.raises(InvalidParameterError):
+            make_grid("gauss-hermite", 1.0, 11)
 
     def test_integrate_checks_length(self):
         grid = make_grid("uniform", 1.0, 11)

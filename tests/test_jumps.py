@@ -5,20 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baeqnd import jumps
-from baeqnd.errors import (
-    DimensionMismatchError,
-    GridTooNarrowError,
-    InvalidParameterError,
-    TruncationOverflowError,
-)
+from baeqnd import jumps, measurement
+from baeqnd.errors import DimensionMismatchError, InvalidParameterError, TruncationOverflowError
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
     SAMPLING_GRID_COUNT,
     SHARD_SIZE,
     CorrelationReport,
     ShotTable,
-    default_grid,
     exact_report,
     jump_probability,
     measured_correlation,
@@ -30,7 +24,12 @@ from baeqnd.jumps import (
 )
 from baeqnd.measurement import MeasurementModel, conditional_state, measurement_amplitudes
 
-from oracles import correlation_exact, jump_probability_exact, p1_asymptotic
+from oracles import (
+    correlation_exact,
+    jump_probability_exact,
+    p1_asymptotic,
+    trapezoid_jump_integrals,
+)
 
 
 class TestSampling:
@@ -69,7 +68,7 @@ class TestSampling:
         model = MeasurementModel(2.0, 32)
         shots = run_experiment(vac, model, 200_000, seed=5)
         fraction = np.mean(shots.photon_n >= 1)
-        exact = jump_probability(vac, model, default_grid(vac, model))
+        exact = jump_probability(vac, model)
         sigma = np.sqrt(exact * (1.0 - exact) / len(shots))
         assert abs(fraction - exact) < 3.0 * sigma
 
@@ -189,16 +188,14 @@ class TestJumpProbability:
         vac = FockState.vacuum(32)
         for dx in (2.0, 4.0, 10.0):
             model = MeasurementModel(dx, 32)
-            value = jump_probability(vac, model, default_grid(vac, model))
+            value = jump_probability(vac, model)
             assert value == pytest.approx(jump_probability_exact(dx), rel=1e-6)
 
     def test_wide_kernel_values(self):
         vac = FockState.vacuum(32)
-        value4 = jump_probability(vac, MeasurementModel(4.0, 32),
-                                  default_grid(vac, MeasurementModel(4.0, 32)))
+        value4 = jump_probability(vac, MeasurementModel(4.0, 32))
         assert value4 == pytest.approx(1.0 / 256.0, rel=0.02)
-        value10 = jump_probability(vac, MeasurementModel(10.0, 32),
-                                   default_grid(vac, MeasurementModel(10.0, 32)))
+        value10 = jump_probability(vac, MeasurementModel(10.0, 32))
         assert value10 == pytest.approx(1.0 / 1600.0, rel=0.005)
 
     def test_ratio_to_asymptote_monotone(self):
@@ -206,7 +203,7 @@ class TestJumpProbability:
         ratios = []
         for dx in (2.0, 5.0, 10.0, 20.0):
             model = MeasurementModel(dx, 32)
-            value = jump_probability(vac, model, default_grid(vac, model))
+            value = jump_probability(vac, model)
             ratios.append(value * 16.0 * dx * dx)
         assert ratios == sorted(ratios)
         assert ratios[-1] < 1.0
@@ -214,14 +211,48 @@ class TestJumpProbability:
     def test_one_photon_input_stays_at_weak_measurement(self):
         one = FockState.number(16, 1)
         model = MeasurementModel(100.0, 16)
-        away = jump_probability(one, model, default_grid(one, model))
+        away = jump_probability(one, model)
         assert away < 1e-3
 
-    def test_narrow_grid_rejected(self):
-        vac = FockState.vacuum(16)
-        model = MeasurementModel(10.0, 16)
-        with pytest.raises(GridTooNarrowError):
-            jump_probability(vac, model, make_grid("uniform", 10.0, 101))
+
+class TestExactOutcomeRule:
+    @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_matches_trapezoid_oracle_and_closed_form(self, dx):
+        vac = FockState.vacuum(32)
+        model = MeasurementModel(dx, 32)
+        report = exact_report(vac, model)
+        span = 8.0 * np.sqrt(dx**2 + 0.25 + 1.0)
+        grid_jump, grid_c = trapezoid_jump_integrals(
+            lambda x: np.abs(measurement_amplitudes(vac, model, x)) ** 2, dx, span)
+        assert report.jump_probability == pytest.approx(grid_jump, rel=1e-10, abs=0)
+        assert report.exact_c_integral == pytest.approx(grid_c, rel=1e-10, abs=0)
+        assert report.jump_probability == pytest.approx(jump_probability_exact(dx), rel=1e-12, abs=0)
+        assert report.exact_c_integral == pytest.approx(correlation_exact(dx), rel=1e-12, abs=0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.15, 20.0), dim=st.sampled_from([8, 16, 32, 64]),
+           kind=st.sampled_from(["vacuum", "one-photon", "levels-0-2"]),
+           seed=st.integers(0, 2**16))
+    def test_unchanged_with_more_nodes_or_raises(self, dx, dim, kind, seed):
+        if kind == "levels-0-2":
+            amps = np.zeros(dim, dtype=np.complex128)
+            amps[:3] = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, 3))
+            state = FockState(amps).normalize()
+        else:
+            state = FockState.number(dim, int(kind == "one-photon"))
+        model = MeasurementModel(dx, dim)
+        try:
+            value = exact_report(state, model)
+        except TruncationOverflowError:
+            return
+        rule = measurement._outcome_rule
+        # The rule's node count is dim + top + 2; the same rule for 2 dim has dim more nodes.
+        wider = lambda s, m: rule(s, MeasurementModel(m.delta_x, 2 * m.dim))
+        with mock.patch.object(measurement, "_outcome_rule", wider):
+            assert measurement._outcome_rule(state, model).count == rule(state, model).count + dim
+            again = exact_report(state, model)
+        for field in ("jump_probability", "exact_c_integral"):
+            assert getattr(value, field) == pytest.approx(getattr(again, field), rel=1e-12, abs=1e-15)
 
 
 class TestKernelTruncationGuard:
@@ -229,17 +260,16 @@ class TestKernelTruncationGuard:
         # The kernel leaks 2.6e-7 of the vacuum above level 47 at dx 0.2.
         vac = FockState.vacuum(48)
         model = MeasurementModel(0.2, 48)
-        value = jump_probability(vac, model, default_grid(vac, model))
+        value = jump_probability(vac, model)
         assert value == pytest.approx(jump_probability_exact(0.2), abs=1e-6)
 
     def test_integrals_reject_leaking_kernel(self):
         vac = FockState.vacuum(32)
         model = MeasurementModel(0.1, 32)
-        grid = default_grid(vac, model)
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.7"):
-            jump_probability(vac, model, grid)
+            jump_probability(vac, model)
         with pytest.raises(TruncationOverflowError):
-            measured_correlation(vac, model, grid)
+            measured_correlation(vac, model)
 
     def test_sampler_rejects_leaking_kernel(self):
         # Each shot's photon draw renormalises, so without the guard the
@@ -253,7 +283,7 @@ class TestKernelTruncationGuard:
         vac = FockState.vacuum(dim)
         model = MeasurementModel(dx, dim)
         try:
-            value = jump_probability(vac, model, default_grid(vac, model))
+            value = jump_probability(vac, model)
         except TruncationOverflowError:
             return
         assert abs(value - jump_probability_exact(dx)) <= 2e-6
@@ -263,14 +293,14 @@ class TestMeasuredCorrelation:
     def test_near_one_eighth_at_wide_resolution(self):
         vac = FockState.vacuum(32)
         model = MeasurementModel(10.0, 32)
-        value = measured_correlation(vac, model, default_grid(vac, model))
+        value = measured_correlation(vac, model)
         assert value == pytest.approx(0.125, rel=0.01)
 
     @pytest.mark.parametrize("dx", [2.0, 5.0, 10.0, 20.0])
     def test_against_closed_form(self, dx):
         vac = FockState.vacuum(32)
         model = MeasurementModel(dx, 32)
-        value = measured_correlation(vac, model, default_grid(vac, model))
+        value = measured_correlation(vac, model)
         assert value == pytest.approx(correlation_exact(dx), rel=1e-6)
 
     def test_deviation_shrinks_with_resolution(self):
@@ -278,7 +308,7 @@ class TestMeasuredCorrelation:
         deviations = []
         for dx in (5.0, 10.0, 20.0):
             model = MeasurementModel(dx, 32)
-            value = measured_correlation(vac, model, default_grid(vac, model))
+            value = measured_correlation(vac, model)
             deviations.append(abs(value - 0.125))
         assert deviations == sorted(deviations, reverse=True)
 

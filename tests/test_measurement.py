@@ -7,10 +7,12 @@ from baeqnd.errors import (
     GridTooNarrowError,
     InvalidParameterError,
     OutOfRangeError,
+    TruncationOverflowError,
 )
 from baeqnd.fock import FockState, make_grid, trusted_levels
 from baeqnd.measurement import (
     MeasurementModel,
+    _check_captured,
     asymptotic_p1,
     completeness_defect,
     completeness_required_span,
@@ -296,6 +298,19 @@ class TestDensityTable:
         table = outcome_density_table(FockState.vacuum(32), model, grid, n_max=4)
         stacked = np.sum(table.per_photon, axis=0)
         np.testing.assert_allclose(stacked, table.density, atol=1e-8)
+
+    def test_kernel_leak_raises(self):
+        # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31, so the
+        # tabulated density would integrate to 0.74.
+        model = MeasurementModel(0.05, 32)
+        grid = make_grid("uniform", 6.0 * np.sqrt(0.05**2 + 1.0), 2001)
+        with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
+            outcome_density_table(FockState.vacuum(32), model, grid)
+
+    def test_non_finite_mass_is_an_error(self):
+        # An overflowing kernel must not pass the leak check as NaN.
+        with pytest.raises(OutOfRangeError, match="overflows"):
+            _check_captured(FockState.vacuum(8), MeasurementModel(1.0, 8), float("nan"))
 
     def test_invalid_n_max(self):
         model = MeasurementModel(1.0, 8)
