@@ -254,6 +254,8 @@ def _cmd_correlation(args):
 @_command("povm-check")
 def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
+    if args.dim < 8:
+        raise InvalidParameterError(f"povm-check audits dims >= 8, got --dim {args.dim}")
     required = float(completeness_required_span(MeasurementModel(delta_x, args.dim)))
     # Every audited dim is integrated on the one grid that meta.config records.
     grid = _resolve_grid(args, required)

@@ -13,6 +13,10 @@ Each matrix element <n|P(x_m)|m> is a Gaussian-Hermite integral.
 Completing the square analytically reduces it to the integral of a
 polynomial of degree n+m against exp(-u^2), which a Gauss-Hermite rule with
 dim nodes evaluates exactly, so every result is exact up to floating point.
+The rule (_gh_rule) is built here from numpy alone: Golub-Welsch nodes, the
+eigenvalues of the Hermite Jacobi matrix polished by one Newton step, and
+Christoffel weights summed over the same orthonormal levels, with the
+Gaussian factored out so they stay finite for rules of a thousand nodes.
 The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`:
 operators are built from a factor table as M M^T with a positive prefactor
 (symmetric positive semidefinite by construction), and amplitudes of a state
@@ -36,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
@@ -111,10 +114,29 @@ class OutcomeDensityTable:
 
 @lru_cache(maxsize=64)
 def _gh_rule(count: int):
-    u, w = roots_hermite(count)
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
+    """Gauss-Hermite rule for the weight exp(-u^2): nodes u, weights w, factored w exp(u^2).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Hermite recurrence (off-diagonal sqrt(k/2)), polished by one
+    Newton step on h_count (h_count' = sqrt(2 count) h_{count-1}) and made
+    exactly antisymmetric.  The weights come in Christoffel form,
+    w_k = 1 / sum_j h_j(u_k)^2 over the count orthonormal levels, with the
+    Gaussian factored out: exp(u_k^2) w_k = 1 / sum_j (h_j(u_k) exp(-u_k^2 / 2))^2
+    stays finite where w_k itself underflows (count above ~360).  The levels
+    run on a quarter Gaussian, squared once more, so neither the recurrence
+    overflows nor its seed underflows below count ~1400.
+    """
+    off = np.sqrt(np.arange(1.0, count) / 2.0)
+    u = np.linalg.eigvalsh(np.diag(off, -1))
+    *_, before, last = _hermite_levels(count + 1, u, np.exp(-0.25 * u * u))
+    u = u - last / (np.sqrt(2.0 * count) * before)
+    u = 0.5 * (u - u[::-1])
+    quarter = np.exp(-0.25 * u * u)
+    factored = 1.0 / sum((level * quarter) ** 2 for level in _hermite_levels(count, u, quarter))
+    w = factored * np.exp(-u * u)
+    for arr in (u, w, factored):
+        arr.setflags(write=False)
+    return u, w, factored
 
 
 def _top_level(amps: np.ndarray) -> int:
@@ -134,16 +156,14 @@ def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
     quadrature error.  The nodes are scaled by 1/sqrt(g) and the Gaussian is
     factored into the weights, so the rule integrates plain samples.
 
-    The factored weights w_k exp(u_k^2) are taken in Christoffel form,
-    1 / sum_j (h_j(u_k) exp(-u_k^2 / 2))^2 over the N orthonormal Hermite
-    levels, which stays finite where w_k itself underflows (N above ~360).
+    The factored weights w_k exp(u_k^2) come from _gh_rule, which keeps them
+    finite where w_k itself underflows.
     """
     kappa = model.kappa
     scale = 1.0 / np.sqrt(4.0 * kappa / (2.0 + kappa))
     count = model.dim + _top_level(state.amplitudes) + 2
-    u, _ = _gh_rule(count)
-    christoffel = sum(level**2 for level in _hermite_levels(count, u, np.exp(-0.5 * u * u)))
-    return QuadratureGrid(scale * u, scale / christoffel, "gauss-hermite")
+    u, _, factored = _gh_rule(count)
+    return QuadratureGrid(scale * u, scale * factored, "gauss-hermite")
 
 
 def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
@@ -184,7 +204,7 @@ def _closed_form_factors(model: MeasurementModel, x_values: np.ndarray, squared:
     dim = model.dim
     kappa = 2.0 * model.kappa if squared else model.kappa
     alpha = 2.0 + kappa
-    u, w = _gh_rule(dim)
+    u, w, _ = _gh_rule(dim)
     x0 = kappa * x_values / alpha
     xi = np.sqrt(2.0) * (x0[:, None] + u[None, :] / np.sqrt(alpha))
     half_const = np.exp(-kappa * x_values**2 / alpha)
@@ -260,7 +280,7 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
 
     kappa = model.kappa
     alpha = 2.0 + kappa
-    u, w = _gh_rule(dim)
+    u, w, _ = _gh_rule(dim)
     pref = (2.0 * np.pi * model.delta_x**2) ** -0.25 * np.sqrt(2.0 / alpha)
     chunk = max(1, _CHUNK_ELEMENTS // dim)
     for start in range(0, x.size, chunk):

@@ -33,15 +33,21 @@ reflected back into the trusted region; the detection step then keeps one
 extra quarter of levels, mirroring the trusted-subspace policy.  Without the
 sponge, conditioning on rare outcomes amplifies the edge error far above the
 per-amplitude level (measured: three orders of magnitude at a = 2).
+
+Numerics.  Every unitary is a product of real rotations exp(G) with G
+antisymmetric and tridiagonal: the beam splitter per total-photon-number
+sector, each squeezer per parity chain (its generator couples n to n +- 2
+only).  _rotation takes them from one real symmetric eigendecomposition.
+calibrate_outcome_map refines its scale with a bounded Brent minimiser
+(_minimize_scalar_bounded).  The module needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
@@ -135,6 +141,22 @@ class TwoModeState:
         return probs.sum(axis=1 - mode)
 
 
+def _rotation(off: np.ndarray) -> np.ndarray:
+    """exp(G) for the real antisymmetric tridiagonal G with G[j+1, j] = -G[j, j+1] = off[j].
+
+    With P = diag(i^j) and T the real symmetric tridiagonal matrix with the
+    same off-diagonal, G = -i P T P^-1, so one real eigendecomposition
+    T = Q diag(lam) Q^T gives exp(G) = Re(P Q e^{-i lam} Q^T P^-1).  T has a
+    zero diagonal, so Q cos(lam) Q^T only couples even distances j - k and
+    Q sin(lam) Q^T only odd ones; the real part is then
+    (-1)^floor((j - k) / 2) (Q (cos lam + sin lam) Q^T)[j, k].
+    """
+    lam, q = np.linalg.eigh(np.diag(off, -1))
+    index = np.arange(off.size + 1)
+    sign = 1.0 - 2.0 * (np.subtract.outer(index, index) // 2 % 2)
+    return sign * ((q * (np.cos(lam) + np.sin(lam))) @ q.T)
+
+
 def _sector_blocks(reflectivity: float, dims: tuple[int, int]):
     """Beam-splitter rotations per total-photon-number sector.
 
@@ -148,17 +170,10 @@ def _sector_blocks(reflectivity: float, dims: tuple[int, int]):
     for total in range(d0 + d1 - 1):
         lo = max(0, total - d1 + 1)
         hi = min(d0 - 1, total)
-        size = hi - lo + 1
         n0 = np.arange(lo, hi + 1)
-        if size == 1:
-            blocks.append((n0, total - n0, np.eye(1)))
-            continue
-        gen = np.zeros((size, size))
-        for j in range(size - 1):
-            amp = theta * np.sqrt((lo + j + 1.0) * (total - lo - j))
-            gen[j + 1, j] = amp
-            gen[j, j + 1] = -amp
-        blocks.append((n0, total - n0, expm(gen)))
+        # Generator entry between n0 = k and k + 1 in this sector.
+        off = theta * np.sqrt(n0[1:] * (total - n0[:-1]))
+        blocks.append((n0, total - n0, _rotation(off)))
     return blocks
 
 
@@ -204,9 +219,12 @@ def squeeze_matrix(gain_a: float, direction: str, dim: int) -> np.ndarray:
     r = float(np.log(gain_a))
     if direction == "amplify-y":
         r = -r
-    ladder = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-    gen = 0.5 * r * (ladder.T @ ladder.T - ladder @ ladder)
-    return expm(gen)
+    # The generator couples n to n + 2 only: one tridiagonal rotation per parity chain.
+    out = np.zeros((dim, dim))
+    for chain in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
+        n = chain[:-1].astype(np.float64)
+        out[np.ix_(chain, chain)] = _rotation(0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
+    return out
 
 
 def opa_squeezer(
@@ -310,6 +328,85 @@ class Calibration:
     residual: float
 
 
+def _minimize_scalar_bounded(func, bounds, xatol):
+    """Brent's bounded minimiser: golden-section steps, parabolic where acceptable.
+
+    A port of SciPy's bounded scalar minimiser (BSD-3-Clause licence, after
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
+    kept step for step so it makes the same evaluations.  Stops once the
+    bracket around the best abscissa is within xatol (plus a relative
+    sqrt(eps) term) or after 500 evaluations; returns the best abscissa
+    and its function value.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        # Parabolic fit through the three best points.
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return float(xf), float(fx)
+
+
 def calibrate_outcome_map(
     params: SetupParams,
     *,
@@ -354,14 +451,9 @@ def calibrate_outcome_map(
         ref = measurement_amplitudes(signal_in, model, probe)
         return float(np.max(np.abs(mapped - np.sum(np.abs(ref) ** 2, axis=1)))) / peak
 
-    fit = minimize_scalar(
-        residual_of,
-        bounds=(0.98 * scale0, 1.02 * scale0),
-        method="bounded",
-        options={"xatol": 1e-10},
+    scale, residual = _minimize_scalar_bounded(
+        residual_of, (0.98 * scale0, 1.02 * scale0), xatol=1e-10
     )
-    scale = float(fit.x)
-    residual = float(fit.fun)
 
     # Sign: compare conditional states at a probe outcome on the positive side.
     probe_raw = 0.8 * float(np.sqrt(var_raw))
@@ -449,29 +541,29 @@ def equivalence_defect(
     setup_amps = circuit.homodyne_amplitudes(signal_in, raw)
     density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
 
-    dim = params.dim_meter
-    worst = 0.0
-    for i in np.nonzero(density_kernel > density_floor)[0]:
-        p_setup = float(density_setup[i])
-        p_kernel = float(density_kernel[i])
-        out = setup_amps[i, :dim]
-        out_norm = np.linalg.norm(out)
-        if out_norm == 0.0:
-            worst = max(worst, abs(p_setup - p_kernel) + 1.0)
-            continue
-        ref = kernel_amps[i] / np.sqrt(p_kernel)
-        worst = max(worst, abs(p_setup - p_kernel) + _trace_distance(out / out_norm, ref))
-    return worst
+    keep = density_kernel > density_floor
+    gap = np.abs(density_setup[keep] - density_kernel[keep])
+    out = setup_amps[keep, : params.dim_meter]
+    out_norm = np.linalg.norm(out, axis=1)
+    ref = kernel_amps[keep] / np.sqrt(density_kernel[keep])[:, None]
+    # An outcome the circuit cannot produce at all counts as fully distinct.
+    distance = np.ones_like(gap)
+    live = out_norm > 0.0
+    distance[live] = _trace_distance(out[live] / out_norm[live, None], ref[live])
+    return float(np.max(gap + distance, initial=0.0))
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance sqrt(1 - |<a|b>|^2) between two normalised pure states.
+def _trace_distance(a: np.ndarray, b: np.ndarray):
+    """Trace distance sqrt(1 - |<a|b>|^2) between normalised pure states, row by row.
 
     Evaluated from the phase-aligned difference d2 = |a - e^{i phi} b|^2 =
     2 (1 - |<a|b>|), which keeps its relative precision for nearly equal
-    states where 1 - |<a|b>|^2 cancels to rounding noise.
+    states where 1 - |<a|b>|^2 cancels to rounding noise.  a and b hold one
+    state per row along their last axis.
     """
-    inner = np.vdot(a, b)
-    phase = np.conj(inner) / abs(inner) if inner != 0 else 1.0
-    half = 0.5 * float(np.sum(np.abs(a - phase * b) ** 2))
-    return float(np.sqrt(max(0.0, half * (2.0 - half))))
+    inner = np.sum(np.conj(a) * b, axis=-1)
+    mag = np.abs(inner)
+    phase = np.ones_like(inner)
+    np.divide(np.conj(inner), mag, out=phase, where=mag != 0.0)
+    half = 0.5 * np.sum(np.abs(a - phase[..., None] * b) ** 2, axis=-1)
+    return np.sqrt(np.maximum(0.0, half * (2.0 - half)))

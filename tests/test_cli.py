@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def read_envelope(path: Path) -> dict:
@@ -158,6 +161,14 @@ class TestPovmCheck:
         assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--grid-span", repr(span),
                      "--out", str(rerun)]) == EXIT_OK
         assert read_envelope(rerun)["checksum"] == envelope["checksum"]
+
+    @pytest.mark.parametrize("dim", [2, 7])
+    def test_dim_below_eight_is_config_error(self, tmp_path, capsys, dim):
+        out = tmp_path / "povm.json"
+        code = main(["povm-check", "--delta-x", "1", "--dim", str(dim), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "--dim" in capsys.readouterr().err
 
     def test_narrow_grid_distinct_exit_code(self, tmp_path, capsys):
         code = main(["povm-check", "--delta-x", "1", "--dim", "16",
@@ -330,3 +341,45 @@ class TestEnvelope:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, cwd=str(REPO), env=env)
+
+
+class TestRuntimeWithoutScipy:
+    """The package runs on numpy alone; scipy is a test-only dependency."""
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = _run_python(
+            "import sys, baeqnd.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        runs = [
+            ["distribution", "--delta-x", "1", "--dim", "16", "--grid-count", "201"],
+            ["jump-sweep", "--delta-x", "1", "--delta-x", "4", "--dim", "16"],
+            ["correlation", "--delta-x", "2", "--dim", "16", "--shots", "200", "--seed", "1"],
+            ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
+            ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
+            ["simulate", "--delta-x", "5", "--dim", "16", "--shots", "200", "--seed", "1"],
+        ]
+        runs = [argv + ["--out", str(tmp_path / f"{argv[0]}.json")] for argv in runs]
+        proc = _run_python(
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from baeqnd.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    if code:\n"
+            "        sys.exit(f'{argv[0]} exited {code}')\n",
+            json.dumps(runs),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for argv in runs:
+            assert Path(argv[-1]).exists()

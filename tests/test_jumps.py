@@ -229,6 +229,12 @@ class TestExactOutcomeRule:
         assert report.jump_probability == pytest.approx(jump_probability_exact(dx), rel=1e-12, abs=0)
         assert report.exact_c_integral == pytest.approx(correlation_exact(dx), rel=1e-12, abs=0)
 
+    def test_dim_400_matches_closed_form(self):
+        # The rule has 402 nodes here; a Gauss-Hermite rule whose weights turn
+        # NaN above ~370 nodes makes this raise instead.
+        value = jump_probability(FockState.vacuum(400), MeasurementModel(1.0, 400))
+        assert value == pytest.approx(jump_probability_exact(1.0), rel=1e-12, abs=0)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dx=st.floats(0.15, 20.0), dim=st.sampled_from([8, 16, 32, 64]),
            kind=st.sampled_from(["vacuum", "one-photon", "levels-0-2"]),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from baeqnd.errors import (
     DegenerateConditioningError,
@@ -13,6 +14,7 @@ from baeqnd.fock import FockState, make_grid, trusted_levels
 from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
+    _gh_rule,
     asymptotic_p1,
     completeness_defect,
     completeness_required_span,
@@ -35,6 +37,18 @@ from oracles import (
     vacuum_density,
     vacuum_diag_element,
 )
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("count", [*range(2, 200), 300, 400, 700])
+    def test_matches_scipy_roots(self, count):
+        u, w, factored = _gh_rule(count)
+        ref_u, ref_w = roots_hermite(count)
+        assert np.all(np.isfinite(w))
+        assert np.all(np.isfinite(factored)) and np.all(factored > 0.0)
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
+        kept = ref_w > 1e-250
+        np.testing.assert_allclose(w[kept], ref_w[kept], rtol=1e-11, atol=0)
 
 
 class TestMeasurementOperator:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 
+from baeqnd import setup_model
 from baeqnd.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -11,6 +14,8 @@ from baeqnd.fock import FockState, make_grid, quadrature_x, quadrature_y
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
+    _minimize_scalar_bounded,
+    _sector_blocks,
     _trace_distance,
     SetupParams,
     TwoModeState,
@@ -25,6 +30,81 @@ from baeqnd.setup_model import (
 
 def _grid_for(params, count=201):
     return make_grid("uniform", 6.0 * np.sqrt(params.delta_x**2 + 1.0), count)
+
+
+def _sector_generator(theta, lo, total, size):
+    """Beam-splitter generator theta (a* b - a b*) on one total-photon-number sector."""
+    gen = np.zeros((size, size))
+    for j in range(size - 1):
+        amp = theta * np.sqrt((lo + j + 1.0) * (total - lo - j))
+        gen[j + 1, j] = amp
+        gen[j, j + 1] = -amp
+    return gen
+
+
+class TestRotations:
+    """Eigendecomposition rotations against scipy's Pade expm of the dense generator."""
+
+    @pytest.mark.parametrize("work_dim", [64, 112])
+    def test_sector_blocks_match_expm(self, work_dim):
+        reflectivity = SetupParams(1.5).reflectivity
+        theta = float(np.arcsin(np.sqrt(reflectivity)))
+        for n0, n1, block in _sector_blocks(reflectivity, (work_dim, work_dim)):
+            total = int(n0[0] + n1[0])
+            ref = expm(_sector_generator(theta, int(n0[0]), total, n0.size))
+            np.testing.assert_allclose(block, ref, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(block @ block.T, np.eye(n0.size), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("gain, dim", [(1.5, 112), (5.0, 176)])
+    def test_squeeze_matrix_matches_expm(self, gain, dim):
+        ladder = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+        gen = 0.5 * np.log(gain) * (ladder.T @ ladder.T - ladder @ ladder)
+        for direction, sign in (("amplify-x", 1.0), ("amplify-y", -1.0)):
+            s = squeeze_matrix(gain, direction, dim)
+            np.testing.assert_allclose(s, expm(sign * gen), rtol=0, atol=1e-11)
+            np.testing.assert_allclose(s @ s.T, np.eye(dim), rtol=0, atol=1e-13)
+
+
+class TestBoundedMinimiser:
+    @pytest.mark.parametrize("func, bounds", [
+        (lambda x: (x - 0.3) ** 2, (-1.0, 2.0)),
+        (lambda x: abs(np.sin(3.0 * x) + 0.2), (0.5, 1.6)),
+        (lambda x: np.exp(x), (-2.0, 1.0)),
+    ])
+    def test_matches_scipy_bounded(self, func, bounds):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        x, fx = _minimize_scalar_bounded(counted, bounds, xatol=1e-10)
+        ref = minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": 1e-10})
+        assert x == ref.x and fx == ref.fun
+        assert len(calls) == ref.nfev
+
+    def test_calibration_matches_scipy_bounded(self, monkeypatch):
+        seen = {}
+        port = setup_model._minimize_scalar_bounded
+
+        def recording(func, bounds, **options):
+            calls = []
+
+            def counted(c):
+                calls.append(c)
+                return func(c)
+
+            seen.update(func=func, bounds=bounds, options=options, calls=calls)
+            return port(counted, bounds, **options)
+
+        monkeypatch.setattr(setup_model, "_minimize_scalar_bounded", recording)
+        calibration = calibrate_outcome_map(SetupParams(1.5, 32, 32))
+        ref = minimize_scalar(seen["func"], bounds=seen["bounds"], method="bounded",
+                              options=seen["options"])
+        assert seen["options"] == {"xatol": 1e-10}
+        assert abs(calibration.scale) == pytest.approx(abs(ref.x), rel=1e-12)
+        assert calibration.residual == pytest.approx(ref.fun, rel=1e-12)
+        assert len(seen["calls"]) == ref.nfev
 
 
 class TestSetupParams:
@@ -237,6 +317,35 @@ class TestEquivalence:
         assert _trace_distance(a, np.array([0.0, 1j, 0.0])) == pytest.approx(1.0)
         c = np.array([0.6, 0.8j, 0.0])
         assert _trace_distance(a, c) == pytest.approx(np.sqrt(1.0 - 0.36), rel=1e-12)
+
+    def test_trace_distance_row_by_row(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        b = a + 1e-3 * rng.normal(size=(6, 5))
+        b /= np.linalg.norm(b, axis=1)[:, None]
+        b[2] = 0.0
+        b[2, 0] = 1.0
+        rows = _trace_distance(a, b)
+        assert rows.shape == (6,)
+        for i in range(6):
+            assert rows[i] == _trace_distance(a[i], b[i])
+            overlap = abs(np.vdot(a[i], b[i]))
+            assert rows[i] == pytest.approx(np.sqrt(1.0 - overlap**2), rel=1e-6)
+
+    def test_unreachable_outcome_counts_as_fully_distinct(self, monkeypatch):
+        # Where the circuit leaves no meter amplitude, the defect is the density gap plus 1.
+        params = SetupParams(1.5, 24, 24)
+        circuit = SetupCircuit(params)
+        calibration = calibrate_outcome_map(params, circuit=circuit)
+        grid = _grid_for(params)
+        monkeypatch.setattr(circuit, "homodyne_amplitudes",
+                            lambda state, raw: np.zeros((np.size(raw), 30), complex))
+        vac = FockState.vacuum(24)
+        density = np.array([outcome_density(vac, MeasurementModel(params.delta_x, 24), x)
+                            for x in grid.nodes])
+        defect = equivalence_defect(vac, params, grid, circuit=circuit, calibration=calibration)
+        assert defect == pytest.approx(density.max() + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("gain", [1.2, 1.5, 2.0])
     def test_defect_small_for_both_inputs(self, gain):
