@@ -8,11 +8,13 @@ carrying the metadata, any non-tabular payload, and the checksums.  Payload
 bytes are deterministic for a fixed configuration and seed; only the
 timestamp in the metadata varies between runs.
 
-Only distribution, povm-check and setup-check tabulate or integrate on an
-outcome grid, so only they take --grid-span and --grid-count; meta.config
-records the span used.  jump-sweep, correlation and simulate integrate with
-an exact Gauss-Hermite rule whose node count follows from --dim and the
-input, and argparse refuses the grid flags there (exit 2, no file).
+Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
+refuses any other with exit 2 before a file is opened, and meta.config holds
+exactly the settings that shaped the payload.  Only distribution, povm-check
+and setup-check tabulate or integrate on an outcome grid, so only they take
+--grid-span and --grid-count; meta.config records the span used.
+jump-sweep, correlation and simulate integrate with an exact Gauss-Hermite
+rule whose node count follows from --dim and the input.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric precondition failure
 (narrow grid, degenerate conditioning, calibration mismatch), 4 truncation
@@ -56,9 +58,22 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TRUNCATION = 4
 
-#: Commands that tabulate or integrate on an outcome grid and so take
-#: --grid-span and --grid-count; the jump integrals use an exact rule instead.
-_GRID_COMMANDS = ("distribution", "povm-check", "setup-check")
+#: Command -> (help text, the flags it reads beyond --dim, --out and --format).
+#: "grid" stands for --grid-span and --grid-count, "shots" for --shots and --seed.
+_COMMAND_FLAGS = {
+    "distribution": ("tabulate outcome and per-photon densities on a grid",
+                     ("delta-x", "grid", "n-max")),
+    "jump-sweep": ("exact jump probability against the wide-kernel 1/(16 dx^2) law",
+                   ("delta-x",)),
+    "correlation": ("jump/outcome correlation report (exact, optionally sampled)",
+                    ("delta-x", "shots")),
+    "povm-check": ("completeness audit of the squared measurement kernel",
+                   ("delta-x", "grid")),
+    "setup-check": ("two-mode circuit vs measurement kernel equivalence",
+                    ("gain-a", "grid")),
+    "simulate": ("seeded Monte Carlo shots plus summary report",
+                 ("delta-x", "shots", "record-limit")),
+}
 
 _COMMANDS = {}
 
@@ -158,12 +173,6 @@ def _write_envelope(args, payload: dict, seed) -> None:
 
 
 def _require_delta_x(args, count=1):
-    if args.gain_a is not None:
-        raise InvalidParameterError(
-            f"command {args.command!r} takes --delta-x, not --gain-a"
-        )
-    if not args.delta_x:
-        raise InvalidParameterError(f"command {args.command!r} requires --delta-x")
     if count == 1 and len(args.delta_x) != 1:
         raise InvalidParameterError(
             f"command {args.command!r} takes exactly one --delta-x value"
@@ -172,16 +181,6 @@ def _require_delta_x(args, count=1):
         if not np.isfinite(dx) or dx <= 0:
             raise InvalidParameterError(f"--delta-x must be positive, got {dx}")
     return args.delta_x[0] if count == 1 else list(args.delta_x)
-
-
-def _require_gain(args):
-    if args.delta_x:
-        raise InvalidParameterError(
-            f"command {args.command!r} takes --gain-a, not --delta-x"
-        )
-    if args.gain_a is None:
-        raise InvalidParameterError(f"command {args.command!r} requires --gain-a")
-    return args.gain_a
 
 
 def _auto_span(delta_x: float) -> float:
@@ -194,7 +193,7 @@ def _resolve_grid(args, fallback_span: float):
     The span used replaces --grid-span in args, so meta.config records it.
     """
     span = float(args.grid_span if args.grid_span is not None else fallback_span)
-    grid = make_grid("uniform", span, args.grid_count)
+    grid = make_grid(span, args.grid_count)
     args.grid_span = span
     return grid
 
@@ -295,7 +294,7 @@ def _cmd_povm_check(args):
 
 @_command("setup-check")
 def _cmd_setup_check(args):
-    gain = _require_gain(args)
+    gain = args.gain_a
     dims = sorted({max(8, args.dim // 2), (3 * args.dim) // 4, args.dim})
     params = SetupParams(gain, args.dim, args.dim)
     circuit = SetupCircuit(params)
@@ -320,7 +319,7 @@ def _cmd_setup_check(args):
             rows.append([int(dim), defects["vacuum"], ""])
             continue
         sub = SetupParams(gain, dim, dim)
-        sub_grid = make_grid("uniform", args.grid_span, args.grid_count)
+        sub_grid = make_grid(args.grid_span, args.grid_count)
         try:
             sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, sub_grid))
             rows.append([int(dim), sub_defect, ""])
@@ -372,30 +371,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "distribution": "tabulate outcome and per-photon densities on a grid",
-        "jump-sweep": "exact jump probability against the wide-kernel 1/(16 dx^2) law",
-        "correlation": "jump/outcome correlation report (exact, optionally sampled)",
-        "povm-check": "completeness audit of the squared measurement kernel",
-        "setup-check": "two-mode circuit vs measurement kernel equivalence",
-        "simulate": "seeded Monte Carlo shots plus summary report",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, flags) in _COMMAND_FLAGS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--delta-x", type=float, action="append", default=None,
-                       help="measurement resolution (repeatable for jump-sweep)")
-        p.add_argument("--gain-a", type=float, default=None,
-                       help="amplifier gain (setup-check only)")
+        if "delta-x" in flags:
+            p.add_argument("--delta-x", type=float, action="append", required=True,
+                           help="measurement resolution (repeatable for jump-sweep)")
+        if "gain-a" in flags:
+            p.add_argument("--gain-a", type=float, required=True, help="amplifier gain")
         p.add_argument("--dim", type=int, default=32, help="Fock truncation dimension")
-        if name in _GRID_COMMANDS:
+        if "grid" in flags:
             p.add_argument("--grid-span", type=float, default=None,
                            help="outcome grid half-width (default: command-specific)")
             p.add_argument("--grid-count", type=int, default=2001, help="outcome grid nodes")
-        p.add_argument("--n-max", type=int, default=4, help="highest tabulated photon number")
-        p.add_argument("--shots", type=int, default=None, help="Monte Carlo shots")
-        p.add_argument("--seed", type=int, default=None, help="random seed (required for shots)")
-        p.add_argument("--record-limit", type=int, default=None,
-                       help="emit at most this many per-shot records")
+        if "n-max" in flags:
+            p.add_argument("--n-max", type=int, default=4, help="highest tabulated photon number")
+        if "shots" in flags:
+            p.add_argument("--shots", type=int, default=None, help="Monte Carlo shots")
+            p.add_argument("--seed", type=int, default=None,
+                           help="random seed (required for shots)")
+        if "record-limit" in flags:
+            p.add_argument("--record-limit", type=int, default=None,
+                           help="emit at most this many per-shot records")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="output format (default json)")

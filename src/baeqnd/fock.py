@@ -31,8 +31,6 @@ from .errors import (
 #: Highest wavefunction level for which the recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
 
-_GRID_KINDS = ("uniform",)
-
 
 def _require_dim(dim) -> int:
     if not isinstance(dim, (int, np.integer)):
@@ -81,8 +79,8 @@ class FockState:
     def number(cls, dim: int, n: int) -> "FockState":
         """The photon-number eigenstate |n> in a dim-dimensional space."""
         dim = _require_dim(dim)
-        if not 0 <= n < dim:
-            raise OutOfRangeError(f"photon number {n} outside 0..{dim - 1}")
+        if not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
+            raise OutOfRangeError(f"photon number {n!r} outside 0..{dim - 1}")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[n] = 1.0
         return cls(amps)
@@ -130,10 +128,6 @@ class FockOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def _check_dim(self, other) -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
-
     def apply(self, state: FockState) -> FockState:
         """Matrix action on a state; the result is generally unnormalized."""
         if self.dim != state.dim:
@@ -145,28 +139,13 @@ class FockOperator:
             raise DimensionMismatchError(f"operator dim {self.dim} vs state dim {state.dim}")
         return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.entries.conj().T)
-
     def is_hermitian(self, atol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self._check_dim(other)
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
         return FockOperator(self.entries @ other.entries)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check_dim(other)
-        return FockOperator(self.entries + other.entries)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check_dim(other)
-        return FockOperator(self.entries - other.entries)
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.entries * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 def annihilation(dim: int) -> FockOperator:
@@ -243,24 +222,12 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
     return np.stack(list(_hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))))
 
 
-def oscillator_wavefunction(n: int, x) -> np.ndarray | float:
-    """Real position wavefunction psi_n(x) of the photon-number state |n>."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise OutOfRangeError(f"wavefunction level must be a non-negative integer, got {n!r}")
-    arr = np.asarray(x, dtype=np.float64)
-    value = wavefunction_table(n + 1, arr)[n]
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(value)
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Integration grid over a quadrature variable: nodes, weights, kind."""
+    """Integration grid over a quadrature variable: nodes and weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64).copy()
@@ -302,14 +269,11 @@ class QuadratureGrid:
         return result
 
 
-def make_grid(kind: str, span: float, count: int) -> QuadratureGrid:
-    """Build an integration grid covering [-span, span].
+def make_grid(span: float, count: int) -> QuadratureGrid:
+    """Uniform grid covering [-span, span]: equally spaced nodes, trapezoid weights.
 
-    "uniform", the only kind: equally spaced nodes with trapezoid weights
-    (weights sum to 2*span exactly).
+    The weights sum to 2*span exactly.
     """
-    if kind not in _GRID_KINDS:
-        raise InvalidParameterError(f"grid kind must be one of {_GRID_KINDS}, got {kind!r}")
     if not np.isfinite(span) or span <= 0.0:
         raise InvalidParameterError(f"grid span must be positive and finite, got {span!r}")
     if not isinstance(count, (int, np.integer)) or count < 2:
@@ -318,4 +282,4 @@ def make_grid(kind: str, span: float, count: int) -> QuadratureGrid:
     step = 2.0 * span / (count - 1)
     weights = np.full(count, step)
     weights[0] = weights[-1] = step / 2.0
-    return QuadratureGrid(nodes, weights, kind)
+    return QuadratureGrid(nodes, weights)

@@ -13,13 +13,14 @@ own deterministic random stream seeded by (seed, shard index).  Within a
 shard, outcome uniforms are drawn first and photon uniforms second, so the
 shot table is byte-identical no matter how many workers execute the shards.
 
-The sampler evaluates the measurement kernel once per (state, model): the joint
-table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT nodes x_i.  Its row sums give
-the outcome CDF, which is inverted by linear interpolation to draw x_m; the
-shot's photon probabilities are the same linear interpolation between the two
-table rows around x_m, so each shot costs O(dim) and no kernel call.  Over
-dx 0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated
-conditional photon CDF stays within 2e-5 of the exact one at x_m.
+run_experiment is the only sampler.  It evaluates the measurement kernel once
+per (state, model): the joint table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT
+nodes x_i.  Its row sums give the outcome CDF, which is inverted by linear
+interpolation to draw x_m; the shot's photon probabilities are the same linear
+interpolation between the two table rows around x_m, so each shot costs
+O(dim) and no kernel call.  Over dx 0.1-20, dim 8-96 and vacuum or one-photon
+inputs the interpolated conditional photon CDF stays within 2e-5 of the exact
+one at x_m.
 
 The deterministic integrals (jump probability, correlation integral and the
 captured mass behind the truncation guard) take no grid.  Each joint density
@@ -113,10 +114,6 @@ class CorrelationReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrelationReport":
-        return cls(**data)
-
 
 def sampling_span(state: FockState, model: MeasurementModel) -> float:
     """Half-width of the adaptive sampling grid: 6 sigma of the outcome spread."""
@@ -137,25 +134,6 @@ def _sampling_table(state: FockState, model: MeasurementModel):
     cdf += np.arange(cdf.size) * 1e-16
     cdf /= cdf[-1]
     return xs, cdf, joint
-
-
-def sample_outcome(state: FockState, model: MeasurementModel, rng, size: int | None = None):
-    """Draw outcome(s) from the measurement density by inverse-CDF lookup."""
-    if state.dim != model.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    xs, cdf, _ = _sampling_table(state, model)
-    u = rng.random() if size is None else rng.random(size)
-    return np.interp(u, cdf, xs)
-
-
-def sample_photon_number(state_out: FockState, rng) -> int:
-    """Draw a photon number from the distribution of a normalized state."""
-    probs = state_out.probabilities()
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise InvalidParameterError("state has no probability weight to sample")
-    cum = np.cumsum(probs)
-    return int(np.searchsorted(cum, rng.random() * total, side="right"))
 
 
 def _photon_samples(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -230,18 +208,14 @@ def _correlation_integral(probs: np.ndarray, rule: QuadratureGrid, delta_x: floa
     return float(rule.integrate(weighted * (rule.nodes**2 - delta_x**2)))
 
 
-def jump_probability(
-    state: FockState, model: MeasurementModel, *, baseline_n: int | None = None
-) -> float:
+def jump_probability(state: FockState, model: MeasurementModel) -> float:
     """Total probability that the detected photon number leaves the baseline.
 
-    The baseline defaults to the input's most probable photon number (0 for
-    vacuum, so this is the total weight of all n >= 1 columns).
+    The baseline is the input's most probable photon number (0 for vacuum,
+    so this is the total weight of all n >= 1 columns).
     """
     rule, probs = _exact_joint(state, model)
-    if baseline_n is None:
-        baseline_n = _baseline_photon(state)
-    return _off_baseline_mass(probs, rule, baseline_n)
+    return _off_baseline_mass(probs, rule, _baseline_photon(state))
 
 
 def measured_correlation(state: FockState, model: MeasurementModel) -> float:
@@ -256,30 +230,18 @@ def measured_correlation(state: FockState, model: MeasurementModel) -> float:
     return _correlation_integral(probs, rule, model.delta_x)
 
 
-def operator_correlation(state: FockState, dim: int | None = None) -> float:
+def operator_correlation(state: FockState) -> float:
     """Operator-ordering correlation <x^2 n + 2 x n x + n x^2>/4 - <x^2><n>.
 
-    Exactly 1/8 for the vacuum at any dim >= 4: only the sandwiched term
-    contributes because n annihilates the vacuum on either side, and x|0> is
-    the one-photon state with amplitude 0.5.
+    Exactly 1/8 for the vacuum at any state dim >= 4: only the sandwiched
+    term contributes because n annihilates the vacuum on either side, and
+    x|0> is the one-photon state with amplitude 0.5.
     """
-    if dim is None:
-        dim = state.dim
-    if not isinstance(dim, (int, np.integer)) or dim < 4:
-        raise InvalidParameterError(f"dim must be an integer >= 4, got {dim!r}")
-    if dim < state.dim:
-        support = np.nonzero(state.probabilities() > 0.0)[0]
-        top = int(support[-1]) if support.size else 0
-        if top >= dim:
-            raise DimensionMismatchError(
-                f"dim {dim} too small for state support up to level {top}"
-            )
-        amps = state.amplitudes[:dim]
-    else:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[: state.dim] = state.amplitudes
-    x = quadrature_x(int(dim)).entries
-    n = number_operator(int(dim)).entries
+    if state.dim < 4:
+        raise InvalidParameterError(f"state dim must be >= 4, got {state.dim}")
+    amps = state.amplitudes
+    x = quadrature_x(state.dim).entries
+    n = number_operator(state.dim).entries
     xx = x @ x
     sandwich = xx @ n + 2.0 * (x @ n @ x) + n @ xx
     expect = lambda op: np.vdot(amps, op @ amps)

@@ -17,11 +17,15 @@ The rule (_gh_rule) is built here from numpy alone: Golub-Welsch nodes, the
 eigenvalues of the Hermite Jacobi matrix polished by one Newton step, and
 Christoffel weights summed over the same orthonormal levels, with the
 Gaussian factored out so they stay finite for rules of a thousand nodes.
-The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`:
-operators are built from a factor table as M M^T with a positive prefactor
-(symmetric positive semidefinite by construction), and amplitudes of a state
-stream the levels twice, once to contract the state (up to its last nonzero
-level) and once to project onto every level.
+The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`.
+There are two routes through the kernel.  operator_batch builds the matrices
+P(x) (or the exact squares P(x)^2) for a batch of outcomes from a factor
+table as M M^T with a positive prefactor, symmetric positive semidefinite by
+construction; the completeness audits use it.  measurement_amplitudes gives
+<n|P(x)|state> for a batch of outcomes without forming a matrix: it streams
+the levels twice, once to contract the state (up to its last nonzero level)
+and once to project onto every level.  Densities, conditional states, the
+density table, the sampler and the jump integrals all read it.
 
 The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
 integrals over the outcome have an exact Gauss-Hermite rule too
@@ -50,7 +54,7 @@ from .errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockOperator, FockState, QuadratureGrid, _hermite_levels, trusted_levels
+from .fock import FockState, QuadratureGrid, _hermite_levels, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -86,11 +90,11 @@ class MeasurementModel:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDensityTable:
-    """Outcome density sampled on a grid, with optional per-photon split."""
+    """Outcome density sampled on a grid, with its per-photon split."""
 
     grid: QuadratureGrid
     density: np.ndarray
-    per_photon: tuple[np.ndarray, ...] | None = None
+    per_photon: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         density = np.asarray(self.density, dtype=np.float64).copy()
@@ -98,18 +102,14 @@ class OutcomeDensityTable:
             raise DimensionMismatchError("density must have one value per grid node")
         density.setflags(write=False)
         object.__setattr__(self, "density", density)
-        if self.per_photon is not None:
-            rows = []
-            for row in self.per_photon:
-                row = np.asarray(row, dtype=np.float64).copy()
-                if row.shape != (self.grid.count,):
-                    raise DimensionMismatchError("per-photon rows must match the grid")
-                row.setflags(write=False)
-                rows.append(row)
-            object.__setattr__(self, "per_photon", tuple(rows))
-
-    def total_probability(self) -> float:
-        return float(self.grid.integrate(self.density))
+        rows = []
+        for row in self.per_photon:
+            row = np.asarray(row, dtype=np.float64).copy()
+            if row.shape != (self.grid.count,):
+                raise DimensionMismatchError("per-photon rows must match the grid")
+            row.setflags(write=False)
+            rows.append(row)
+        object.__setattr__(self, "per_photon", tuple(rows))
 
 
 @lru_cache(maxsize=64)
@@ -163,7 +163,7 @@ def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
     scale = 1.0 / np.sqrt(4.0 * kappa / (2.0 + kappa))
     count = model.dim + _top_level(state.amplitudes) + 2
     u, _, factored = _gh_rule(count)
-    return QuadratureGrid(scale * u, scale * factored, "gauss-hermite")
+    return QuadratureGrid(scale * u, scale * factored)
 
 
 def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
@@ -224,31 +224,6 @@ def _check_outcomes(x_values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("outcome values must be finite")
     return arr
-
-
-def measurement_operator(model: MeasurementModel, x_m: float) -> FockOperator:
-    """Measurement operator P(x_m): real symmetric positive semidefinite."""
-    x = _check_outcomes(x_m)
-    if x.size != 1:
-        raise InvalidParameterError("measurement_operator takes a single outcome")
-    rows, pref = _closed_form_factors(model, x)
-    g = rows[:, 0, :]
-    return FockOperator(pref * (g @ g.T))
-
-
-def measurement_operator_squared(model: MeasurementModel, x_m: float) -> FockOperator:
-    """The exact square P(x_m)^2, built directly as the doubled-exponent Gaussian.
-
-    On a truncated space this differs from squaring the truncated operator
-    matrix: the direct form keeps the contributions that pass through levels
-    above the truncation, so its completeness integral is exact.
-    """
-    x = _check_outcomes(x_m)
-    if x.size != 1:
-        raise InvalidParameterError("measurement_operator_squared takes a single outcome")
-    rows, pref = _closed_form_factors(model, x, squared=True)
-    g = rows[:, 0, :]
-    return FockOperator(pref * (g @ g.T))
 
 
 def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> np.ndarray:
@@ -322,14 +297,6 @@ def conditional_state(state: FockState, model: MeasurementModel, x_m: float) -> 
     return FockState(amps / np.sqrt(density))
 
 
-def joint_photon_density(state: FockState, model: MeasurementModel, x_m: float, n: int) -> float:
-    """Joint density of outcome x_m and finding n photons afterwards."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n < model.dim:
-        raise OutOfRangeError(f"photon number {n!r} outside 0..{model.dim - 1}")
-    amps = measurement_amplitudes(state, model, x_m)
-    return float(np.abs(amps[0, n]) ** 2)
-
-
 def asymptotic_p1(delta_x: float, x_m) -> np.ndarray | float:
     """Wide-kernel one-photon density for a vacuum input.
 
@@ -355,17 +322,13 @@ def completeness_required_span(model: MeasurementModel) -> float:
     return 6.0 * np.sqrt(model.delta_x**2 + model.dim)
 
 
-def completeness_defect(
-    model: MeasurementModel, grid: QuadratureGrid, include_untrusted: bool = False
-) -> float:
-    """Max-entry deviation of the integral of P^2 from the identity.
+def completeness_defect(model: MeasurementModel, grid: QuadratureGrid) -> float:
+    """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
     Uses the exact squared kernel, so the only error sources are the grid
-    (span and spacing) and the wavefunction tails of each level.  Restricted
-    to the trusted subspace by default; with include_untrusted=True the top
-    quarter of levels is measured too, which shows the residual defect
-    sitting at the truncation edge.  Raises GridTooNarrowError when the grid
-    does not cover 6 sigma of every trusted level's outcome distribution.
+    (span and spacing) and the wavefunction tails of each level.  Raises
+    GridTooNarrowError when the grid does not cover 6 sigma of every trusted
+    level's outcome distribution.
     """
     required = completeness_required_span(model)
     if grid.span < required:
@@ -375,7 +338,7 @@ def completeness_defect(
         )
     squares = operator_batch(model, grid.nodes, squared=True)
     total = np.einsum("bnm,b->nm", squares, grid.weights, optimize=True)
-    t = model.dim if include_untrusted else trusted_levels(model.dim)
+    t = trusted_levels(model.dim)
     defect = total[:t, :t] - np.eye(model.dim)[:t, :t]
     return float(np.max(np.abs(defect)))
 

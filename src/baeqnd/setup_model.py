@@ -38,6 +38,10 @@ Numerics.  Every unitary is a product of real rotations exp(G) with G
 antisymmetric and tridiagonal: the beam splitter per total-photon-number
 sector, each squeezer per parity chain (its generator couples n to n +- 2
 only).  _rotation takes them from one real symmetric eigendecomposition.
+No two-mode unitary is formed as a dense matrix: SetupCircuit builds the
+rotations once per parameter set, applies the sector blocks to the joint
+amplitude matrix and the squeezers from the left and right, and
+homodyne_amplitudes reads the meter out at a whole batch of raw outcomes.
 calibrate_outcome_map refines its scale with a bounded Brent minimiser
 (_minimize_scalar_bounded).  The module needs numpy only.
 """
@@ -51,22 +55,21 @@ import numpy as np
 
 from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
-    DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
     SetupMismatchError,
     TruncationOverflowError,
 )
 from .fock import FockState, QuadratureGrid, make_grid, wavefunction_table
-from .measurement import (
-    UNDERFLOW_DENSITY,
-    MeasurementModel,
-    measurement_amplitudes,
-)
+from .measurement import MeasurementModel, measurement_amplitudes
 
 #: Calibration residual above which the setup/kernel comparison is aborted:
 #: a residual this large signals a convention bug, not a tolerance issue.
 CALIBRATION_RESIDUAL_LIMIT = 1e-2
+
+#: Kernel density above which an outcome enters the equivalence comparison;
+#: below it the conditional states are normalised by a vanishing density.
+EQUIVALENCE_DENSITY_FLOOR = 1e-6
 
 _SQUEEZE_DIRECTIONS = ("amplify-x", "amplify-y")
 
@@ -133,13 +136,6 @@ class TwoModeState:
             raise InvalidParameterError("cannot normalize a zero-norm state")
         return TwoModeState(self.amplitudes / nrm)
 
-    def mode_occupations(self, mode: int) -> np.ndarray:
-        """Marginal photon-number distribution of one mode."""
-        if mode not in (0, 1):
-            raise InvalidParameterError(f"mode must be 0 or 1, got {mode!r}")
-        probs = np.abs(self.amplitudes) ** 2
-        return probs.sum(axis=1 - mode)
-
 
 def _rotation(off: np.ndarray) -> np.ndarray:
     """exp(G) for the real antisymmetric tridiagonal G with G[j+1, j] = -G[j, j+1] = off[j].
@@ -184,24 +180,6 @@ def _apply_sectors(joint: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def beam_splitter(reflectivity: float, dims: tuple[int, int]) -> np.ndarray:
-    """Two-mode beam-splitter unitary on the (dims[0] * dims[1])-dim space.
-
-    Real orthogonal; R = 0 is the identity and R = 1 swaps the modes up to
-    signs.  Rows/columns are indexed by flat (n_mode0 * dims[1] + n_mode1).
-    """
-    if not np.isfinite(reflectivity) or not 0.0 <= reflectivity <= 1.0:
-        raise InvalidParameterError(f"reflectivity must lie in [0, 1], got {reflectivity!r}")
-    d0, d1 = int(dims[0]), int(dims[1])
-    if d0 < 2 or d1 < 2:
-        raise InvalidParameterError("beam splitter dims must be >= 2")
-    full = np.zeros((d0 * d1, d0 * d1))
-    for n0, n1, block in _sector_blocks(reflectivity, (d0, d1)):
-        flat = n0 * d1 + n1
-        full[np.ix_(flat, flat)] = block
-    return full
-
-
 def squeeze_matrix(gain_a: float, direction: str, dim: int) -> np.ndarray:
     """Single-mode squeezer exp(r (a*^2 - a^2)/2) with r = ln(a) (amplify-x).
 
@@ -225,19 +203,6 @@ def squeeze_matrix(gain_a: float, direction: str, dim: int) -> np.ndarray:
         n = chain[:-1].astype(np.float64)
         out[np.ix_(chain, chain)] = _rotation(0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
     return out
-
-
-def opa_squeezer(
-    gain_a: float, which_mode: int, direction: str, dims: tuple[int, int]
-) -> np.ndarray:
-    """Single-mode squeezer embedded in the two-mode space."""
-    if which_mode not in (0, 1):
-        raise InvalidParameterError(f"which_mode must be 0 or 1, got {which_mode!r}")
-    d0, d1 = int(dims[0]), int(dims[1])
-    single = squeeze_matrix(gain_a, direction, d0 if which_mode == 0 else d1)
-    if which_mode == 0:
-        return np.kron(single, np.eye(d1))
-    return np.kron(np.eye(d0), single)
 
 
 class SetupCircuit:
@@ -427,12 +392,12 @@ def calibrate_outcome_map(
         signal_in = FockState.vacuum(params.dim_signal)
     # The raw meter-output x has variance 1/4 + (delta_x^2 + <x^2>_in)/(2 dx)^2,
     # of order one for every gain; span 8 covers far beyond 6 sigma.
-    raw = make_grid("uniform", 8.0, 1601)
+    raw = make_grid(8.0, 1601)
     amps_raw = circuit.homodyne_amplitudes(signal_in, raw.nodes)
     density_raw = np.sum(np.abs(amps_raw) ** 2, axis=1)
 
     model = MeasurementModel(params.delta_x, params.dim_signal)
-    xm_grid = make_grid("uniform", 6.0 * np.sqrt(params.delta_x**2 + 1.0), 1201)
+    xm_grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 1201)
     kernel_amps = measurement_amplitudes(signal_in, model, xm_grid.nodes)
     density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
     peak = float(np.max(density_kernel))
@@ -480,36 +445,6 @@ def calibrate_outcome_map(
     return Calibration(scale=scale, offset=0.0, residual=residual)
 
 
-def run_setup(
-    signal_in: FockState,
-    params: SetupParams,
-    homodyne_result: float,
-    *,
-    circuit: SetupCircuit | None = None,
-    calibration: Calibration | None = None,
-) -> tuple[float, FockState]:
-    """Outcome density and conditional signal output at one calibrated outcome.
-
-    The meter input is vacuum.  homodyne_result is expressed in calibrated
-    measurement units; the returned density is per unit of that variable and
-    the conditional state is reported at the meter-rail contract dimension.
-    """
-    if not np.isfinite(homodyne_result):
-        raise InvalidParameterError("homodyne_result must be finite")
-    circuit = circuit or SetupCircuit(params)
-    calibration = calibration or calibrate_outcome_map(params, circuit=circuit)
-    raw = homodyne_result / calibration.scale
-    amps = circuit.homodyne_amplitudes(signal_in, raw)[0]
-    density_raw = float(np.sum(np.abs(amps) ** 2))
-    if density_raw < UNDERFLOW_DENSITY:
-        raise DegenerateConditioningError(
-            f"outcome density underflows at homodyne result {homodyne_result:.6g}"
-        )
-    density = density_raw / abs(calibration.scale)
-    out = amps[: params.dim_meter]
-    return density, FockState(out / np.linalg.norm(out))
-
-
 def equivalence_defect(
     signal_in: FockState,
     params: SetupParams,
@@ -517,14 +452,13 @@ def equivalence_defect(
     *,
     circuit: SetupCircuit | None = None,
     calibration: Calibration | None = None,
-    density_floor: float = 1e-6,
 ) -> float:
     """Worst-case disagreement between the circuit and the measurement kernel.
 
-    For every grid outcome whose kernel density exceeds density_floor the
-    defect is |density_setup - density_kernel| plus the trace distance
-    between the conditional output states; the maximum over outcomes is
-    returned.
+    For every grid outcome whose kernel density exceeds
+    EQUIVALENCE_DENSITY_FLOOR the defect is |density_setup - density_kernel|
+    plus the trace distance between the conditional output states; the
+    maximum over outcomes is returned.
     """
     if params.dim_signal != params.dim_meter:
         raise DimensionMismatchError(
@@ -541,7 +475,7 @@ def equivalence_defect(
     setup_amps = circuit.homodyne_amplitudes(signal_in, raw)
     density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
 
-    keep = density_kernel > density_floor
+    keep = density_kernel > EQUIVALENCE_DENSITY_FLOOR
     gap = np.abs(density_setup[keep] - density_kernel[keep])
     out = setup_amps[keep, : params.dim_meter]
     out_norm = np.linalg.norm(out, axis=1)

@@ -2,8 +2,9 @@
 
 Everything here is computed by a different route than the library: explicit
 Hermite polynomials from scipy.special instead of the in-package recurrence,
-adaptive quadrature instead of Gauss-Hermite rules, and closed-form Gaussian
-integrals worked out by completing the square.  Values asserted in the tests
+adaptive quadrature instead of Gauss-Hermite rules, scipy's Pade matrix
+exponential of a full generator instead of per-sector rotations, and
+closed-form Gaussian integrals worked out by completing the square.  Values asserted in the tests
 are frozen from these, never from the code under test.
 """
 
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import eval_hermite
 
 
@@ -130,3 +132,16 @@ def correlation_exact(delta_x: float) -> float:
     term_displacement = k**2 * v * (2.0 * delta_x**2 + 0.75) / (1.0 + k) ** 2
     term_squeeze = (k**2 / (4.0 * (1.0 + k))) * 0.25
     return term_displacement + term_squeeze
+
+
+def beam_splitter_dense(reflectivity: float, dims: tuple[int, int]) -> np.ndarray:
+    """Two-mode beam splitter exp(theta (a* b - a b*)), sin^2 theta = R, on the full space.
+
+    scipy's expm of the whole (d0 d1)-dim generator built from truncated ladder
+    matrices; rows and columns are indexed by the flat n_mode0 * d1 + n_mode1.
+    """
+    d0, d1 = dims
+    theta = np.arcsin(np.sqrt(reflectivity))
+    a = np.diag(np.sqrt(np.arange(1.0, d0)), k=1)
+    b = np.diag(np.sqrt(np.arange(1.0, d1)), k=1)
+    return expm(theta * (np.kron(a.T, b) - np.kron(a, b.T)))

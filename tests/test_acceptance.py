@@ -55,7 +55,7 @@ def test_criterion_1_povm_completeness():
         for dim in (16, 32):
             for delta_x in (0.5, 1.0, 2.0, 5.0, 10.0):
                 model = MeasurementModel(delta_x, dim)
-                grid = make_grid("uniform", completeness_required_span(model), 2001)
+                grid = make_grid(completeness_required_span(model), 2001)
                 defect = completeness_defect(model, grid)
                 assert defect < 1e-8, (dim, delta_x, defect)
 
@@ -165,7 +165,7 @@ def test_criterion_6_setup_equivalence():
             assert params.delta_x == pytest.approx(gain / (2.0 * (gain**2 - 1.0)), abs=1e-15)
             circuit = SetupCircuit(params)
             calibration = calibrate_outcome_map(params, circuit=circuit)
-            grid = make_grid("uniform", 6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
+            grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
             for state in (FockState.vacuum(40), FockState.number(40, 1)):
                 defect = equivalence_defect(state, params, grid,
                                             circuit=circuit, calibration=calibration)
@@ -180,7 +180,7 @@ def test_criterion_6_setup_equivalence():
         defects = []
         for dim in (20, 30, 40):
             params = SetupParams(1.8, dim, dim)
-            grid = make_grid("uniform", 6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
+            grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
             defects.append(equivalence_defect(FockState.vacuum(dim), params, grid))
         assert defects[0] > defects[1] > defects[2], defects
 

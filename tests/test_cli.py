@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,50 @@ class TestGridFlags:
         assert report == read_envelope(sim)["payload"]["report"]
 
 
+class TestUnreadFlags:
+    """Each command registers only the flags it reads; argparse refuses the rest."""
+
+    COMMANDS = {
+        "distribution": ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "101"],
+        "jump-sweep": ["jump-sweep", "--delta-x", "2", "--dim", "16"],
+        "correlation": ["correlation", "--delta-x", "2", "--dim", "16"],
+        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
+        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
+        "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100", "--seed", "1"],
+    }
+    UNREAD = [
+        ("distribution", ["--shots", "5"]),
+        ("distribution", ["--seed", "3"]),
+        ("distribution", ["--record-limit", "2"]),
+        ("jump-sweep", ["--n-max", "9"]),
+        ("jump-sweep", ["--shots", "5"]),
+        ("jump-sweep", ["--seed", "3"]),
+        ("jump-sweep", ["--record-limit", "2"]),
+        ("correlation", ["--n-max", "9"]),
+        ("correlation", ["--record-limit", "2"]),
+        ("povm-check", ["--n-max", "9"]),
+        ("povm-check", ["--shots", "5"]),
+        ("povm-check", ["--seed", "3"]),
+        ("povm-check", ["--record-limit", "2"]),
+        ("setup-check", ["--n-max", "9"]),
+        ("setup-check", ["--shots", "5"]),
+        ("setup-check", ["--seed", "3"]),
+        ("setup-check", ["--record-limit", "2"]),
+        ("simulate", ["--n-max", "9"]),
+        ("distribution", ["--gain-a", "1.5"]),
+        ("jump-sweep", ["--gain-a", "1.5"]),
+        ("povm-check", ["--gain-a", "1.5"]),
+    ]
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f[0]}" for c, f in UNREAD])
+    def test_unread_flag_is_config_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.json"
+        code = main(self.COMMANDS[command] + flag + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 class TestEnvelope:
     def test_checksum_definition(self, tmp_path):
         # checksum = SHA-256 of the payload with sorted keys and no whitespace;
@@ -383,3 +428,11 @@ class TestRuntimeWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         for argv in runs:
             assert Path(argv[-1]).exists()
+
+    def test_readme_quick_start_runs(self):
+        # The python block under "Library quick start" is the documented library surface.
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quick start", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        proc = _run_python("import sys\nsys.modules['scipy'] = None\n" + block)
+        assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,6 @@ from baeqnd.fock import (
     creation,
     make_grid,
     number_operator,
-    oscillator_wavefunction,
     quadrature_x,
     quadrature_y,
     trusted_levels,
@@ -74,7 +73,7 @@ class TestQuadratures:
     def test_commutator_diagonal(self):
         x = quadrature_x(10)
         y = quadrature_y(10)
-        comm = (x @ y - y @ x).entries
+        comm = (x @ y).entries - (y @ x).entries
         assert comm[0, 0] == pytest.approx(0.5j, abs=1e-14)
         np.testing.assert_allclose(np.diag(comm)[:-1], np.full(9, 0.5j), atol=1e-13)
 
@@ -106,44 +105,45 @@ class TestNumberOperator:
         assert np.real(number_operator(4).expectation(state)) == pytest.approx(1.0, abs=1e-14)
 
 
+def _psi(n, x):
+    """psi_n(x), the last row of the wavefunction table up to level n."""
+    return wavefunction_table(n + 1, x)[n]
+
+
 class TestWavefunctions:
     def test_ground_state_value(self):
-        assert oscillator_wavefunction(0, 0.0) == pytest.approx((2.0 / np.pi) ** 0.25, abs=1e-14)
+        assert _psi(0, 0.0) == pytest.approx((2.0 / np.pi) ** 0.25, abs=1e-14)
 
     def test_first_excited_is_odd(self):
-        assert oscillator_wavefunction(1, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert _psi(1, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12])
     def test_matches_explicit_hermite_form(self, n):
         x = np.linspace(-4.0, 4.0, 41)
-        np.testing.assert_allclose(
-            oscillator_wavefunction(n, x), psi_reference(n, x), atol=1e-12
-        )
+        np.testing.assert_allclose(_psi(n, x), psi_reference(n, x), atol=1e-12)
 
     def test_orthonormality_by_quadrature(self):
-        grid = make_grid("uniform", 10.0, 4001)
+        grid = make_grid(10.0, 4001)
         table = wavefunction_table(8, grid.nodes)
         gram = np.einsum("ni,mi,i->nm", table, table, grid.weights)
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-10)
 
     def test_orthogonality_zero_two(self):
-        grid = make_grid("uniform", 10.0, 4001)
-        overlap = grid.integrate(
-            oscillator_wavefunction(0, grid.nodes) * oscillator_wavefunction(2, grid.nodes)
-        )
+        grid = make_grid(10.0, 4001)
+        overlap = grid.integrate(_psi(0, grid.nodes) * _psi(2, grid.nodes))
         assert overlap == pytest.approx(0.0, abs=1e-10)
 
     def test_stable_to_level_64_and_beyond(self):
-        grid = make_grid("uniform", 14.0, 8001)
+        grid = make_grid(14.0, 8001)
         for n in (64, 96):
-            values = oscillator_wavefunction(n, grid.nodes)
+            values = _psi(n, grid.nodes)
             assert np.all(np.isfinite(values))
             assert grid.integrate(values * values) == pytest.approx(1.0, rel=1e-8)
 
     def test_position_number_consistency(self):
         # integral psi_n x psi_m equals the x-operator entry on low levels.
         dim = 16
-        grid = make_grid("uniform", 12.0, 8001)
+        grid = make_grid(12.0, 8001)
         table = wavefunction_table(dim, grid.nodes)
         xmat = np.einsum("ni,mi,i,i->nm", table, table, grid.nodes, grid.weights)
         half = dim // 2
@@ -152,19 +152,23 @@ class TestWavefunctions:
         )
 
     def test_out_of_range_level(self):
+        assert np.all(np.isfinite(wavefunction_table(257, 0.0)))
         with pytest.raises(OutOfRangeError):
-            oscillator_wavefunction(257, 0.0)
-        with pytest.raises(OutOfRangeError):
-            oscillator_wavefunction(-1, 0.0)
+            wavefunction_table(258, 0.0)
+        for count in (0, -1, 2.0):
+            with pytest.raises(InvalidParameterError):
+                wavefunction_table(count, 0.0)
 
     def test_non_finite_argument(self):
         with pytest.raises(InvalidParameterError):
-            oscillator_wavefunction(0, np.inf)
+            wavefunction_table(1, np.inf)
+        with pytest.raises(InvalidParameterError):
+            wavefunction_table(3, [0.0, np.nan])
 
 
 class TestGrids:
     def test_uniform_nodes(self):
-        grid = make_grid("uniform", 5.0, 11)
+        grid = make_grid(5.0, 11)
         np.testing.assert_allclose(grid.nodes, np.arange(-5.0, 6.0), atol=1e-12)
         assert grid.weights.sum() == pytest.approx(10.0, abs=1e-12)
 
@@ -175,22 +179,20 @@ class TestGrids:
         assert np.all(rule.weights > 0)
 
     def test_gaussian_integral(self):
-        grid = make_grid("uniform", 8.0, 2001)
+        grid = make_grid(8.0, 2001)
         value = grid.integrate(np.exp(-2.0 * grid.nodes**2))
         assert value == pytest.approx(np.sqrt(np.pi / 2.0), abs=1e-9)
 
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            make_grid("uniform", -1.0, 11)
-        with pytest.raises(InvalidParameterError):
-            make_grid("uniform", 1.0, 1)
-        with pytest.raises(InvalidParameterError):
-            make_grid("chebyshev", 1.0, 11)
-        with pytest.raises(InvalidParameterError):
-            make_grid("gauss-hermite", 1.0, 11)
+        for span in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError):
+                make_grid(span, 11)
+        for count in (1, 11.0):
+            with pytest.raises(InvalidParameterError):
+                make_grid(1.0, count)
 
     def test_integrate_checks_length(self):
-        grid = make_grid("uniform", 1.0, 11)
+        grid = make_grid(1.0, 11)
         with pytest.raises(DimensionMismatchError):
             grid.integrate(np.ones(10))
 
@@ -231,6 +233,14 @@ class TestStateAndOperator:
     def test_zero_norm_rejected(self):
         with pytest.raises(InvalidParameterError):
             FockState(np.zeros(4)).normalize()
+
+    def test_number_state_validation(self):
+        assert FockState.number(8, np.int64(7)).probabilities()[7] == 1.0
+        for n in (-1, 8, 1.5, 1.0, "1"):
+            with pytest.raises(OutOfRangeError):
+                FockState.number(8, n)
+        with pytest.raises(InvalidDimensionError):
+            FockState.number(1, 0)
 
     def test_trusted_levels(self):
         assert trusted_levels(16) == 12

@@ -19,10 +19,7 @@ from baeqnd.measurement import (
     completeness_defect,
     completeness_required_span,
     conditional_state,
-    joint_photon_density,
     measurement_amplitudes,
-    measurement_operator,
-    measurement_operator_squared,
     operator_batch,
     outcome_density,
     outcome_density_table,
@@ -37,6 +34,16 @@ from oracles import (
     vacuum_density,
     vacuum_diag_element,
 )
+
+
+def _operator(model, x_m, squared=False):
+    """The matrix P(x_m) (or the exact P(x_m)^2) for one outcome."""
+    return operator_batch(model, [x_m], squared)[0]
+
+
+def _joint(state, model, x_m, n):
+    """Joint density of outcome x_m and n photons afterwards, |<n|P(x_m)|state>|^2."""
+    return float(np.abs(measurement_amplitudes(state, model, x_m)[0, n]) ** 2)
 
 
 class TestGaussHermiteRule:
@@ -54,40 +61,41 @@ class TestGaussHermiteRule:
 class TestMeasurementOperator:
     def test_odd_element_vanishes_at_zero(self):
         for dx in (0.5, 1.0, 7.0):
-            op = measurement_operator(MeasurementModel(dx, 8), 0.0)
-            assert abs(op.entries[1, 0]) < 1e-15
+            op = _operator(MeasurementModel(dx, 8), 0.0)
+            assert abs(op[1, 0]) < 1e-15
 
     def test_vacuum_diagonal_against_completed_square(self):
         # Frozen from the closed form (2 pi)^(-1/4) sqrt(2/pi) sqrt(pi/2.25).
-        op = measurement_operator(MeasurementModel(1.0, 16), 0.0)
-        assert op.entries[0, 0].real == pytest.approx(0.5954958944920017, abs=1e-12)
-        assert op.entries[0, 0].real == pytest.approx(vacuum_diag_element(1.0), abs=1e-12)
+        op = _operator(MeasurementModel(1.0, 16), 0.0)
+        assert op[0, 0] == pytest.approx(0.5954958944920017, abs=1e-12)
+        assert op[0, 0] == pytest.approx(vacuum_diag_element(1.0), abs=1e-12)
 
     @pytest.mark.parametrize("dx,x_m", [(0.5, 0.7), (1.0, -1.3), (5.0, 4.0)])
     def test_elements_against_adaptive_quadrature(self, dx, x_m):
-        op = measurement_operator(MeasurementModel(dx, 10), x_m)
+        op = _operator(MeasurementModel(dx, 10), x_m)
         for n, m in ((0, 0), (1, 0), (2, 1), (3, 3), (5, 2)):
-            assert op.entries[n, m].real == pytest.approx(
+            assert op[n, m] == pytest.approx(
                 kernel_element_quad(n, m, dx, x_m), abs=1e-12
             )
 
     def test_hermitian_and_psd(self):
-        op = measurement_operator(MeasurementModel(0.7, 24), 1.9)
-        assert op.is_hermitian(atol=1e-12)
-        eigs = np.linalg.eigvalsh(op.entries.real)
+        op = _operator(MeasurementModel(0.7, 24), 1.9)
+        assert op.dtype == np.float64
+        np.testing.assert_allclose(op, op.T, rtol=0, atol=1e-12)
+        eigs = np.linalg.eigvalsh(op)
         assert eigs.min() > -1e-14
 
     def test_parity_relation(self):
         model = MeasurementModel(1.3, 12)
-        plus = measurement_operator(model, 0.8).entries.real
-        minus = measurement_operator(model, -0.8).entries.real
+        plus = _operator(model, 0.8)
+        minus = _operator(model, -0.8)
         signs = np.array([(-1.0) ** (n + m) for n in range(12) for m in range(12)])
         np.testing.assert_allclose(plus.ravel(), signs * minus.ravel(), atol=1e-14)
 
     def test_asymptotic_one_photon_element(self):
         dx = 10.0
         x_m = dx * np.sqrt(2.0)
-        element = measurement_operator(MeasurementModel(dx, 8), x_m).entries[1, 0].real
+        element = _operator(MeasurementModel(dx, 8), x_m)[1, 0]
         assert element**2 == pytest.approx(float(p1_asymptotic(dx, x_m)), rel=0.01)
 
     @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0])
@@ -96,7 +104,7 @@ class TestMeasurementOperator:
         model = MeasurementModel(dx, 16)
         t = trusted_levels(16)
         for x_m in (-6.0, -0.4, 0.0, 2.2, 9.0):
-            a = measurement_operator(model, x_m).entries.real[:t, :t]
+            a = _operator(model, x_m)[:t, :t]
             b = kernel_operator_dense(16, dx, x_m)[:t, :t]
             np.testing.assert_allclose(a, b, atol=1e-8)
 
@@ -104,7 +112,7 @@ class TestMeasurementOperator:
         with pytest.raises(InvalidParameterError):
             MeasurementModel(0.0, 8)
         with pytest.raises(InvalidParameterError):
-            measurement_operator(MeasurementModel(1.0, 8), np.nan)
+            _operator(MeasurementModel(1.0, 8), np.nan)
 
 
 class TestMeasurementAmplitudes:
@@ -145,9 +153,9 @@ class TestOutcomeDensity:
 
     def test_total_probability_one(self):
         model = MeasurementModel(1.0, 16)
-        grid = make_grid("uniform", 6.0 * np.sqrt(2.0), 2001)
+        grid = make_grid(6.0 * np.sqrt(2.0), 2001)
         table = outcome_density_table(FockState.vacuum(16), model, grid)
-        assert table.total_probability() == pytest.approx(1.0, abs=1e-6)
+        assert table.grid.integrate(table.density) == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -171,7 +179,7 @@ class TestConditionalState:
         state = conditional_state(vac, model, x_m)
         for n in range(trusted_levels(32)):
             lhs = density * abs(state.amplitudes[n]) ** 2
-            rhs = joint_photon_density(vac, model, x_m, n)
+            rhs = _joint(vac, model, x_m, n)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_weak_measurement_keeps_one_photon(self):
@@ -186,7 +194,7 @@ class TestConditionalState:
 
 class TestJointPhotonDensity:
     def test_zero_at_origin_for_odd_photon(self):
-        assert joint_photon_density(
+        assert _joint(
             FockState.vacuum(16), MeasurementModel(1.0, 16), 0.0, 1
         ) == pytest.approx(0.0, abs=1e-30)
 
@@ -194,7 +202,7 @@ class TestJointPhotonDensity:
         dx = 10.0
         model = MeasurementModel(dx, 32)
         vac = FockState.vacuum(32)
-        grid = make_grid("uniform", 6.0 * np.sqrt(dx**2 + 1.0), 2001)
+        grid = make_grid(6.0 * np.sqrt(dx**2 + 1.0), 2001)
         p1 = np.abs(measurement_amplitudes(vac, model, grid.nodes)[:, 1]) ** 2
         step = grid.nodes[1] - grid.nodes[0]
         positive = grid.nodes > 0
@@ -206,7 +214,7 @@ class TestJointPhotonDensity:
     def test_scaled_peak_height(self):
         # dx^3 P_1 at the peak: e^(-1)/(8 sqrt(2 pi)) ~ 0.0183456 for wide kernels.
         dx = 10.0
-        value = joint_photon_density(
+        value = _joint(
             FockState.vacuum(32), MeasurementModel(dx, 32), dx * np.sqrt(2.0), 1
         )
         assert dx**3 * value == pytest.approx(np.exp(-1.0) / (8.0 * np.sqrt(2.0 * np.pi)),
@@ -216,7 +224,7 @@ class TestJointPhotonDensity:
         model = MeasurementModel(1.0, 24)
         vac = FockState.vacuum(24)
         for x_m in (0.0, 0.9, -2.4):
-            total = sum(joint_photon_density(vac, model, x_m, n) for n in range(24))
+            total = sum(_joint(vac, model, x_m, n) for n in range(24))
             assert total == pytest.approx(outcome_density(vac, model, x_m), abs=1e-8)
 
     def test_matches_closed_form(self):
@@ -224,13 +232,9 @@ class TestJointPhotonDensity:
         model = MeasurementModel(dx, 32)
         vac = FockState.vacuum(32)
         for x_m in (1.0, 4.0, 7.5):
-            assert joint_photon_density(vac, model, x_m, 1) == pytest.approx(
+            assert _joint(vac, model, x_m, 1) == pytest.approx(
                 float(p1_exact(dx, x_m)), rel=1e-10
             )
-
-    def test_out_of_range_photon(self):
-        with pytest.raises(OutOfRangeError):
-            joint_photon_density(FockState.vacuum(8), MeasurementModel(1.0, 8), 0.0, 8)
 
 
 class TestAsymptoticP1:
@@ -244,7 +248,7 @@ class TestAsymptoticP1:
     def test_total_area_is_jump_probability(self):
         # Analytically the area is exactly 1/(16 dx^2).
         dx = 7.0
-        grid = make_grid("uniform", 8.0 * dx, 4001)
+        grid = make_grid(8.0 * dx, 4001)
         area = grid.integrate(asymptotic_p1(dx, grid.nodes))
         assert area == pytest.approx(1.0 / (16.0 * dx**2), rel=1e-9)
 
@@ -263,7 +267,7 @@ class TestAsymptoticP1:
     def test_agreement_at_peaks_within_one_percent(self):
         dx = 10.0
         x_m = np.sqrt(2.0) * dx
-        exact = joint_photon_density(FockState.vacuum(32), MeasurementModel(dx, 32), x_m, 1)
+        exact = _joint(FockState.vacuum(32), MeasurementModel(dx, 32), x_m, 1)
         assert exact == pytest.approx(float(asymptotic_p1(dx, x_m)), rel=0.01)
 
     def test_invalid_delta_x(self):
@@ -276,12 +280,12 @@ class TestCompleteness:
     @pytest.mark.parametrize("dim", [16, 32])
     def test_defect_small(self, dx, dim):
         model = MeasurementModel(dx, dim)
-        grid = make_grid("uniform", completeness_required_span(model), 2001)
+        grid = make_grid(completeness_required_span(model), 2001)
         assert completeness_defect(model, grid) < 1e-8
 
     def test_narrow_grid_rejected(self):
         model = MeasurementModel(1.0, 16)
-        grid = make_grid("uniform", 1.0, 101)
+        grid = make_grid(1.0, 101)
         with pytest.raises(GridTooNarrowError):
             completeness_defect(model, grid)
 
@@ -289,8 +293,8 @@ class TestCompleteness:
         # At wide resolution the conditioned states stay low, so squaring the
         # truncated matrix agrees with the exact squared kernel.
         model = MeasurementModel(5.0, 32)
-        op = measurement_operator(model, 1.3).entries.real
-        sq = measurement_operator_squared(model, 1.3).entries.real
+        op = _operator(model, 1.3)
+        sq = _operator(model, 1.3, squared=True)
         t = trusted_levels(32)
         np.testing.assert_allclose((op @ op)[:t, :t], sq[:t, :t], atol=1e-12)
 
@@ -298,7 +302,7 @@ class TestCompleteness:
         # Squaring the truncated matrix loses probability at the top levels;
         # the loss stays there instead of leaking into the trusted block.
         model = MeasurementModel(2.0, 24)
-        grid = make_grid("uniform", completeness_required_span(model), 2001)
+        grid = make_grid(completeness_required_span(model), 2001)
         trusted = truncated_square_defect(model, grid)
         full = truncated_square_defect(model, grid, include_untrusted=True)
         assert trusted < 1e-3
@@ -308,7 +312,7 @@ class TestCompleteness:
 class TestDensityTable:
     def test_rows_sum_to_density(self):
         model = MeasurementModel(10.0, 32)
-        grid = make_grid("uniform", 6.0 * np.sqrt(101.0), 801)
+        grid = make_grid(6.0 * np.sqrt(101.0), 801)
         table = outcome_density_table(FockState.vacuum(32), model, grid, n_max=4)
         stacked = np.sum(table.per_photon, axis=0)
         np.testing.assert_allclose(stacked, table.density, atol=1e-8)
@@ -317,7 +321,7 @@ class TestDensityTable:
         # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31, so the
         # tabulated density would integrate to 0.74.
         model = MeasurementModel(0.05, 32)
-        grid = make_grid("uniform", 6.0 * np.sqrt(0.05**2 + 1.0), 2001)
+        grid = make_grid(6.0 * np.sqrt(0.05**2 + 1.0), 2001)
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
             outcome_density_table(FockState.vacuum(32), model, grid)
 
@@ -328,6 +332,6 @@ class TestDensityTable:
 
     def test_invalid_n_max(self):
         model = MeasurementModel(1.0, 8)
-        grid = make_grid("uniform", 10.0, 101)
+        grid = make_grid(10.0, 101)
         with pytest.raises(OutOfRangeError):
             outcome_density_table(FockState.vacuum(8), model, grid, n_max=8)

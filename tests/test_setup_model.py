@@ -14,22 +14,22 @@ from baeqnd.fock import FockState, make_grid, quadrature_x, quadrature_y
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
+    _apply_sectors,
     _minimize_scalar_bounded,
     _sector_blocks,
     _trace_distance,
     SetupParams,
     TwoModeState,
-    beam_splitter,
     calibrate_outcome_map,
     equivalence_defect,
-    opa_squeezer,
-    run_setup,
     squeeze_matrix,
 )
 
+from oracles import beam_splitter_dense
+
 
 def _grid_for(params, count=201):
-    return make_grid("uniform", 6.0 * np.sqrt(params.delta_x**2 + 1.0), count)
+    return make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), count)
 
 
 def _sector_generator(theta, lo, total, size):
@@ -128,22 +128,35 @@ class TestSetupParams:
             SetupParams(bad)
 
 
+def _beam_splitter(reflectivity, dims):
+    """The circuit's sector rotations as a matrix on the flat index n_mode0 * dims[1] + n_mode1."""
+    blocks = _sector_blocks(reflectivity, dims)
+    size = dims[0] * dims[1]
+    basis = np.eye(size).reshape(size, *dims)
+    return np.stack([_apply_sectors(joint, blocks).reshape(-1) for joint in basis], axis=1)
+
+
 class TestBeamSplitter:
+    """The sector rotations applied to a joint state against the dense expm oracle."""
+
     def test_zero_reflectivity_is_identity(self):
-        np.testing.assert_allclose(beam_splitter(0.0, (4, 4)), np.eye(16), atol=1e-14)
+        np.testing.assert_allclose(beam_splitter_dense(0.0, (4, 4)), np.eye(16), atol=1e-14)
+        np.testing.assert_allclose(_beam_splitter(0.0, (4, 4)), np.eye(16), atol=1e-14)
 
     def test_full_reflection_swaps_modes(self):
-        bs = beam_splitter(1.0, (4, 4))
         joint = np.zeros((4, 4))
         joint[1, 0] = 1.0
-        out = (bs @ joint.reshape(-1)).reshape(4, 4)
+        out = _apply_sectors(joint, _sector_blocks(1.0, (4, 4)))
         assert abs(out[0, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)
+        dense = beam_splitter_dense(1.0, (4, 4)) @ joint.reshape(-1)
+        np.testing.assert_allclose(out.reshape(-1), dense, atol=1e-12)
 
     @pytest.mark.parametrize("reflectivity", [0.0, 0.25, 2.0 / 3.0, 1.0])
     def test_orthogonal(self, reflectivity):
-        bs = beam_splitter(reflectivity, (6, 5))
+        bs = _beam_splitter(reflectivity, (6, 5))
         np.testing.assert_allclose(bs.T @ bs, np.eye(30), atol=1e-10)
+        np.testing.assert_allclose(bs, beam_splitter_dense(reflectivity, (6, 5)), atol=1e-12)
 
     def test_heisenberg_mixing(self):
         # Mode quadratures rotate by theta with sin^2(theta) = R.  Truncation
@@ -152,7 +165,8 @@ class TestBeamSplitter:
         dim = 14
         reflectivity = 0.3
         theta = np.arcsin(np.sqrt(reflectivity))
-        bs = beam_splitter(reflectivity, (dim, dim))
+        bs = _beam_splitter(reflectivity, (dim, dim))
+        np.testing.assert_allclose(bs, beam_splitter_dense(reflectivity, (dim, dim)), atol=1e-12)
         x0 = np.kron(quadrature_x(dim).entries.real, np.eye(dim))
         x1 = np.kron(np.eye(dim), quadrature_x(dim).entries.real)
         totals = (np.arange(dim)[:, None] + np.arange(dim)[None, :]).reshape(-1)
@@ -160,10 +174,6 @@ class TestBeamSplitter:
         rotated = bs.T @ x0 @ bs
         expected = np.cos(theta) * x0 + np.sin(theta) * x1
         np.testing.assert_allclose(rotated * keep, expected * keep, atol=1e-10)
-
-    def test_invalid_reflectivity(self):
-        with pytest.raises(InvalidParameterError):
-            beam_splitter(1.2, (4, 4))
 
 
 class TestSqueezer:
@@ -206,19 +216,11 @@ class TestSqueezer:
         s = squeeze_matrix(2.0, "amplify-x", 40)
         np.testing.assert_allclose(s.T @ s, np.eye(40), atol=1e-10)
 
-    def test_embedding(self):
-        emb = opa_squeezer(1.3, 1, "amplify-x", (4, 6))
-        assert emb.shape == (24, 24)
-        single = squeeze_matrix(1.3, "amplify-x", 6)
-        np.testing.assert_allclose(emb, np.kron(np.eye(4), single), atol=1e-14)
-
     def test_invalid_arguments(self):
         with pytest.raises(InvalidParameterError):
             squeeze_matrix(-1.0, "amplify-x", 8)
         with pytest.raises(InvalidParameterError):
             squeeze_matrix(1.5, "sideways", 8)
-        with pytest.raises(InvalidParameterError):
-            opa_squeezer(1.5, 2, "amplify-x", (4, 4))
 
 
 class TestCircuitEvolution:
@@ -243,35 +245,34 @@ class TestCircuitEvolution:
             SetupCircuit(SetupParams(1.5, 24, 24)).evolve(FockState.vacuum(16))
 
 
+def _readout(params, signal_in, x_m):
+    """Outcome density and signal-output amplitudes of the circuit at calibrated outcomes x_m."""
+    circuit = SetupCircuit(params)
+    scale = calibrate_outcome_map(params, circuit=circuit).scale
+    amps = circuit.homodyne_amplitudes(signal_in, np.asarray(x_m) / scale)
+    return np.sum(np.abs(amps) ** 2, axis=1) / abs(scale), amps[:, : params.dim_meter]
+
+
 class TestRunSetup:
+    """The circuit read out at calibrated outcomes against the measurement kernel."""
+
     def test_density_symmetric_for_vacuum(self):
-        params = SetupParams(1.5, 40, 40)
-        circuit = SetupCircuit(params)
-        calibration = calibrate_outcome_map(params, circuit=circuit)
-        d_plus, _ = run_setup(FockState.vacuum(40), params, 0.7,
-                              circuit=circuit, calibration=calibration)
-        d_minus, _ = run_setup(FockState.vacuum(40), params, -0.7,
-                               circuit=circuit, calibration=calibration)
-        assert d_plus == pytest.approx(d_minus, rel=1e-12)
+        densities, _ = _readout(SetupParams(1.5, 40, 40), FockState.vacuum(40), [0.7, -0.7])
+        assert densities[0] == pytest.approx(densities[1], rel=1e-12)
 
     def test_conditional_state_matches_kernel(self):
         params = SetupParams(1.2, 40, 40)
         model = MeasurementModel(params.delta_x, 40)
         vac = FockState.vacuum(40)
-        density, state = run_setup(vac, params, 1.1)
+        (density,), (out,) = _readout(params, vac, [1.1])
+        state = FockState(out).normalize()
         assert state.fidelity(conditional_state(vac, model, 1.1)) >= 1.0 - 1e-3
         assert density == pytest.approx(outcome_density(vac, model, 1.1), rel=1e-3)
 
     def test_outcome_variance(self):
         params = SetupParams(1.5, 40, 40)
-        circuit = SetupCircuit(params)
-        calibration = calibrate_outcome_map(params, circuit=circuit)
         grid = _grid_for(params, count=801)
-        densities = np.array([
-            run_setup(FockState.vacuum(40), params, float(x),
-                      circuit=circuit, calibration=calibration)[0]
-            for x in grid.nodes
-        ])
+        densities, _ = _readout(params, FockState.vacuum(40), grid.nodes)
         variance = grid.integrate(densities * grid.nodes**2) / grid.integrate(densities)
         assert variance == pytest.approx(params.delta_x**2 + 0.25, abs=1e-3)
 
