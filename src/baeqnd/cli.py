@@ -107,7 +107,8 @@ def _compact_json(obj) -> str:
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    # JSON null (a setup-check row that overflowed) is an empty cell.
+    return "" if value is None else str(value)
 
 
 def _table_csv(table: dict) -> str:
@@ -361,7 +362,8 @@ def _cmd_simulate(args):
     }, args.seed
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The root parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="bae-qnd-sim",
         description=(
@@ -395,12 +397,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="output format (default json)")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:
+            # The command's own usage shows the flags it does read.
+            commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -42,13 +42,13 @@ No two-mode unitary is formed as a dense matrix: SetupCircuit builds the
 rotations once per parameter set, applies the sector blocks to the joint
 amplitude matrix and the squeezers from the left and right, and
 homodyne_amplitudes reads the meter out at a whole batch of raw outcomes.
-calibrate_outcome_map refines its scale with a bounded Brent minimiser
-(_minimize_scalar_bounded).  The module needs numpy only.
+calibrate_outcome_map takes its scale from the ratio of the two outcome
+densities' second moments.  Each density is a Gaussian times a polynomial,
+so Gauss-Hermite rules integrate both exactly.  The module needs numpy only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +60,8 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, make_grid, wavefunction_table
-from .measurement import MeasurementModel, measurement_amplitudes
+from .fock import FockState, QuadratureGrid, wavefunction_table
+from .measurement import MeasurementModel, _exact_joint, _gh_rule, measurement_amplitudes
 
 #: Calibration residual above which the setup/kernel comparison is aborted:
 #: a residual this large signals a convention bug, not a tolerance issue.
@@ -106,35 +106,6 @@ class SetupParams:
     def delta_x(self) -> float:
         """Measurement resolution a/(2(a^2-1)) realized by the circuit."""
         return self.gain_a / (2.0 * (self.gain_a**2 - 1.0))
-
-
-@dataclass(frozen=True, eq=False)
-class TwoModeState:
-    """Joint state of the two rails as an amplitude matrix [n_mode0, n_mode1]."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if amps.ndim != 2 or amps.shape[0] < 2 or amps.shape[1] < 2:
-            raise InvalidParameterError("two-mode amplitudes must be a matrix, dims >= 2")
-        if not np.all(np.isfinite(amps)):
-            raise InvalidParameterError("two-mode amplitudes must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.amplitudes.shape
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "TwoModeState":
-        nrm = self.norm()
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise InvalidParameterError("cannot normalize a zero-norm state")
-        return TwoModeState(self.amplitudes / nrm)
 
 
 def _rotation(off: np.ndarray) -> np.ndarray:
@@ -257,15 +228,6 @@ class SetupCircuit:
                     f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
                 )
 
-    def evolve(self, signal_in: FockState) -> TwoModeState:
-        """Joint state after the circuit, truncated to the contract dimensions.
-
-        The tiny weight living above the truncation is dropped, not
-        renormalized, so the squared norm reports how much was lost.
-        """
-        joint = self._evolve_work(signal_in)
-        return TwoModeState(joint[: self.params.dim_signal, : self.params.dim_meter])
-
     def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
         """Signal-output amplitudes after reading mode 0 at raw outcome values.
 
@@ -293,132 +255,44 @@ class Calibration:
     residual: float
 
 
-def _minimize_scalar_bounded(func, bounds, xatol):
-    """Brent's bounded minimiser: golden-section steps, parabolic where acceptable.
-
-    A port of SciPy's bounded scalar minimiser (BSD-3-Clause licence, after
-    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
-    kept step for step so it makes the same evaluations.  Stops once the
-    bracket around the best abscissa is within xatol (plus a relative
-    sqrt(eps) term) or after 500 evaluations; returns the best abscissa
-    and its function value.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = bounds
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        # Parabolic fit through the three best points.
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return float(xf), float(fx)
-
-
 def calibrate_outcome_map(
     params: SetupParams,
     *,
     circuit: SetupCircuit | None = None,
     signal_in: FockState | None = None,
 ) -> Calibration:
-    """Fit the scale mapping raw homodyne values to measurement outcomes.
+    """Map raw homodyne values to measurement outcomes by matching second moments.
 
-    The magnitude comes from matching the variance of the raw outcome density
-    against the measurement-kernel prediction for the same input, refined by
-    a bounded one-dimensional least-squares pass; the sign is resolved by
-    comparing conditional output states at one probe outcome.  The analytic
-    expectation is scale = -2 dx.  A residual above
-    CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.
+    Both outcome densities are a Gaussian times a polynomial, so their
+    variances are exact on Gauss-Hermite rules: the kernel's on the outcome
+    rule of the jump integrals (which also checks it for leaked mass), the
+    raw homodyne density, exp(-2 raw^2) times a polynomial of degree
+    2 (keep0 - 1), on keep0 + 1 nodes at raw = u / sqrt(2).  The magnitude is
+    sqrt(var_kernel / var_raw); the sign is resolved by comparing conditional
+    output states at one probe outcome.  The residual is the largest density
+    mismatch over 51 probe outcomes spanning 6 sqrt(dx^2 + 1), relative to
+    the largest probe density.  The analytic expectation is scale = -2 dx.
+    A residual above CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.
     """
     circuit = circuit or SetupCircuit(params)
     if signal_in is None:
         signal_in = FockState.vacuum(params.dim_signal)
-    # The raw meter-output x has variance 1/4 + (delta_x^2 + <x^2>_in)/(2 dx)^2,
-    # of order one for every gain; span 8 covers far beyond 6 sigma.
-    raw = make_grid(8.0, 1601)
-    amps_raw = circuit.homodyne_amplitudes(signal_in, raw.nodes)
-    density_raw = np.sum(np.abs(amps_raw) ** 2, axis=1)
-
     model = MeasurementModel(params.delta_x, params.dim_signal)
-    xm_grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 1201)
-    kernel_amps = measurement_amplitudes(signal_in, model, xm_grid.nodes)
-    density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
-    peak = float(np.max(density_kernel))
+    rule, joint = _exact_joint(signal_in, model)
+    density_kernel = joint.sum(axis=1)
+    var_kernel = rule.integrate(density_kernel * rule.nodes**2) / rule.integrate(density_kernel)
 
+    u, _, factored = _gh_rule(circuit._keep0 + 1)
+    raw = QuadratureGrid(u / np.sqrt(2.0), factored)
+    density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw.nodes)) ** 2, axis=1)
     var_raw = raw.integrate(density_raw * raw.nodes**2) / raw.integrate(density_raw)
-    var_kernel = xm_grid.integrate(density_kernel * xm_grid.nodes**2) / xm_grid.integrate(
-        density_kernel
-    )
-    scale0 = float(np.sqrt(var_kernel / var_raw))
+    scale = float(np.sqrt(var_kernel / var_raw))
 
-    probe = xm_grid.nodes[:: 24]
-
-    def residual_of(c: float) -> float:
-        setup_amps = circuit.homodyne_amplitudes(signal_in, probe / c)
-        mapped = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(c)
-        ref = measurement_amplitudes(signal_in, model, probe)
-        return float(np.max(np.abs(mapped - np.sum(np.abs(ref) ** 2, axis=1)))) / peak
-
-    scale, residual = _minimize_scalar_bounded(
-        residual_of, (0.98 * scale0, 1.02 * scale0), xatol=1e-10
-    )
+    probe = np.linspace(-1.0, 1.0, 51) * (6.0 * np.sqrt(params.delta_x**2 + 1.0))
+    kernel_probe = np.sum(np.abs(measurement_amplitudes(signal_in, model, probe)) ** 2, axis=1)
+    setup_amps = circuit.homodyne_amplitudes(signal_in, probe / scale)
+    mapped = np.sum(np.abs(setup_amps) ** 2, axis=1) / scale
+    residual = float(np.max(np.abs(mapped - kernel_probe)) / np.max(kernel_probe))
 
     # Sign: compare conditional states at a probe outcome on the positive side.
     probe_raw = 0.8 * float(np.sqrt(var_raw))

@@ -5,10 +5,13 @@ Hermite polynomials from scipy.special instead of the in-package recurrence,
 adaptive quadrature instead of Gauss-Hermite rules, scipy's Pade matrix
 exponential of a full generator instead of per-sector rotations, and
 closed-form Gaussian integrals worked out by completing the square.  Values asserted in the tests
-are frozen from these, never from the code under test.
+are frozen from these, never from the code under test.  TwoModeState and
+evolve are test helpers, not oracles: they expose the circuit's joint output
+state, which the library itself only reads out through the homodyne.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -145,3 +148,26 @@ def beam_splitter_dense(reflectivity: float, dims: tuple[int, int]) -> np.ndarra
     a = np.diag(np.sqrt(np.arange(1.0, d0)), k=1)
     b = np.diag(np.sqrt(np.arange(1.0, d1)), k=1)
     return expm(theta * (np.kron(a.T, b) - np.kron(a, b.T)))
+
+
+@dataclass(frozen=True, eq=False)
+class TwoModeState:
+    """Joint state of the two rails as an amplitude matrix [n_mode0, n_mode1]."""
+
+    amplitudes: np.ndarray
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def normalize(self) -> "TwoModeState":
+        return TwoModeState(self.amplitudes / self.norm())
+
+
+def evolve(circuit, signal_in) -> TwoModeState:
+    """Joint state after the circuit, truncated to the contract dimensions.
+
+    The tiny weight living above the truncation is dropped, not renormalised,
+    so the squared norm reports how much was lost.
+    """
+    joint = circuit._evolve_work(signal_in)
+    return TwoModeState(joint[: circuit.params.dim_signal, : circuit.params.dim_meter])

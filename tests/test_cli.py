@@ -202,6 +202,32 @@ class TestSetupCheck:
         assert "overflow" in rows[0][2]
         assert rows[2][1] < 1e-3
 
+    def test_exact_calibration_and_converging_sweep(self, tmp_path):
+        # Matched second moments give the analytic scale -2 dx to rounding, so
+        # the dimension sweep shows the truncation error falling with dim.
+        out = tmp_path / "setup.json"
+        assert main(["setup-check", "--gain-a", "1.5", "--dim", "48",
+                     "--out", str(out)]) == EXIT_OK
+        payload = read_envelope(out)["payload"]
+        report = payload["report"]
+        assert abs(report["calibration_scale"] + 1.2) < 1e-14
+        assert report["calibration_residual"] < 1e-12
+        assert max(report["equivalence_defect"].values()) < 1e-12
+        dims, defects, _ = zip(*payload["table"]["rows"])
+        assert dims == (24, 36, 48)
+        assert defects[0] > defects[1] > defects[2]
+        assert defects[2] < 1e-12
+
+    def test_overflowing_row_is_empty_csv_cell(self, tmp_path):
+        # The JSON null of an overflowed sweep row is an empty CSV cell, not "None".
+        out = tmp_path / "setup.csv"
+        assert main(["setup-check", "--gain-a", "1.8", "--dim", "32",
+                     "--format", "csv", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "dim,vacuum_defect,note"
+        assert lines[1] == "16,,truncation-overflow at this dim"
+        assert "None" not in out.read_text(encoding="utf-8")
+
     def test_overflow_exit_code(self, tmp_path, capsys):
         code = main(["setup-check", "--gain-a", "3", "--dim", "40",
                      "--out", str(tmp_path / "s.json")])
@@ -337,6 +363,13 @@ class TestUnreadFlags:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_refusal_shows_the_command_usage(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["jump-sweep", "--delta-x", "1", "--shots", "5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("usage: bae-qnd-sim jump-sweep")
 
 
 class TestEnvelope:
