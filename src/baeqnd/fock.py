@@ -94,16 +94,6 @@ class FockState:
             raise InvalidParameterError("cannot normalize a zero-norm state")
         return FockState(self.amplitudes / nrm)
 
-    def overlap(self, other: "FockState") -> complex:
-        """<self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"state dims differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "FockState") -> float:
-        """|<self|other>|^2 for normalized states."""
-        return abs(self.overlap(other)) ** 2
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -139,9 +129,6 @@ class FockOperator:
             raise DimensionMismatchError(f"operator dim {self.dim} vs state dim {state.dim}")
         return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
 
-    def is_hermitian(self, atol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= atol)
-
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
@@ -164,12 +151,6 @@ def quadrature_x(dim: int) -> FockOperator:
     """x = (a + a*)/2.  Applied to the vacuum it gives 0.5 |1>."""
     dim = _require_dim(dim)
     return FockOperator((annihilation(dim).entries + creation(dim).entries) / 2.0)
-
-
-def quadrature_y(dim: int) -> FockOperator:
-    """y = (a - a*)/(2i), conjugate to x with [x, y] = i/2."""
-    dim = _require_dim(dim)
-    return FockOperator((annihilation(dim).entries - creation(dim).entries) / 2.0j)
 
 
 def number_operator(dim: int) -> FockOperator:

@@ -21,7 +21,10 @@ The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`.
 There are two routes through the kernel.  operator_batch builds the matrices
 P(x) (or the exact squares P(x)^2) for a batch of outcomes from a factor
 table as M M^T with a positive prefactor, symmetric positive semidefinite by
-construction; the completeness audits use it.  measurement_amplitudes gives
+construction.  The completeness audits read the same factor tables a chunk of
+outcomes at a time and integrate over the grid with one GEMM per chunk
+(F F^T of the P^2 factors, Q^T Q of the stacked P matrices), so no
+(grid count, dim, dim) stack is ever built.  measurement_amplitudes gives
 <n|P(x)|state> for a batch of outcomes without forming a matrix: it streams
 the levels twice, once to contract the state (up to its last nonzero level)
 and once to project onto every level.  Densities, conditional states, the
@@ -30,8 +33,8 @@ density table, the sampler and the jump integrals all read it.
 The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
 integrals over the outcome have an exact Gauss-Hermite rule too
 (_outcome_rule).  It measures the mass the kernel loses above the
-truncation, which the density table and the jump integrals refuse above
-TRUNCATION_OCCUPATION_LIMIT.
+truncation, which outcome_density, conditional_state, the density table and
+the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -64,6 +67,10 @@ UNDERFLOW_DENSITY = 1e-300
 DEFAULT_N_MAX = 4
 
 _CHUNK_ELEMENTS = 4_000_000
+
+#: Factor-table entries per chunk of the completeness audits (2 MiB, about a
+#: core's L2 cache), so their memory does not grow with the grid.
+_AUDIT_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -237,7 +244,8 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         rows, pref = _closed_form_factors(model, x[sl], squared)
-        out[sl] = pref * np.einsum("nbk,mbk->bnm", rows, rows, optimize=True)
+        np.einsum("nbk,mbk->bnm", rows, rows, optimize=True, out=out[sl])
+        out[sl] *= pref
     return out
 
 
@@ -281,13 +289,21 @@ def outcome_density(state: FockState, model: MeasurementModel, x_m: float) -> fl
     """Probability density of outcome x_m, the squared norm of P(x_m)|state>.
 
     For the vacuum this is a centered Gaussian with variance dx^2 + 1/4.
+    Raises TruncationOverflowError when the kernel loses more than
+    TRUNCATION_OCCUPATION_LIMIT of the input above the truncation.
     """
+    _exact_joint(state, model)
     amps = measurement_amplitudes(state, model, x_m)
     return float(np.sum(np.abs(amps[0]) ** 2))
 
 
 def conditional_state(state: FockState, model: MeasurementModel, x_m: float) -> FockState:
-    """Normalized post-measurement state P(x_m)|state> / sqrt(density)."""
+    """Normalized post-measurement state P(x_m)|state> / sqrt(density).
+
+    Raises TruncationOverflowError like outcome_density: the conditioned
+    state would miss the mass the kernel sends above the truncation.
+    """
+    _exact_joint(state, model)
     amps = measurement_amplitudes(state, model, x_m)[0]
     density = float(np.sum(np.abs(amps) ** 2))
     if density < UNDERFLOW_DENSITY:
@@ -322,48 +338,67 @@ def completeness_required_span(model: MeasurementModel) -> float:
     return 6.0 * np.sqrt(model.delta_x**2 + model.dim)
 
 
+def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
+    """Yield the grid's nodes and square-root weights, _AUDIT_CHUNK_ELEMENTS / dim^2 outcomes at a time.
+
+    Raises GridTooNarrowError, before the first chunk, when the grid does not
+    cover 6 sigma of every trusted level's outcome distribution.
+    """
+    required = completeness_required_span(model)
+    if grid.span < required:
+        raise GridTooNarrowError(
+            f"grid span {grid.span:.3g} < required {required:.3g} "
+            f"(use span >= 6*sqrt(delta_x^2 + dim))"
+        )
+    chunk = max(1, _AUDIT_CHUNK_ELEMENTS // model.dim**2)
+    for start in range(0, grid.count, chunk):
+        yield grid.nodes[start : start + chunk], np.sqrt(grid.weights[start : start + chunk])
+
+
 def completeness_defect(model: MeasurementModel, grid: QuadratureGrid) -> float:
     """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
     Uses the exact squared kernel, so the only error sources are the grid
-    (span and spacing) and the wavefunction tails of each level.  Raises
-    GridTooNarrowError when the grid does not cover 6 sigma of every trusted
-    level's outcome distribution.
+    (span and spacing) and the wavefunction tails of each level.  P(x_b)^2 is
+    c G_b G_b^T, so the integral is c F F^T with F the squared-kernel factor
+    tables scaled by sqrt(w_b) and laid side by side as (dim, chunk * dim):
+    one GEMM per chunk of outcomes, and no (grid.count, dim, dim) stack.
+    Raises GridTooNarrowError when the grid does not cover 6 sigma of every
+    trusted level's outcome distribution.
     """
-    required = completeness_required_span(model)
-    if grid.span < required:
-        raise GridTooNarrowError(
-            f"grid span {grid.span:.3g} < required {required:.3g} "
-            f"(use span >= 6*sqrt(delta_x^2 + dim))"
-        )
-    squares = operator_batch(model, grid.nodes, squared=True)
-    total = np.einsum("bnm,b->nm", squares, grid.weights, optimize=True)
-    t = trusted_levels(model.dim)
-    defect = total[:t, :t] - np.eye(model.dim)[:t, :t]
-    return float(np.max(np.abs(defect)))
+    dim = model.dim
+    total = np.zeros((dim, dim))
+    for nodes, root in _audit_chunks(model, grid):
+        rows, pref = _closed_form_factors(model, nodes, squared=True)
+        rows *= root[None, :, None]
+        factor = rows.reshape(dim, -1)
+        total += pref * (factor @ factor.T)
+    t = trusted_levels(dim)
+    return float(np.max(np.abs(total[:t, :t] - np.eye(t))))
 
 
-def truncated_square_defect(
-    model: MeasurementModel, grid: QuadratureGrid, include_untrusted: bool = False
-) -> float:
-    """Completeness defect when the truncated operator matrix is squared.
+def truncated_square_defect(model: MeasurementModel, grid: QuadratureGrid) -> tuple[float, float]:
+    """Completeness defects (trusted, full) when the truncated operator matrix is squared.
 
     Squaring the truncated matrix drops the contributions routed through
     levels above the truncation, so this defect concentrates at the
-    truncation edge: large when the top quarter is included, small on the
-    trusted subspace at moderate resolution.
+    truncation edge: large on the full space (the second value), small on the
+    trusted subspace (the first) at moderate resolution.  Both come from one
+    integral: the operator_batch matrices of a chunk of outcomes, scaled by
+    sqrt(w_b) and stacked as Q of shape (chunk * dim, dim), give
+    Q^T Q = sum_b w_b P_b P_b because every P_b is symmetric.
+    Raises GridTooNarrowError like completeness_defect.
     """
-    required = completeness_required_span(model)
-    if grid.span < required:
-        raise GridTooNarrowError(
-            f"grid span {grid.span:.3g} < required {required:.3g} "
-            f"(use span >= 6*sqrt(delta_x^2 + dim))"
-        )
-    ops = operator_batch(model, grid.nodes)
-    total = np.einsum("bnm,bml,b->nl", ops, ops, grid.weights, optimize=True)
-    t = model.dim if include_untrusted else trusted_levels(model.dim)
-    defect = total[:t, :t] - np.eye(model.dim)[:t, :t]
-    return float(np.max(np.abs(defect)))
+    dim = model.dim
+    total = np.zeros((dim, dim))
+    for nodes, root in _audit_chunks(model, grid):
+        ops = operator_batch(model, nodes)
+        ops *= root[:, None, None]
+        stacked = ops.reshape(-1, dim)
+        total += stacked.T @ stacked
+    deviation = np.abs(total - np.eye(dim))
+    t = trusted_levels(dim)
+    return float(np.max(deviation[:t, :t])), float(np.max(deviation))
 
 
 def outcome_density_table(

@@ -8,6 +8,9 @@ closed-form Gaussian integrals worked out by completing the square.  Values asse
 are frozen from these, never from the code under test.  TwoModeState and
 evolve are test helpers, not oracles: they expose the circuit's joint output
 state, which the library itself only reads out through the homodyne.
+fidelity, is_hermitian and quadrature_y are helpers only the tests need.
+completeness_integrals_stacked is the completeness audit's whole-grid
+route, the reference for the library's chunked one.
 """
 
 import math
@@ -17,6 +20,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_hermite
+
+from baeqnd.fock import FockOperator, FockState
+from baeqnd.measurement import operator_batch
 
 
 def psi_reference(n: int, x):
@@ -171,3 +177,32 @@ def evolve(circuit, signal_in) -> TwoModeState:
     """
     joint = circuit._evolve_work(signal_in)
     return TwoModeState(joint[: circuit.params.dim_signal, : circuit.params.dim_meter])
+
+
+def completeness_integrals_stacked(model, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(integral of P^2, integral of the squared truncated matrix P P) from whole-grid stacks.
+
+    operator_batch builds the (grid.count, dim, dim) stacks of P(x)^2 and P(x)
+    over the whole grid, and einsum contracts them with the weights, instead
+    of the library's chunked GEMMs.
+    """
+    squares = operator_batch(model, grid.nodes, squared=True)
+    exact = np.einsum("bnm,b->nm", squares, grid.weights, optimize=True)
+    ops = operator_batch(model, grid.nodes)
+    truncated = np.einsum("bnm,bml,b->nl", ops, ops, grid.weights, optimize=True)
+    return exact, truncated
+
+
+def fidelity(a: FockState, b: FockState) -> float:
+    """|<a|b>|^2 for normalized states."""
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
+
+
+def is_hermitian(op: FockOperator, atol: float = 1e-12) -> bool:
+    return bool(np.max(np.abs(op.entries - op.entries.conj().T)) <= atol)
+
+
+def quadrature_y(dim: int) -> FockOperator:
+    """y = (a - a*)/(2i), conjugate to x with [x, y] = i/2, from the explicit ladder matrices."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+    return FockOperator((a - a.T) / 2.0j)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import roots_hermite
@@ -27,6 +29,8 @@ from baeqnd.measurement import (
 )
 
 from oracles import (
+    completeness_integrals_stacked,
+    fidelity,
     kernel_element_quad,
     kernel_operator_dense,
     p1_asymptotic,
@@ -161,6 +165,12 @@ class TestOutcomeDensity:
         with pytest.raises(DimensionMismatchError):
             outcome_density(FockState.vacuum(8), MeasurementModel(1.0, 16), 0.0)
 
+    def test_kernel_leak_raises(self):
+        # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31: the
+        # density at 0 would read 0.584 where the closed form gives 0.794.
+        with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
+            outcome_density(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
+
 
 class TestConditionalState:
     def test_unit_norm(self):
@@ -185,11 +195,15 @@ class TestConditionalState:
     def test_weak_measurement_keeps_one_photon(self):
         one = FockState.number(16, 1)
         state = conditional_state(one, MeasurementModel(100.0, 16), 3.0)
-        assert state.fidelity(one) >= 1.0 - 1e-3
+        assert fidelity(state, one) >= 1.0 - 1e-3
 
     def test_degenerate_outcome_raises(self):
         with pytest.raises(DegenerateConditioningError):
             conditional_state(FockState.vacuum(16), MeasurementModel(0.5, 16), 300.0)
+
+    def test_kernel_leak_raises(self):
+        with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
+            conditional_state(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
 
 
 class TestJointPhotonDensity:
@@ -303,10 +317,45 @@ class TestCompleteness:
         # the loss stays there instead of leaking into the trusted block.
         model = MeasurementModel(2.0, 24)
         grid = make_grid(completeness_required_span(model), 2001)
-        trusted = truncated_square_defect(model, grid)
-        full = truncated_square_defect(model, grid, include_untrusted=True)
+        trusted, full = truncated_square_defect(model, grid)
         assert trusted < 1e-3
         assert full > 0.1
+
+    def test_narrow_grid_rejected_by_truncated_square(self):
+        with pytest.raises(GridTooNarrowError):
+            truncated_square_defect(MeasurementModel(1.0, 16), make_grid(1.0, 101))
+
+    @pytest.mark.parametrize("dx, dim", [(0.5, 16), (1.0, 32), (2.0, 24), (10.0, 48), (1.0, 64)])
+    def test_matches_whole_grid_operator_stacks(self, dx, dim):
+        model = MeasurementModel(dx, dim)
+        grid = make_grid(completeness_required_span(model), 2001)
+        exact, truncated = completeness_integrals_stacked(model, grid)
+        t = trusted_levels(dim)
+        exact_dev = np.abs(exact - np.eye(dim))
+        truncated_dev = np.abs(truncated - np.eye(dim))
+        expected = [exact_dev[:t, :t].max(), truncated_dev[:t, :t].max(), truncated_dev.max()]
+        got = [completeness_defect(model, grid), *truncated_square_defect(model, grid)]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+class TestAuditMemory:
+    @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
+    def test_peak_bounded_and_independent_of_grid_count(self, audit):
+        # The whole-grid operator stack peaked at 154 MiB for dx 1, dim 64 on
+        # 2001 nodes, and grew with the node count.
+        model = MeasurementModel(1.0, 64)
+        span = completeness_required_span(model)
+        peaks = []
+        for count in (2001, 8001):
+            grid = make_grid(span, count)
+            tracemalloc.start()
+            try:
+                audit(model, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 48 * 2**20
+        assert peaks[1] <= peaks[0] + 2**20
 
 
 class TestDensityTable:

@@ -8,7 +8,7 @@ from baeqnd.errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, quadrature_x, quadrature_y
+from baeqnd.fock import FockState, make_grid, quadrature_x
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
@@ -21,7 +21,7 @@ from baeqnd.setup_model import (
     squeeze_matrix,
 )
 
-from oracles import TwoModeState, beam_splitter_dense, evolve
+from oracles import TwoModeState, beam_splitter_dense, evolve, fidelity, quadrature_y
 
 
 def _grid_for(params, count=201):
@@ -221,7 +221,7 @@ class TestRunSetup:
         vac = FockState.vacuum(40)
         (density,), (out,) = _readout(params, vac, [1.1])
         state = FockState(out).normalize()
-        assert state.fidelity(conditional_state(vac, model, 1.1)) >= 1.0 - 1e-3
+        assert fidelity(state, conditional_state(vac, model, 1.1)) >= 1.0 - 1e-3
         assert density == pytest.approx(outcome_density(vac, model, 1.1), rel=1e-3)
 
     def test_outcome_variance(self):
