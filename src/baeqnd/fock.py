@@ -13,11 +13,16 @@ Operators are built at the full requested dimension.  Ladder truncation
 corrupts the top rows/columns, so identities should be checked on the
 "trusted subspace" that excludes the top quarter of levels (see
 :func:`trusted_levels`).
+
+The orthonormal Hermite recurrence (_hermite_levels) gives the position
+wavefunctions and the Gauss-Hermite rules (_gh_rule) of the exact outcome
+integrals; the measurement kernel itself needs neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +35,10 @@ from .errors import (
 
 #: Highest wavefunction level for which the recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
+
+#: Largest Gauss-Hermite rule _gh_rule builds: near 1,450 nodes the outermost
+#: node's quarter Gaussian leaves double-precision range.
+MAX_RULE_NODES = 1400
 
 
 def _require_dim(dim) -> int:
@@ -182,6 +191,39 @@ def _hermite_levels(count: int, xi: np.ndarray, seed):
     for n in range(1, count - 1):
         prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
         yield cur
+
+
+@lru_cache(maxsize=64)
+def _gh_rule(count: int):
+    """Gauss-Hermite rule for the weight exp(-u^2): nodes u, weights w, factored w exp(u^2).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Hermite recurrence (off-diagonal sqrt(k/2)), polished by one
+    Newton step on h_count (h_count' = sqrt(2 count) h_{count-1}) and made
+    exactly antisymmetric.  The weights come in Christoffel form,
+    w_k = 1 / sum_j h_j(u_k)^2 over the count orthonormal levels, with the
+    Gaussian factored out: exp(u_k^2) w_k = 1 / sum_j (h_j(u_k) exp(-u_k^2 / 2))^2
+    stays finite where w_k itself underflows (count above ~360).  The levels
+    run on a quarter Gaussian, squared once more, so neither the recurrence
+    overflows nor its seed underflows up to MAX_RULE_NODES; beyond it the
+    rule turns NaN, so larger counts raise OutOfRangeError.
+    """
+    if count > MAX_RULE_NODES:
+        raise OutOfRangeError(
+            f"a Gauss-Hermite rule of {count} nodes exceeds the {MAX_RULE_NODES}-node limit "
+            "of double precision"
+        )
+    off = np.sqrt(np.arange(1.0, count) / 2.0)
+    u = np.linalg.eigvalsh(np.diag(off, -1))
+    *_, before, last = _hermite_levels(count + 1, u, np.exp(-0.25 * u * u))
+    u = u - last / (np.sqrt(2.0 * count) * before)
+    u = 0.5 * (u - u[::-1])
+    quarter = np.exp(-0.25 * u * u)
+    factored = 1.0 / sum((level * quarter) ** 2 for level in _hermite_levels(count, u, quarter))
+    w = factored * np.exp(-u * u)
+    for arr in (u, w, factored):
+        arr.setflags(write=False)
+    return u, w, factored
 
 
 def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:

@@ -9,32 +9,36 @@ a Gaussian function of the quadrature operator x.  Squaring it gives the
 outcome probability density of an input state, and its action followed by
 normalization gives the conditional post-measurement state.
 
-Each matrix element <n|P(x_m)|m> is a Gaussian-Hermite integral.
-Completing the square analytically reduces it to the integral of a
-polynomial of degree n+m against exp(-u^2), which a Gauss-Hermite rule with
-dim nodes evaluates exactly, so every result is exact up to floating point.
-The rule (_gh_rule) is built here from numpy alone: Golub-Welsch nodes, the
-eigenvalues of the Hermite Jacobi matrix polished by one Newton step, and
-Christoffel weights summed over the same orthonormal levels, with the
-Gaussian factored out so they stay finite for rules of a thousand nodes.
-The Hermite levels come from the single recurrence in :mod:`baeqnd.fock`.
-There are two routes through the kernel.  operator_batch builds the matrices
-P(x) (or the exact squares P(x)^2) for a batch of outcomes from a factor
-table as M M^T with a positive prefactor, symmetric positive semidefinite by
-construction.  The completeness audits read the same factor tables a chunk of
-outcomes at a time and integrate over the grid with one GEMM per chunk
-(F F^T of the P^2 factors, Q^T Q of the stacked P matrices), so no
-(grid count, dim, dim) stack is ever built.  measurement_amplitudes gives
-<n|P(x)|state> for a batch of outcomes without forming a matrix: it streams
-the levels twice, once to contract the state (up to its last nonzero level)
-and once to project onto every level.  Densities, conditional states, the
-density table, the sampler and the jump integrals all read it.
+The kernel is built in the Fock basis by the matrix-element recurrence for
+Gaussian operators (Miatto & Quesada, "Fast optimization of parametrized
+quantum optical circuits", Quantum 4, 366 (2020), arXiv:2004.11002).
+Commuting the ladder operator through P gives
+P a P^-1 = (1 + kappa/2) a + (kappa/2) a* - kappa x_m with kappa = 1/(4 dx^2),
+a three-term recurrence in the photon index whose seed
+<0|P(x_m)|0> = (2 pi dx^2)^(-1/4) sqrt(2/(2+kappa)) exp(-2 kappa x_m^2/(2+kappa))
+is a Gaussian in x_m.  Each step is one vector operation over a batch of
+outcomes, every entry is an exact matrix element of the untruncated operator,
+and no Hermite polynomial is evaluated at a large argument, so any dim stays
+in double-precision range.  The exact square P^2 is the same Gaussian with
+kappa -> 2 kappa and the squared prefactor.
+
+There are two routes through the recurrence.  operator_batch fills whole rows
+of P(x) (or of P(x)^2) for a batch of outcomes; the completeness audits read
+the same rows a chunk of outcomes at a time (sum_b w_b P(x_b)^2 row by row,
+Q^T Q of the stacked P matrices), so no (grid count, dim, dim) stack is ever
+built.  measurement_amplitudes gives <n|P(x)|state> without forming a
+matrix: it runs the recurrence on the columns 0..top only, top the state's
+last nonzero level, and contracts them with the state, at cost
+O(count dim (top + 1)).  Densities, conditional states, the density table,
+the sampler and the jump integrals all read it.
 
 The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
 integrals over the outcome have an exact Gauss-Hermite rule too
-(_outcome_rule).  It measures the mass the kernel loses above the
+(_outcome_rule), built from numpy alone (fock._gh_rule) and limited to
+fock.MAX_RULE_NODES nodes.  It measures the mass the kernel loses above the
 truncation, which outcome_density, conditional_state, the density table and
-the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.
+the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT; the check is
+made once per (state, model) pair.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -43,8 +47,9 @@ distorted and the approach is inexact in a way that is hard to bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, _hermite_levels, trusted_levels
+from .fock import FockState, QuadratureGrid, _gh_rule, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -68,7 +73,7 @@ DEFAULT_N_MAX = 4
 
 _CHUNK_ELEMENTS = 4_000_000
 
-#: Factor-table entries per chunk of the completeness audits (2 MiB, about a
+#: Kernel-matrix entries per chunk of the completeness audits (2 MiB, about a
 #: core's L2 cache), so their memory does not grow with the grid.
 _AUDIT_CHUNK_ELEMENTS = 1 << 18
 
@@ -79,6 +84,8 @@ class MeasurementModel:
 
     delta_x: float
     dim: int
+    #: The last (amplitude bytes, (rule, joint)) that _exact_joint checked.
+    _checked: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -119,33 +126,6 @@ class OutcomeDensityTable:
         object.__setattr__(self, "per_photon", tuple(rows))
 
 
-@lru_cache(maxsize=64)
-def _gh_rule(count: int):
-    """Gauss-Hermite rule for the weight exp(-u^2): nodes u, weights w, factored w exp(u^2).
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    orthonormal Hermite recurrence (off-diagonal sqrt(k/2)), polished by one
-    Newton step on h_count (h_count' = sqrt(2 count) h_{count-1}) and made
-    exactly antisymmetric.  The weights come in Christoffel form,
-    w_k = 1 / sum_j h_j(u_k)^2 over the count orthonormal levels, with the
-    Gaussian factored out: exp(u_k^2) w_k = 1 / sum_j (h_j(u_k) exp(-u_k^2 / 2))^2
-    stays finite where w_k itself underflows (count above ~360).  The levels
-    run on a quarter Gaussian, squared once more, so neither the recurrence
-    overflows nor its seed underflows below count ~1400.
-    """
-    off = np.sqrt(np.arange(1.0, count) / 2.0)
-    u = np.linalg.eigvalsh(np.diag(off, -1))
-    *_, before, last = _hermite_levels(count + 1, u, np.exp(-0.25 * u * u))
-    u = u - last / (np.sqrt(2.0 * count) * before)
-    u = 0.5 * (u - u[::-1])
-    quarter = np.exp(-0.25 * u * u)
-    factored = 1.0 / sum((level * quarter) ** 2 for level in _hermite_levels(count, u, quarter))
-    w = factored * np.exp(-u * u)
-    for arr in (u, w, factored):
-        arr.setflags(write=False)
-    return u, w, factored
-
-
 def _top_level(amps: np.ndarray) -> int:
     """Highest level with a nonzero amplitude (0 for the zero vector)."""
     support = np.flatnonzero(amps)
@@ -164,7 +144,8 @@ def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
     factored into the weights, so the rule integrates plain samples.
 
     The factored weights w_k exp(u_k^2) come from _gh_rule, which keeps them
-    finite where w_k itself underflows.
+    finite where w_k itself underflows and raises OutOfRangeError past
+    MAX_RULE_NODES, so the exact integrals end at dim + top + 2 = 1400.
     """
     kappa = model.kappa
     scale = 1.0 / np.sqrt(4.0 * kappa / (2.0 + kappa))
@@ -176,7 +157,8 @@ def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
 def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
     """Raise when the outcome density integrates to less than the input's squared norm."""
     if not np.isfinite(mass):
-        # The kernel's recurrence overflows at extreme outcomes once dim reaches ~600.
+        # The ladder entries are bounded by the kernel's norm, so a non-finite
+        # mass means an input left double-precision range; never pass it as small.
         raise OutOfRangeError(
             f"measurement kernel overflows at dim {model.dim}, delta_x {model.delta_x:g}"
         )
@@ -189,39 +171,65 @@ def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> N
 
 
 def _exact_joint(state: FockState, model: MeasurementModel):
-    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass."""
+    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass.
+
+    The result belongs to (state, model), so the model keeps the last one,
+    keyed by the state's amplitudes as SetupCircuit keys its evolution, and
+    returns it again, read-only, to a loop that queries one pair repeatedly.
+    """
+    key = state.amplitudes.tobytes()
+    cached_key, result = model._checked
+    if cached_key == key:
+        return result
     rule = _outcome_rule(state, model)
     joint = np.abs(measurement_amplitudes(state, model, rule.nodes)) ** 2
     _check_captured(state, model, rule.integrate(joint.sum(axis=1)))
+    joint.setflags(write=False)
+    object.__setattr__(model, "_checked", (key, (rule, joint)))
     return rule, joint
 
 
-def _closed_form_factors(model: MeasurementModel, x_values: np.ndarray, squared: bool = False):
-    """Factor matrix G and prefactor c with <n|P(x_b)|m> = c * (G_b G_b^T)_{nm}.
+def _ladder(kappa: float, x: np.ndarray, first: np.ndarray):
+    """Yield the rows P[n, :width], n = 0, 1, ..., of the Gaussian kernel with exponent kappa.
 
-    Completing the square in the position integral leaves the weight
-    exp(-alpha (x - x0)^2) with alpha = 2 + kappa and x0 = kappa x_m / alpha,
-    plus the constant exp(-2 kappa x_m^2 / alpha), split evenly between the
-    two factors of G so extreme outcomes underflow gracefully instead of
-    overflowing.
+    x holds a batch of outcomes and first the row P[0, :width], shape
+    (len(x), width).  Commuting the ladder operator through
+    P = N exp(-kappa (x_m - x)^2) gives P a P^-1 = (1 + kappa/2) a +
+    (kappa/2) a* - kappa x_m; taking <n| . |m> of P a = (P a P^-1) P,
 
-    With squared=True the exact operator P^2 is built instead: the same
-    Gaussian with doubled exponent, kappa -> 2 kappa, and squared prefactor.
+        (1 + kappa/2) sqrt(n+1) P[n+1, m]
+            = sqrt(m) P[n, m-1] - (kappa/2) sqrt(n) P[n-1, m] + kappa x_m P[n, m],
+
+    one vector operation per row.  Every entry is an exact matrix element of
+    the untruncated operator, bounded by its norm N, so nothing overflows.
     """
-    dim = model.dim
+    drive = kappa * x[:, None]
+    lower = 1.0 + 0.5 * kappa
+    shift = np.sqrt(np.arange(1.0, first.shape[1]))
+    prev, row = 0.0, first
+    for n in itertools.count():
+        yield row
+        step = drive * row - (0.5 * kappa * math.sqrt(n)) * prev
+        if shift.size:  # column 0 alone has no sqrt(m) term
+            step[:, 1:] += shift * row[:, :-1]
+        step /= lower * math.sqrt(n + 1)
+        prev, row = row, step
+
+
+def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bool = False):
+    """The rows P[n, :width] (or of the exact P^2), n = 0..dim-1, for a batch of outcomes.
+
+    P[0, 0] = N sqrt(2 / (2 + kappa)) exp(-2 kappa x_m^2 / (2 + kappa)) with
+    N = (2 pi dx^2)^(-1/4); P^2 is the same Gaussian with kappa -> 2 kappa and
+    N -> N^2.  Row 0 is column 0 (P is symmetric), which the recurrence
+    builds from P[0, 0] alone since its sqrt(m) term vanishes.
+    """
     kappa = 2.0 * model.kappa if squared else model.kappa
-    alpha = 2.0 + kappa
-    u, w, _ = _gh_rule(dim)
-    x0 = kappa * x_values / alpha
-    xi = np.sqrt(2.0) * (x0[:, None] + u[None, :] / np.sqrt(alpha))
-    half_const = np.exp(-kappa * x_values**2 / alpha)
-    rows = np.empty((dim,) + xi.shape)
-    for n, level in enumerate(_hermite_levels(dim, xi, half_const[:, None])):
-        rows[n] = level
-    rows *= np.sqrt(w)[None, None, :]
     norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
-    pref = norm * np.sqrt(2.0 / alpha)
-    return rows, pref
+    corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(-2.0 * kappa * x * x / (2.0 + kappa))
+    column = _ladder(kappa, x, corner[:, None])
+    first = np.hstack([next(column) for _ in range(width)])
+    return itertools.islice(_ladder(kappa, x, first), model.dim)
 
 
 def _check_outcomes(x_values) -> np.ndarray:
@@ -243,9 +251,8 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     chunk = max(1, _CHUNK_ELEMENTS // (model.dim * model.dim))
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
-        rows, pref = _closed_form_factors(model, x[sl], squared)
-        np.einsum("nbk,mbk->bnm", rows, rows, optimize=True, out=out[sl])
-        out[sl] *= pref
+        for n, row in enumerate(_kernel_rows(model, x[sl], model.dim, squared)):
+            out[sl, n] = row
     return out
 
 
@@ -260,28 +267,12 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     dim = model.dim
     out = np.empty((x.size, dim), dtype=amps.dtype)
     top = _top_level(amps)
-
-    kappa = model.kappa
-    alpha = 2.0 + kappa
-    u, w, _ = _gh_rule(dim)
-    pref = (2.0 * np.pi * model.delta_x**2) ** -0.25 * np.sqrt(2.0 / alpha)
+    source = amps[: top + 1]
     chunk = max(1, _CHUNK_ELEMENTS // dim)
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
-        xb = x[sl]
-        xi = np.sqrt(2.0) * ((kappa * xb / alpha)[:, None] + u[None, :] / np.sqrt(alpha))
-        seed = np.exp(-kappa * xb**2 / alpha)[:, None]
-        # Contract the state: sum_n amps[n] * seed * h_n(xi), skipping the
-        # zero amplitudes and stopping at the last nonzero one.
-        levels = _hermite_levels(top + 1, xi, seed)
-        contracted = amps[0] * next(levels)
-        for n, level in enumerate(levels, start=1):
-            if amps[n] != 0.0:
-                contracted = contracted + amps[n] * level
-        source = contracted * (w[None, :] * seed)
-        # Project onto every level; the seed is already folded into source.
-        for n, level in enumerate(_hermite_levels(dim, xi, 1.0)):
-            out[sl, n] = pref * (level * source).sum(axis=1)
+        for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
+            out[sl, n] = row @ source
     return out
 
 
@@ -339,7 +330,7 @@ def completeness_required_span(model: MeasurementModel) -> float:
 
 
 def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
-    """Yield the grid's nodes and square-root weights, _AUDIT_CHUNK_ELEMENTS / dim^2 outcomes at a time.
+    """Yield the grid's nodes and weights, _AUDIT_CHUNK_ELEMENTS / dim^2 outcomes at a time.
 
     Raises GridTooNarrowError, before the first chunk, when the grid does not
     cover 6 sigma of every trusted level's outcome distribution.
@@ -352,27 +343,24 @@ def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
         )
     chunk = max(1, _AUDIT_CHUNK_ELEMENTS // model.dim**2)
     for start in range(0, grid.count, chunk):
-        yield grid.nodes[start : start + chunk], np.sqrt(grid.weights[start : start + chunk])
+        yield grid.nodes[start : start + chunk], grid.weights[start : start + chunk]
 
 
 def completeness_defect(model: MeasurementModel, grid: QuadratureGrid) -> float:
     """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
     Uses the exact squared kernel, so the only error sources are the grid
-    (span and spacing) and the wavefunction tails of each level.  P(x_b)^2 is
-    c G_b G_b^T, so the integral is c F F^T with F the squared-kernel factor
-    tables scaled by sqrt(w_b) and laid side by side as (dim, chunk * dim):
-    one GEMM per chunk of outcomes, and no (grid.count, dim, dim) stack.
+    (span and spacing) and the wavefunction tails of each level.  The
+    integral is sum_b w_b P(x_b)^2, accumulated row by row from the ladder
+    rows of a chunk of outcomes, so no (grid.count, dim, dim) stack is built.
     Raises GridTooNarrowError when the grid does not cover 6 sigma of every
     trusted level's outcome distribution.
     """
     dim = model.dim
     total = np.zeros((dim, dim))
-    for nodes, root in _audit_chunks(model, grid):
-        rows, pref = _closed_form_factors(model, nodes, squared=True)
-        rows *= root[None, :, None]
-        factor = rows.reshape(dim, -1)
-        total += pref * (factor @ factor.T)
+    for nodes, weights in _audit_chunks(model, grid):
+        for n, row in enumerate(_kernel_rows(model, nodes, dim, squared=True)):
+            total[n] += weights @ row
     t = trusted_levels(dim)
     return float(np.max(np.abs(total[:t, :t] - np.eye(t))))
 
@@ -391,9 +379,9 @@ def truncated_square_defect(model: MeasurementModel, grid: QuadratureGrid) -> tu
     """
     dim = model.dim
     total = np.zeros((dim, dim))
-    for nodes, root in _audit_chunks(model, grid):
+    for nodes, weights in _audit_chunks(model, grid):
         ops = operator_batch(model, nodes)
-        ops *= root[:, None, None]
+        ops *= np.sqrt(weights)[:, None, None]
         stacked = ops.reshape(-1, dim)
         total += stacked.T @ stacked
     deviation = np.abs(total - np.eye(dim))

@@ -60,8 +60,8 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, wavefunction_table
-from .measurement import MeasurementModel, _exact_joint, _gh_rule, measurement_amplitudes
+from .fock import FockState, QuadratureGrid, _gh_rule, wavefunction_table
+from .measurement import MeasurementModel, _exact_joint, measurement_amplitudes
 
 #: Calibration residual above which the setup/kernel comparison is aborted:
 #: a residual this large signals a convention bug, not a tolerance issue.

@@ -10,7 +10,9 @@ evolve are test helpers, not oracles: they expose the circuit's joint output
 state, which the library itself only reads out through the homodyne.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
 completeness_integrals_stacked is the completeness audit's whole-grid
-route, the reference for the library's chunked one.
+route, the reference for the library's chunked one.  kernel_factor_tables is
+the Gauss-Hermite factor-table route the library's kernel used before its
+Fock-ladder recurrence, kept as the reference for that recurrence.
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import eval_hermite
+from scipy.special import eval_hermite, roots_hermite
 
 from baeqnd.fock import FockOperator, FockState
 from baeqnd.measurement import operator_batch
@@ -54,6 +56,35 @@ def kernel_operator_dense(dim: int, delta_x: float, x_m: float, count: int = 400
     kernel = np.exp(-((x - x_m) ** 2) / (4.0 * delta_x**2))
     pref = (2.0 * np.pi * delta_x**2) ** -0.25
     return pref * (table * (kernel * weights)) @ table.T
+
+
+def kernel_factor_tables(model, x_values, squared: bool = False) -> np.ndarray:
+    """Stack of the matrices <n|P(x_b)|m> (or of P(x_b)^2), shape (len(x), dim, dim).
+
+    Completing the square in the position integral leaves the weight
+    exp(-alpha (x - x0)^2), alpha = 2 + kappa, x0 = kappa x_m / alpha, times
+    the constant exp(-2 kappa x_m^2 / alpha), split evenly between the two
+    factors.  psi_n psi_m is then a polynomial of degree n + m < 2 dim, which
+    scipy's dim-node Gauss-Hermite rule integrates exactly, so
+    P(x_b) = c G_b G_b^T with G_b[n, k] = sqrt(w_k) h_n(xi_bk) exp(-kappa x_b^2 / alpha)
+    from the orthonormal Hermite recurrence.  P^2 is the same Gaussian with
+    kappa -> 2 kappa and the squared prefactor.  The levels overflow near
+    dim 600, so keep dim in the low hundreds.
+    """
+    dim = model.dim
+    kappa = (2.0 if squared else 1.0) / (4.0 * model.delta_x**2)
+    alpha = 2.0 + kappa
+    u, w = roots_hermite(dim)
+    x = np.atleast_1d(np.asarray(x_values, dtype=float))
+    xi = np.sqrt(2.0) * (kappa * x[:, None] / alpha + u[None, :] / np.sqrt(alpha))
+    levels = np.empty((dim,) + xi.shape)
+    levels[0] = np.pi**-0.25 * np.exp(-kappa * x**2 / alpha)[:, None]
+    levels[1] = np.sqrt(2.0) * xi * levels[0]
+    for n in range(1, dim - 1):
+        levels[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * levels[n] - np.sqrt(n / (n + 1.0)) * levels[n - 1]
+    levels *= np.sqrt(w)
+    norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
+    return norm * np.sqrt(2.0 / alpha) * np.einsum("nbk,mbk->bnm", levels, levels)
 
 
 def vacuum_diag_element(delta_x: float) -> float:

@@ -99,6 +99,15 @@ class TestJumpSweep:
         assert not out.exists()
         assert "--dim 48" in capsys.readouterr().err
 
+    def test_dim_past_the_outcome_rule_is_config_error(self, tmp_path, capsys):
+        # dim 1500 needs a 1502-node rule; the rule ends at 1400 nodes, which
+        # used to surface as an unexplained grid-validation error.
+        out = tmp_path / "sweep.json"
+        code = main(["jump-sweep", "--delta-x", "1", "--dim", "1500", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "1400-node limit" in capsys.readouterr().err
+
 
 class TestCorrelation:
     def test_exact_only_when_shots_omitted(self, tmp_path):

@@ -232,6 +232,17 @@ class TestExactOutcomeRule:
         value = jump_probability(FockState.vacuum(400), MeasurementModel(1.0, 400))
         assert value == pytest.approx(jump_probability_exact(1.0), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("dim", [600, 1000])
+    @pytest.mark.parametrize("dx, correlation", [(1.0, 0.140625), (0.3, 0.2986111111111111)])
+    def test_wide_truncation_matches_closed_form(self, dim, dx, correlation):
+        # The Hermite-table kernel overflowed from dim ~600 on; the correlation
+        # values are those of dim 400, where it still held.
+        vac = FockState.vacuum(dim)
+        model = MeasurementModel(dx, dim)
+        closed = 1.0 - np.sqrt(8.0 * dx**2 / (8.0 * dx**2 + 1.0))
+        assert jump_probability(vac, model) == pytest.approx(closed, rel=1e-12, abs=0)
+        assert measured_correlation(vac, model) == pytest.approx(correlation, rel=1e-12, abs=0)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(dx=st.floats(0.15, 20.0), dim=st.sampled_from([8, 16, 32, 64]),
            kind=st.sampled_from(["vacuum", "one-photon", "levels-0-2"]),
@@ -253,7 +264,8 @@ class TestExactOutcomeRule:
         wider = lambda s, m: rule(s, MeasurementModel(m.delta_x, 2 * m.dim))
         with mock.patch.object(measurement, "_outcome_rule", wider):
             assert measurement._outcome_rule(state, model).count == rule(state, model).count + dim
-            again = exact_report(state, model)
+            # A fresh model: the first one keeps its checked joint on the narrower rule.
+            again = exact_report(state, MeasurementModel(dx, dim))
         for field in ("jump_probability", "exact_c_integral"):
             assert getattr(value, field) == pytest.approx(getattr(again, field), rel=1e-12, abs=1e-15)
 

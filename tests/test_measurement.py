@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from baeqnd.errors import (
@@ -12,11 +14,12 @@ from baeqnd.errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, trusted_levels
+from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, make_grid, trusted_levels
 from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
-    _gh_rule,
+    _exact_joint,
+    _outcome_rule,
     asymptotic_p1,
     completeness_defect,
     completeness_required_span,
@@ -32,6 +35,7 @@ from oracles import (
     completeness_integrals_stacked,
     fidelity,
     kernel_element_quad,
+    kernel_factor_tables,
     kernel_operator_dense,
     p1_asymptotic,
     p1_exact,
@@ -60,6 +64,17 @@ class TestGaussHermiteRule:
         np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-12)
         kept = ref_w > 1e-250
         np.testing.assert_allclose(w[kept], ref_w[kept], rtol=1e-11, atol=0)
+
+    def test_largest_rule_is_finite_and_larger_ones_are_refused(self):
+        # Past the limit the outermost levels leave double precision and the
+        # rule turns NaN, which used to surface as a grid-validation error.
+        u, w, factored = _gh_rule(MAX_RULE_NODES)
+        assert np.all(np.isfinite(u)) and np.all(factored > 0.0) and np.all(np.isfinite(factored))
+        assert np.sum(w) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+        with pytest.raises(OutOfRangeError, match="1400-node limit"):
+            _gh_rule(MAX_RULE_NODES + 1)
+        with pytest.raises(OutOfRangeError, match="1400-node limit"):
+            outcome_density(FockState.vacuum(1500), MeasurementModel(1.0, 1500), 0.0)
 
 
 class TestMeasurementOperator:
@@ -133,6 +148,44 @@ class TestMeasurementAmplitudes:
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
+class TestLadderKernel:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.05, 20.0), dim=st.sampled_from([8, 16, 32, 64, 128]),
+           top=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_matches_factor_tables(self, dx, dim, top, seed):
+        # Outcomes reach the outermost node of the exact outcome rule.
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
+        state = FockState(amps).normalize()
+        model = MeasurementModel(dx, dim)
+        edge = _outcome_rule(state, model).span
+        x = np.concatenate([rng.uniform(-edge, edge, 5), [0.0, -edge, edge]])
+        for squared in (False, True):
+            np.testing.assert_allclose(operator_batch(model, x, squared),
+                                       kernel_factor_tables(model, x, squared), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(measurement_amplitudes(state, model, x),
+                                   kernel_factor_tables(model, x) @ state.amplitudes,
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dx", [0.3, 1.0, 10.0])
+    def test_underflowing_corner_at_the_outer_rule_nodes(self, dx):
+        # P[0, 0] = N sqrt(2/(2+k)) exp(-2 k x^2/(2+k)) underflows at the
+        # outermost nodes of the dim-1000 rule, which zeroes the whole row
+        # there; the closed-form vacuum density at those nodes is below double
+        # range too, and everywhere else the kernel matches it.
+        model = MeasurementModel(dx, 1000)
+        vac = FockState.vacuum(1000)
+        nodes = _outcome_rule(vac, model).nodes
+        kappa = model.kappa
+        lost = np.exp(-2.0 * kappa * nodes**2 / (2.0 + kappa)) == 0.0
+        assert lost[[0, -1]].all() and not lost.all()
+        density = np.sum(np.abs(measurement_amplitudes(vac, model, nodes)) ** 2, axis=1)
+        assert np.all(density[lost] == 0.0)
+        assert np.all(vacuum_density(dx, nodes[lost]) < 1e-300)
+        np.testing.assert_allclose(density, vacuum_density(dx, nodes), rtol=1e-12, atol=1e-300)
+
+
 class TestOutcomeDensity:
     def test_vacuum_gaussian_value(self):
         # Convolution of N(0, 1/4) with N(0, 1): density 1/sqrt(2 pi 1.25) at 0.
@@ -164,6 +217,11 @@ class TestOutcomeDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             outcome_density(FockState.vacuum(8), MeasurementModel(1.0, 16), 0.0)
+
+    def test_finite_at_extreme_outcome_of_wide_truncation(self):
+        # The Hermite route overflowed here and returned NaN.
+        value = outcome_density(FockState.vacuum(600), MeasurementModel(1.0, 600), 51.0)
+        assert np.isfinite(value) and value < 1e-300
 
     def test_kernel_leak_raises(self):
         # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31: the
@@ -204,6 +262,36 @@ class TestConditionalState:
     def test_kernel_leak_raises(self):
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
             conditional_state(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
+
+
+class TestLeakGuardCache:
+    def test_guard_raises_on_every_call(self):
+        # The model keeps the checked joint of its last passing state; a
+        # failing pair is never kept, so it fails again on every call.
+        vac = FockState.vacuum(32)
+        leaky = MeasurementModel(0.05, 32)
+        for _ in range(2):
+            with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
+                outcome_density(vac, leaky, 0.0)
+            with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
+                conditional_state(FockState.vacuum(32), leaky, 0.0)
+
+    def test_passing_state_does_not_cover_a_leaking_one(self):
+        # At dx 0.2, dim 48 the vacuum leaks 2.6e-7 and level 40 leaks 0.23.
+        model = MeasurementModel(0.2, 48)
+        assert outcome_density(FockState.vacuum(48), model, 0.0) > 0.0
+        with pytest.raises(TruncationOverflowError, match="leaks mass 2.3"):
+            outcome_density(FockState.number(48, 40), model, 0.0)
+
+    def test_reused_for_equal_states_and_read_only(self):
+        model = MeasurementModel(10.0, 32)
+        rule, joint = _exact_joint(FockState.vacuum(32), model)
+        again = _exact_joint(FockState.vacuum(32), model)
+        assert again[0] is rule and again[1] is joint
+        assert not joint.flags.writeable and not rule.nodes.flags.writeable
+        assert _exact_joint(FockState.number(32, 1), model)[1] is not joint
+        # The cache is no part of the model's value.
+        assert model == MeasurementModel(10.0, 32) and "_checked" not in repr(model)
 
 
 class TestJointPhotonDensity:
