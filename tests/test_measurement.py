@@ -18,7 +18,6 @@ from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, make_grid, trusted_
 from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
-    _exact_joint,
     _outcome_rule,
     asymptotic_p1,
     completeness_defect,
@@ -171,9 +170,8 @@ class TestLadderKernel:
     @pytest.mark.parametrize("dx", [0.3, 1.0, 10.0])
     def test_underflowing_corner_at_the_outer_rule_nodes(self, dx):
         # P[0, 0] = N sqrt(2/(2+k)) exp(-2 k x^2/(2+k)) underflows at the
-        # outermost nodes of the dim-1000 rule, which zeroes the whole row
-        # there; the closed-form vacuum density at those nodes is below double
-        # range too, and everywhere else the kernel matches it.
+        # outermost nodes of the dim-1000 rule; the vacuum density there is
+        # below double range too, and at every node the kernel matches it.
         model = MeasurementModel(dx, 1000)
         vac = FockState.vacuum(1000)
         nodes = _outcome_rule(vac, model).nodes
@@ -181,9 +179,25 @@ class TestLadderKernel:
         lost = np.exp(-2.0 * kappa * nodes**2 / (2.0 + kappa)) == 0.0
         assert lost[[0, -1]].all() and not lost.all()
         density = np.sum(np.abs(measurement_amplitudes(vac, model, nodes)) ** 2, axis=1)
-        assert np.all(density[lost] == 0.0)
         assert np.all(vacuum_density(dx, nodes[lost]) < 1e-300)
         np.testing.assert_allclose(density, vacuum_density(dx, nodes), rtol=1e-12, atol=1e-300)
+
+    def test_high_level_state_where_the_corner_underflows(self):
+        # Level 400 has its turning point at x ~ 20, where the rows are of
+        # order 0.1 but P[0, 0] is below double range from |x| ~ 19.5 at
+        # dx 0.05; the rows must not be lost with it.
+        model = MeasurementModel(0.05, 450)
+        state = FockState.number(450, 400)
+        x = np.array([0.0, 15.0, 19.4, 19.8, -20.0, 20.5, 23.0])
+        lost = np.exp(-2.0 * model.kappa * x**2 / (2.0 + model.kappa)) == 0.0
+        assert lost.sum() >= 3
+        reference = kernel_factor_tables(model, x)
+        np.testing.assert_allclose(operator_batch(model, x), reference, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(operator_batch(model, x, squared=True),
+                                   kernel_factor_tables(model, x, squared=True), rtol=0, atol=1e-13)
+        amps = measurement_amplitudes(state, model, x)
+        assert np.max(np.abs(amps[lost])) > 1e-2
+        np.testing.assert_allclose(amps, reference @ state.amplitudes, rtol=0, atol=1e-13)
 
 
 class TestOutcomeDensity:
@@ -262,36 +276,6 @@ class TestConditionalState:
     def test_kernel_leak_raises(self):
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
             conditional_state(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
-
-
-class TestLeakGuardCache:
-    def test_guard_raises_on_every_call(self):
-        # The model keeps the checked joint of its last passing state; a
-        # failing pair is never kept, so it fails again on every call.
-        vac = FockState.vacuum(32)
-        leaky = MeasurementModel(0.05, 32)
-        for _ in range(2):
-            with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
-                outcome_density(vac, leaky, 0.0)
-            with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
-                conditional_state(FockState.vacuum(32), leaky, 0.0)
-
-    def test_passing_state_does_not_cover_a_leaking_one(self):
-        # At dx 0.2, dim 48 the vacuum leaks 2.6e-7 and level 40 leaks 0.23.
-        model = MeasurementModel(0.2, 48)
-        assert outcome_density(FockState.vacuum(48), model, 0.0) > 0.0
-        with pytest.raises(TruncationOverflowError, match="leaks mass 2.3"):
-            outcome_density(FockState.number(48, 40), model, 0.0)
-
-    def test_reused_for_equal_states_and_read_only(self):
-        model = MeasurementModel(10.0, 32)
-        rule, joint = _exact_joint(FockState.vacuum(32), model)
-        again = _exact_joint(FockState.vacuum(32), model)
-        assert again[0] is rule and again[1] is joint
-        assert not joint.flags.writeable and not rule.nodes.flags.writeable
-        assert _exact_joint(FockState.number(32, 1), model)[1] is not joint
-        # The cache is no part of the model's value.
-        assert model == MeasurementModel(10.0, 32) and "_checked" not in repr(model)
 
 
 class TestJointPhotonDensity:
