@@ -105,9 +105,11 @@ def _compact_json(obj) -> str:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    # JSON null (a setup-check row that overflowed) is an empty cell.
+    if type(value) is float:
+        # The shortest round-trip text, the token json writes for the value.
+        return repr(value)
+    # JSON null (a setup-check row that overflowed) is an empty cell; a numpy
+    # scalar's str (not its repr) is its shortest text too.
     return "" if value is None else str(value)
 
 
@@ -256,18 +258,20 @@ def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
     if args.dim < 8:
         raise InvalidParameterError(f"povm-check audits dims >= 8, got --dim {args.dim}")
-    required = float(completeness_required_span(MeasurementModel(delta_x, args.dim)))
+    model = MeasurementModel(delta_x, args.dim)
+    required = float(completeness_required_span(model))
     # Every audited dim is integrated on the one grid that meta.config records.
     grid = _resolve_grid(args, required)
-    rows = []
     dims = sorted({d for d in (args.dim - 16, args.dim - 8, args.dim) if d >= 8})
-    for dim in dims:
-        model = MeasurementModel(delta_x, dim)
-        # Exact-kernel defect is the audit; the truncated-square pair shows
-        # that what truncation breaks stays localized at the top levels.
-        defect = completeness_defect(model, grid)
-        trusted, full = truncated_square_defect(model, grid)
-        rows.append([int(dim), int(dim - dim // 4), defect, trusted, full])
+    # Exact-kernel defect is the audit; the truncated-square pair shows that
+    # what truncation breaks stays localized at the top levels.  Each makes
+    # one ladder pass at --dim and reads the smaller dims as leading blocks.
+    defects = completeness_defect(model, grid, dims)
+    squares = truncated_square_defect(model, grid, dims)
+    rows = [
+        [dim, dim - dim // 4, defect, trusted, full]
+        for dim, defect, (trusted, full) in zip(dims, defects, squares)
+    ]
     return {
         "table": {
             "columns": [

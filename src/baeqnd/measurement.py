@@ -28,11 +28,13 @@ prefactor.
 There are two routes through the recurrence.  operator_batch fills whole rows
 of P(x) (or of P(x)^2) for a batch of outcomes; the completeness audits read
 the same rows a chunk of outcomes at a time (sum_b w_b P(x_b)^2 row by row,
-Q^T Q of the stacked P matrices), so no (grid count, dim, dim) stack is ever
-built.  measurement_amplitudes gives <n|P(x)|state> without forming a
-matrix: it runs the recurrence on the columns 0..top only, top the state's
-last nonzero level, and contracts them with the state, at cost
-O(count dim (top + 1)).  Densities, conditional states, the density table,
+and sum_n q_n^T q_n over the weighted rows q_n for the squared truncated
+matrix), so no (grid count, dim, dim) stack is ever built.  The rows do not
+depend on the truncation, so one pass at the largest audited dim gives every
+smaller dim's integrals as leading blocks.  measurement_amplitudes gives
+<n|P(x)|state> without forming a matrix: it runs the recurrence on the
+columns 0..top only, top the state's last nonzero level, and contracts them
+with the state, at cost O(count dim (top + 1)).  Densities, conditional states, the density table,
 the sampler and the jump integrals all read it.
 
 The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
@@ -75,9 +77,9 @@ DEFAULT_N_MAX = 4
 
 _CHUNK_ELEMENTS = 4_000_000
 
-#: Kernel-matrix entries per chunk of the completeness audits (2 MiB, about a
-#: core's L2 cache), so their memory does not grow with the grid.
-_AUDIT_CHUNK_ELEMENTS = 1 << 18
+#: Ladder-row entries per chunk of the completeness audits (256 KiB), so their
+#: memory does not grow with the grid.
+_AUDIT_CHUNK_ELEMENTS = 1 << 15
 
 #: Kernel rows start at or above about 2**-_SEED_EXPONENT, still normal for
 #: any prefactor, and are rescaled before a bound on them passes
@@ -250,9 +252,11 @@ def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bo
     kappa = 2.0 * model.kappa if squared else model.kappa
     norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
     gauss = 2.0 * kappa * x * x / (2.0 + kappa)
-    lift = np.ceil(np.clip(gauss / _LN2 - _SEED_EXPONENT, 0.0, 2.0**52))
+    lift = np.ceil(np.clip(gauss / _LN2 - _SEED_EXPONENT, 0.0, 2.0**30))
     corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(lift * _LN2 - gauss)
-    exponent = -lift.astype(np.int64)
+    # int32, not int64: numpy's ldexp loop is about 15 times faster for it.
+    # Past a lift of 2**30 every row is 0 anyway.
+    exponent = -lift.astype(np.int32)
     column = _ladder(kappa, x, corner[:, None], exponent)
     parts, units = [], []
     for _ in range(width):
@@ -362,11 +366,28 @@ def completeness_required_span(model: MeasurementModel) -> float:
     return 6.0 * np.sqrt(model.delta_x**2 + model.dim)
 
 
-def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
-    """Yield the grid's nodes and weights, _AUDIT_CHUNK_ELEMENTS / dim^2 outcomes at a time.
+def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementModel]:
+    """The audited dims (default model.dim alone) and the model at the largest of them.
 
-    Raises GridTooNarrowError, before the first chunk, when the grid does not
-    cover 6 sigma of every trusted level's outcome distribution.
+    Raises InvalidParameterError for an empty list or a dim outside 2..model.dim.
+    """
+    dims = [model.dim] if dims is None else list(dims)
+    if not dims:
+        raise InvalidParameterError("no dim to audit")
+    for d in dims:
+        if not isinstance(d, (int, np.integer)) or not 2 <= d <= model.dim:
+            raise InvalidParameterError(f"audited dim {d!r} outside 2..{model.dim}")
+    dims = [int(d) for d in dims]
+    return dims, MeasurementModel(model.delta_x, max(dims))
+
+
+def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
+    """Yield the grid's nodes and weights in chunks of _AUDIT_CHUNK_ELEMENTS / dim outcomes.
+
+    A chunk's ladder row (outcomes x dim) then holds about _AUDIT_CHUNK_ELEMENTS
+    entries, so every ladder step is one vector operation over many outcomes
+    at any dim.  Raises GridTooNarrowError, before the first chunk, when the
+    grid does not cover 6 sigma of every trusted level's outcome distribution.
     """
     required = completeness_required_span(model)
     if grid.span < required:
@@ -374,52 +395,70 @@ def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
             f"grid span {grid.span:.3g} < required {required:.3g} "
             f"(use span >= 6*sqrt(delta_x^2 + dim))"
         )
-    chunk = max(1, _AUDIT_CHUNK_ELEMENTS // model.dim**2)
+    chunk = max(1, _AUDIT_CHUNK_ELEMENTS // model.dim)
     for start in range(0, grid.count, chunk):
         yield grid.nodes[start : start + chunk], grid.weights[start : start + chunk]
 
 
-def completeness_defect(model: MeasurementModel, grid: QuadratureGrid) -> float:
+def _deviation(block: np.ndarray, levels: int) -> float:
+    """Max-entry deviation of block[:levels, :levels] from the identity."""
+    return float(np.max(np.abs(block[:levels, :levels] - np.eye(levels))))
+
+
+def completeness_defect(
+    model: MeasurementModel, grid: QuadratureGrid, dims=None
+) -> tuple[float, ...]:
     """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
-    Uses the exact squared kernel, so the only error sources are the grid
-    (span and spacing) and the wavefunction tails of each level.  The
+    One value per audited dim in dims (default model.dim alone), each at most
+    model.dim.  Uses the exact squared kernel, so the only error sources are
+    the grid (span and spacing) and the wavefunction tails of each level.  The
     integral is sum_b w_b P(x_b)^2, accumulated row by row from the ladder
     rows of a chunk of outcomes, so no (grid.count, dim, dim) stack is built.
+    The ladder rows are exact matrix elements of the untruncated operator, so
+    one pass at the largest audited dim serves all of them: a smaller dim's
+    integral is the leading block of the largest one's.
     Raises GridTooNarrowError when the grid does not cover 6 sigma of every
-    trusted level's outcome distribution.
+    trusted level's outcome distribution at the largest audited dim.
     """
-    dim = model.dim
-    total = np.zeros((dim, dim))
-    for nodes, weights in _audit_chunks(model, grid):
-        for n, row in enumerate(_kernel_rows(model, nodes, dim, squared=True)):
+    dims, top = _audit_dims(model, dims)
+    total = np.zeros((top.dim, top.dim))
+    for nodes, weights in _audit_chunks(top, grid):
+        for n, row in enumerate(_kernel_rows(top, nodes, top.dim, squared=True)):
             total[n] += weights @ row
-    t = trusted_levels(dim)
-    return float(np.max(np.abs(total[:t, :t] - np.eye(t))))
+    return tuple(_deviation(total, trusted_levels(d)) for d in dims)
 
 
-def truncated_square_defect(model: MeasurementModel, grid: QuadratureGrid) -> tuple[float, float]:
+def truncated_square_defect(
+    model: MeasurementModel, grid: QuadratureGrid, dims=None
+) -> tuple[tuple[float, float], ...]:
     """Completeness defects (trusted, full) when the truncated operator matrix is squared.
 
-    Squaring the truncated matrix drops the contributions routed through
-    levels above the truncation, so this defect concentrates at the
+    One pair per audited dim in dims (default model.dim alone), each at most
+    model.dim.  Squaring the truncated matrix drops the contributions routed
+    through levels above the truncation, so this defect concentrates at the
     truncation edge: large on the full space (the second value), small on the
-    trusted subspace (the first) at moderate resolution.  Both come from one
-    integral: the operator_batch matrices of a chunk of outcomes, scaled by
-    sqrt(w_b) and stacked as Q of shape (chunk * dim, dim), give
-    Q^T Q = sum_b w_b P_b P_b because every P_b is symmetric.
+    trusted subspace (the first) at moderate resolution.  With q_n the ladder
+    row P[n, :] of a chunk of outcomes scaled by sqrt(w_b), the truncated
+    square at dim d integrates to sum_{n < d} q_n^T q_n restricted to its
+    leading d x d block, because every P_b is symmetric.  One ladder pass at
+    the largest audited dim sums the rows between consecutive audited dims
+    into one part each; a dim's integral is the sum of the parts up to it.
     Raises GridTooNarrowError like completeness_defect.
     """
-    dim = model.dim
-    total = np.zeros((dim, dim))
-    for nodes, weights in _audit_chunks(model, grid):
-        ops = operator_batch(model, nodes)
-        ops *= np.sqrt(weights)[:, None, None]
-        stacked = ops.reshape(-1, dim)
-        total += stacked.T @ stacked
-    deviation = np.abs(total - np.eye(dim))
-    t = trusted_levels(dim)
-    return float(np.max(deviation[:t, :t])), float(np.max(deviation))
+    dims, top = _audit_dims(model, dims)
+    ends = sorted(set(dims))
+    part_of_row = np.searchsorted(ends, np.arange(top.dim), side="right")
+    parts = np.zeros((len(ends), top.dim, top.dim))
+    for nodes, weights in _audit_chunks(top, grid):
+        root = np.sqrt(weights)[:, None]
+        for n, row in enumerate(_kernel_rows(top, nodes, top.dim)):
+            q = root * row
+            parts[part_of_row[n]] += q.T @ q
+    totals = dict(zip(ends, np.cumsum(parts, axis=0)))
+    return tuple(
+        (_deviation(totals[d], trusted_levels(d)), _deviation(totals[d], d)) for d in dims
+    )
 
 
 def outcome_density_table(

@@ -56,7 +56,7 @@ def test_criterion_1_povm_completeness():
             for delta_x in (0.5, 1.0, 2.0, 5.0, 10.0):
                 model = MeasurementModel(delta_x, dim)
                 grid = make_grid(completeness_required_span(model), 2001)
-                defect = completeness_defect(model, grid)
+                (defect,) = completeness_defect(model, grid)
                 assert defect < 1e-8, (dim, delta_x, defect)
 
 

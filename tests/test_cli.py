@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from baeqnd import __version__, measurement
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,8 +63,18 @@ class TestDistribution:
             json_vals = [row[i] for row in table["rows"]]
             csv_vals = [float(v) for v in csv_cols[name]]
             np.testing.assert_array_equal(json_vals, csv_vals)
+            # Each cell is the shortest round-trip text, the JSON number token.
+            assert csv_cols[name] == [json.dumps(v) for v in json_vals]
         sidecar = read_envelope(Path(str(csv_out) + ".meta.json"))
         assert sidecar["checksum"] == read_envelope(json_out)["checksum"]
+
+    def test_meta_version_is_the_package_version(self, tmp_path):
+        out = tmp_path / "dist.json"
+        assert main(["distribution", "--delta-x", "2", "--dim", "8", "--grid-count", "11",
+                     "--out", str(out)]) == EXIT_OK
+        assert read_envelope(out)["meta"]["version"] == __version__
+        pyproject = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__
 
     def test_requires_delta_x(self, tmp_path, capsys):
         code = main(["distribution", "--out", str(tmp_path / "x.json")])
@@ -179,6 +191,27 @@ class TestPovmCheck:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert "--dim" in capsys.readouterr().err
+
+    def test_one_ladder_per_chunk_and_integral(self, tmp_path, monkeypatch):
+        # Each integral runs the ladder once per chunk of the grid at --dim,
+        # however many dims it audits; a chunk holds _AUDIT_CHUNK_ELEMENTS
+        # ladder-row entries, so at dim 400 it is many outcomes, not one.
+        started = {True: 0, False: 0}
+        kernel_rows = measurement._kernel_rows
+
+        def spy(model, x, width, squared=False):
+            assert model.dim == width == 400
+            started[squared] += 1
+            return kernel_rows(model, x, width, squared)
+
+        monkeypatch.setattr(measurement, "_kernel_rows", spy)
+        out = tmp_path / "povm.json"
+        assert main(["povm-check", "--delta-x", "0.05", "--dim", "400", "--grid-count", "201",
+                     "--out", str(out)]) == EXIT_OK
+        assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == [384, 392, 400]
+        bound = math.ceil(201 * 400 / measurement._AUDIT_CHUNK_ELEMENTS)
+        assert 1 <= started[True] <= bound
+        assert 1 <= started[False] <= bound
 
     def test_narrow_grid_distinct_exit_code(self, tmp_path, capsys):
         code = main(["povm-check", "--delta-x", "1", "--dim", "16",

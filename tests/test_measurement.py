@@ -361,13 +361,23 @@ class TestAsymptoticP1:
             asymptotic_p1(-1.0, 0.0)
 
 
+def _stacked_defects(model, grid) -> list[float]:
+    """(defect, truncated-square trusted, truncated-square full) from the whole-grid stacks."""
+    exact, truncated = completeness_integrals_stacked(model, grid)
+    t = trusted_levels(model.dim)
+    exact_dev = np.abs(exact - np.eye(model.dim))
+    truncated_dev = np.abs(truncated - np.eye(model.dim))
+    return [exact_dev[:t, :t].max(), truncated_dev[:t, :t].max(), truncated_dev.max()]
+
+
 class TestCompleteness:
     @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("dim", [16, 32])
     def test_defect_small(self, dx, dim):
         model = MeasurementModel(dx, dim)
         grid = make_grid(completeness_required_span(model), 2001)
-        assert completeness_defect(model, grid) < 1e-8
+        (defect,) = completeness_defect(model, grid)
+        assert defect < 1e-8
 
     def test_narrow_grid_rejected(self):
         model = MeasurementModel(1.0, 16)
@@ -389,7 +399,7 @@ class TestCompleteness:
         # the loss stays there instead of leaking into the trusted block.
         model = MeasurementModel(2.0, 24)
         grid = make_grid(completeness_required_span(model), 2001)
-        trusted, full = truncated_square_defect(model, grid)
+        ((trusted, full),) = truncated_square_defect(model, grid)
         assert trusted < 1e-3
         assert full > 0.1
 
@@ -401,13 +411,59 @@ class TestCompleteness:
     def test_matches_whole_grid_operator_stacks(self, dx, dim):
         model = MeasurementModel(dx, dim)
         grid = make_grid(completeness_required_span(model), 2001)
-        exact, truncated = completeness_integrals_stacked(model, grid)
-        t = trusted_levels(dim)
-        exact_dev = np.abs(exact - np.eye(dim))
-        truncated_dev = np.abs(truncated - np.eye(dim))
-        expected = [exact_dev[:t, :t].max(), truncated_dev[:t, :t].max(), truncated_dev.max()]
-        got = [completeness_defect(model, grid), *truncated_square_defect(model, grid)]
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        got = [*completeness_defect(model, grid), *truncated_square_defect(model, grid)[0]]
+        np.testing.assert_allclose(got, _stacked_defects(model, grid), rtol=0, atol=1e-13)
+
+
+class TestAuditLeadingBlocks:
+    # The coarse grids leave a defect that differs from dim to dim.
+    @pytest.mark.parametrize("dx, dims, count", [
+        (1.0, (8, 16, 24), 61),
+        (1.0, (48, 56, 64), 1001),
+        # 2 kappa x^2 / (2 + kappa) passes 745 at the grid edge, so the ladder
+        # carries those outcomes' rows in their own power-of-two units.
+        (0.1, (48, 56, 64), 401),
+    ])
+    def test_one_pass_matches_each_dim_on_its_own(self, dx, dims, count):
+        model = MeasurementModel(dx, max(dims))
+        grid = make_grid(completeness_required_span(model), count)
+        defects = completeness_defect(model, grid, dims)
+        squares = truncated_square_defect(model, grid, dims)
+        assert len(defects) == len(squares) == len(dims)
+        for dim, defect, (trusted, full) in zip(dims, defects, squares):
+            expected = _stacked_defects(MeasurementModel(dx, dim), grid)
+            np.testing.assert_allclose([defect, trusted, full], expected, rtol=0, atol=1e-13)
+
+    def test_ladder_rescales_at_the_grid_edge(self):
+        model = MeasurementModel(0.1, 64)
+        edge = completeness_required_span(model)
+        kappa = model.kappa
+        assert 2.0 * kappa * edge**2 / (2.0 + kappa) > 745.0
+
+    def test_values_follow_the_order_of_dims(self):
+        model = MeasurementModel(2.0, 24)
+        grid = make_grid(completeness_required_span(model), 401)
+        forward = completeness_defect(model, grid, (8, 16, 24))
+        backward = completeness_defect(model, grid, (24, 8, 16, 8))
+        assert backward == (forward[2], forward[0], forward[1], forward[0])
+        forward = truncated_square_defect(model, grid, (8, 16, 24))
+        backward = truncated_square_defect(model, grid, (24, 8, 16, 8))
+        assert backward == (forward[2], forward[0], forward[1], forward[0])
+
+    @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
+    @pytest.mark.parametrize("dims", [(8, 17), (1,), (0, 8), (), (8.0,)])
+    def test_dims_outside_the_model_rejected(self, audit, dims):
+        model = MeasurementModel(1.0, 16)
+        grid = make_grid(completeness_required_span(model), 101)
+        with pytest.raises(InvalidParameterError):
+            audit(model, grid, dims)
+
+    def test_grid_checked_against_the_largest_audited_dim(self):
+        model = MeasurementModel(1.0, 64)
+        grid = make_grid(completeness_required_span(MeasurementModel(1.0, 24)), 401)
+        completeness_defect(model, grid, (8, 24))
+        with pytest.raises(GridTooNarrowError):
+            completeness_defect(model, grid, (8, 25))
 
 
 class TestAuditMemory:
