@@ -21,11 +21,13 @@ shot table is byte-identical no matter how many workers execute the shards.
 run_experiment is the only sampler.  It evaluates the measurement kernel once
 per (state, model): the joint table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT
 nodes x_i.  Its row sums give the outcome CDF, which is inverted by linear
-interpolation to draw x_m; the shot's photon probabilities are the same linear
-interpolation between the two table rows around x_m, so each shot costs
-O(dim) and no kernel call.  Over dx 0.1-20, dim 8-96 and vacuum or one-photon
-inputs the interpolated conditional photon CDF stays within 2e-5 of the exact
-one at x_m.
+interpolation to draw x_m.  The table is then kept as its cumulative sum over
+the photon number, and the shot's photon CDF is the same linear interpolation
+between the two cumulative rows around x_m.  The photon number is the first
+level whose interpolated CDF reaches the shot's uniform, found by bisection
+over the levels, so each shot costs O(log dim) and no kernel call.  Over dx
+0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated conditional
+photon CDF stays within 2e-5 of the exact one at x_m.
 
 The deterministic integrals (jump probability, correlation integral and the
 captured mass behind the truncation guard) take no grid.  Each joint density
@@ -126,7 +128,11 @@ def sampling_span(state: FockState, model: MeasurementModel) -> float:
 
 
 def _sampling_table(state: FockState, model: MeasurementModel):
-    """Sampling nodes xs, the outcome CDF on them and the joint table |<n|P(xs)|psi>|^2."""
+    """Sampling nodes xs, the outcome CDF on them and the photon CDF table.
+
+    Row i of the photon CDF table is the cumulative sum over n of the joint
+    density |<n|P(xs[i])|psi>|^2, unnormalised.
+    """
     span = sampling_span(state, model)
     xs = np.linspace(-span, span, SAMPLING_GRID_COUNT)
     joint = np.abs(measurement_amplitudes(state, model, xs)) ** 2
@@ -138,32 +144,52 @@ def _sampling_table(state: FockState, model: MeasurementModel):
     # the tilt shifts probability by ~1e-12, far below sampling noise.
     cdf += np.arange(cdf.size) * 1e-16
     cdf /= cdf[-1]
-    return xs, cdf, joint
+    return xs, cdf, np.cumsum(joint, axis=1, out=joint)
 
 
-def _photon_samples(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs, axis=1)
-    totals = cum[:, -1]
+def _photon_draw(cum: np.ndarray, i: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Photon numbers drawn from the photon CDF table, one per shot.
+
+    Shot s reads the CDF F_s(k) = (1 - w_s) cum[i_s, k] + w_s cum[i_s + 1, k]
+    and draws the smallest level k with F_s(k) >= u_s F_s(dim - 1), that is
+    the count of levels with F_s(k) < u_s F_s(dim - 1).  Both rows are
+    nondecreasing and rounding is monotone, so F_s is nondecreasing and the
+    count is found by bisection: a branchless binary search over the levels,
+    about log2(dim) gathers per shot.
+    """
+    dim = cum.shape[1]
+    flat = cum.reshape(-1)
+    below = i * dim
+    above = below + dim
+    keep = 1.0 - w
+
+    def level_cdf(k):
+        return keep * flat[below + k] + w * flat[above + k]
+
+    totals = level_cdf(dim - 1)
     if np.any(totals <= 0.0):
         raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
-    return np.sum(cum < (u * totals)[:, None], axis=1)
+    target = u * totals
+    n = np.zeros(i.shape, dtype=np.int64)
+    # Level dim - 1 holds the total, never below the target, so a probe
+    # clamped to it never advances the count.
+    step = 1 << (dim - 1).bit_length()
+    while step > 1:
+        step >>= 1
+        probe = np.minimum(n + (step - 1), dim - 1)
+        n += step * (level_cdf(probe) < target)
+    return n
 
 
-def _interpolated_rows(xs: np.ndarray, joint: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows of the joint table interpolated linearly to the outcomes x."""
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-    # Rounding in np.interp can leave x an ulp outside its cell: keep 0 <= w <= 1.
-    w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)[:, None]
-    return (1.0 - w) * joint[i] + w * joint[i + 1]
-
-
-def _run_shard(xs, cdf, joint, seed, stream_id, count):
+def _run_shard(xs, cdf, cum, seed, stream_id, count):
     rng = np.random.default_rng([seed, stream_id])
     u_x = rng.random(count)
     x = np.interp(u_x, cdf, xs)
     u_n = rng.random(count)
-    n = _photon_samples(_interpolated_rows(xs, joint, x), u_n)
-    return x, n
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    # Rounding in np.interp can leave x an ulp outside its cell: keep 0 <= w <= 1.
+    w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+    return x, _photon_draw(cum, i, w, u_n)
 
 
 def run_experiment(
@@ -184,11 +210,11 @@ def run_experiment(
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0), ("threads", threads, 1)):
         if not isinstance(value, (int, np.integer)) or value < low:
             raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    xs, cdf, joint = _sampling_table(state, model)
+    xs, cdf, cum = _sampling_table(state, model)
 
     def work(start):
         count = min(SHARD_SIZE, shots - start)
-        return _run_shard(xs, cdf, joint, seed, start // SHARD_SIZE, count)
+        return _run_shard(xs, cdf, cum, seed, start // SHARD_SIZE, count)
 
     starts = range(0, shots, SHARD_SIZE)
     if threads > 1 and len(starts) > 1:

@@ -75,11 +75,10 @@ UNDERFLOW_DENSITY = 1e-300
 #: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
 DEFAULT_N_MAX = 4
 
-_CHUNK_ELEMENTS = 4_000_000
-
-#: Ladder-row entries per chunk of the completeness audits (256 KiB), so their
-#: memory does not grow with the grid.
-_AUDIT_CHUNK_ELEMENTS = 1 << 15
+#: Ladder-row entries per chunk of outcomes (256 KiB), on every route through
+#: the recurrence: a chunk's rows stay in cache however wide they are, and
+#: their memory does not grow with the batch.
+_CHUNK_ELEMENTS = 1 << 15
 
 #: Kernel rows start at or above about 2**-_SEED_EXPONENT, still normal for
 #: any prefactor, and are rescaled before a bound on them passes
@@ -285,7 +284,7 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     """
     x = _check_outcomes(x_values)
     out = np.empty((x.size, model.dim, model.dim))
-    chunk = max(1, _CHUNK_ELEMENTS // (model.dim * model.dim))
+    chunk = max(1, _CHUNK_ELEMENTS // model.dim)
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         for n, row in enumerate(_kernel_rows(model, x[sl], model.dim, squared)):
@@ -305,7 +304,7 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     out = np.empty((x.size, dim), dtype=amps.dtype)
     top = _top_level(amps)
     source = amps[: top + 1]
-    chunk = max(1, _CHUNK_ELEMENTS // dim)
+    chunk = max(1, _CHUNK_ELEMENTS // (top + 1))
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
@@ -382,9 +381,9 @@ def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementMo
 
 
 def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
-    """Yield the grid's nodes and weights in chunks of _AUDIT_CHUNK_ELEMENTS / dim outcomes.
+    """Yield the grid's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
 
-    A chunk's ladder row (outcomes x dim) then holds about _AUDIT_CHUNK_ELEMENTS
+    A chunk's ladder row (outcomes x dim) then holds about _CHUNK_ELEMENTS
     entries, so every ladder step is one vector operation over many outcomes
     at any dim.  Raises GridTooNarrowError, before the first chunk, when the
     grid does not cover 6 sigma of every trusted level's outcome distribution.
@@ -395,7 +394,7 @@ def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
             f"grid span {grid.span:.3g} < required {required:.3g} "
             f"(use span >= 6*sqrt(delta_x^2 + dim))"
         )
-    chunk = max(1, _AUDIT_CHUNK_ELEMENTS // model.dim)
+    chunk = max(1, _CHUNK_ELEMENTS // model.dim)
     for start in range(0, grid.count, chunk):
         yield grid.nodes[start : start + chunk], grid.weights[start : start + chunk]
 

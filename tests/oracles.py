@@ -13,6 +13,9 @@ completeness_integrals_stacked is the completeness audit's whole-grid
 route, the reference for the library's chunked one.  kernel_factor_tables is
 the Gauss-Hermite factor-table route the library's kernel used before its
 Fock-ladder recurrence, kept as the reference for that recurrence.
+photon_draw_interpolated is the O(dim) photon draw the sampler used before
+its bisection on the cumulative table, kept as the reference for that
+bisection.
 """
 
 import math
@@ -23,6 +26,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_hermite, roots_hermite
 
+from baeqnd.errors import DegenerateConditioningError
 from baeqnd.fock import FockOperator, FockState
 from baeqnd.measurement import operator_batch
 
@@ -222,6 +226,22 @@ def completeness_integrals_stacked(model, grid) -> tuple[np.ndarray, np.ndarray]
     ops = operator_batch(model, grid.nodes)
     truncated = np.einsum("bnm,bml,b->nl", ops, ops, grid.weights, optimize=True)
     return exact, truncated
+
+
+def photon_draw_interpolated(joint, i, w, u) -> np.ndarray:
+    """Photon numbers drawn by interpolating the joint table's rows, then counting.
+
+    Shot s takes the row (1 - w_s) joint[i_s] + w_s joint[i_s + 1], its
+    cumulative sum cum, and draws the count of levels with
+    cum_k < u_s cum_(dim-1), one (shots, dim) pass per step.  Raises
+    DegenerateConditioningError when a shot's row sums to zero.
+    """
+    w = np.asarray(w)[:, None]
+    cum = np.cumsum((1.0 - w) * joint[i] + w * joint[i + 1], axis=1)
+    totals = cum[:, -1]
+    if np.any(totals <= 0.0):
+        raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
+    return np.sum(cum < (u * totals)[:, None], axis=1)
 
 
 def fidelity(a: FockState, b: FockState) -> float:

@@ -194,7 +194,7 @@ class TestPovmCheck:
 
     def test_one_ladder_per_chunk_and_integral(self, tmp_path, monkeypatch):
         # Each integral runs the ladder once per chunk of the grid at --dim,
-        # however many dims it audits; a chunk holds _AUDIT_CHUNK_ELEMENTS
+        # however many dims it audits; a chunk holds _CHUNK_ELEMENTS
         # ladder-row entries, so at dim 400 it is many outcomes, not one.
         started = {True: 0, False: 0}
         kernel_rows = measurement._kernel_rows
@@ -209,7 +209,7 @@ class TestPovmCheck:
         assert main(["povm-check", "--delta-x", "0.05", "--dim", "400", "--grid-count", "201",
                      "--out", str(out)]) == EXIT_OK
         assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == [384, 392, 400]
-        bound = math.ceil(201 * 400 / measurement._AUDIT_CHUNK_ELEMENTS)
+        bound = math.ceil(201 * 400 / measurement._CHUNK_ELEMENTS)
         assert 1 <= started[True] <= bound
         assert 1 <= started[False] <= bound
 

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from baeqnd import jumps, measurement
-from baeqnd.errors import DimensionMismatchError, InvalidParameterError, TruncationOverflowError
+from baeqnd.errors import (
+    DegenerateConditioningError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    TruncationOverflowError,
+)
 from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
 from baeqnd.jumps import (
     SAMPLING_GRID_COUNT,
@@ -26,8 +32,16 @@ from oracles import (
     correlation_exact,
     jump_probability_exact,
     p1_asymptotic,
+    photon_draw_interpolated,
     trapezoid_jump_integrals,
 )
+
+
+def _draw_from_row(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sampler's photon draw on a table whose two rows both hold probs."""
+    cum = np.cumsum(np.tile(probs, (2, 1)), axis=1)
+    w = np.random.default_rng(0).random(u.size)
+    return jumps._photon_draw(cum, np.zeros(u.size, dtype=np.intp), w, u)
 
 
 class TestSampling:
@@ -51,13 +65,13 @@ class TestSampling:
         # Conditioning at the origin kills the one-photon amplitude.
         state = conditional_state(FockState.vacuum(16), MeasurementModel(1.0, 16), 0.0)
         u = np.random.default_rng(3).random(500)
-        draws = jumps._photon_samples(np.tile(state.probabilities(), (500, 1)), u)
+        draws = _draw_from_row(state.probabilities(), u)
         assert 1 not in set(draws.tolist())
         assert 0 in set(draws.tolist()) and 2 in set(draws.tolist())
 
     def test_photon_sampler_on_eigenstate(self):
         u = np.random.default_rng(4).random(50)
-        draws = jumps._photon_samples(np.tile(FockState.vacuum(8).probabilities(), (50, 1)), u)
+        draws = _draw_from_row(FockState.vacuum(8).probabilities(), u)
         np.testing.assert_array_equal(draws, np.zeros(50))
 
     def test_jump_fraction_matches_exact(self):
@@ -157,12 +171,53 @@ class TestTabulatedPhotonDraw:
                 shots = run_experiment(state, model, 2000, seed=5)
         except TruncationOverflowError:
             return
-        (xs, cdf, joint), = tables
-        u_x = np.random.default_rng([5, 0]).random(2000)
+        (xs, cdf, _), = tables
+        rng = np.random.default_rng([5, 0])
+        u_x = rng.random(2000)
+        u_n = rng.random(2000)
         assert np.array_equal(shots.x_m, np.interp(u_x, cdf, xs))
-        exact = np.abs(measurement_amplitudes(state, model, shots.x_m)) ** 2
-        tabulated = jumps._interpolated_rows(xs, joint, shots.x_m)
-        assert np.max(np.abs(_photon_cdf(tabulated) - _photon_cdf(exact))) <= 5e-5
+        # The drawn n must be the exact conditional CDF's inverse at u_n:
+        # F(n - 1) <= u_n <= F(n), up to the table's interpolation error.
+        exact = _photon_cdf(np.abs(measurement_amplitudes(state, model, shots.x_m)) ** 2)
+        below = np.hstack((np.zeros((2000, 1)), exact))
+        n = shots.photon_n
+        assert np.all(below[np.arange(2000), n] - 5e-5 <= u_n)
+        assert np.all(u_n <= exact[np.arange(2000), n] + 5e-5)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bisection_equals_interpolated_count(self, data):
+        # Oracle: the O(dim) draw that interpolates the joint rows and counts
+        # the levels whose cumulative sum stays below u * total.
+        dim = data.draw(st.integers(2, 97), label="dim")
+        rows = data.draw(st.integers(2, 5), label="rows")
+        # Levels and weights stay far above underflow.  A product that rounds
+        # into the subnormals loses bits the other route keeps: rows of
+        # 5e-324 at w = 0.5 sum to 0 interpolated, but not cumulated.  The
+        # sampler's rows sum to at least the outcome density at 6 sigma.
+        level = st.one_of(st.just(0.0), st.floats(2.0**-200, 1e3))
+        joint = data.draw(arrays(np.float64, (rows, dim), elements=level), label="joint")
+        # Levels without weight inside every row, and an all-zero edge row.
+        zero_levels = data.draw(st.lists(st.integers(0, dim - 1), max_size=4), label="zero_levels")
+        joint[:, zero_levels] = 0.0
+        edge = data.draw(st.sampled_from([None, 0, rows - 1]), label="edge")
+        if edge is not None:
+            joint[edge] = 0.0
+        shots = data.draw(st.integers(1, 16), label="shots")
+        i = data.draw(arrays(np.intp, shots, elements=st.integers(0, rows - 2)), label="i")
+        weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(2.0**-200, 1.0))
+        w = data.draw(arrays(np.float64, shots, elements=weight), label="w")
+        # default_rng().random() draws multiples of 2**-53 in [0, 1 - 2**-53].
+        k = st.one_of(st.integers(0, 4), st.integers(2**53 - 5, 2**53 - 1), st.integers(0, 2**53 - 1))
+        u = data.draw(arrays(np.int64, shots, elements=k), label="k") * 2.0**-53
+        cum = np.cumsum(joint, axis=1)
+        try:
+            expected = photon_draw_interpolated(joint, i, w, u)
+        except DegenerateConditioningError:
+            with pytest.raises(DegenerateConditioningError):
+                jumps._photon_draw(cum, i, w, u)
+            return
+        np.testing.assert_array_equal(jumps._photon_draw(cum, i, w, u), expected)
 
     @pytest.mark.parametrize("shots, threads", [(1000, 1), (120_000, 1), (120_000, 2)])
     def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):

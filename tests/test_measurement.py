@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
+from baeqnd import measurement
 from baeqnd.errors import (
     DegenerateConditioningError,
     DimensionMismatchError,
@@ -145,6 +146,32 @@ class TestMeasurementAmplitudes:
         expected = operator_batch(model, x) @ amps
         got = measurement_amplitudes(FockState(amps), model, x)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("route, dim, top, count", [
+        ("amplitudes", 64, 0, 8193), ("amplitudes", 400, 390, 200), ("operator_batch", 64, 0, 2001),
+    ])
+    def test_chunks_bound_the_ladder_row_entries(self, monkeypatch, route, dim, top, count):
+        # Every ladder row of a chunk (outcomes x width) holds at most 2**15
+        # entries (256 KiB) however wide the state, and the vacuum's 8193-node
+        # sampling table stays one chunk.
+        chunks = []
+        kernel_rows = measurement._kernel_rows
+
+        def spy(model, x, width, squared=False):
+            chunks.append((x.size, width))
+            return kernel_rows(model, x, width, squared)
+
+        monkeypatch.setattr(measurement, "_kernel_rows", spy)
+        model = MeasurementModel(1.0, dim)
+        x = np.linspace(-8.0, 8.0, count)
+        if route == "amplitudes":
+            measurement_amplitudes(FockState.number(dim, top), model, x)
+        else:
+            operator_batch(model, x)
+        assert sum(size for size, _ in chunks) == count
+        assert all(size * width <= 2**15 for size, width in chunks)
+        if route == "amplitudes" and top == 0:
+            assert len(chunks) == 1
 
 
 class TestLadderKernel:
