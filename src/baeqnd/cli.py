@@ -8,6 +8,13 @@ carrying the metadata, any non-tabular payload, and the checksums.  Payload
 bytes are deterministic for a fixed configuration and seed; only the
 timestamp in the metadata varies between runs.
 
+A command hands its table to the writer as columns.  Each row is formatted
+once: for a table of ints and floats, the repr of each cell is the token json
+writes, so one text per row is both the JSON row between its brackets and the
+CSV line.  setup-check's table, which holds null and text, is formatted cell by
+cell (null is an empty CSV cell).  The canonical payload is the compact,
+sorted JSON of the other keys with the table's text appended last.
+
 Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
 refuses any other with exit 2 before a file is opened, and meta.config holds
 exactly the settings that shaped the payload.  Only distribution, povm-check
@@ -16,9 +23,11 @@ and setup-check tabulate or integrate on an outcome grid, so only they take
 jump-sweep, correlation and simulate integrate with an exact Gauss-Hermite
 rule whose node count follows from --dim and the input.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric precondition failure
-(narrow grid, degenerate conditioning, calibration mismatch), 4 truncation
-overflow (circuit occupation or measurement-kernel leak above --dim).
+Exit codes: 0 success, 2 configuration error (also a payload value JSON
+cannot write, such as NaN, refused before any file is opened), 3 numeric
+precondition failure (narrow grid, degenerate conditioning, calibration
+mismatch), 4 truncation overflow (circuit occupation or measurement-kernel
+leak above --dim).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -101,7 +111,10 @@ def _env_threads() -> int:
 
 def _compact_json(obj) -> str:
     # NaN and infinity are not JSON: refuse them rather than write an invalid file.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise BaeQndError(f"the payload holds a value JSON cannot write ({exc})") from exc
 
 
 def _format_cell(value) -> str:
@@ -113,12 +126,30 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _table_csv(table: dict) -> str:
-    columns = table["columns"]
-    lines = [",".join(columns)]
-    for row in table["rows"]:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _finite_numbers(column) -> bool:
+    """Whether every cell is a finite int or float, whose repr is its JSON token."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        return kind in "iu" or (kind == "f" and bool(np.isfinite(column).all()))
+    return all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in column)
+
+
+def _row_texts(columns) -> tuple[list, list]:
+    """Each row's JSON text between its brackets, and its CSV line.
+
+    A table of finite ints and floats is formatted once, row by row from the
+    columns: repr is the token json writes, so one text is both the JSON row
+    and the CSV line.  Any other table (null or text cells, or a value JSON
+    refuses) takes JSON tokens from _compact_json and CSV cells from
+    _format_cell, cell by cell.
+    """
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    if all(_finite_numbers(c) for c in columns):
+        lines = list(map(",".join(["{!r}"] * len(values)).format, *values))
+        return lines, lines
+    rows = list(zip(*values))
+    json_rows = [",".join(_compact_json(v) for v in row) for row in rows]
+    return json_rows, [",".join(_format_cell(v) for v in row) for row in rows]
 
 
 def _report_csv(report: dict) -> str:
@@ -135,9 +166,40 @@ def _report_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _payload_texts(payload: dict, csv: bool) -> tuple[str, str | None]:
+    """The canonical payload text, and the CSV text when csv is set.
+
+    A command hands its table over as columns, {"columns": names, "data":
+    [column, ...]}; the canonical text holds it as {"columns", "rows"}, so
+    the rows are written and hashed as if json had serialised them.  Every
+    other payload key sorts before "table", so the table text goes last.
+    """
+    table = payload.get("table")
+    if table is None:
+        report_csv = _report_csv(payload.get("report", payload)) if csv else None
+        return _compact_json(payload), report_csv
+    rest = {k: v for k, v in payload.items() if k != "table"}
+    assert all(key < "table" for key in rest), sorted(rest)
+    json_rows, csv_lines = _row_texts(table["data"])
+    rows = ["[[", "],[".join(json_rows), "]]"] if json_rows else ["[]"]
+    canonical = "".join([
+        _compact_json(rest)[:-1],
+        "," if rest else "",
+        '"table":{"columns":',
+        _compact_json(table["columns"]),
+        ',"rows":',
+        *rows,
+        "}}",
+    ])
+    if not csv:
+        return canonical, None
+    return canonical, "\n".join([",".join(table["columns"]), *csv_lines]) + "\n"
+
+
 def _write_envelope(args, payload: dict, seed) -> None:
     # The canonical payload text is hashed and written as is: one serialisation.
-    canonical = _compact_json(payload).encode()
+    canonical, csv_text = _payload_texts(payload, csv=args.format == "csv")
+    canonical = canonical.encode()
     checksum = "sha256:" + hashlib.sha256(canonical).hexdigest()
     meta = {
         "tool": "bae-qnd-sim",
@@ -149,18 +211,13 @@ def _write_envelope(args, payload: dict, seed) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     out = args.out
-    if args.format == "json":
+    if csv_text is None:
         # Keys sort as checksum, meta, payload, so the payload text goes last.
         head = _compact_json({"checksum": checksum, "meta": meta})[:-1]
         with open(out, "wb") as fh:
             fh.writelines([head.encode(), b',"payload":', canonical, b"}\n"])
         print(f"wrote {out}")
         return
-    table = payload.get("table")
-    if table is None:
-        csv_text = _report_csv(payload.get("report", payload))
-    else:
-        csv_text = _table_csv(table)
     sidecar = {
         "meta": meta,
         "payload_without_table": {k: v for k, v in payload.items() if k != "table"},
@@ -217,10 +274,8 @@ def _cmd_distribution(args):
     p1 = table.per_photon[1] if args.n_max >= 1 else np.zeros(grid.count)
     x = grid.nodes
     cube = delta_x**3
-    stacked = np.column_stack(
-        [x, table.density, *table.per_photon, asym, x / delta_x, cube * p1, cube * asym]
-    )
-    return {"table": {"columns": columns, "rows": stacked.tolist()}}, None
+    data = [x, table.density, *table.per_photon, asym, x / delta_x, cube * p1, cube * asym]
+    return {"table": {"columns": columns, "data": data}}, None
 
 
 @_command("jump-sweep")
@@ -232,7 +287,10 @@ def _cmd_jump_sweep(args):
         asym = 1.0 / (16.0 * dx * dx)
         rows.append([float(dx), float(exact), float(asym), float(exact / asym)])
     return {
-        "table": {"columns": ["delta_x", "jump_exact", "jump_asymptotic", "ratio"], "rows": rows}
+        "table": {
+            "columns": ["delta_x", "jump_exact", "jump_asymptotic", "ratio"],
+            "data": list(zip(*rows)),
+        }
     }, None
 
 
@@ -281,7 +339,7 @@ def _cmd_povm_check(args):
                 "truncated_square_defect_trusted",
                 "truncated_square_defect_full",
             ],
-            "rows": rows,
+            "data": list(zip(*rows)),
         },
         "report": {
             "delta_x": delta_x,
@@ -327,7 +385,7 @@ def _cmd_setup_check(args):
         except TruncationOverflowError:
             rows.append([int(dim), None, "truncation-overflow at this dim"])
     return {
-        "table": {"columns": ["dim", "vacuum_defect", "note"], "rows": rows},
+        "table": {"columns": ["dim", "vacuum_defect", "note"], "data": list(zip(*rows))},
         "report": {
             "gain_a": gain,
             "reflectivity": params.reflectivity,
@@ -353,12 +411,11 @@ def _cmd_simulate(args):
     shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
     report = summarize(shots, state, model)
     emit = slice(args.record_limit)
-    columns = (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)
-    rows = list(zip(*(column[emit].tolist() for column in columns)))
+    data = [c[emit] for c in (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)]
     return {
-        "table": {"columns": ["shot_index", "rng_stream_id", "x_m", "photon_n"], "rows": rows},
+        "table": {"columns": ["shot_index", "rng_stream_id", "x_m", "photon_n"], "data": data},
         "report": report.to_dict(),
-        "records_emitted": len(rows),
+        "records_emitted": data[0].size,
     }, args.seed
 
 

@@ -231,7 +231,10 @@ def _baseline_photon(state: FockState) -> int:
 
 
 def _off_baseline_mass(probs: np.ndarray, rule: QuadratureGrid, baseline_n: int) -> float:
-    return float(rule.integrate(probs.sum(axis=1) - probs[:, baseline_n]))
+    # Summed over the other columns, not the row total minus the baseline:
+    # that difference cancels when the jump is rare (wide dx).
+    off = probs[:, :baseline_n].sum(axis=1) + probs[:, baseline_n + 1 :].sum(axis=1)
+    return float(rule.integrate(off))
 
 
 def _correlation_integral(probs: np.ndarray, rule: QuadratureGrid, delta_x: float) -> float:

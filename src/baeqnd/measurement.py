@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,25 @@ _RESCALE_ABOVE = 2.0**500
 _LN2 = math.log(2.0)
 
 
+def _require_resolution(delta_x: float, source: str | None = None) -> float:
+    """delta_x itself when dx^2 and kappa = 1/(4 dx^2) are finite normal floats.
+
+    That holds for dx in about [1.49e-154, 3.35e153].  Raises
+    InvalidParameterError otherwise, naming source (such as the gain the
+    resolution was derived from) when one is given.
+    """
+    tiny = sys.float_info.min
+    square = delta_x * delta_x
+    if not (tiny <= square <= sys.float_info.max and tiny <= 1.0 / (4.0 * square)):
+        low, high = math.sqrt(tiny), 0.5 / math.sqrt(tiny)
+        given = f"delta_x {delta_x!r} is" if source is None else f"{source} gives delta_x {delta_x!r},"
+        raise InvalidParameterError(
+            f"{given} outside [{low:.3g}, {high:.3g}], where dx^2 and 1/(4 dx^2) "
+            "are finite normal floats"
+        )
+    return delta_x
+
+
 @dataclass(frozen=True)
 class MeasurementModel:
     """Measurement resolution plus truncation dimension."""
@@ -103,7 +123,7 @@ class MeasurementModel:
         dx = self.delta_x
         if not isinstance(dx, (int, float, np.floating)) or not np.isfinite(dx) or dx <= 0:
             raise InvalidParameterError(f"delta_x must be positive and finite, got {dx!r}")
-        object.__setattr__(self, "delta_x", float(dx))
+        object.__setattr__(self, "delta_x", _require_resolution(float(dx)))
 
     @property
     def kappa(self) -> float:
@@ -348,11 +368,16 @@ def asymptotic_p1(delta_x: float, x_m) -> np.ndarray | float:
     """
     if not np.isfinite(delta_x) or delta_x <= 0:
         raise InvalidParameterError(f"delta_x must be positive and finite, got {delta_x!r}")
+    delta_x = float(delta_x)
+    try:
+        quartic = (4.0 * delta_x**2) ** 2
+    except OverflowError as exc:
+        raise InvalidParameterError(f"(4 dx^2)^2 overflows at delta_x {delta_x!r}") from exc
     x = np.asarray(x_m, dtype=np.float64)
     val = (
         (2.0 * np.pi * delta_x**2) ** -0.5
         * x**2
-        / (4.0 * delta_x**2) ** 2
+        / quartic
         * np.exp(-(x**2) / (2.0 * delta_x**2))
     )
     if np.ndim(x_m) == 0:

@@ -61,7 +61,12 @@ from .errors import (
     TruncationOverflowError,
 )
 from .fock import FockState, QuadratureGrid, _gh_rule, wavefunction_table
-from .measurement import MeasurementModel, _exact_joint, measurement_amplitudes
+from .measurement import (
+    MeasurementModel,
+    _exact_joint,
+    _require_resolution,
+    measurement_amplitudes,
+)
 
 #: Calibration residual above which the setup/kernel comparison is aborted:
 #: a residual this large signals a convention bug, not a tolerance issue.
@@ -89,7 +94,10 @@ class SetupParams:
             raise InvalidParameterError(
                 f"gain_a must be > 1 (the resolution diverges at a = 1), got {a!r}"
             )
-        object.__setattr__(self, "gain_a", float(a))
+        a = float(a)
+        object.__setattr__(self, "gain_a", a)
+        # The delta_x property, with a * a so that a huge gain gives 0, not an OverflowError.
+        _require_resolution(a / (2.0 * (a * a - 1.0)), f"gain_a {a!r}")
         for name in ("dim_signal", "dim_meter"):
             d = getattr(self, name)
             if not isinstance(d, (int, np.integer)) or d < 2:

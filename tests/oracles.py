@@ -15,9 +15,12 @@ the Gauss-Hermite factor-table route the library's kernel used before its
 Fock-ladder recurrence, kept as the reference for that recurrence.
 photon_draw_interpolated is the O(dim) photon draw the sampler used before
 its bisection on the cumulative table, kept as the reference for that
-bisection.
+bisection.  rowform_payload_texts is the envelope writer's row-by-row route
+(one json dump of the row payload, then one formatting call per CSV cell),
+the reference for the writer that formats each row once from the columns.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -242,6 +245,27 @@ def photon_draw_interpolated(joint, i, w, u) -> np.ndarray:
     if np.any(totals <= 0.0):
         raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
     return np.sum(cum < (u * totals)[:, None], axis=1)
+
+
+def rowform_payload_texts(payload: dict) -> tuple[str, str]:
+    """(canonical payload text, CSV text) of a payload whose table is {"columns", "rows"}.
+
+    The canonical text is json's sorted, compact dump of the whole payload,
+    refusing NaN and infinity.  The CSV is the header and one line per row,
+    each cell formatted on its own: a float as its repr (json's token), null
+    as an empty cell, anything else as its str.
+    """
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+    def cell(value):
+        if type(value) is float:
+            return repr(value)
+        return "" if value is None else str(value)
+
+    table = payload["table"]
+    lines = [",".join(table["columns"])]
+    lines += [",".join(cell(v) for v in row) for row in table["rows"]]
+    return canonical, "\n".join(lines) + "\n"
 
 
 def fidelity(a: FockState, b: FockState) -> float:

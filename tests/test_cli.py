@@ -10,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from baeqnd import __version__, measurement
+from baeqnd import __version__, cli, measurement
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
+
+from oracles import rowform_payload_texts
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -461,6 +465,130 @@ class TestEnvelope:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert out.exists()
+
+
+#: Floats at the edges of repr's output: signed zero, the smallest subnormal
+#: and normal, the largest finite value, and both sides of the switches to
+#: exponent form at 1e16 and 1e-4.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, 9999999999999998.0, -1e16, 1e-4,
+                9.999999999999999e-05, 1.0000000000000002e-04, 0.1, 1.0, 123456789.0]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NEAR_2_62 = st.one_of(st.integers(2**62 - 3, 2**62 + 3), st.integers(-2**62 - 3, -2**62 + 3))
+
+
+@st.composite
+def _column(draw, rows):
+    kind = draw(st.sampled_from(["float", "int", "bool", "list-numbers", "list-mixed"]))
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+    if kind == "float":
+        values = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), _FINITE),
+                               min_size=rows, max_size=rows))
+        return np.array(values, dtype=np.float64)
+    if kind == "int":
+        values = draw(st.lists(st.one_of(_NEAR_2_62, st.integers(-2**63, 2**63 - 1)),
+                               min_size=rows, max_size=rows))
+        return np.array(values, dtype=np.int64)
+    cell = st.one_of(st.sampled_from(_EDGE_FLOATS), _FINITE, _NEAR_2_62, st.integers(-9, 9))
+    if kind == "list-mixed":
+        cell = st.one_of(cell, st.none(), st.text(max_size=6), st.booleans(),
+                         _FINITE.map(np.float64))
+    return draw(st.lists(cell, min_size=rows, max_size=rows))
+
+
+class TestEnvelopeWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_the_rowform_writer(self, data):
+        # Columns in, the same canonical payload and CSV bytes as the
+        # row-by-row writer: numbers at repr's edges, int64 near +-2^62,
+        # null/text/bool cells, bool arrays, zero rows and a single column.
+        rows = data.draw(st.sampled_from([0, 1, 2, 7]), label="rows")
+        width = data.draw(st.integers(1, 4), label="width")
+        names = [f"c{i}" for i in range(width)]
+        columns = [data.draw(_column(rows), label=name) for name in names]
+        extras = data.draw(st.fixed_dictionaries({}, optional={
+            "records_emitted": st.integers(0, 9),
+            "report": st.dictionaries(st.text(max_size=4), _FINITE, max_size=3),
+        }), label="extras")
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        rowform = {**extras, "table": {"columns": names, "rows": [list(r) for r in zip(*values)]}}
+        expected = rowform_payload_texts(rowform)
+        payload = {**extras, "table": {"columns": names, "data": columns}}
+        assert cli._payload_texts(payload, csv=True) == expected
+        assert cli._payload_texts(payload, csv=False) == (expected[0], None)
+
+    def test_numeric_table_formats_no_cell_alone(self, tmp_path, monkeypatch):
+        # simulate's records are formatted row by row from the columns; no
+        # per-cell call is left on the CSV path.
+        calls = []
+        original = cli._format_cell
+
+        def spy(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(cli, "_format_cell", spy)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--delta-x", "5", "--dim", "16", "--shots", "2000", "--seed", "1",
+                     "--format", "csv", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2001
+        assert calls == []
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_column_refused_without_a_file(self, tmp_path, monkeypatch, capsys, fmt):
+        def asymptote_with_nan(delta_x, x_m):
+            values = np.zeros(np.shape(x_m))
+            values[3] = np.nan
+            return values
+
+        monkeypatch.setattr(cli, "asymptotic_p1", asymptote_with_nan)
+        out = tmp_path / f"dist.{fmt}"
+        code = main(["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "11",
+                     "--format", fmt, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+        assert "JSON cannot write" in capsys.readouterr().err
+
+
+class TestExtremeResolution:
+    @pytest.mark.parametrize("argv", [
+        ["jump-sweep", "--delta-x", "1e200"],
+        ["jump-sweep", "--delta-x", "1e-200"],
+        ["jump-sweep", "--delta-x", "1e-160"],
+        ["distribution", "--delta-x", "1e200"],
+        ["correlation", "--delta-x", "1e-160"],
+        ["simulate", "--delta-x", "1e200", "--shots", "10", "--seed", "1"],
+        ["povm-check", "--delta-x", "1e200"],
+        ["setup-check", "--gain-a", "1e200"],
+        ["setup-check", "--gain-a", "1e154"],
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_outside_the_normal_range_is_config_error(self, tmp_path, capsys, argv, fmt):
+        # dx^2 or 1/(4 dx^2) would leave the normal floats; these used to end
+        # in tracebacks or in messages about grids or a zero delta_x.
+        out = tmp_path / f"out.{fmt}"
+        assert main([*argv, "--dim", "16", "--format", fmt, "--out", str(out)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "outside [1.49e-154, 3.35e+153]" in capsys.readouterr().err
+
+    def test_distribution_past_the_asymptote_is_config_error(self, tmp_path, capsys):
+        # (4 dx^2)^2 of the wide-kernel column overflows from dx ~ 2.9e76.
+        out = tmp_path / "dist.json"
+        assert main(["distribution", "--delta-x", "1e100", "--dim", "16", "--grid-count", "11",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "overflows" in capsys.readouterr().err
+
+    def test_rare_jump_keeps_its_digits(self, tmp_path):
+        # The jump probability at dx 1e100 is 6.25e-202, not a cancelled 0.
+        out = tmp_path / "sweep.json"
+        assert main(["jump-sweep", "--delta-x", "1e100", "--dim", "8", "--out", str(out)]) == EXIT_OK
+        (row,) = read_envelope(out)["payload"]["table"]["rows"]
+        assert row[1] == pytest.approx(6.25e-202, rel=1e-13)
+        assert row[3] == pytest.approx(1.0, rel=1e-13)
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

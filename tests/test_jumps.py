@@ -260,6 +260,13 @@ class TestJumpProbability:
         assert ratios == sorted(ratios)
         assert ratios[-1] < 1.0
 
+    @pytest.mark.parametrize("dx", [1e3, 1e5, 1e8, 1e100])
+    def test_rare_jump_keeps_its_digits(self, dx):
+        # The off-baseline mass is summed over the n >= 1 columns; the row
+        # total minus the n = 0 column cancelled, to 0.96 relative at dx 1e8.
+        value = jump_probability(FockState.vacuum(16), MeasurementModel(dx, 16))
+        assert value == pytest.approx(jump_probability_exact(dx), rel=1e-13, abs=0)
+
     def test_one_photon_input_stays_at_weak_measurement(self):
         one = FockState.number(16, 1)
         model = MeasurementModel(100.0, 16)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestMeasurementOperator:
             MeasurementModel(0.0, 8)
         with pytest.raises(InvalidParameterError):
             _operator(MeasurementModel(1.0, 8), np.nan)
+
+    @pytest.mark.parametrize("dx", [1e-200, 1e-160, 1.49e-154, 3.4e153, 1e200])
+    def test_resolution_outside_the_normal_range(self, dx):
+        # dx^2 or kappa = 1/(4 dx^2) would underflow, overflow or be subnormal.
+        with pytest.raises(InvalidParameterError, match=r"outside \[1.49e-154, 3.35e\+153\]"):
+            MeasurementModel(dx, 8)
+
+    @pytest.mark.parametrize("dx", [1.5e-154, 3.3e153])
+    def test_resolution_at_the_range_ends(self, dx):
+        kappa = MeasurementModel(dx, 8).kappa
+        assert sys.float_info.min <= kappa <= sys.float_info.max
 
 
 class TestMeasurementAmplitudes:
@@ -386,6 +398,8 @@ class TestAsymptoticP1:
     def test_invalid_delta_x(self):
         with pytest.raises(InvalidParameterError):
             asymptotic_p1(-1.0, 0.0)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            asymptotic_p1(1e100, 0.0)
 
 
 def _stacked_defects(model, grid) -> list[float]:

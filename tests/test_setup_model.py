@@ -81,6 +81,12 @@ class TestSetupParams:
         with pytest.raises(InvalidParameterError):
             SetupParams(bad)
 
+    @pytest.mark.parametrize("gain", [1e154, 1e200])
+    def test_gain_past_the_resolution_range(self, gain):
+        # The resolution a/(2(a^2 - 1)) underflows to 0 (or a^2 overflows).
+        with pytest.raises(InvalidParameterError, match="gain_a .* gives delta_x"):
+            SetupParams(gain)
+
 
 def _beam_splitter(reflectivity, dims):
     """The circuit's sector rotations as a matrix on the flat index n_mode0 * dims[1] + n_mode1."""
