@@ -237,9 +237,21 @@ def _off_baseline_mass(probs: np.ndarray, rule: QuadratureGrid, baseline_n: int)
     return float(rule.integrate(off))
 
 
+def _require_finite(delta_x: float, *values: float) -> None:
+    # x_m^2 - dx^2 leaves float64 near the top of the accepted resolution range.
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError(
+            f"the correlation statistics overflow at delta_x {delta_x!r}: "
+            "x_m^2 - dx^2 leaves the float range"
+        )
+
+
 def _correlation_integral(probs: np.ndarray, rule: QuadratureGrid, delta_x: float) -> float:
     weighted = probs @ np.arange(probs.shape[1])
-    return float(rule.integrate(weighted * (rule.nodes**2 - delta_x**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(rule.integrate(weighted * (rule.nodes**2 - delta_x**2)))
+    _require_finite(delta_x, value)
+    return value
 
 
 def jump_probability(state: FockState, model: MeasurementModel) -> float:
@@ -305,13 +317,15 @@ def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> Co
     jump_fraction = float(jumped.mean())
     se_jump = float(np.sqrt(jump_fraction * (1.0 - jump_fraction) / shots))
 
-    values = n * (x**2 - model.delta_x**2)
-    measured_c = float(values.mean())
-    se_c = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = n * (x**2 - model.delta_x**2)
+        measured_c = float(values.mean())
+        se_c = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
 
-    influence = (n - n.mean()) * (x**2 - (x**2).mean())
-    measured_cov = float(influence.mean())
-    se_cov = float(influence.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+        influence = (n - n.mean()) * (x**2 - (x**2).mean())
+        measured_cov = float(influence.mean())
+        se_cov = float(influence.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    _require_finite(model.delta_x, measured_c, se_c, measured_cov, se_cov)
 
     return CorrelationReport(
         exact_c_integral=exact["exact_c_integral"],

@@ -24,24 +24,38 @@ Mode layout: index 0 is the rail fed by the signal input and read out by the
 meter homodyne; index 1 is fed by the meter vacuum and carries the signal
 output.  Joint states are (dim_signal, dim_meter) amplitude matrices.
 
-Truncation policy.  The requested dimensions define the I/O contract: input
-states, reported conditional outputs, and the truncation-overflow guard.
-Internally the unitaries act on a padded working space (a sponge layer of
-one extra space above each rail) so that amplitude flowing through levels
-just above the truncation during the squeeze-recombine sequence is not
-reflected back into the trusted region; the detection step then keeps one
-extra quarter of levels, mirroring the trusted-subspace policy.  Without the
-sponge, conditioning on rare outcomes amplifies the edge error far above the
-per-amplitude level (measured: three orders of magnitude at a = 2).
+Circuit entries.  The circuit is a Gaussian unitary U, so it is fixed by
+its Bogoliubov map U^dag a U = W a + V a^dag on a = (a_0, a_1), composed
+from the three stages as 4x4 matrices [[W, V], [V*, W*]] (all real here).
+Each beam splitter has W = [[c, s], [-s, c]] and V = 0, with
+theta = arcsin sqrt(R); the squeezers have W = diag(cosh r) and
+V = diag(sinh r), with r = (-ln a, +ln a): mode 0 amplifies y and mode 1
+amplifies x (swap_arms swaps them).  The entries
+G[n0, n1, k] = <n0, n1|U|k, 0> have the generating function
+c exp(z^T A z / 2), one variable z_i per index (n0, n1, k), with
+c = det(W)^(-1/2) and the symmetric 3x3 A assembled from
 
-Numerics.  Every unitary is a product of real rotations exp(G) with G
-antisymmetric and tridiagonal: the beam splitter per total-photon-number
-sector, each squeezer per parity chain (its generator couples n to n +- 2
-only).  _rotation takes them from one real symmetric eigendecomposition.
-No two-mode unitary is formed as a dense matrix: SetupCircuit builds the
-rotations once per parameter set, applies the sector blocks to the joint
-amplitude matrix and the squeezers from the left and right, and
-homodyne_amplitudes reads the meter out at a whole batch of raw outcomes.
+    A_out = V W*^-1,  A_cross = (W^dag^-1)[:, 0],  A_in = -(V^dag W^dag^-1)[0, 0],
+
+so they follow the three-term recurrence (Miatto & Quesada, Quantum 4, 366
+(2020))
+
+    sqrt(k_i + 1) G[k + e_i] = sum_j A_ij sqrt(k_j) G[k - e_j].
+
+SetupCircuit runs it in n0 for the seed column, in n1 vectorised over n0,
+then in the input level k vectorised over the (n0, n1) plane.  No entry
+depends on a level outside the box, so nothing reflects at its edge, the
+entries are exact up to rounding, and the joint output state is G psi.
+
+Truncation guard.  The requested dimensions define the I/O contract: input
+states, reported conditional outputs and the guard.  The box keeps one
+extra quarter of levels per mode, mirroring the trusted-subspace policy,
+and the homodyne reads all of them.  With exact entries the mass that leaves
+the box is ||psi||^2 - ||G psi||^2; each mode's top-quarter occupation
+inside the box plus that mass bounds the mode's true top-quarter
+occupation from above, and TruncationOverflowError is raised when it
+exceeds TRUNCATION_OCCUPATION_LIMIT.
+
 calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
 so Gauss-Hermite rules integrate both exactly.  The module needs numpy only.
@@ -75,8 +89,6 @@ CALIBRATION_RESIDUAL_LIMIT = 1e-2
 #: Kernel density above which an outcome enters the equivalence comparison;
 #: below it the conditional states are normalised by a vanishing density.
 EQUIVALENCE_DENSITY_FLOOR = 1e-6
-
-_SQUEEZE_DIRECTIONS = ("amplify-x", "amplify-y")
 
 
 @dataclass(frozen=True)
@@ -116,72 +128,52 @@ class SetupParams:
         return self.gain_a / (2.0 * (self.gain_a**2 - 1.0))
 
 
-def _rotation(off: np.ndarray) -> np.ndarray:
-    """exp(G) for the real antisymmetric tridiagonal G with G[j+1, j] = -G[j, j+1] = off[j].
+def _bogoliubov(params: SetupParams) -> tuple[np.ndarray, np.ndarray]:
+    """(W, V) of the circuit's Heisenberg map U^dag a U = W a + V a^dag.
 
-    With P = diag(i^j) and T the real symmetric tridiagonal matrix with the
-    same off-diagonal, G = -i P T P^-1, so one real eigendecomposition
-    T = Q diag(lam) Q^T gives exp(G) = Re(P Q e^{-i lam} Q^T P^-1).  T has a
-    zero diagonal, so Q cos(lam) Q^T only couples even distances j - k and
-    Q sin(lam) Q^T only odd ones; the real part is then
-    (-1)^floor((j - k) / 2) (Q (cos lam + sin lam) Q^T)[j, k].
+    Every stage is real, so the complex form [[W, V], [V*, W*]] of each is
+    [[W, V], [V, W]] and the circuit's is the product splitter, squeezers,
+    splitter.
     """
-    lam, q = np.linalg.eigh(np.diag(off, -1))
-    index = np.arange(off.size + 1)
-    sign = 1.0 - 2.0 * (np.subtract.outer(index, index) // 2 % 2)
-    return sign * ((q * (np.cos(lam) + np.sin(lam))) @ q.T)
-
-
-def _sector_blocks(reflectivity: float, dims: tuple[int, int]):
-    """Beam-splitter rotations per total-photon-number sector.
-
-    The generator theta (a* b - a b*) conserves the total photon number, so
-    the unitary splits into one real rotation per sector; sectors that fit
-    inside the truncation are exponentiated exactly.
-    """
-    d0, d1 = dims
-    theta = float(np.arcsin(np.sqrt(reflectivity)))
-    blocks = []
-    for total in range(d0 + d1 - 1):
-        lo = max(0, total - d1 + 1)
-        hi = min(d0 - 1, total)
-        n0 = np.arange(lo, hi + 1)
-        # Generator entry between n0 = k and k + 1 in this sector.
-        off = theta * np.sqrt(n0[1:] * (total - n0[:-1]))
-        blocks.append((n0, total - n0, _rotation(off)))
-    return blocks
-
-
-def _apply_sectors(joint: np.ndarray, blocks) -> np.ndarray:
-    out = np.zeros_like(joint)
-    for n0, n1, block in blocks:
-        out[n0, n1] = block @ joint[n0, n1]
-    return out
-
-
-def squeeze_matrix(gain_a: float, direction: str, dim: int) -> np.ndarray:
-    """Single-mode squeezer exp(r (a*^2 - a^2)/2) with r = ln(a) (amplify-x).
-
-    Heisenberg action: x -> a x, y -> y/a for "amplify-x"; the reciprocal
-    scaling for "amplify-y".  Real matrix, unitary on the truncated space.
-    """
-    if not np.isfinite(gain_a) or gain_a <= 0.0:
-        raise InvalidParameterError(f"gain_a must be positive, got {gain_a!r}")
-    if direction not in _SQUEEZE_DIRECTIONS:
-        raise InvalidParameterError(
-            f"direction must be one of {_SQUEEZE_DIRECTIONS}, got {direction!r}"
-        )
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise InvalidParameterError(f"dim must be an integer >= 2, got {dim!r}")
-    r = float(np.log(gain_a))
-    if direction == "amplify-y":
+    theta = float(np.arcsin(np.sqrt(params.reflectivity)))
+    c, s = np.cos(theta), np.sin(theta)
+    rotation = np.array([[c, s], [-s, c]])
+    zero = np.zeros((2, 2))
+    splitter = np.block([[rotation, zero], [zero, rotation]])
+    r = np.log(params.gain_a) * np.array([-1.0, 1.0])
+    if params.swap_arms:
         r = -r
-    # The generator couples n to n + 2 only: one tridiagonal rotation per parity chain.
-    out = np.zeros((dim, dim))
-    for chain in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
-        n = chain[:-1].astype(np.float64)
-        out[np.ix_(chain, chain)] = _rotation(0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
-    return out
+    cosh, sinh = np.diag(np.cosh(r)), np.diag(np.sinh(r))
+    total = splitter @ np.block([[cosh, sinh], [sinh, cosh]]) @ splitter
+    return total[:2, :2], total[:2, 2:]
+
+
+def _circuit_entries(params: SetupParams, shape: tuple[int, int, int]) -> np.ndarray:
+    """G[n0, n1, k] = <n0, n1|U|k, 0> on the box `shape`, by the Gaussian recurrence."""
+    w, v = _bogoliubov(params)
+    w_inv_t = np.linalg.inv(w).T
+    # Index 0 and 1 are the output modes, 2 the input level of mode 0.
+    a = np.empty((3, 3))
+    a[:2, :2] = v @ np.linalg.inv(w)
+    a[:2, 2] = a[2, :2] = w_inv_t[:, 0]
+    a[2, 2] = -(v.T @ w_inv_t)[0, 0]
+    keep0, keep1, levels = shape
+    root = np.sqrt(np.arange(max(shape), dtype=np.float64))
+    g = np.zeros(shape)
+    g[0, 0, 0] = np.linalg.det(w) ** -0.5
+    for n in range(1, keep0 - 1):
+        g[n + 1, 0, 0] = a[0, 0] * root[n] * g[n - 1, 0, 0] / root[n + 1]
+    # At n = 0 and k = 0, root[0] = 0 cancels the (still empty) wrapped slice.
+    for n in range(keep1 - 1):
+        step = a[1, 1] * root[n] * g[:, n - 1, 0]
+        step[1:] += a[1, 0] * root[1:keep0] * g[:-1, n, 0]
+        g[:, n + 1, 0] = step / root[n + 1]
+    for k in range(levels - 1):
+        step = a[2, 2] * root[k] * g[:, :, k - 1]
+        step[1:] += a[2, 0] * root[1:keep0, None] * g[:-1, :, k]
+        step[:, 1:] += a[2, 1] * root[1:keep1] * g[:, :-1, k]
+        g[:, :, k + 1] = step / root[k + 1]
+    return g
 
 
 class SetupCircuit:
@@ -190,51 +182,28 @@ class SetupCircuit:
     def __init__(self, params: SetupParams):
         self.params = params
         d0, d1 = params.dim_signal, params.dim_meter
-        # Sponge layer: evolve on twice the contract space so edge reflections
-        # cannot contaminate the reported levels; detection keeps one extra
-        # quarter, the same margin the trusted-subspace policy excludes.
-        self._work0 = 2 * d0 + 16
-        self._work1 = 2 * d1 + 16
-        self._keep0 = min(self._work0, d0 + d0 // 4)
-        self._keep1 = min(self._work1, d1 + d1 // 4)
-        self._blocks = _sector_blocks(params.reflectivity, (self._work0, self._work1))
-        dir0, dir1 = "amplify-y", "amplify-x"
-        if params.swap_arms:
-            dir0, dir1 = dir1, dir0
-        self._squeeze0 = squeeze_matrix(params.gain_a, dir0, self._work0)
-        self._squeeze1 = squeeze_matrix(params.gain_a, dir1, self._work1)
-        self._parity1 = np.where(np.arange(self._keep1) % 2 == 0, 1.0, -1.0)
-        self._cache_key = None
-        self._cache_joint = None
+        # Detection keeps one extra quarter of levels per mode, the same
+        # margin the trusted-subspace policy excludes.
+        self._entries = _circuit_entries(params, (d0 + d0 // 4, d1 + d1 // 4, d0))
 
-    def _evolve_work(self, signal_in: FockState) -> np.ndarray:
+    def _evolve(self, signal_in: FockState) -> np.ndarray:
+        """Joint output amplitudes G psi on the kept box, after the truncation guard."""
         if signal_in.dim != self.params.dim_signal:
             raise DimensionMismatchError(
                 f"signal dim {signal_in.dim} != circuit dim {self.params.dim_signal}"
             )
-        key = signal_in.amplitudes.tobytes()
-        if self._cache_key == key:
-            return self._cache_joint
-        joint = np.zeros((self._work0, self._work1), dtype=np.complex128)
-        joint[: signal_in.dim, 0] = signal_in.amplitudes
-        joint = _apply_sectors(joint, self._blocks)
-        joint = self._squeeze0 @ joint @ self._squeeze1.T
-        joint = _apply_sectors(joint, self._blocks)
-        self._check_truncation(joint)
-        self._cache_key = key
-        self._cache_joint = joint
-        return joint
-
-    def _check_truncation(self, joint: np.ndarray) -> None:
+        psi = signal_in.amplitudes
+        joint = self._entries @ psi
         probs = np.abs(joint) ** 2
+        leak = max(0.0, float(np.vdot(psi, psi).real) - float(probs.sum()))
         for mode, dim in ((0, self.params.dim_signal), (1, self.params.dim_meter)):
-            occ = probs.sum(axis=1 - mode)
-            top = float(occ[dim - dim // 4 :].sum())
+            top = float(probs.sum(axis=1 - mode)[dim - dim // 4 :].sum()) + leak
             if top > TRUNCATION_OCCUPATION_LIMIT:
                 raise TruncationOverflowError(
                     f"top-quarter occupation {top:.3e} of mode {mode} exceeds "
                     f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
                 )
+        return joint
 
     def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
         """Signal-output amplitudes after reading mode 0 at raw outcome values.
@@ -248,10 +217,11 @@ class SetupCircuit:
         raw = np.atleast_1d(np.asarray(raw_values, dtype=np.float64))
         if not np.all(np.isfinite(raw)):
             raise InvalidParameterError("homodyne outcomes must be finite")
-        joint = self._evolve_work(signal_in)[: self._keep0, : self._keep1]
-        table = wavefunction_table(self._keep0, raw)
+        joint = self._evolve(signal_in)
+        keep0, keep1 = joint.shape
+        table = wavefunction_table(keep0, raw)
         projected = np.einsum("ab,ai->ib", joint, table, optimize=True)
-        return projected * self._parity1[None, :]
+        return projected * np.where(np.arange(keep1) % 2 == 0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -290,7 +260,7 @@ def calibrate_outcome_map(
     density_kernel = joint.sum(axis=1)
     var_kernel = rule.integrate(density_kernel * rule.nodes**2) / rule.integrate(density_kernel)
 
-    u, _, factored = _gh_rule(circuit._keep0 + 1)
+    u, _, factored = _gh_rule(circuit._entries.shape[0] + 1)
     raw = QuadratureGrid(u / np.sqrt(2.0), factored)
     density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw.nodes)) ** 2, axis=1)
     var_raw = raw.integrate(density_raw * raw.nodes**2) / raw.integrate(density_raw)

@@ -3,8 +3,9 @@
 Everything here is computed by a different route than the library: explicit
 Hermite polynomials from scipy.special instead of the in-package recurrence,
 adaptive quadrature instead of Gauss-Hermite rules, scipy's Pade matrix
-exponential of a full generator instead of per-sector rotations, and
-closed-form Gaussian integrals worked out by completing the square.  Values asserted in the tests
+exponential of a full generator instead of per-sector rotations, per-sector
+rotations instead of the circuit's Gaussian recurrence, and closed-form
+Gaussian integrals worked out by completing the square.  Values asserted in the tests
 are frozen from these, never from the code under test.  TwoModeState and
 evolve are test helpers, not oracles: they expose the circuit's joint output
 state, which the library itself only reads out through the homodyne.
@@ -18,6 +19,11 @@ its bisection on the cumulative table, kept as the reference for that
 bisection.  rowform_payload_texts is the envelope writer's row-by-row route
 (one json dump of the row payload, then one formatting call per CSV cell),
 the reference for the writer that formats each row once from the columns.
+SpongeCircuit is the circuit route the library used before its Gaussian Fock
+recurrence (beam-splitter rotations per photon-number sector and squeezer
+rotations per parity chain, each from one eigh, on a padded working space),
+kept as the reference for that recurrence; rotation, sector_blocks,
+apply_sectors and squeeze_matrix are its parts, checked against scipy's expm.
 """
 
 import json
@@ -29,7 +35,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_hermite, roots_hermite
 
-from baeqnd.errors import DegenerateConditioningError
+from baeqnd.errors import (
+    TRUNCATION_OCCUPATION_LIMIT,
+    DegenerateConditioningError,
+    InvalidParameterError,
+    TruncationOverflowError,
+)
 from baeqnd.fock import FockOperator, FockState
 from baeqnd.measurement import operator_batch
 
@@ -159,7 +170,10 @@ def trapezoid_jump_integrals(joint, delta_x: float, span: float, count: int = 40
     weights = np.full(count, x[1] - x[0])
     weights[0] = weights[-1] = weights[1] / 2.0
     probs = joint(x)
-    jump = weights @ (probs.sum(axis=1) - probs[:, baseline])
+    # The off-baseline columns summed, not the row total minus the baseline,
+    # which cancels when the jump is rare.
+    off = probs[:, :baseline].sum(axis=1) + probs[:, baseline + 1 :].sum(axis=1)
+    jump = weights @ off
     correlation = weights @ ((probs @ np.arange(probs.shape[1])) * (x**2 - delta_x**2))
     return float(jump), float(correlation)
 
@@ -194,6 +208,128 @@ def beam_splitter_dense(reflectivity: float, dims: tuple[int, int]) -> np.ndarra
     return expm(theta * (np.kron(a.T, b) - np.kron(a, b.T)))
 
 
+_SQUEEZE_DIRECTIONS = ("amplify-x", "amplify-y")
+
+
+def rotation(off: np.ndarray) -> np.ndarray:
+    """exp(G) for the real antisymmetric tridiagonal G with G[j+1, j] = -G[j, j+1] = off[j].
+
+    With P = diag(i^j) and T the real symmetric tridiagonal matrix with the
+    same off-diagonal, G = -i P T P^-1, so one real eigendecomposition
+    T = Q diag(lam) Q^T gives exp(G) = Re(P Q e^{-i lam} Q^T P^-1).  T has a
+    zero diagonal, so Q cos(lam) Q^T only couples even distances j - k and
+    Q sin(lam) Q^T only odd ones; the real part is then
+    (-1)^floor((j - k) / 2) (Q (cos lam + sin lam) Q^T)[j, k].
+    """
+    lam, q = np.linalg.eigh(np.diag(off, -1))
+    index = np.arange(off.size + 1)
+    sign = 1.0 - 2.0 * (np.subtract.outer(index, index) // 2 % 2)
+    return sign * ((q * (np.cos(lam) + np.sin(lam))) @ q.T)
+
+
+def sector_blocks(reflectivity: float, dims: tuple[int, int]):
+    """Beam-splitter rotations per total-photon-number sector.
+
+    The generator theta (a* b - a b*) conserves the total photon number, so
+    the unitary splits into one real rotation per sector; sectors that fit
+    inside the truncation are exponentiated exactly.
+    """
+    d0, d1 = dims
+    theta = float(np.arcsin(np.sqrt(reflectivity)))
+    blocks = []
+    for total in range(d0 + d1 - 1):
+        lo = max(0, total - d1 + 1)
+        hi = min(d0 - 1, total)
+        n0 = np.arange(lo, hi + 1)
+        # Generator entry between n0 = k and k + 1 in this sector.
+        off = theta * np.sqrt(n0[1:] * (total - n0[:-1]))
+        blocks.append((n0, total - n0, rotation(off)))
+    return blocks
+
+
+def apply_sectors(joint: np.ndarray, blocks) -> np.ndarray:
+    out = np.zeros_like(joint)
+    for n0, n1, block in blocks:
+        out[n0, n1] = block @ joint[n0, n1]
+    return out
+
+
+def squeeze_matrix(gain_a: float, direction: str, dim: int) -> np.ndarray:
+    """Single-mode squeezer exp(r (a*^2 - a^2)/2) with r = ln(a) (amplify-x).
+
+    Heisenberg action: x -> a x, y -> y/a for "amplify-x"; the reciprocal
+    scaling for "amplify-y".  Real matrix, unitary on the truncated space.
+    """
+    if not np.isfinite(gain_a) or gain_a <= 0.0:
+        raise InvalidParameterError(f"gain_a must be positive, got {gain_a!r}")
+    if direction not in _SQUEEZE_DIRECTIONS:
+        raise InvalidParameterError(
+            f"direction must be one of {_SQUEEZE_DIRECTIONS}, got {direction!r}"
+        )
+    if not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise InvalidParameterError(f"dim must be an integer >= 2, got {dim!r}")
+    r = float(np.log(gain_a))
+    if direction == "amplify-y":
+        r = -r
+    # The generator couples n to n + 2 only: one tridiagonal rotation per parity chain.
+    out = np.zeros((dim, dim))
+    for chain in (np.arange(0, dim, 2), np.arange(1, dim, 2)):
+        n = chain[:-1].astype(np.float64)
+        out[np.ix_(chain, chain)] = rotation(0.5 * r * np.sqrt((n + 1.0) * (n + 2.0)))
+    return out
+
+
+class SpongeCircuit:
+    """The circuit by per-sector beam-splitter rotations and per-chain squeezers.
+
+    The unitaries act on a padded working space (a sponge layer of one extra
+    space above each rail, 2 dim + 16 levels) so that amplitude flowing
+    through levels just above the truncation during the squeeze-recombine
+    sequence is not reflected back into the kept levels; each rotation comes
+    from one real symmetric eigendecomposition.  joint returns the kept box
+    (one extra quarter of levels per mode) after the top-quarter occupation
+    guard on the whole working space.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        d0, d1 = params.dim_signal, params.dim_meter
+        self._work0 = 2 * d0 + 16
+        self._work1 = 2 * d1 + 16
+        self._keep0 = min(self._work0, d0 + d0 // 4)
+        self._keep1 = min(self._work1, d1 + d1 // 4)
+        self._blocks = sector_blocks(params.reflectivity, (self._work0, self._work1))
+        dir0, dir1 = "amplify-y", "amplify-x"
+        if params.swap_arms:
+            dir0, dir1 = dir1, dir0
+        self._squeeze0 = squeeze_matrix(params.gain_a, dir0, self._work0)
+        self._squeeze1 = squeeze_matrix(params.gain_a, dir1, self._work1)
+
+    def _evolve_work(self, signal_in: FockState) -> np.ndarray:
+        joint = np.zeros((self._work0, self._work1), dtype=np.complex128)
+        joint[: signal_in.dim, 0] = signal_in.amplitudes
+        joint = apply_sectors(joint, self._blocks)
+        joint = self._squeeze0 @ joint @ self._squeeze1.T
+        joint = apply_sectors(joint, self._blocks)
+        self._check_truncation(joint)
+        return joint
+
+    def _check_truncation(self, joint: np.ndarray) -> None:
+        probs = np.abs(joint) ** 2
+        for mode, dim in ((0, self.params.dim_signal), (1, self.params.dim_meter)):
+            occ = probs.sum(axis=1 - mode)
+            top = float(occ[dim - dim // 4 :].sum())
+            if top > TRUNCATION_OCCUPATION_LIMIT:
+                raise TruncationOverflowError(
+                    f"top-quarter occupation {top:.3e} of mode {mode} exceeds "
+                    f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
+                )
+
+    def joint(self, signal_in: FockState) -> np.ndarray:
+        """Joint output amplitudes on the kept (keep0, keep1) box."""
+        return self._evolve_work(signal_in)[: self._keep0, : self._keep1]
+
+
 @dataclass(frozen=True, eq=False)
 class TwoModeState:
     """Joint state of the two rails as an amplitude matrix [n_mode0, n_mode1]."""
@@ -213,7 +349,7 @@ def evolve(circuit, signal_in) -> TwoModeState:
     The tiny weight living above the truncation is dropped, not renormalised,
     so the squared norm reports how much was lost.
     """
-    joint = circuit._evolve_work(signal_in)
+    joint = circuit._evolve(signal_in)
     return TwoModeState(joint[: circuit.params.dim_signal, : circuit.params.dim_meter])
 
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -395,6 +396,28 @@ class TestMeasuredCorrelation:
         grid = make_grid(10.0 * dx, 8001)
         integrand = p1_asymptotic(dx, grid.nodes) * (grid.nodes**2 - dx**2)
         assert grid.integrate(integrand) == pytest.approx(0.125, rel=1e-9)
+
+
+class TestOverflowingResolution:
+    """At dx 3.3e153 x_m^2 - dx^2 leaves float64: a typed error naming dx, no warning."""
+
+    DX = 3.3e153
+
+    def _raises(self, compute):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="delta_x 3.3e\\+153"):
+                compute(FockState.vacuum(16), MeasurementModel(self.DX, 16))
+
+    def test_measured_correlation(self):
+        self._raises(measured_correlation)
+
+    def test_exact_report(self):
+        self._raises(exact_report)
+
+    def test_summarize(self):
+        self._raises(lambda state, model: summarize(
+            run_experiment(state, model, 200, seed=1), state, model))
 
 
 class TestOperatorCorrelation:

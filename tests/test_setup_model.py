@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from baeqnd.errors import (
@@ -12,16 +14,23 @@ from baeqnd.fock import FockState, make_grid, quadrature_x
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
-    _apply_sectors,
-    _sector_blocks,
     _trace_distance,
     SetupParams,
     calibrate_outcome_map,
     equivalence_defect,
-    squeeze_matrix,
 )
 
-from oracles import TwoModeState, beam_splitter_dense, evolve, fidelity, quadrature_y
+from oracles import (
+    SpongeCircuit,
+    TwoModeState,
+    apply_sectors,
+    beam_splitter_dense,
+    evolve,
+    fidelity,
+    quadrature_y,
+    sector_blocks,
+    squeeze_matrix,
+)
 
 
 def _grid_for(params, count=201):
@@ -39,13 +48,13 @@ def _sector_generator(theta, lo, total, size):
 
 
 class TestRotations:
-    """Eigendecomposition rotations against scipy's Pade expm of the dense generator."""
+    """The reference circuit's eigendecomposition rotations against scipy's Pade expm."""
 
     @pytest.mark.parametrize("work_dim", [64, 112])
     def test_sector_blocks_match_expm(self, work_dim):
         reflectivity = SetupParams(1.5).reflectivity
         theta = float(np.arcsin(np.sqrt(reflectivity)))
-        for n0, n1, block in _sector_blocks(reflectivity, (work_dim, work_dim)):
+        for n0, n1, block in sector_blocks(reflectivity, (work_dim, work_dim)):
             total = int(n0[0] + n1[0])
             ref = expm(_sector_generator(theta, int(n0[0]), total, n0.size))
             np.testing.assert_allclose(block, ref, rtol=0, atol=1e-11)
@@ -89,15 +98,15 @@ class TestSetupParams:
 
 
 def _beam_splitter(reflectivity, dims):
-    """The circuit's sector rotations as a matrix on the flat index n_mode0 * dims[1] + n_mode1."""
-    blocks = _sector_blocks(reflectivity, dims)
+    """The reference sector rotations as a matrix on the flat index n_mode0 * dims[1] + n_mode1."""
+    blocks = sector_blocks(reflectivity, dims)
     size = dims[0] * dims[1]
     basis = np.eye(size).reshape(size, *dims)
-    return np.stack([_apply_sectors(joint, blocks).reshape(-1) for joint in basis], axis=1)
+    return np.stack([apply_sectors(joint, blocks).reshape(-1) for joint in basis], axis=1)
 
 
 class TestBeamSplitter:
-    """The sector rotations applied to a joint state against the dense expm oracle."""
+    """The reference sector rotations applied to a joint state against the dense expm oracle."""
 
     def test_zero_reflectivity_is_identity(self):
         np.testing.assert_allclose(beam_splitter_dense(0.0, (4, 4)), np.eye(16), atol=1e-14)
@@ -106,7 +115,7 @@ class TestBeamSplitter:
     def test_full_reflection_swaps_modes(self):
         joint = np.zeros((4, 4))
         joint[1, 0] = 1.0
-        out = _apply_sectors(joint, _sector_blocks(1.0, (4, 4)))
+        out = apply_sectors(joint, sector_blocks(1.0, (4, 4)))
         assert abs(out[0, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)
         dense = beam_splitter_dense(1.0, (4, 4)) @ joint.reshape(-1)
@@ -137,6 +146,8 @@ class TestBeamSplitter:
 
 
 class TestSqueezer:
+    """The reference circuit's squeezer against the quadrature algebra."""
+
     def test_gain_one_is_identity(self):
         np.testing.assert_allclose(squeeze_matrix(1.0, "amplify-x", 8), np.eye(8), atol=1e-14)
 
@@ -191,9 +202,46 @@ class TestCircuitEvolution:
         assert joint.norm() == pytest.approx(1.0, abs=1e-9)
         assert joint.normalize().norm() == pytest.approx(1.0, abs=1e-15)
 
-    def test_truncation_overflow_at_high_gain(self):
-        with pytest.raises(TruncationOverflowError):
-            evolve(SetupCircuit(SetupParams(3.0, 40, 40)), FockState.vacuum(40))
+    @pytest.mark.parametrize("gain, dim, level, raises", [
+        (1.8, 20, 0, False),  # bound 7.46e-7
+        (2.0, 32, 1, False),  # bound 9.25e-7
+        (1.8, 20, 1, True),
+        (3.0, 40, 0, True),
+        (3.0, 40, 1, True),
+    ])
+    def test_truncation_overflow_at_high_gain(self, gain, dim, level, raises):
+        # Near the 1e-6 limit the guard decides as the reference route does.
+        params = SetupParams(gain, dim, dim)
+        state = FockState.number(dim, level)
+        for run in (SetupCircuit(params)._evolve, SpongeCircuit(params).joint):
+            if raises:
+                with pytest.raises(TruncationOverflowError):
+                    run(state)
+            else:
+                run(state)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(gain=st.floats(1.05, 1.8), dim=st.sampled_from([16, 24, 32, 48]),
+           data=st.data())
+    def test_matches_the_rotation_route(self, gain, dim, data):
+        # The recurrence's entries against the eigh/sponge reference, on a
+        # random complex input over levels 0-3.
+        top = data.draw(st.integers(0, 3))
+        parts = st.floats(-1.0, 1.0)
+        amps = np.zeros(dim, dtype=np.complex128)
+        for level in range(top + 1):
+            amps[level] = complex(data.draw(parts), data.draw(parts))
+        if np.linalg.norm(amps) < 1e-3:
+            amps[top] = 1.0
+        state = FockState(amps).normalize()
+        params = SetupParams(gain, dim, dim)
+        try:
+            reference = SpongeCircuit(params).joint(state)
+        except TruncationOverflowError:
+            return
+        joint = SetupCircuit(params)._evolve(state)
+        assert joint.shape == reference.shape
+        np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-10)
 
     def test_small_gain_large_resolution_is_fine(self):
         params = SetupParams(1.05, 40, 40)
