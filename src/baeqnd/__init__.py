@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     BaeQndError,
@@ -14,14 +14,9 @@ from .errors import (
     TruncationOverflowError,
 )
 from .fock import (
-    FockOperator,
     FockState,
     QuadratureGrid,
-    annihilation,
-    creation,
     make_grid,
-    number_operator,
-    quadrature_x,
     trusted_levels,
     wavefunction_table,
 )
@@ -58,7 +53,6 @@ __all__ = [
     "CorrelationReport",
     "DegenerateConditioningError",
     "DimensionMismatchError",
-    "FockOperator",
     "FockState",
     "GridTooNarrowError",
     "InvalidDimensionError",
@@ -72,21 +66,17 @@ __all__ = [
     "SetupParams",
     "ShotTable",
     "TruncationOverflowError",
-    "annihilation",
     "asymptotic_p1",
     "calibrate_outcome_map",
     "completeness_defect",
     "conditional_state",
-    "creation",
     "equivalence_defect",
     "jump_probability",
     "make_grid",
     "measured_correlation",
-    "number_operator",
     "operator_correlation",
     "outcome_density",
     "outcome_density_table",
-    "quadrature_x",
     "run_experiment",
     "summarize",
     "truncated_square_defect",

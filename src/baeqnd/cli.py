@@ -378,9 +378,8 @@ def _cmd_setup_check(args):
             rows.append([int(dim), defects["vacuum"], ""])
             continue
         sub = SetupParams(gain, dim, dim)
-        sub_grid = make_grid(args.grid_span, args.grid_count)
         try:
-            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, sub_grid))
+            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, grid))
             rows.append([int(dim), sub_defect, ""])
         except TruncationOverflowError:
             rows.append([int(dim), None, "truncation-overflow at this dim"])

@@ -1,4 +1,4 @@
-"""Truncated photon-number-basis linear algebra for a single light mode.
+"""Truncated photon-number-basis states, quadrature moments and wavefunctions of one mode.
 
 Conventions used throughout the package: the quadrature pair is
 
@@ -9,10 +9,12 @@ yields 0.5 |1>.  Position-space wavefunctions follow the same scaling,
 psi_0(x) = (2/pi)^(1/4) exp(-x^2), which makes the position and
 number representations of x agree entry by entry.
 
-Operators are built at the full requested dimension.  Ladder truncation
-corrupts the top rows/columns, so identities should be checked on the
-"trusted subspace" that excludes the top quarter of levels (see
-:func:`trusted_levels`).
+No operator is stored as a matrix.  The quadrature acts on an amplitude
+vector through the ladder (_x_action: two shifted slices times
+sqrt(1..dim-1), O(dim)), truncated at the state's dim; that truncated x is
+Hermitian, so <x^2> = ||x psi||^2 exactly.  Ladder truncation corrupts the
+top levels, so identities should be checked on the "trusted subspace" that
+excludes the top quarter of levels (see :func:`trusted_levels`).
 
 The orthonormal Hermite recurrence (_hermite_levels) gives the position
 wavefunctions and the Gauss-Hermite rules (_gh_rule) of the exact outcome
@@ -107,71 +109,19 @@ class FockState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Dense operator on a truncated Fock space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=np.complex128).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidDimensionError("operator entries must be a square matrix")
-        _require_dim(mat.shape[0])
-        if not np.all(np.isfinite(mat)):
-            raise InvalidParameterError("operator entries must be finite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, state: FockState) -> FockState:
-        """Matrix action on a state; the result is generally unnormalized."""
-        if self.dim != state.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim} vs state dim {state.dim}")
-        return FockState(self.entries @ state.amplitudes)
-
-    def expectation(self, state: FockState) -> complex:
-        if self.dim != state.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim} vs state dim {state.dim}")
-        return complex(np.vdot(state.amplitudes, self.entries @ state.amplitudes))
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"operator dims differ: {self.dim} vs {other.dim}")
-        return FockOperator(self.entries @ other.entries)
-
-
-def annihilation(dim: int) -> FockOperator:
-    """Ladder operator a with entries (n-1, n) = sqrt(n)."""
-    dim = _require_dim(dim)
-    return FockOperator(np.diag(np.sqrt(np.arange(1.0, dim)), k=1))
-
-
-def creation(dim: int) -> FockOperator:
-    """Ladder operator a* (transpose of :func:`annihilation`)."""
-    dim = _require_dim(dim)
-    return FockOperator(np.diag(np.sqrt(np.arange(1.0, dim)), k=-1))
-
-
-def quadrature_x(dim: int) -> FockOperator:
-    """x = (a + a*)/2.  Applied to the vacuum it gives 0.5 |1>."""
-    dim = _require_dim(dim)
-    return FockOperator((annihilation(dim).entries + creation(dim).entries) / 2.0)
-
-
-def number_operator(dim: int) -> FockOperator:
-    """n = a*a, diagonal with entries 0..dim-1."""
-    dim = _require_dim(dim)
-    return FockOperator(np.diag(np.arange(dim, dtype=np.float64)))
+def _x_action(amps: np.ndarray) -> np.ndarray:
+    """x amps = (a + a*) amps / 2 on the truncated space: two shifted slices, O(dim)."""
+    root = np.sqrt(np.arange(1.0, amps.size))
+    out = np.zeros_like(amps)
+    out[:-1] = root * amps[1:]
+    out[1:] += root * amps[:-1]
+    return out / 2.0
 
 
 def x_second_moment(state: FockState) -> float:
-    """<x^2> of a state, evaluated with the truncated quadrature operator."""
-    x = quadrature_x(state.dim)
-    return float(np.real((x @ x).expectation(state)))
+    """<x^2> = ||x psi||^2 of a state, with the truncated (Hermitian) quadrature x."""
+    phi = _x_action(state.amplitudes)
+    return float(np.vdot(phi, phi).real)
 
 
 def _hermite_levels(count: int, xi: np.ndarray, seed):

@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
-from .fock import FockState, QuadratureGrid, number_operator, quadrature_x, x_second_moment
+from .fock import FockState, QuadratureGrid, _x_action, x_second_moment
 from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
@@ -287,14 +287,14 @@ def operator_correlation(state: FockState) -> float:
     """
     if state.dim < 4:
         raise InvalidParameterError(f"state dim must be >= 4, got {state.dim}")
+    # <x^2 n> + <n x^2> = 2 Re<x psi, x n psi> and <x n x> = <x psi, n x psi>
+    # hold exactly for the truncated Hermitian x, so no matrix is formed.
     amps = state.amplitudes
-    x = quadrature_x(state.dim).entries
-    n = number_operator(state.dim).entries
-    xx = x @ x
-    sandwich = xx @ n + 2.0 * (x @ n @ x) + n @ xx
-    expect = lambda op: np.vdot(amps, op @ amps)
-    value = 0.25 * expect(sandwich) - expect(xx) * expect(n)
-    return float(np.real(value))
+    levels = np.arange(state.dim, dtype=np.float64)
+    phi = _x_action(amps)
+    value = 0.5 * (np.vdot(phi, _x_action(levels * amps)).real + np.vdot(phi, levels * phi).real)
+    value -= np.vdot(phi, phi).real * np.vdot(amps, levels * amps).real
+    return float(value)
 
 
 def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> CorrelationReport:

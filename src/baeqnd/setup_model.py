@@ -51,10 +51,13 @@ Truncation guard.  The requested dimensions define the I/O contract: input
 states, reported conditional outputs and the guard.  The box keeps one
 extra quarter of levels per mode, mirroring the trusted-subspace policy,
 and the homodyne reads all of them.  With exact entries the mass that leaves
-the box is ||psi||^2 - ||G psi||^2; each mode's top-quarter occupation
-inside the box plus that mass bounds the mode's true top-quarter
-occupation from above, and TruncationOverflowError is raised when it
-exceeds TRUNCATION_OCCUPATION_LIMIT.
+the box is ||psi||^2 - ||G psi||^2, and a norm that grew instead counts
+with its magnitude; each mode's top-quarter occupation inside the box plus
+that mass bounds the mode's true top-quarter occupation from above, and
+TruncationOverflowError is raised when it exceeds
+TRUNCATION_OCCUPATION_LIMIT.  The homodyne reads mode 0 up to level
+dim_signal + dim_signal // 4 - 1, so dim_signal above 206 is refused with
+OutOfRangeError before the entries are built.
 
 calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
@@ -71,10 +74,11 @@ from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
     DimensionMismatchError,
     InvalidParameterError,
+    OutOfRangeError,
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, _gh_rule, wavefunction_table
+from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule, wavefunction_table
 from .measurement import (
     MeasurementModel,
     _exact_joint,
@@ -183,7 +187,14 @@ class SetupCircuit:
         self.params = params
         d0, d1 = params.dim_signal, params.dim_meter
         # Detection keeps one extra quarter of levels per mode, the same
-        # margin the trusted-subspace policy excludes.
+        # margin the trusted-subspace policy excludes.  The homodyne reads every
+        # kept level of mode 0, so refuse a box it cannot read before building
+        # it: the entries grow as dim^3.
+        if d0 + d0 // 4 - 1 > MAX_WAVEFUNCTION_LEVEL:
+            raise OutOfRangeError(
+                f"dim_signal {d0} needs homodyne levels up to {d0 + d0 // 4 - 1}, above the "
+                f"supported {MAX_WAVEFUNCTION_LEVEL}"
+            )
         self._entries = _circuit_entries(params, (d0 + d0 // 4, d1 + d1 // 4, d0))
 
     def _evolve(self, signal_in: FockState) -> np.ndarray:
@@ -195,7 +206,8 @@ class SetupCircuit:
         psi = signal_in.amplitudes
         joint = self._entries @ psi
         probs = np.abs(joint) ** 2
-        leak = max(0.0, float(np.vdot(psi, psi).real) - float(probs.sum()))
+        # Exact entries cannot raise the norm, so growth counts as damage too.
+        leak = abs(float(np.vdot(psi, psi).real) - float(probs.sum()))
         for mode, dim in ((0, self.params.dim_signal), (1, self.params.dim_meter)):
             top = float(probs.sum(axis=1 - mode)[dim - dim // 4 :].sum()) + leak
             if top > TRUNCATION_OCCUPATION_LIMIT:

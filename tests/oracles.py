@@ -10,6 +10,10 @@ are frozen from these, never from the code under test.  TwoModeState and
 evolve are test helpers, not oracles: they expose the circuit's joint output
 state, which the library itself only reads out through the homodyne.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
+ladder, quadrature_x and number_operator are the dense truncated matrices
+the library used to build, and operator_correlation_dense is its matrix
+route for the operator-ordering correlation, kept as the reference for the
+library's ladder action on the amplitude vector.
 completeness_integrals_stacked is the completeness audit's whole-grid
 route, the reference for the library's chunked one.  kernel_factor_tables is
 the Gauss-Hermite factor-table route the library's kernel used before its
@@ -41,7 +45,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockOperator, FockState
+from baeqnd.fock import FockState
 from baeqnd.measurement import operator_batch
 
 
@@ -409,11 +413,38 @@ def fidelity(a: FockState, b: FockState) -> float:
     return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
 
 
-def is_hermitian(op: FockOperator, atol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(op.entries - op.entries.conj().T)) <= atol)
+def is_hermitian(op: np.ndarray, atol: float = 1e-12) -> bool:
+    return bool(np.max(np.abs(op - op.conj().T)) <= atol)
 
 
-def quadrature_y(dim: int) -> FockOperator:
+def ladder(dim: int) -> np.ndarray:
+    """Truncated annihilation operator a: entries (n-1, n) = sqrt(n); a* is its transpose."""
+    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+
+
+def quadrature_x(dim: int) -> np.ndarray:
+    """x = (a + a*)/2 as a dense matrix.  Applied to the vacuum it gives 0.5 |1>."""
+    a = ladder(dim)
+    return (a + a.T) / 2.0
+
+
+def quadrature_y(dim: int) -> np.ndarray:
     """y = (a - a*)/(2i), conjugate to x with [x, y] = i/2, from the explicit ladder matrices."""
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
-    return FockOperator((a - a.T) / 2.0j)
+    a = ladder(dim)
+    return (a - a.T) / 2.0j
+
+
+def number_operator(dim: int) -> np.ndarray:
+    """n = a*a, diagonal with entries 0..dim-1."""
+    return np.diag(np.arange(dim, dtype=np.float64))
+
+
+def operator_correlation_dense(state: FockState) -> float:
+    """<x^2 n + 2 x n x + n x^2>/4 - <x^2><n> from products of the dense truncated matrices."""
+    amps = state.amplitudes
+    x = quadrature_x(state.dim)
+    n = number_operator(state.dim)
+    xx = x @ x
+    sandwich = xx @ n + 2.0 * (x @ n @ x) + n @ xx
+    expect = lambda op: np.vdot(amps, op @ amps)
+    return float(np.real(0.25 * expect(sandwich) - expect(xx) * expect(n)))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from baeqnd import __version__, cli, measurement
+from baeqnd import __version__, cli, measurement, setup_model
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
 
 from oracles import rowform_payload_texts
@@ -284,6 +284,18 @@ class TestSetupCheck:
         code = main(["setup-check", "--gain-a", "1.5", "--delta-x", "1",
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CONFIG
+
+    def test_dim_beyond_the_homodyne_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The homodyne reads mode-0 levels up to dim + dim // 4 - 1, at most 256.
+        def build(params, shape):
+            raise AssertionError(f"entries built for {shape}")
+
+        monkeypatch.setattr(setup_model, "_circuit_entries", build)
+        code = main(["setup-check", "--gain-a", "1.5", "--dim", "1000",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "1249" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -14,7 +14,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, number_operator, quadrature_x
+from baeqnd.fock import FockState, make_grid, x_second_moment
 from baeqnd.jumps import (
     SAMPLING_GRID_COUNT,
     SHARD_SIZE,
@@ -32,8 +32,11 @@ from baeqnd.measurement import MeasurementModel, conditional_state, measurement_
 from oracles import (
     correlation_exact,
     jump_probability_exact,
+    number_operator,
+    operator_correlation_dense,
     p1_asymptotic,
     photon_draw_interpolated,
+    quadrature_x,
     trapezoid_jump_integrals,
 )
 
@@ -427,8 +430,8 @@ class TestOperatorCorrelation:
 
     def test_only_sandwiched_term_contributes_for_vacuum(self):
         dim = 8
-        x = quadrature_x(dim).entries
-        n = number_operator(dim).entries
+        x = quadrature_x(dim)
+        n = number_operator(dim)
         vac = np.zeros(dim)
         vac[0] = 1.0
         assert abs(np.vdot(vac, x @ x @ n @ vac)) < 1e-15
@@ -444,6 +447,26 @@ class TestOperatorCorrelation:
     def test_dim_too_small(self):
         with pytest.raises(InvalidParameterError):
             operator_correlation(FockState.vacuum(3))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(4, 64), data=st.data())
+    def test_ladder_action_matches_the_dense_matrices(self, dim, data):
+        # A random complex input on levels 0..top, any top, unnormalised:
+        # the ladder route against products of the dense truncated matrices.
+        top = data.draw(st.integers(0, dim - 1), label="top")
+        parts = st.floats(-1.0, 1.0)
+        amps = np.zeros(dim, dtype=np.complex128)
+        for level in range(top + 1):
+            amps[level] = complex(data.draw(parts), data.draw(parts))
+        if np.linalg.norm(amps) < 1e-3:
+            amps[top] = 1.0
+        state = FockState(amps)
+        x = quadrature_x(dim)
+        expected_c = operator_correlation_dense(state)
+        expected_x2 = np.linalg.norm(x @ amps) ** 2
+        for value, expected in ((operator_correlation(state), expected_c),
+                                (x_second_moment(state), expected_x2)):
+            assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 class TestSummarize:

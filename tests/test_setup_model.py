@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from baeqnd import setup_model
 from baeqnd.errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    OutOfRangeError,
     SetupMismatchError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, quadrature_x
+from baeqnd.fock import FockState, make_grid
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
 from baeqnd.setup_model import (
     SetupCircuit,
@@ -27,6 +29,7 @@ from oracles import (
     beam_splitter_dense,
     evolve,
     fidelity,
+    quadrature_x,
     quadrature_y,
     sector_blocks,
     squeeze_matrix,
@@ -136,8 +139,8 @@ class TestBeamSplitter:
         theta = np.arcsin(np.sqrt(reflectivity))
         bs = _beam_splitter(reflectivity, (dim, dim))
         np.testing.assert_allclose(bs, beam_splitter_dense(reflectivity, (dim, dim)), atol=1e-12)
-        x0 = np.kron(quadrature_x(dim).entries.real, np.eye(dim))
-        x1 = np.kron(np.eye(dim), quadrature_x(dim).entries.real)
+        x0 = np.kron(quadrature_x(dim), np.eye(dim))
+        x1 = np.kron(np.eye(dim), quadrature_x(dim))
         totals = (np.arange(dim)[:, None] + np.arange(dim)[None, :]).reshape(-1)
         keep = np.outer(totals <= dim - 2, totals <= dim - 2)
         rotated = bs.T @ x0 @ bs
@@ -154,12 +157,12 @@ class TestSqueezer:
     def test_vacuum_variance_amplified(self):
         # Heisenberg transform of the vacuum variance: <x^2> -> a^2/4.
         s = squeeze_matrix(1.5, "amplify-x", 60)
-        x = quadrature_x(60).entries.real
+        x = quadrature_x(60)
         assert (s.T @ x @ x @ s)[0, 0] == pytest.approx(0.5625, abs=1e-6)
 
     def test_conjugate_variance_shrinks(self):
         s = squeeze_matrix(1.5, "amplify-x", 60)
-        y = quadrature_y(60).entries
+        y = quadrature_y(60)
         value = np.real((s.T @ (y @ y).real @ s)[0, 0])
         assert value == pytest.approx(0.25 / 1.5**2, abs=1e-6)
 
@@ -169,8 +172,8 @@ class TestSqueezer:
         # the check runs on the low block.
         a, dim, block = 1.5, 40, 8
         s = squeeze_matrix(a, "amplify-x", dim)
-        x = quadrature_x(dim).entries.real
-        y = quadrature_y(dim).entries
+        x = quadrature_x(dim)
+        y = quadrature_y(dim)
         np.testing.assert_allclose(
             (s.T @ x @ s)[:block, :block], a * x[:block, :block], atol=1e-6
         )
@@ -252,6 +255,28 @@ class TestCircuitEvolution:
     def test_signal_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             evolve(SetupCircuit(SetupParams(1.5, 24, 24)), FockState.vacuum(16))
+
+    def test_norm_growth_counts_against_the_guard(self):
+        # Exact entries cannot raise the norm; scaled ones give ||G psi||^2 = 1.00002.
+        circuit = SetupCircuit(SetupParams(1.5, 24, 24))
+        vacuum = FockState.vacuum(24)
+        circuit._evolve(vacuum)
+        circuit._entries = circuit._entries * (1.0 + 1e-5)
+        with pytest.raises(TruncationOverflowError):
+            circuit._evolve(vacuum)
+
+    def test_box_beyond_the_homodyne_is_refused_before_it_is_built(self, monkeypatch):
+        # The homodyne reads mode 0 up to dim + dim // 4 - 1 <= 256, so dim 206
+        # is the largest box it can read; larger ones must not allocate G.
+        def build(params, shape):
+            raise AssertionError(f"entries built for {shape}")
+
+        monkeypatch.setattr(setup_model, "_circuit_entries", build)
+        for dim in (207, 1000):
+            with pytest.raises(OutOfRangeError):
+                SetupCircuit(SetupParams(1.5, dim, dim))
+        with pytest.raises(AssertionError, match="entries built"):
+            SetupCircuit(SetupParams(1.5, 206, 206))
 
 
 def _readout(params, signal_in, x_m):
