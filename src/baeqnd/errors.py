@@ -21,10 +21,6 @@ class InvalidParameterError(BaeQndError, ValueError):
     """A numeric parameter violates its documented precondition."""
 
 
-class GridTooNarrowError(BaeQndError):
-    """An integration grid does not cover enough of the outcome distribution."""
-
-
 class DegenerateConditioningError(BaeQndError):
     """Conditioning on an outcome whose probability density underflows."""
 

@@ -109,6 +109,17 @@ class FockState:
         return np.abs(self.amplitudes) ** 2
 
 
+def require_normalized(state: FockState) -> None:
+    """Raise InvalidParameterError unless |<psi|psi> - 1| <= 1e-12.
+
+    Probabilities read from an unnormalised input come out scaled by its squared norm.
+    """
+    norm2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    if not abs(norm2 - 1.0) <= 1e-12:
+        raise InvalidParameterError(
+            f"the input state must be normalized; its squared norm is {norm2!r}")
+
+
 def _x_action(amps: np.ndarray) -> np.ndarray:
     """x amps = (a + a*) amps / 2 on the truncated space: two shifted slices, O(dim)."""
     root = np.sqrt(np.arange(1.0, amps.size))
@@ -223,11 +234,6 @@ class QuadratureGrid:
     @property
     def count(self) -> int:
         return self.nodes.size
-
-    @property
-    def span(self) -> float:
-        """Largest |node|; the half-width actually covered by the grid."""
-        return float(np.max(np.abs(self.nodes)))
 
     def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray | float:
         """Weighted sum approximating the integral of sampled values."""

@@ -43,7 +43,9 @@ At small dx the measurement lifts part of the input above the truncation.
 The deterministic integrals and the sampling table raise
 TruncationOverflowError when that lost probability exceeds
 TRUNCATION_OCCUPATION_LIMIT (the photon draw normalises each shot's
-probabilities and would hide it).
+probabilities and would hide it).  The sampler and the statistics refuse an
+input whose squared norm is more than 1e-12 away from 1: its exact
+probabilities would come out scaled by it, and its samples would not.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
-from .fock import FockState, QuadratureGrid, _x_action, x_second_moment
+from .fock import FockState, QuadratureGrid, _x_action, require_normalized, x_second_moment
 from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
@@ -210,6 +212,7 @@ def run_experiment(
     for name, value, low in (("shots", shots, 1), ("seed", seed, 0), ("threads", threads, 1)):
         if not isinstance(value, (int, np.integer)) or value < low:
             raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    require_normalized(state)
     xs, cdf, cum = _sampling_table(state, model)
 
     def work(start):
@@ -260,6 +263,7 @@ def jump_probability(state: FockState, model: MeasurementModel) -> float:
     The baseline is the input's most probable photon number (0 for vacuum,
     so this is the total weight of all n >= 1 columns).
     """
+    require_normalized(state)
     rule, probs = _exact_joint(state, model)
     return _off_baseline_mass(probs, rule, _baseline_photon(state))
 
@@ -274,6 +278,7 @@ def measured_correlation(state: FockState, model: MeasurementModel) -> float:
     it does not tend to operator_correlation (0.8755 against 0.125 for
     number(48, 1) at dx 10).
     """
+    require_normalized(state)
     rule, probs = _exact_joint(state, model)
     return _correlation_integral(probs, rule, model.delta_x)
 
@@ -287,6 +292,7 @@ def operator_correlation(state: FockState) -> float:
     """
     if state.dim < 4:
         raise InvalidParameterError(f"state dim must be >= 4, got {state.dim}")
+    require_normalized(state)
     # <x^2 n> + <n x^2> = 2 Re<x psi, x n psi> and <x n x> = <x psi, n x psi>
     # hold exactly for the truncated Hermitian x, so no matrix is formed.
     amps = state.amplitudes
@@ -349,6 +355,7 @@ def exact_report(state: FockState, model: MeasurementModel) -> CorrelationReport
 
 
 def _exact_report_fields(state, model) -> dict:
+    require_normalized(state)
     rule, probs = _exact_joint(state, model)
     return {
         "exact_c_integral": _correlation_integral(probs, rule, model.delta_x),

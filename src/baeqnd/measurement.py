@@ -62,12 +62,11 @@ from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
     DegenerateConditioningError,
     DimensionMismatchError,
-    GridTooNarrowError,
     InvalidParameterError,
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, _gh_rule, trusted_levels
+from .fock import FockState, QuadratureGrid, _gh_rule, make_grid, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -385,8 +384,13 @@ def asymptotic_p1(delta_x: float, x_m) -> np.ndarray | float:
     return val
 
 
+def outcome_span(delta_x: float) -> float:
+    """Half-width 6 sqrt(dx^2 + 1) of the density table's and the setup audit's outcomes."""
+    return 6.0 * np.sqrt(delta_x**2 + 1.0)
+
+
 def completeness_required_span(model: MeasurementModel) -> float:
-    """Grid half-width needed for the completeness integral at this dim."""
+    """Half-width 6 sqrt(dx^2 + dim) of the audit grid: 6 sigma of every trusted level."""
     return 6.0 * np.sqrt(model.delta_x**2 + model.dim)
 
 
@@ -405,20 +409,15 @@ def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementMo
     return dims, MeasurementModel(model.delta_x, max(dims))
 
 
-def _audit_chunks(model: MeasurementModel, grid: QuadratureGrid):
-    """Yield the grid's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
+def _audit_chunks(model: MeasurementModel, count: int):
+    """Yield the audit grid's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
 
+    The grid is uniform, count nodes over completeness_required_span(model).
     A chunk's ladder row (outcomes x dim) then holds about _CHUNK_ELEMENTS
     entries, so every ladder step is one vector operation over many outcomes
-    at any dim.  Raises GridTooNarrowError, before the first chunk, when the
-    grid does not cover 6 sigma of every trusted level's outcome distribution.
+    at any dim.
     """
-    required = completeness_required_span(model)
-    if grid.span < required:
-        raise GridTooNarrowError(
-            f"grid span {grid.span:.3g} < required {required:.3g} "
-            f"(use span >= 6*sqrt(delta_x^2 + dim))"
-        )
+    grid = make_grid(completeness_required_span(model), count)
     chunk = max(1, _CHUNK_ELEMENTS // model.dim)
     for start in range(0, grid.count, chunk):
         yield grid.nodes[start : start + chunk], grid.weights[start : start + chunk]
@@ -429,32 +428,30 @@ def _deviation(block: np.ndarray, levels: int) -> float:
     return float(np.max(np.abs(block[:levels, :levels] - np.eye(levels))))
 
 
-def completeness_defect(
-    model: MeasurementModel, grid: QuadratureGrid, dims=None
-) -> tuple[float, ...]:
+def completeness_defect(model: MeasurementModel, count: int, dims=None) -> tuple[float, ...]:
     """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
     One value per audited dim in dims (default model.dim alone), each at most
-    model.dim.  Uses the exact squared kernel, so the only error sources are
-    the grid (span and spacing) and the wavefunction tails of each level.  The
-    integral is sum_b w_b P(x_b)^2, accumulated row by row from the ladder
-    rows of a chunk of outcomes, so no (grid.count, dim, dim) stack is built.
-    The ladder rows are exact matrix elements of the untruncated operator, so
-    one pass at the largest audited dim serves all of them: a smaller dim's
-    integral is the leading block of the largest one's.
-    Raises GridTooNarrowError when the grid does not cover 6 sigma of every
-    trusted level's outcome distribution at the largest audited dim.
+    model.dim.  The integral runs over a uniform grid of count nodes spanning
+    completeness_required_span at the largest audited dim, and uses the exact
+    squared kernel, so the only error sources are the grid spacing and the
+    wavefunction tails of each level.  The integral is sum_b w_b P(x_b)^2,
+    accumulated row by row from the ladder rows of a chunk of outcomes, so
+    no (count, dim, dim) stack is built.  The ladder rows are exact matrix
+    elements of the untruncated operator, so one pass at the largest audited
+    dim serves all of them: a smaller dim's integral is the leading block of
+    the largest one's.
     """
     dims, top = _audit_dims(model, dims)
     total = np.zeros((top.dim, top.dim))
-    for nodes, weights in _audit_chunks(top, grid):
+    for nodes, weights in _audit_chunks(top, count):
         for n, row in enumerate(_kernel_rows(top, nodes, top.dim, squared=True)):
             total[n] += weights @ row
     return tuple(_deviation(total, trusted_levels(d)) for d in dims)
 
 
 def truncated_square_defect(
-    model: MeasurementModel, grid: QuadratureGrid, dims=None
+    model: MeasurementModel, count: int, dims=None
 ) -> tuple[tuple[float, float], ...]:
     """Completeness defects (trusted, full) when the truncated operator matrix is squared.
 
@@ -468,13 +465,13 @@ def truncated_square_defect(
     leading d x d block, because every P_b is symmetric.  One ladder pass at
     the largest audited dim sums the rows between consecutive audited dims
     into one part each; a dim's integral is the sum of the parts up to it.
-    Raises GridTooNarrowError like completeness_defect.
+    The grid is completeness_defect's.
     """
     dims, top = _audit_dims(model, dims)
     ends = sorted(set(dims))
     part_of_row = np.searchsorted(ends, np.arange(top.dim), side="right")
     parts = np.zeros((len(ends), top.dim, top.dim))
-    for nodes, weights in _audit_chunks(top, grid):
+    for nodes, weights in _audit_chunks(top, count):
         root = np.sqrt(weights)[:, None]
         for n, row in enumerate(_kernel_rows(top, nodes, top.dim)):
             q = root * row

@@ -28,6 +28,8 @@ recurrence (beam-splitter rotations per photon-number sector and squeezer
 rotations per parity chain, each from one eigh, on a padded working space),
 kept as the reference for that recurrence; rotation, sector_blocks,
 apply_sectors and squeeze_matrix are its parts, checked against scipy's expm.
+swapped_arms gives the Bogoliubov map of the circuit with its two amplifier
+arms exchanged, the negative control of the setup audits.
 """
 
 import json
@@ -297,20 +299,15 @@ class SpongeCircuit:
 
     def __init__(self, params):
         self.params = params
-        d0, d1 = params.dim_signal, params.dim_meter
-        self._work0 = 2 * d0 + 16
-        self._work1 = 2 * d1 + 16
-        self._keep0 = min(self._work0, d0 + d0 // 4)
-        self._keep1 = min(self._work1, d1 + d1 // 4)
-        self._blocks = sector_blocks(params.reflectivity, (self._work0, self._work1))
-        dir0, dir1 = "amplify-y", "amplify-x"
-        if params.swap_arms:
-            dir0, dir1 = dir1, dir0
-        self._squeeze0 = squeeze_matrix(params.gain_a, dir0, self._work0)
-        self._squeeze1 = squeeze_matrix(params.gain_a, dir1, self._work1)
+        dim = params.dim
+        self._work = 2 * dim + 16
+        self._keep = min(self._work, dim + dim // 4)
+        self._blocks = sector_blocks(params.reflectivity, (self._work, self._work))
+        self._squeeze0 = squeeze_matrix(params.gain_a, "amplify-y", self._work)
+        self._squeeze1 = squeeze_matrix(params.gain_a, "amplify-x", self._work)
 
     def _evolve_work(self, signal_in: FockState) -> np.ndarray:
-        joint = np.zeros((self._work0, self._work1), dtype=np.complex128)
+        joint = np.zeros((self._work, self._work), dtype=np.complex128)
         joint[: signal_in.dim, 0] = signal_in.amplitudes
         joint = apply_sectors(joint, self._blocks)
         joint = self._squeeze0 @ joint @ self._squeeze1.T
@@ -320,7 +317,8 @@ class SpongeCircuit:
 
     def _check_truncation(self, joint: np.ndarray) -> None:
         probs = np.abs(joint) ** 2
-        for mode, dim in ((0, self.params.dim_signal), (1, self.params.dim_meter)):
+        dim = self.params.dim
+        for mode in (0, 1):
             occ = probs.sum(axis=1 - mode)
             top = float(occ[dim - dim // 4 :].sum())
             if top > TRUNCATION_OCCUPATION_LIMIT:
@@ -330,8 +328,8 @@ class SpongeCircuit:
                 )
 
     def joint(self, signal_in: FockState) -> np.ndarray:
-        """Joint output amplitudes on the kept (keep0, keep1) box."""
-        return self._evolve_work(signal_in)[: self._keep0, : self._keep1]
+        """Joint output amplitudes on the kept (keep, keep) box."""
+        return self._evolve_work(signal_in)[: self._keep, : self._keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +352,25 @@ def evolve(circuit, signal_in) -> TwoModeState:
     so the squared norm reports how much was lost.
     """
     joint = circuit._evolve(signal_in)
-    return TwoModeState(joint[: circuit.params.dim_signal, : circuit.params.dim_meter])
+    dim = circuit.params.dim
+    return TwoModeState(joint[:dim, :dim])
+
+
+def swapped_arms(bogoliubov):
+    """bogoliubov's circuit with its two amplifier arms exchanged, as a (W, V) map.
+
+    Exchanging the arms flips the sign of both squeezing parameters, which is
+    the circuit conjugated by a quarter-turn phase a -> i a on both modes: the
+    beam splitters commute with it and each squeezer's V changes sign, so the
+    whole circuit's map becomes (W, -V).  Monkeypatch setup_model._bogoliubov
+    with swapped_arms(setup_model._bogoliubov) to build the swapped circuit.
+    """
+
+    def swapped(params):
+        w, v = bogoliubov(params)
+        return w, -v
+
+    return swapped
 
 
 def completeness_integrals_stacked(model, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from baeqnd.cli import EXIT_OK, main
-from baeqnd.fock import FockState, make_grid
+from baeqnd.fock import FockState
 from baeqnd.jumps import (
     jump_probability,
     measured_correlation,
@@ -23,7 +23,6 @@ from baeqnd.measurement import (
     MeasurementModel,
     asymptotic_p1,
     completeness_defect,
-    completeness_required_span,
 )
 from baeqnd.setup_model import SetupCircuit, SetupParams, calibrate_outcome_map, equivalence_defect
 
@@ -57,8 +56,7 @@ def test_criterion_1_povm_completeness():
         for dim in (16, 32):
             for delta_x in (0.5, 1.0, 2.0, 5.0, 10.0):
                 model = MeasurementModel(delta_x, dim)
-                grid = make_grid(completeness_required_span(model), 2001)
-                (defect,) = completeness_defect(model, grid)
+                (defect,) = completeness_defect(model, 2001)
                 assert defect < 1e-8, (dim, delta_x, defect)
 
 
@@ -162,14 +160,13 @@ def test_criterion_5_monte_carlo_consistency():
 def test_criterion_6_setup_equivalence():
     with _Criterion(6, "setup/kernel equivalence", 120.0):
         for gain in (1.2, 1.5, 2.0):
-            params = SetupParams(gain, 40, 40)
+            params = SetupParams(gain, 40)
             assert params.reflectivity == pytest.approx(gain**2 / (gain**2 + 1.0), abs=1e-15)
             assert params.delta_x == pytest.approx(gain / (2.0 * (gain**2 - 1.0)), abs=1e-15)
             circuit = SetupCircuit(params)
             calibration = calibrate_outcome_map(params, circuit=circuit)
-            grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
             for state in (FockState.vacuum(40), FockState.number(40, 1)):
-                defect = equivalence_defect(state, params, grid,
+                defect = equivalence_defect(state, params, 201,
                                             circuit=circuit, calibration=calibration)
                 assert defect < 1e-3, (gain, defect)
             scale_one = calibrate_outcome_map(
@@ -181,9 +178,7 @@ def test_criterion_6_setup_equivalence():
         # stays below the truncation guard so every point is evaluable.
         defects = []
         for dim in (20, 30, 40):
-            params = SetupParams(1.8, dim, dim)
-            grid = make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), 201)
-            defects.append(equivalence_defect(FockState.vacuum(dim), params, grid))
+            defects.append(equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim), 201))
         assert defects[0] > defects[1] > defects[2], defects
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from baeqnd import __version__, cli, measurement, setup_model
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
 
-from oracles import rowform_payload_texts
+from oracles import rowform_payload_texts, swapped_arms
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -178,13 +178,18 @@ class TestPovmCheck:
         assert dims == sorted(dims)
 
     def test_recorded_span_reproduces_payload(self, tmp_path):
-        # Every audited dim is integrated on the one span that meta.config records.
+        # The span follows from --delta-x and --dim, so the settings in
+        # meta.config rerun the audit on the same grid, the span the report records.
         out, rerun = tmp_path / "povm.json", tmp_path / "rerun.json"
-        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--out", str(out)]) == EXIT_OK
+        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--grid-count", "401",
+                     "--out", str(out)]) == EXIT_OK
         envelope = read_envelope(out)
-        span = envelope["meta"]["config"]["grid_span"]
-        assert span == envelope["payload"]["report"]["grid_span"]
-        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--grid-span", repr(span),
+        config = envelope["meta"]["config"]
+        assert "grid_span" not in config
+        report = envelope["payload"]["report"]
+        assert report["grid_span"] == report["required_span"] == 6.0 * math.sqrt(1.0 + 24.0)
+        assert main(["povm-check", "--delta-x", repr(config["delta_x"][0]),
+                     "--dim", str(config["dim"]), "--grid-count", str(config["grid_count"]),
                      "--out", str(rerun)]) == EXIT_OK
         assert read_envelope(rerun)["checksum"] == envelope["checksum"]
 
@@ -216,12 +221,6 @@ class TestPovmCheck:
         bound = math.ceil(201 * 400 / measurement._CHUNK_ELEMENTS)
         assert 1 <= started[True] <= bound
         assert 1 <= started[False] <= bound
-
-    def test_narrow_grid_distinct_exit_code(self, tmp_path, capsys):
-        code = main(["povm-check", "--delta-x", "1", "--dim", "16",
-                     "--grid-span", "2", "--out", str(tmp_path / "p.json")])
-        assert code == EXIT_NUMERIC
-        assert "span" in capsys.readouterr().err
 
 
 class TestSetupCheck:
@@ -263,6 +262,17 @@ class TestSetupCheck:
         assert dims == (24, 36, 48)
         assert defects[0] > defects[1] > defects[2]
         assert defects[2] < 1e-12
+
+    def test_calibration_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
+        # With the amplifier arms exchanged the one-photon density matches no
+        # rescaled kernel density: exit 3, and no file.
+        monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
+        out = tmp_path / "setup.json"
+        code = main(["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert "calibration residual" in capsys.readouterr().err
 
     def test_overflowing_row_is_empty_csv_cell(self, tmp_path):
         # The JSON null of an overflowed sweep row is an empty CSV cell, not "None".
@@ -351,13 +361,23 @@ class TestGridFlags:
                      "--seed", "1"],
     }
 
-    # The jump integrals use an exact rule, so these commands take no grid
-    # flag at all: argparse refuses any span or count before a file is opened.
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    # The grid commands take only a node count: their span follows from the
+    # resolution and --dim, so no span can narrow an audit.
+    SPAN_COMMANDS = {
+        **COMMANDS,
+        "distribution": ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "101"],
+        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
+        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
+    }
+
+    # No command takes --grid-span, and the jump integrals use an exact rule,
+    # so their commands take no --grid-count either: argparse refuses them
+    # before a file is opened.
+    @pytest.mark.parametrize("command", sorted(SPAN_COMMANDS))
     @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0", "5"])
     def test_invalid_span_is_config_error(self, tmp_path, capsys, command, span):
         out = tmp_path / "out.json"
-        code = main(self.COMMANDS[command] + ["--grid-span", span, "--out", str(out)])
+        code = main(self.SPAN_COMMANDS[command] + ["--grid-span", span, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert f"unrecognized arguments: --grid-span {span}" in capsys.readouterr().err

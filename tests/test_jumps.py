@@ -451,8 +451,8 @@ class TestOperatorCorrelation:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(dim=st.integers(4, 64), data=st.data())
     def test_ladder_action_matches_the_dense_matrices(self, dim, data):
-        # A random complex input on levels 0..top, any top, unnormalised:
-        # the ladder route against products of the dense truncated matrices.
+        # A random complex input on levels 0..top, any top, normalised: the
+        # ladder route against products of the dense truncated matrices.
         top = data.draw(st.integers(0, dim - 1), label="top")
         parts = st.floats(-1.0, 1.0)
         amps = np.zeros(dim, dtype=np.complex128)
@@ -460,13 +460,43 @@ class TestOperatorCorrelation:
             amps[level] = complex(data.draw(parts), data.draw(parts))
         if np.linalg.norm(amps) < 1e-3:
             amps[top] = 1.0
-        state = FockState(amps)
+        state = FockState(amps).normalize()
         x = quadrature_x(dim)
         expected_c = operator_correlation_dense(state)
-        expected_x2 = np.linalg.norm(x @ amps) ** 2
+        expected_x2 = np.linalg.norm(x @ state.amplitudes) ** 2
         for value, expected in ((operator_correlation(state), expected_c),
                                 (x_second_moment(state), expected_x2)):
             assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+class TestUnnormalizedInput:
+    """Each statistic refuses an input whose squared norm is not 1 to 1e-12.
+
+    For 2 |0> at dx 1, dim 8 the jump probability would read 0.2288, four
+    times the vacuum's, next to a sampled jump fraction near the vacuum's.
+    """
+
+    MODEL = MeasurementModel(1.0, 8)
+    DOUBLED = FockState(2.0 * FockState.vacuum(8).amplitudes)
+
+    @pytest.mark.parametrize("entry", [
+        lambda state, model: operator_correlation(state),
+        jump_probability,
+        measured_correlation,
+        exact_report,
+        lambda state, model: summarize(run_experiment(FockState.vacuum(8), model, 100, seed=1),
+                                       state, model),
+        lambda state, model: run_experiment(state, model, 100, seed=1),
+    ], ids=["operator_correlation", "jump_probability", "measured_correlation",
+            "exact_report", "summarize", "run_experiment"])
+    def test_refused(self, entry):
+        with pytest.raises(InvalidParameterError, match="normalized"):
+            entry(self.DOUBLED, self.MODEL)
+        # 1e-13 off in the squared norm is rounding, not a different state.
+        nearly = FockState(np.sqrt(1.0 + 1e-13) * FockState.vacuum(8).amplitudes)
+        entry(nearly, self.MODEL)
+        with pytest.raises(InvalidParameterError, match="normalized"):
+            entry(FockState(np.sqrt(1.0 + 1e-11) * FockState.vacuum(8).amplitudes), self.MODEL)
 
 
 class TestSummarize:

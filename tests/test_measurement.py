@@ -11,7 +11,6 @@ from baeqnd import measurement
 from baeqnd.errors import (
     DegenerateConditioningError,
     DimensionMismatchError,
-    GridTooNarrowError,
     InvalidParameterError,
     OutOfRangeError,
     TruncationOverflowError,
@@ -197,7 +196,7 @@ class TestLadderKernel:
         amps[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
         state = FockState(amps).normalize()
         model = MeasurementModel(dx, dim)
-        edge = _outcome_rule(state, model).span
+        edge = float(np.max(np.abs(_outcome_rule(state, model).nodes)))
         x = np.concatenate([rng.uniform(-edge, edge, 5), [0.0, -edge, edge]])
         for squared in (False, True):
             np.testing.assert_allclose(operator_batch(model, x, squared),
@@ -415,16 +414,8 @@ class TestCompleteness:
     @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("dim", [16, 32])
     def test_defect_small(self, dx, dim):
-        model = MeasurementModel(dx, dim)
-        grid = make_grid(completeness_required_span(model), 2001)
-        (defect,) = completeness_defect(model, grid)
+        (defect,) = completeness_defect(MeasurementModel(dx, dim), 2001)
         assert defect < 1e-8
-
-    def test_narrow_grid_rejected(self):
-        model = MeasurementModel(1.0, 16)
-        grid = make_grid(1.0, 101)
-        with pytest.raises(GridTooNarrowError):
-            completeness_defect(model, grid)
 
     def test_squared_operator_matches_squared_matrix_on_trusted_block(self):
         # At wide resolution the conditioned states stay low, so squaring the
@@ -438,21 +429,15 @@ class TestCompleteness:
     def test_truncation_damage_localizes_at_the_edge(self):
         # Squaring the truncated matrix loses probability at the top levels;
         # the loss stays there instead of leaking into the trusted block.
-        model = MeasurementModel(2.0, 24)
-        grid = make_grid(completeness_required_span(model), 2001)
-        ((trusted, full),) = truncated_square_defect(model, grid)
+        ((trusted, full),) = truncated_square_defect(MeasurementModel(2.0, 24), 2001)
         assert trusted < 1e-3
         assert full > 0.1
-
-    def test_narrow_grid_rejected_by_truncated_square(self):
-        with pytest.raises(GridTooNarrowError):
-            truncated_square_defect(MeasurementModel(1.0, 16), make_grid(1.0, 101))
 
     @pytest.mark.parametrize("dx, dim", [(0.5, 16), (1.0, 32), (2.0, 24), (10.0, 48), (1.0, 64)])
     def test_matches_whole_grid_operator_stacks(self, dx, dim):
         model = MeasurementModel(dx, dim)
+        got = [*completeness_defect(model, 2001), *truncated_square_defect(model, 2001)[0]]
         grid = make_grid(completeness_required_span(model), 2001)
-        got = [*completeness_defect(model, grid), *truncated_square_defect(model, grid)[0]]
         np.testing.assert_allclose(got, _stacked_defects(model, grid), rtol=0, atol=1e-13)
 
 
@@ -467,9 +452,10 @@ class TestAuditLeadingBlocks:
     ])
     def test_one_pass_matches_each_dim_on_its_own(self, dx, dims, count):
         model = MeasurementModel(dx, max(dims))
+        defects = completeness_defect(model, count, dims)
+        squares = truncated_square_defect(model, count, dims)
+        # Every dim is integrated on the grid of the largest one.
         grid = make_grid(completeness_required_span(model), count)
-        defects = completeness_defect(model, grid, dims)
-        squares = truncated_square_defect(model, grid, dims)
         assert len(defects) == len(squares) == len(dims)
         for dim, defect, (trusted, full) in zip(dims, defects, squares):
             expected = _stacked_defects(MeasurementModel(dx, dim), grid)
@@ -483,28 +469,25 @@ class TestAuditLeadingBlocks:
 
     def test_values_follow_the_order_of_dims(self):
         model = MeasurementModel(2.0, 24)
-        grid = make_grid(completeness_required_span(model), 401)
-        forward = completeness_defect(model, grid, (8, 16, 24))
-        backward = completeness_defect(model, grid, (24, 8, 16, 8))
+        forward = completeness_defect(model, 401, (8, 16, 24))
+        backward = completeness_defect(model, 401, (24, 8, 16, 8))
         assert backward == (forward[2], forward[0], forward[1], forward[0])
-        forward = truncated_square_defect(model, grid, (8, 16, 24))
-        backward = truncated_square_defect(model, grid, (24, 8, 16, 8))
+        forward = truncated_square_defect(model, 401, (8, 16, 24))
+        backward = truncated_square_defect(model, 401, (24, 8, 16, 8))
         assert backward == (forward[2], forward[0], forward[1], forward[0])
 
     @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
     @pytest.mark.parametrize("dims", [(8, 17), (1,), (0, 8), (), (8.0,)])
     def test_dims_outside_the_model_rejected(self, audit, dims):
-        model = MeasurementModel(1.0, 16)
-        grid = make_grid(completeness_required_span(model), 101)
         with pytest.raises(InvalidParameterError):
-            audit(model, grid, dims)
+            audit(MeasurementModel(1.0, 16), 101, dims)
 
-    def test_grid_checked_against_the_largest_audited_dim(self):
-        model = MeasurementModel(1.0, 64)
-        grid = make_grid(completeness_required_span(MeasurementModel(1.0, 24)), 401)
-        completeness_defect(model, grid, (8, 24))
-        with pytest.raises(GridTooNarrowError):
-            completeness_defect(model, grid, (8, 25))
+
+    @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
+    @pytest.mark.parametrize("count", [1, 0, 401.0])
+    def test_count_must_be_an_integer_of_at_least_two(self, audit, count):
+        with pytest.raises(InvalidParameterError, match="grid count"):
+            audit(MeasurementModel(1.0, 16), count)
 
 
 class TestAuditMemory:
@@ -513,13 +496,11 @@ class TestAuditMemory:
         # The whole-grid operator stack peaked at 154 MiB for dx 1, dim 64 on
         # 2001 nodes, and grew with the node count.
         model = MeasurementModel(1.0, 64)
-        span = completeness_required_span(model)
         peaks = []
         for count in (2001, 8001):
-            grid = make_grid(span, count)
             tracemalloc.start()
             try:
-                audit(model, grid)
+                audit(model, count)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

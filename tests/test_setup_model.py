@@ -13,7 +13,7 @@ from baeqnd.errors import (
     TruncationOverflowError,
 )
 from baeqnd.fock import FockState, make_grid
-from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density
+from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density, outcome_span
 from baeqnd.setup_model import (
     SetupCircuit,
     _trace_distance,
@@ -33,11 +33,8 @@ from oracles import (
     quadrature_y,
     sector_blocks,
     squeeze_matrix,
+    swapped_arms,
 )
-
-
-def _grid_for(params, count=201):
-    return make_grid(6.0 * np.sqrt(params.delta_x**2 + 1.0), count)
 
 
 def _sector_generator(theta, lo, total, size):
@@ -92,6 +89,11 @@ class TestSetupParams:
     def test_gain_must_exceed_one(self, bad):
         with pytest.raises(InvalidParameterError):
             SetupParams(bad)
+
+    @pytest.mark.parametrize("dim", [1, 0, 2.0, "40", None])
+    def test_dim_must_be_an_integer_of_at_least_two(self, dim):
+        with pytest.raises(InvalidParameterError, match="dim must be an integer"):
+            SetupParams(1.5, dim)
 
     @pytest.mark.parametrize("gain", [1e154, 1e200])
     def test_gain_past_the_resolution_range(self, gain):
@@ -199,7 +201,7 @@ class TestSqueezer:
 
 class TestCircuitEvolution:
     def test_two_mode_norm_preserved(self):
-        params = SetupParams(1.5, 24, 24)
+        params = SetupParams(1.5, 24)
         joint = evolve(SetupCircuit(params), FockState.vacuum(24))
         assert isinstance(joint, TwoModeState)
         assert joint.norm() == pytest.approx(1.0, abs=1e-9)
@@ -214,7 +216,7 @@ class TestCircuitEvolution:
     ])
     def test_truncation_overflow_at_high_gain(self, gain, dim, level, raises):
         # Near the 1e-6 limit the guard decides as the reference route does.
-        params = SetupParams(gain, dim, dim)
+        params = SetupParams(gain, dim)
         state = FockState.number(dim, level)
         for run in (SetupCircuit(params)._evolve, SpongeCircuit(params).joint):
             if raises:
@@ -237,7 +239,7 @@ class TestCircuitEvolution:
         if np.linalg.norm(amps) < 1e-3:
             amps[top] = 1.0
         state = FockState(amps).normalize()
-        params = SetupParams(gain, dim, dim)
+        params = SetupParams(gain, dim)
         try:
             reference = SpongeCircuit(params).joint(state)
         except TruncationOverflowError:
@@ -246,19 +248,31 @@ class TestCircuitEvolution:
         assert joint.shape == reference.shape
         np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-10)
 
+    def test_swapped_arms_match_the_rotation_route(self, monkeypatch):
+        # The negative control's map (W, -V) is the circuit whose amplifiers
+        # swap directions, here built by per-sector and per-chain rotations.
+        monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
+        params = SetupParams(1.3, 24)
+        reference = SpongeCircuit(params)
+        reference._squeeze0 = squeeze_matrix(1.3, "amplify-x", reference._work)
+        reference._squeeze1 = squeeze_matrix(1.3, "amplify-y", reference._work)
+        state = FockState.number(24, 1)
+        joint = SetupCircuit(params)._evolve(state)
+        np.testing.assert_allclose(joint, reference.joint(state), rtol=0, atol=1e-12)
+
     def test_small_gain_large_resolution_is_fine(self):
-        params = SetupParams(1.05, 40, 40)
-        defect = equivalence_defect(FockState.vacuum(40), params, _grid_for(params))
+        params = SetupParams(1.05, 40)
+        defect = equivalence_defect(FockState.vacuum(40), params, 201)
         assert params.delta_x > 5.0
         assert defect < 1e-3
 
     def test_signal_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
-            evolve(SetupCircuit(SetupParams(1.5, 24, 24)), FockState.vacuum(16))
+            evolve(SetupCircuit(SetupParams(1.5, 24)), FockState.vacuum(16))
 
     def test_norm_growth_counts_against_the_guard(self):
         # Exact entries cannot raise the norm; scaled ones give ||G psi||^2 = 1.00002.
-        circuit = SetupCircuit(SetupParams(1.5, 24, 24))
+        circuit = SetupCircuit(SetupParams(1.5, 24))
         vacuum = FockState.vacuum(24)
         circuit._evolve(vacuum)
         circuit._entries = circuit._entries * (1.0 + 1e-5)
@@ -274,9 +288,9 @@ class TestCircuitEvolution:
         monkeypatch.setattr(setup_model, "_circuit_entries", build)
         for dim in (207, 1000):
             with pytest.raises(OutOfRangeError):
-                SetupCircuit(SetupParams(1.5, dim, dim))
+                SetupCircuit(SetupParams(1.5, dim))
         with pytest.raises(AssertionError, match="entries built"):
-            SetupCircuit(SetupParams(1.5, 206, 206))
+            SetupCircuit(SetupParams(1.5, 206))
 
 
 def _readout(params, signal_in, x_m):
@@ -284,18 +298,18 @@ def _readout(params, signal_in, x_m):
     circuit = SetupCircuit(params)
     scale = calibrate_outcome_map(params, circuit=circuit).scale
     amps = circuit.homodyne_amplitudes(signal_in, np.asarray(x_m) / scale)
-    return np.sum(np.abs(amps) ** 2, axis=1) / abs(scale), amps[:, : params.dim_meter]
+    return np.sum(np.abs(amps) ** 2, axis=1) / abs(scale), amps[:, : params.dim]
 
 
 class TestRunSetup:
     """The circuit read out at calibrated outcomes against the measurement kernel."""
 
     def test_density_symmetric_for_vacuum(self):
-        densities, _ = _readout(SetupParams(1.5, 40, 40), FockState.vacuum(40), [0.7, -0.7])
+        densities, _ = _readout(SetupParams(1.5, 40), FockState.vacuum(40), [0.7, -0.7])
         assert densities[0] == pytest.approx(densities[1], rel=1e-12)
 
     def test_conditional_state_matches_kernel(self):
-        params = SetupParams(1.2, 40, 40)
+        params = SetupParams(1.2, 40)
         model = MeasurementModel(params.delta_x, 40)
         vac = FockState.vacuum(40)
         (density,), (out,) = _readout(params, vac, [1.1])
@@ -304,8 +318,8 @@ class TestRunSetup:
         assert density == pytest.approx(outcome_density(vac, model, 1.1), rel=1e-3)
 
     def test_outcome_variance(self):
-        params = SetupParams(1.5, 40, 40)
-        grid = _grid_for(params, count=801)
+        params = SetupParams(1.5, 40)
+        grid = make_grid(outcome_span(params.delta_x), 801)
         densities, _ = _readout(params, FockState.vacuum(40), grid.nodes)
         variance = grid.integrate(densities * grid.nodes**2) / grid.integrate(densities)
         assert variance == pytest.approx(params.delta_x**2 + 0.25, abs=1e-3)
@@ -313,19 +327,26 @@ class TestRunSetup:
 
 class TestCalibration:
     def test_offset_zero_and_small_residual(self):
-        calibration = calibrate_outcome_map(SetupParams(1.2, 40, 40))
-        assert calibration.offset == 0.0
+        # The map x_m = scale * raw has no offset: the circuit's parity makes
+        # the raw density of an even input symmetric, so its mean is 0.
+        params = SetupParams(1.2, 40)
+        circuit = SetupCircuit(params)
+        calibration = calibrate_outcome_map(params, circuit=circuit)
+        assert not hasattr(calibration, "offset")
+        raw = np.linspace(-6.0, 6.0, 1201)
+        density = np.sum(np.abs(circuit.homodyne_amplitudes(FockState.vacuum(40), raw)) ** 2, axis=1)
+        np.testing.assert_allclose(density, density[::-1], rtol=1e-12, atol=0)
         assert calibration.residual < 1e-3
 
     def test_scale_matches_analytic_value(self):
         # The Heisenberg analysis gives x_m = -2 dx * raw exactly.
         for gain in (1.2, 1.5, 2.0):
-            params = SetupParams(gain, 40, 40)
+            params = SetupParams(gain, 40)
             calibration = calibrate_outcome_map(params)
             assert calibration.scale == pytest.approx(-2.0 * params.delta_x, rel=1e-12)
 
     def test_scale_independent_of_input_state(self):
-        params = SetupParams(1.5, 40, 40)
+        params = SetupParams(1.5, 40)
         circuit = SetupCircuit(params)
         scale_vac = calibrate_outcome_map(params, circuit=circuit).scale
         scale_one = calibrate_outcome_map(
@@ -337,14 +358,14 @@ class TestCalibration:
     def test_residual_at_rounding_level(self, gain):
         # Matched second moments give the exact scale, so the probe densities
         # agree to rounding.
-        assert calibrate_outcome_map(SetupParams(gain, 40, 40)).residual < 1e-10
+        assert calibrate_outcome_map(SetupParams(gain, 40)).residual < 1e-10
 
-    def test_swapped_arms_detected(self):
+    def test_swapped_arms_detected(self, monkeypatch):
         # Swapping the amplifier arms destroys the readout; the one-photon
         # outcome density no longer matches any rescaled kernel density.
-        params = SetupParams(1.5, 40, 40, swap_arms=True)
+        monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
         with pytest.raises(SetupMismatchError):
-            calibrate_outcome_map(params, signal_in=FockState.number(40, 1))
+            calibrate_outcome_map(SetupParams(1.5, 40), signal_in=FockState.number(40, 1))
 
 
 class TestEquivalence:
@@ -376,47 +397,46 @@ class TestEquivalence:
 
     def test_unreachable_outcome_counts_as_fully_distinct(self, monkeypatch):
         # Where the circuit leaves no meter amplitude, the defect is the density gap plus 1.
-        params = SetupParams(1.5, 24, 24)
+        params = SetupParams(1.5, 24)
         circuit = SetupCircuit(params)
         calibration = calibrate_outcome_map(params, circuit=circuit)
-        grid = _grid_for(params)
+        nodes = make_grid(outcome_span(params.delta_x), 201).nodes
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
                             lambda state, raw: np.zeros((np.size(raw), 30), complex))
         vac = FockState.vacuum(24)
         density = np.array([outcome_density(vac, MeasurementModel(params.delta_x, 24), x)
-                            for x in grid.nodes])
-        defect = equivalence_defect(vac, params, grid, circuit=circuit, calibration=calibration)
+                            for x in nodes])
+        defect = equivalence_defect(vac, params, 201, circuit=circuit, calibration=calibration)
         assert defect == pytest.approx(density.max() + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("gain", [1.2, 1.5, 2.0])
     def test_defect_small_for_both_inputs(self, gain):
-        params = SetupParams(gain, 40, 40)
+        params = SetupParams(gain, 40)
         circuit = SetupCircuit(params)
         calibration = calibrate_outcome_map(params, circuit=circuit)
-        grid = _grid_for(params)
         for state in (FockState.vacuum(40), FockState.number(40, 1)):
-            defect = equivalence_defect(state, params, grid,
+            defect = equivalence_defect(state, params, 201,
                                         circuit=circuit, calibration=calibration)
             assert defect < 1e-3
 
     def test_defect_decreases_with_dim(self):
         values = []
         for dim in (20, 30, 40):
-            params = SetupParams(1.8, dim, dim)
-            values.append(equivalence_defect(FockState.vacuum(dim), params, _grid_for(params)))
+            params = SetupParams(1.8, dim)
+            values.append(equivalence_defect(FockState.vacuum(dim), params, 201))
         assert values[0] > values[1] > values[2]
 
-    def test_swapped_arms_fail_equivalence(self):
-        params = SetupParams(1.5, 40, 40, swap_arms=True)
-        defect = equivalence_defect(FockState.vacuum(40), params, _grid_for(params))
+    def test_swapped_arms_fail_equivalence(self, monkeypatch):
+        monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
+        defect = equivalence_defect(FockState.vacuum(40), SetupParams(1.5, 40), 201)
         assert defect > 0.1
 
-    def test_overflow_propagates(self):
-        params = SetupParams(3.0, 40, 40)
-        with pytest.raises(TruncationOverflowError):
-            equivalence_defect(FockState.vacuum(40), params, _grid_for(params))
+    @pytest.mark.parametrize("count", [1, 0, 201.0])
+    def test_count_must_be_an_integer_of_at_least_two(self, count):
+        with pytest.raises(InvalidParameterError, match="grid count"):
+            equivalence_defect(FockState.vacuum(24), SetupParams(1.5, 24), count)
 
-    def test_requires_equal_dims(self):
-        params = SetupParams(1.5, 40, 32)
-        with pytest.raises(DimensionMismatchError):
-            equivalence_defect(FockState.vacuum(40), params, _grid_for(params))
+    def test_overflow_propagates(self):
+        params = SetupParams(3.0, 40)
+        with pytest.raises(TruncationOverflowError):
+            equivalence_defect(FockState.vacuum(40), params, 201)
