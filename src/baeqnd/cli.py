@@ -17,13 +17,13 @@ sorted JSON of the other keys with the table's text appended last.
 
 Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
 refuses any other with exit 2 before a file is opened, and meta.config holds
-exactly the settings that shaped the payload.  Only distribution, povm-check
-and setup-check tabulate or integrate on an outcome grid, so only they take
+exactly the settings that shaped the payload.  Only distribution and
+setup-check tabulate on a uniform outcome grid, so only they take
 --grid-count.  The grid's span is not a setting: it follows from --delta-x
-(or --gain-a) and --dim, as measurement.outcome_span for distribution and
-setup-check and measurement.completeness_required_span for povm-check.
-jump-sweep, correlation and simulate integrate with an exact Gauss-Hermite
-rule whose node count follows from --dim and the input.
+(or --gain-a) as measurement.outcome_span.  jump-sweep, correlation, simulate
+and povm-check integrate with exact Gauss-Hermite rules whose node counts
+follow from --dim and the input; povm-check's truncated-square rule takes
+2 --dim nodes, so it audits dims up to fock.MAX_RULE_NODES // 2 = 700.
 
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened), 3 numeric
@@ -52,14 +52,13 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import FockState, make_grid, trusted_levels
+from .fock import MAX_RULE_NODES, FockState, make_grid, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
     DEFAULT_N_MAX,
     MeasurementModel,
     asymptotic_p1,
     completeness_defect,
-    completeness_required_span,
     outcome_density_table,
     outcome_span,
     truncated_square_defect,
@@ -81,7 +80,7 @@ _COMMAND_FLAGS = {
     "correlation": ("jump/outcome correlation report (exact, optionally sampled)",
                     ("delta-x", "shots")),
     "povm-check": ("completeness audit of the squared measurement kernel",
-                   ("delta-x", "grid-count")),
+                   ("delta-x",)),
     "setup-check": ("two-mode circuit vs measurement kernel equivalence",
                     ("gain-a", "grid-count")),
     "simulate": ("seeded Monte Carlo shots plus summary report",
@@ -302,21 +301,28 @@ def _cmd_correlation(args):
 @_command("povm-check")
 def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
-    if args.dim < 8:
-        raise InvalidParameterError(f"povm-check audits dims >= 8, got --dim {args.dim}")
+    if not 8 <= args.dim <= MAX_RULE_NODES // 2:
+        # The truncated square integrates on a rule of 2 --dim nodes.
+        raise InvalidParameterError(
+            f"povm-check audits dims 8..{MAX_RULE_NODES // 2}, got --dim {args.dim}"
+        )
     model = MeasurementModel(delta_x, args.dim)
     dims = sorted({d for d in (args.dim - 16, args.dim - 8, args.dim) if d >= 8})
     # Exact-kernel defect is the audit; the truncated-square pair shows that
     # what truncation breaks stays localized at the top levels.  Each makes
-    # one ladder pass at --dim, on a grid spanning the required span at
-    # --dim, and reads the smaller dims as leading blocks.
-    defects = completeness_defect(model, args.grid_count, dims)
-    squares = truncated_square_defect(model, args.grid_count, dims)
+    # one ladder pass at --dim over an exact Gauss-Hermite rule and reads the
+    # smaller dims as leading blocks.
+    defects = completeness_defect(model, dims)
+    squares = truncated_square_defect(model, dims)
     rows = [
         [dim, trusted_levels(dim), defect, trusted, full]
         for dim, defect, (trusted, full) in zip(dims, defects, squares)
     ]
-    required = float(completeness_required_span(model))
+    # The exact rules need no span.  The benchmark's povm check still reads
+    # required_span and grid_span (6 sigma of every trusted level, the span
+    # of the uniform grid the audits used before), so both stay until that
+    # check changes.
+    span = 6.0 * math.sqrt(delta_x**2 + args.dim)
     return {
         "table": {
             "columns": [
@@ -328,12 +334,10 @@ def _cmd_povm_check(args):
             ],
             "data": list(zip(*rows)),
         },
-        # The audits' span is required_span; the benchmark's check reads both keys.
         "report": {
             "delta_x": delta_x,
-            "required_span": required,
-            "grid_span": required,
-            "grid_count": args.grid_count,
+            "required_span": span,
+            "grid_span": span,
             "max_defect": max(r[2] for r in rows),
         },
     }, None
@@ -341,6 +345,9 @@ def _cmd_povm_check(args):
 
 @_command("setup-check")
 def _cmd_setup_check(args):
+    # Refuse a bad count before the circuit is built and calibrated.
+    if args.grid_count < 2:
+        raise InvalidParameterError(f"--grid-count must be >= 2, got {args.grid_count}")
     gain = args.gain_a
     dims = sorted({max(8, args.dim // 2), (3 * args.dim) // 4, args.dim})
     params = SetupParams(gain, args.dim)

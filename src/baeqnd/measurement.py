@@ -27,9 +27,9 @@ prefactor.
 
 There are two routes through the recurrence.  operator_batch fills whole rows
 of P(x) (or of P(x)^2) for a batch of outcomes; the completeness audits read
-the same rows a chunk of outcomes at a time (sum_b w_b P(x_b)^2 row by row,
+the same rows a chunk of rule nodes at a time (sum_b w_b P(x_b)^2 row by row,
 and sum_n q_n^T q_n over the weighted rows q_n for the squared truncated
-matrix), so no (grid count, dim, dim) stack is ever built.  The rows do not
+matrix), so no (nodes, dim, dim) stack is ever built.  The rows do not
 depend on the truncation, so one pass at the largest audited dim gives every
 smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 <n|P(x)|state> without forming a matrix: it runs the recurrence on the
@@ -37,12 +37,15 @@ columns 0..top only, top the state's last nonzero level, and contracts them
 with the state, at cost O(count dim (top + 1)).  Densities, conditional states, the density table,
 the sampler and the jump integrals all read it.
 
-The squared amplitudes are in turn a Gaussian times a polynomial in x_m, so
-integrals over the outcome have an exact Gauss-Hermite rule too
-(_outcome_rule), built from numpy alone (fock._gh_rule) and limited to
-fock.MAX_RULE_NODES nodes.  It measures the mass the kernel loses above the
-truncation, which outcome_density, conditional_state, the density table and
-the jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.
+Every entry of the kernel, of its square and of the squared amplitudes is a
+Gaussian times a polynomial in x_m, so every integral over the outcome has an
+exact Gauss-Hermite rule (_scaled_rule), built from numpy alone
+(fock._gh_rule) and limited to fock.MAX_RULE_NODES nodes.  The outcome rule
+(_outcome_rule) measures the mass the kernel loses above the truncation,
+which outcome_density, conditional_state, the density table and the jump
+integrals refuse above TRUNCATION_OCCUPATION_LIMIT.  The completeness audits
+integrate on rules of dim + 1 nodes (the exact P^2) and 2 dim nodes (the
+truncated square), so they carry no quadrature error and end at dim 700.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -66,7 +69,7 @@ from .errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, _gh_rule, make_grid, trusted_levels
+from .fock import FockState, QuadratureGrid, _gh_rule, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -160,6 +163,20 @@ def _top_level(amps: np.ndarray) -> int:
     return int(support[-1]) if support.size else 0
 
 
+def _scaled_rule(count: int, g: float) -> QuadratureGrid:
+    """Gauss-Hermite rule of count nodes for integrals of exp(-g x^2) times a polynomial.
+
+    The rule is exact for polynomial degree up to 2 count - 1.  The nodes are
+    scaled by 1/sqrt(g) and the Gaussian is factored into the weights, so the
+    rule integrates plain samples.  The factored weights w_k exp(u_k^2) come
+    from _gh_rule, which keeps them finite where w_k itself underflows and
+    raises OutOfRangeError past MAX_RULE_NODES.
+    """
+    scale = 1.0 / np.sqrt(g)
+    u, _, factored = _gh_rule(count)
+    return QuadratureGrid(scale * u, scale * factored)
+
+
 def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
     """Gauss-Hermite rule in the outcome variable, exact for the jump integrals.
 
@@ -168,18 +185,11 @@ def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
     highest nonzero level; an extra x^2 weight adds degree 2.  N = dim + top + 2
     nodes integrate degree 2N - 1 > 2 (dim + top) exactly, so the captured
     mass, the jump probability and the correlation integral carry no
-    quadrature error.  The nodes are scaled by 1/sqrt(g) and the Gaussian is
-    factored into the weights, so the rule integrates plain samples.
-
-    The factored weights w_k exp(u_k^2) come from _gh_rule, which keeps them
-    finite where w_k itself underflows and raises OutOfRangeError past
-    MAX_RULE_NODES, so the exact integrals end at dim + top + 2 = 1400.
+    quadrature error.  The exact integrals end at dim + top + 2 = MAX_RULE_NODES.
     """
     kappa = model.kappa
-    scale = 1.0 / np.sqrt(4.0 * kappa / (2.0 + kappa))
     count = model.dim + _top_level(state.amplitudes) + 2
-    u, _, factored = _gh_rule(count)
-    return QuadratureGrid(scale * u, scale * factored)
+    return _scaled_rule(count, 4.0 * kappa / (2.0 + kappa))
 
 
 def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> None:
@@ -389,11 +399,6 @@ def outcome_span(delta_x: float) -> float:
     return 6.0 * np.sqrt(delta_x**2 + 1.0)
 
 
-def completeness_required_span(model: MeasurementModel) -> float:
-    """Half-width 6 sqrt(dx^2 + dim) of the audit grid: 6 sigma of every trusted level."""
-    return 6.0 * np.sqrt(model.delta_x**2 + model.dim)
-
-
 def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementModel]:
     """The audited dims (default model.dim alone) and the model at the largest of them.
 
@@ -409,18 +414,16 @@ def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementMo
     return dims, MeasurementModel(model.delta_x, max(dims))
 
 
-def _audit_chunks(model: MeasurementModel, count: int):
-    """Yield the audit grid's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
+def _rule_chunks(rule: QuadratureGrid, dim: int):
+    """Yield the rule's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
 
-    The grid is uniform, count nodes over completeness_required_span(model).
     A chunk's ladder row (outcomes x dim) then holds about _CHUNK_ELEMENTS
     entries, so every ladder step is one vector operation over many outcomes
     at any dim.
     """
-    grid = make_grid(completeness_required_span(model), count)
-    chunk = max(1, _CHUNK_ELEMENTS // model.dim)
-    for start in range(0, grid.count, chunk):
-        yield grid.nodes[start : start + chunk], grid.weights[start : start + chunk]
+    chunk = max(1, _CHUNK_ELEMENTS // dim)
+    for start in range(0, rule.count, chunk):
+        yield rule.nodes[start : start + chunk], rule.weights[start : start + chunk]
 
 
 def _deviation(block: np.ndarray, levels: int) -> float:
@@ -428,31 +431,31 @@ def _deviation(block: np.ndarray, levels: int) -> float:
     return float(np.max(np.abs(block[:levels, :levels] - np.eye(levels))))
 
 
-def completeness_defect(model: MeasurementModel, count: int, dims=None) -> tuple[float, ...]:
+def completeness_defect(model: MeasurementModel, dims=None) -> tuple[float, ...]:
     """Max-entry deviation of the integral of P^2 from the identity on the trusted subspace.
 
     One value per audited dim in dims (default model.dim alone), each at most
-    model.dim.  The integral runs over a uniform grid of count nodes spanning
-    completeness_required_span at the largest audited dim, and uses the exact
-    squared kernel, so the only error sources are the grid spacing and the
-    wavefunction tails of each level.  The integral is sum_b w_b P(x_b)^2,
-    accumulated row by row from the ladder rows of a chunk of outcomes, so
-    no (count, dim, dim) stack is built.  The ladder rows are exact matrix
-    elements of the untruncated operator, so one pass at the largest audited
-    dim serves all of them: a smaller dim's integral is the leading block of
-    the largest one's.
+    model.dim.  Each entry P(x)^2[n, m] is exp(-g x^2) with g = 4 kappa / (2 + 2 kappa)
+    times a polynomial of degree n + m <= 2 (dim - 1), so the Gauss-Hermite
+    rule of dim + 1 nodes at the largest audited dim integrates every entry
+    exactly: the defect is the kernel's own, with no quadrature error.  The
+    integral is sum_b w_b P(x_b)^2, accumulated row by row from the ladder
+    rows of a chunk of nodes, so no (nodes, dim, dim) stack is built.  The
+    ladder rows are exact matrix elements of the untruncated operator, so one
+    pass at the largest audited dim serves all of them: a smaller dim's
+    integral is the leading block of the largest one's.
     """
     dims, top = _audit_dims(model, dims)
+    kappa = top.kappa
+    rule = _scaled_rule(top.dim + 1, 4.0 * kappa / (2.0 + 2.0 * kappa))
     total = np.zeros((top.dim, top.dim))
-    for nodes, weights in _audit_chunks(top, count):
+    for nodes, weights in _rule_chunks(rule, top.dim):
         for n, row in enumerate(_kernel_rows(top, nodes, top.dim, squared=True)):
             total[n] += weights @ row
     return tuple(_deviation(total, trusted_levels(d)) for d in dims)
 
 
-def truncated_square_defect(
-    model: MeasurementModel, count: int, dims=None
-) -> tuple[tuple[float, float], ...]:
+def truncated_square_defect(model: MeasurementModel, dims=None) -> tuple[tuple[float, float], ...]:
     """Completeness defects (trusted, full) when the truncated operator matrix is squared.
 
     One pair per audited dim in dims (default model.dim alone), each at most
@@ -460,18 +463,23 @@ def truncated_square_defect(
     through levels above the truncation, so this defect concentrates at the
     truncation edge: large on the full space (the second value), small on the
     trusted subspace (the first) at moderate resolution.  With q_n the ladder
-    row P[n, :] of a chunk of outcomes scaled by sqrt(w_b), the truncated
-    square at dim d integrates to sum_{n < d} q_n^T q_n restricted to its
-    leading d x d block, because every P_b is symmetric.  One ladder pass at
-    the largest audited dim sums the rows between consecutive audited dims
-    into one part each; a dim's integral is the sum of the parts up to it.
-    The grid is completeness_defect's.
+    row P[n, :] of a chunk of nodes scaled by sqrt(w_b), the truncated square
+    at dim d integrates to sum_{n < d} q_n^T q_n restricted to its leading
+    d x d block, because every P_b is symmetric.  Each product P[i, n] P[n, j]
+    is exp(-g x^2) with g = 4 kappa / (2 + kappa) times a polynomial of degree
+    at most 4 (dim - 1), so the rule of 2 dim nodes integrates it exactly;
+    2 dim passes MAX_RULE_NODES above dim 700, where _gh_rule raises
+    OutOfRangeError before any ladder work.  One ladder pass at the largest
+    audited dim sums the rows between consecutive audited dims into one part
+    each; a dim's integral is the sum of the parts up to it.
     """
     dims, top = _audit_dims(model, dims)
+    kappa = top.kappa
+    rule = _scaled_rule(2 * top.dim, 4.0 * kappa / (2.0 + kappa))
     ends = sorted(set(dims))
     part_of_row = np.searchsorted(ends, np.arange(top.dim), side="right")
     parts = np.zeros((len(ends), top.dim, top.dim))
-    for nodes, weights in _audit_chunks(top, count):
+    for nodes, weights in _rule_chunks(rule, top.dim):
         root = np.sqrt(weights)[:, None]
         for n, row in enumerate(_kernel_rows(top, nodes, top.dim)):
             q = root * row

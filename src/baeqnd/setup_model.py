@@ -330,9 +330,9 @@ def equivalence_defect(
     between the conditional output states; the maximum over outcomes is
     returned.
     """
+    grid = make_grid(outcome_span(params.delta_x), count)
     circuit = circuit or SetupCircuit(params)
     calibration = calibration or calibrate_outcome_map(params, circuit=circuit)
-    grid = make_grid(outcome_span(params.delta_x), count)
 
     model = MeasurementModel(params.delta_x, params.dim)
     kernel_amps = measurement_amplitudes(signal_in, model, grid.nodes)

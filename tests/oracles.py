@@ -15,7 +15,9 @@ the library used to build, and operator_correlation_dense is its matrix
 route for the operator-ordering correlation, kept as the reference for the
 library's ladder action on the amplitude vector.
 completeness_integrals_stacked is the completeness audit's whole-grid
-route, the reference for the library's chunked one.  kernel_factor_tables is
+route, and grid_audit_defects the uniform-grid route the audits took before
+their exact Gauss-Hermite rules (2001 nodes over 6 sqrt(dx^2 + dim) by
+default), kept as the reference for those rules.  kernel_factor_tables is
 the Gauss-Hermite factor-table route the library's kernel used before its
 Fock-ladder recurrence, kept as the reference for that recurrence.
 photon_draw_interpolated is the O(dim) photon draw the sampler used before
@@ -47,8 +49,8 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState
-from baeqnd.measurement import operator_batch
+from baeqnd.fock import FockState, make_grid, trusted_levels
+from baeqnd.measurement import MeasurementModel, operator_batch
 
 
 def psi_reference(n: int, x):
@@ -385,6 +387,39 @@ def completeness_integrals_stacked(model, grid) -> tuple[np.ndarray, np.ndarray]
     ops = operator_batch(model, grid.nodes)
     truncated = np.einsum("bnm,bml,b->nl", ops, ops, grid.weights, optimize=True)
     return exact, truncated
+
+
+def grid_audit_defects(model, count: int = 2001, dims=None) -> list[tuple[float, float, float]]:
+    """(defect, truncated-square trusted, truncated-square full) per dim, on a uniform grid.
+
+    The grid has count nodes over 6 sqrt(dx^2 + dim) at the largest audited
+    dim (6 sigma of every trusted level) with trapezoid weights; each dim's
+    integrals are leading blocks of the largest dim's, summed over chunks of
+    64 outcomes so no whole-grid stack is built.  Its error is the grid's:
+    the spacing, and the tails beyond 6 sigma (about 2e-9 of a level's mass
+    at wide dx, where the outcome sigma approaches sqrt(dx^2 + dim)).
+    """
+    dims = [model.dim] if dims is None else list(dims)
+    top = MeasurementModel(model.delta_x, max(dims))
+    grid = make_grid(6.0 * math.sqrt(top.delta_x**2 + top.dim), count)
+    exact = np.zeros((top.dim, top.dim))
+    parts = np.zeros((top.dim, top.dim, top.dim))  # parts[n] = sum_b w_b P[:, n] P[n, :]
+    for start in range(0, grid.count, 64):
+        x, w = grid.nodes[start : start + 64], grid.weights[start : start + 64]
+        exact += np.einsum("bnm,b->nm", operator_batch(top, x, squared=True), w)
+        ops = operator_batch(top, x)
+        parts += np.einsum("bin,bnj,b->nij", ops, ops, w, optimize=True)
+    eye = np.eye(top.dim)
+    out = []
+    for d in dims:
+        t = trusted_levels(d)
+        square = np.abs(parts[:d, :d, :d].sum(axis=0) - eye[:d, :d])
+        out.append((
+            float(np.abs(exact[:t, :t] - eye[:t, :t]).max()),
+            float(square[:t, :t].max()),
+            float(square.max()),
+        ))
+    return out
 
 
 def photon_draw_interpolated(joint, i, w, u) -> np.ndarray:

@@ -178,20 +178,30 @@ class TestPovmCheck:
         assert dims == sorted(dims)
 
     def test_recorded_span_reproduces_payload(self, tmp_path):
-        # The span follows from --delta-x and --dim, so the settings in
-        # meta.config rerun the audit on the same grid, the span the report records.
+        # The rules follow from --delta-x and --dim, so the settings in
+        # meta.config rerun the same audit.  The report keeps the span
+        # 6 sqrt(dx^2 + dim) under both keys the benchmark's check reads.
         out, rerun = tmp_path / "povm.json", tmp_path / "rerun.json"
-        assert main(["povm-check", "--delta-x", "1", "--dim", "24", "--grid-count", "401",
+        assert main(["povm-check", "--delta-x", "1", "--dim", "24",
                      "--out", str(out)]) == EXIT_OK
         envelope = read_envelope(out)
         config = envelope["meta"]["config"]
-        assert "grid_span" not in config
+        assert "grid_span" not in config and "grid_count" not in config
         report = envelope["payload"]["report"]
+        assert sorted(report) == ["delta_x", "grid_span", "max_defect", "required_span"]
         assert report["grid_span"] == report["required_span"] == 6.0 * math.sqrt(1.0 + 24.0)
         assert main(["povm-check", "--delta-x", repr(config["delta_x"][0]),
-                     "--dim", str(config["dim"]), "--grid-count", str(config["grid_count"]),
-                     "--out", str(rerun)]) == EXIT_OK
+                     "--dim", str(config["dim"]), "--out", str(rerun)]) == EXIT_OK
         assert read_envelope(rerun)["checksum"] == envelope["checksum"]
+
+    def test_every_defect_exact(self, tmp_path):
+        # The uniform grid read 1.6e-11 to 3.4e-11 at dx 10, dim 32: its own
+        # error.  On the exact rules only rounding is left.
+        out = tmp_path / "povm.json"
+        assert main(["povm-check", "--delta-x", "10", "--dim", "32", "--out", str(out)]) == EXIT_OK
+        rows = read_envelope(out)["payload"]["table"]["rows"]
+        assert [row[0] for row in rows] == [16, 24, 32]
+        assert all(row[2] <= 1e-14 for row in rows), rows
 
     @pytest.mark.parametrize("dim", [2, 7])
     def test_dim_below_eight_is_config_error(self, tmp_path, capsys, dim):
@@ -201,26 +211,40 @@ class TestPovmCheck:
         assert not out.exists()
         assert "--dim" in capsys.readouterr().err
 
+    def test_dim_past_the_rule_limit_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The truncated square's rule of 2 dim nodes passes MAX_RULE_NODES
+        # (1,400) above dim 700: exit 2 before any ladder work, and no file.
+        def refuse(*args, **kwargs):
+            raise AssertionError("ladder started")
+
+        monkeypatch.setattr(measurement, "_kernel_rows", refuse)
+        out = tmp_path / "povm.json"
+        code = main(["povm-check", "--delta-x", "1", "--dim", "701", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "dims 8..700, got --dim 701" in capsys.readouterr().err
+
     def test_one_ladder_per_chunk_and_integral(self, tmp_path, monkeypatch):
-        # Each integral runs the ladder once per chunk of the grid at --dim,
-        # however many dims it audits; a chunk holds _CHUNK_ELEMENTS
-        # ladder-row entries, so at dim 400 it is many outcomes, not one.
+        # Each integral runs the ladder once per chunk of its rule at --dim,
+        # however many dims it audits: dim + 1 nodes for the exact P^2 and
+        # 2 dim for the truncated square.  A chunk holds _CHUNK_ELEMENTS
+        # ladder-row entries, so at dim 200 it is many outcomes, not one.
         started = {True: 0, False: 0}
         kernel_rows = measurement._kernel_rows
 
         def spy(model, x, width, squared=False):
-            assert model.dim == width == 400
+            assert model.dim == width == 200
+            assert x.size > 1
             started[squared] += 1
             return kernel_rows(model, x, width, squared)
 
         monkeypatch.setattr(measurement, "_kernel_rows", spy)
         out = tmp_path / "povm.json"
-        assert main(["povm-check", "--delta-x", "0.05", "--dim", "400", "--grid-count", "201",
+        assert main(["povm-check", "--delta-x", "0.05", "--dim", "200",
                      "--out", str(out)]) == EXIT_OK
-        assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == [384, 392, 400]
-        bound = math.ceil(201 * 400 / measurement._CHUNK_ELEMENTS)
-        assert 1 <= started[True] <= bound
-        assert 1 <= started[False] <= bound
+        assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == [184, 192, 200]
+        assert started[True] == math.ceil(201 * 200 / measurement._CHUNK_ELEMENTS)
+        assert started[False] == math.ceil(400 * 200 / measurement._CHUNK_ELEMENTS)
 
 
 class TestSetupCheck:
@@ -295,6 +319,20 @@ class TestSetupCheck:
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CONFIG
 
+    def test_bad_grid_count_refused_before_the_circuit(self, tmp_path, capsys, monkeypatch):
+        # A count of 1 used to be refused only after the circuit was built and
+        # calibrated (0.77 s at dim 200).
+        def build(params):
+            raise AssertionError("circuit built")
+
+        monkeypatch.setattr(cli, "SetupCircuit", build)
+        out = tmp_path / "s.json"
+        code = main(["setup-check", "--gain-a", "1.5", "--dim", "200", "--grid-count", "1",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "--grid-count must be >= 2, got 1" in capsys.readouterr().err
+
     def test_dim_beyond_the_homodyne_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The homodyne reads mode-0 levels up to dim + dim // 4 - 1, at most 256.
         def build(params, shape):
@@ -359,20 +397,20 @@ class TestGridFlags:
         "jump-sweep": ["jump-sweep", "--delta-x", "2", "--dim", "16"],
         "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100",
                      "--seed", "1"],
+        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8"],
     }
 
     # The grid commands take only a node count: their span follows from the
-    # resolution and --dim, so no span can narrow an audit.
+    # resolution, so no span can narrow an audit.
     SPAN_COMMANDS = {
         **COMMANDS,
         "distribution": ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "101"],
-        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
         "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
     }
 
-    # No command takes --grid-span, and the jump integrals use an exact rule,
-    # so their commands take no --grid-count either: argparse refuses them
-    # before a file is opened.
+    # No command takes --grid-span, and the jump integrals and povm-check use
+    # exact rules, so their commands take no --grid-count either: argparse
+    # refuses them before a file is opened.
     @pytest.mark.parametrize("command", sorted(SPAN_COMMANDS))
     @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0", "5"])
     def test_invalid_span_is_config_error(self, tmp_path, capsys, command, span):
@@ -406,7 +444,7 @@ class TestUnreadFlags:
         "distribution": ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "101"],
         "jump-sweep": ["jump-sweep", "--delta-x", "2", "--dim", "16"],
         "correlation": ["correlation", "--delta-x", "2", "--dim", "16"],
-        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
+        "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8"],
         "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
         "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100", "--seed", "1"],
     }
@@ -645,7 +683,7 @@ class TestRuntimeWithoutScipy:
             ["distribution", "--delta-x", "1", "--dim", "16", "--grid-count", "201"],
             ["jump-sweep", "--delta-x", "1", "--delta-x", "4", "--dim", "16"],
             ["correlation", "--delta-x", "2", "--dim", "16", "--shots", "200", "--seed", "1"],
-            ["povm-check", "--delta-x", "1", "--dim", "8", "--grid-count", "401"],
+            ["povm-check", "--delta-x", "1", "--dim", "8"],
             ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
             ["simulate", "--delta-x", "5", "--dim", "16", "--shots", "200", "--seed", "1"],
         ]

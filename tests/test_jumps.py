@@ -522,6 +522,20 @@ class TestSummarize:
         gap = report.measured_c - report.measured_covariance
         assert gap == pytest.approx(report.jump_probability / 4.0, abs=5e-4)
 
+    def test_covariance_estimates_the_operator_correlation(self):
+        # On the exact outcome rule E[n (x_m^2 - dx^2)] - E[n] E[x_m^2 - dx^2]
+        # equals operator_correlation for any input, so the sampled covariance
+        # estimates operator_c itself, not the vacuum's 1/8 limit.  At dx 2
+        # exact_c_integral reads 0.887 for one photon, far from operator_c.
+        one = FockState.number(32, 1)
+        model = MeasurementModel(2.0, 32)
+        shots = run_experiment(one, model, 200_000, seed=3)
+        report = summarize(shots, one, model)
+        assert report.operator_c == pytest.approx(0.125, abs=1e-12)
+        assert abs(report.exact_c_integral - report.operator_c) > 0.5
+        gap = abs(report.measured_covariance - report.operator_c)
+        assert gap <= 6.0 * report.standard_errors["measured_covariance"]
+
     def test_exact_fields_have_no_error_bars(self):
         vac = FockState.vacuum(16)
         model = MeasurementModel(2.0, 16)

@@ -20,9 +20,9 @@ from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
     _outcome_rule,
+    _scaled_rule,
     asymptotic_p1,
     completeness_defect,
-    completeness_required_span,
     conditional_state,
     measurement_amplitudes,
     operator_batch,
@@ -34,6 +34,7 @@ from baeqnd.measurement import (
 from oracles import (
     completeness_integrals_stacked,
     fidelity,
+    grid_audit_defects,
     kernel_element_quad,
     kernel_factor_tables,
     kernel_operator_dense,
@@ -401,20 +402,37 @@ class TestAsymptoticP1:
             asymptotic_p1(1e100, 0.0)
 
 
-def _stacked_defects(model, grid) -> list[float]:
-    """(defect, truncated-square trusted, truncated-square full) from the whole-grid stacks."""
-    exact, truncated = completeness_integrals_stacked(model, grid)
+def _audit_rules(model):
+    """The rules of the exact P^2 (dim + 1 nodes) and of the truncated square (2 dim nodes)."""
+    kappa = model.kappa
+    return (
+        _scaled_rule(model.dim + 1, 4.0 * kappa / (2.0 + 2.0 * kappa)),
+        _scaled_rule(2 * model.dim, 4.0 * kappa / (2.0 + kappa)),
+    )
+
+
+def _stacked_defects(model) -> list[float]:
+    """(defect, truncated-square trusted, truncated-square full) from whole-rule stacks."""
+    exact_rule, square_rule = _audit_rules(model)
+    exact, _ = completeness_integrals_stacked(model, exact_rule)
+    _, truncated = completeness_integrals_stacked(model, square_rule)
     t = trusted_levels(model.dim)
     exact_dev = np.abs(exact - np.eye(model.dim))
     truncated_dev = np.abs(truncated - np.eye(model.dim))
     return [exact_dev[:t, :t].max(), truncated_dev[:t, :t].max(), truncated_dev.max()]
 
 
+def _audit(model, dims=None) -> list[tuple[float, float, float]]:
+    """(defect, truncated-square trusted, truncated-square full) per dim from the library."""
+    squares = truncated_square_defect(model, dims)
+    return [(d, *pair) for d, pair in zip(completeness_defect(model, dims), squares)]
+
+
 class TestCompleteness:
     @pytest.mark.parametrize("dx", [0.5, 1.0, 2.0, 5.0, 10.0])
     @pytest.mark.parametrize("dim", [16, 32])
     def test_defect_small(self, dx, dim):
-        (defect,) = completeness_defect(MeasurementModel(dx, dim), 2001)
+        (defect,) = completeness_defect(MeasurementModel(dx, dim))
         assert defect < 1e-8
 
     def test_squared_operator_matches_squared_matrix_on_trusted_block(self):
@@ -429,83 +447,126 @@ class TestCompleteness:
     def test_truncation_damage_localizes_at_the_edge(self):
         # Squaring the truncated matrix loses probability at the top levels;
         # the loss stays there instead of leaking into the trusted block.
-        ((trusted, full),) = truncated_square_defect(MeasurementModel(2.0, 24), 2001)
+        ((trusted, full),) = truncated_square_defect(MeasurementModel(2.0, 24))
         assert trusted < 1e-3
         assert full > 0.1
 
     @pytest.mark.parametrize("dx, dim", [(0.5, 16), (1.0, 32), (2.0, 24), (10.0, 48), (1.0, 64)])
     def test_matches_whole_grid_operator_stacks(self, dx, dim):
+        # The chunked ladder passes against whole (nodes, dim, dim) stacks on
+        # the same two rules.
         model = MeasurementModel(dx, dim)
-        got = [*completeness_defect(model, 2001), *truncated_square_defect(model, 2001)[0]]
-        grid = make_grid(completeness_required_span(model), 2001)
-        np.testing.assert_allclose(got, _stacked_defects(model, grid), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_audit(model)[0], _stacked_defects(model), rtol=0, atol=1e-13)
+
+
+class TestAuditRules:
+    def test_exact_where_the_grid_read_its_own_error(self):
+        # The 2001-node grid read defects of 1.6e-11 to 3.4e-11 here, all of
+        # it the grid's tails; the rules integrate every entry exactly.
+        defects = completeness_defect(MeasurementModel(10.0, 32), (16, 24, 32))
+        assert max(defects) <= 1e-14
+
+    @pytest.mark.parametrize("audit, nodes", [
+        (completeness_defect, lambda dim: dim + 1),
+        (truncated_square_defect, lambda dim: 2 * dim),
+    ], ids=["completeness_defect", "truncated_square_defect"])
+    @pytest.mark.parametrize("dim", [8, 40])
+    def test_rule_node_count(self, monkeypatch, audit, nodes, dim):
+        counts = []
+        rule = measurement._scaled_rule
+
+        def spy(count, g):
+            counts.append(count)
+            return rule(count, g)
+
+        monkeypatch.setattr(measurement, "_scaled_rule", spy)
+        audit(MeasurementModel(1.0, dim))
+        assert counts == [nodes(dim)]
+
+    def test_truncated_square_refuses_past_the_node_limit_before_the_ladder(self, monkeypatch):
+        # 2 dim nodes pass MAX_RULE_NODES above dim 700.
+        def refuse(*args, **kwargs):
+            raise AssertionError("ladder started")
+
+        monkeypatch.setattr(measurement, "_kernel_rows", refuse)
+        with pytest.raises(OutOfRangeError, match="1402 nodes"):
+            truncated_square_defect(MeasurementModel(1.0, MAX_RULE_NODES // 2 + 1))
+
+    # The grid route's error is its tails: its span is 6 sqrt(dx^2 + dim),
+    # and a level's outcome spread sqrt(dx^2 + (2 n + 1) / 4) approaches
+    # sqrt(dx^2 + dim) at wide dx, so up to erfc(6 / sqrt(2)) = 2.0e-9 of a
+    # level's mass falls outside (1.5e-9 measured at dx 20, dim 8).
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        dx=st.floats(0.05, 20.0),
+        dim=st.sampled_from([8, 16, 24, 32, 48, 64]),
+    )
+    def test_rules_match_the_fine_grid_oracle(self, dx, dim):
+        model = MeasurementModel(dx, dim)
+        dims = sorted({d for d in (dim - 16, dim - 8, dim) if d >= 8})
+        np.testing.assert_allclose(
+            _audit(model, dims), grid_audit_defects(model, 4001, dims), rtol=0, atol=4e-9
+        )
 
 
 class TestAuditLeadingBlocks:
-    # The coarse grids leave a defect that differs from dim to dim.
-    @pytest.mark.parametrize("dx, dims, count", [
-        (1.0, (8, 16, 24), 61),
-        (1.0, (48, 56, 64), 1001),
-        # 2 kappa x^2 / (2 + kappa) passes 745 at the grid edge, so the ladder
-        # carries those outcomes' rows in their own power-of-two units.
-        (0.1, (48, 56, 64), 401),
+    @pytest.mark.parametrize("dx, dims", [
+        (1.0, (8, 16, 24)),
+        (1.0, (48, 56, 64)),
+        (0.1, (48, 56, 64)),
     ])
-    def test_one_pass_matches_each_dim_on_its_own(self, dx, dims, count):
-        model = MeasurementModel(dx, max(dims))
-        defects = completeness_defect(model, count, dims)
-        squares = truncated_square_defect(model, count, dims)
-        # Every dim is integrated on the grid of the largest one.
-        grid = make_grid(completeness_required_span(model), count)
-        assert len(defects) == len(squares) == len(dims)
-        for dim, defect, (trusted, full) in zip(dims, defects, squares):
-            expected = _stacked_defects(MeasurementModel(dx, dim), grid)
-            np.testing.assert_allclose([defect, trusted, full], expected, rtol=0, atol=1e-13)
+    def test_one_pass_matches_each_dim_on_its_own(self, dx, dims):
+        # Every dim is read from the largest one's ladder pass, on its rules;
+        # on its own it has smaller rules, which are exact too.
+        got = _audit(MeasurementModel(dx, max(dims)), dims)
+        assert len(got) == len(dims)
+        for dim, row in zip(dims, got):
+            (expected,) = _audit(MeasurementModel(dx, dim))
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
 
     def test_ladder_rescales_at_the_grid_edge(self):
-        model = MeasurementModel(0.1, 64)
-        edge = completeness_required_span(model)
-        kappa = model.kappa
-        assert 2.0 * kappa * edge**2 / (2.0 + kappa) > 745.0
+        # At dx 0.05, dim 336 the exact-P^2 rule's outer node has
+        # 2 kappa' x^2 / (2 + kappa') = u^2 past _SEED_EXPONENT ln 2 (kappa' =
+        # 2 kappa), so the ladder starts those outcomes' rows in their own
+        # power-of-two units; the integral stays exact.
+        model = MeasurementModel(0.05, 336)
+        exact_rule, _ = _audit_rules(model)
+        kappa = 2.0 * model.kappa
+        edge = exact_rule.nodes[-1]
+        assert 2.0 * kappa * edge**2 / (2.0 + kappa) > measurement._SEED_EXPONENT * np.log(2.0)
+        (defect,) = completeness_defect(model)
+        assert defect <= 1e-13
 
     def test_values_follow_the_order_of_dims(self):
         model = MeasurementModel(2.0, 24)
-        forward = completeness_defect(model, 401, (8, 16, 24))
-        backward = completeness_defect(model, 401, (24, 8, 16, 8))
+        forward = completeness_defect(model, (8, 16, 24))
+        backward = completeness_defect(model, (24, 8, 16, 8))
         assert backward == (forward[2], forward[0], forward[1], forward[0])
-        forward = truncated_square_defect(model, 401, (8, 16, 24))
-        backward = truncated_square_defect(model, 401, (24, 8, 16, 8))
+        forward = truncated_square_defect(model, (8, 16, 24))
+        backward = truncated_square_defect(model, (24, 8, 16, 8))
         assert backward == (forward[2], forward[0], forward[1], forward[0])
 
     @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
     @pytest.mark.parametrize("dims", [(8, 17), (1,), (0, 8), (), (8.0,)])
     def test_dims_outside_the_model_rejected(self, audit, dims):
         with pytest.raises(InvalidParameterError):
-            audit(MeasurementModel(1.0, 16), 101, dims)
-
-
-    @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
-    @pytest.mark.parametrize("count", [1, 0, 401.0])
-    def test_count_must_be_an_integer_of_at_least_two(self, audit, count):
-        with pytest.raises(InvalidParameterError, match="grid count"):
-            audit(MeasurementModel(1.0, 16), count)
+            audit(MeasurementModel(1.0, 16), dims)
 
 
 class TestAuditMemory:
     @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
-    def test_peak_bounded_and_independent_of_grid_count(self, audit):
+    def test_peak_bounded(self, audit):
         # The whole-grid operator stack peaked at 154 MiB for dx 1, dim 64 on
-        # 2001 nodes, and grew with the node count.
+        # 2001 nodes; the chunked passes keep a chunk's rows and the dim x dim
+        # sums, well below one (nodes, dim, dim) stack of the rule (4 MiB).
         model = MeasurementModel(1.0, 64)
-        peaks = []
-        for count in (2001, 8001):
-            tracemalloc.start()
-            try:
-                audit(model, count)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 48 * 2**20
-        assert peaks[1] <= peaks[0] + 2**20
+        tracemalloc.start()
+        try:
+            audit(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestDensityTable:
