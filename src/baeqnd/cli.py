@@ -17,13 +17,13 @@ sorted JSON of the other keys with the table's text appended last.
 
 Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
 refuses any other with exit 2 before a file is opened, and meta.config holds
-exactly the settings that shaped the payload.  Only distribution and
-setup-check tabulate on a uniform outcome grid, so only they take
---grid-count.  The grid's span is not a setting: it follows from --delta-x
-(or --gain-a) as measurement.outcome_span.  jump-sweep, correlation, simulate
-and povm-check integrate with exact Gauss-Hermite rules whose node counts
-follow from --dim and the input; povm-check's truncated-square rule takes
-2 --dim nodes, so it audits dims up to fock.MAX_RULE_NODES // 2 = 700.
+exactly the settings that shaped the payload.  Only distribution tabulates
+on a uniform outcome grid, so only it takes --grid-count; the span follows
+from --delta-x as measurement.outcome_span.  setup-check compares on fixed
+outcome sets, and jump-sweep, correlation, simulate and povm-check integrate
+with exact Gauss-Hermite rules whose node counts follow from --dim and the
+input; povm-check's truncated-square rule takes 2 --dim nodes, so it audits
+dims up to fock.MAX_RULE_NODES // 2 = 700.
 
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened), 3 numeric
@@ -81,8 +81,7 @@ _COMMAND_FLAGS = {
                     ("delta-x", "shots")),
     "povm-check": ("completeness audit of the squared measurement kernel",
                    ("delta-x",)),
-    "setup-check": ("two-mode circuit vs measurement kernel equivalence",
-                    ("gain-a", "grid-count")),
+    "setup-check": ("two-mode circuit vs measurement kernel equivalence", ("gain-a",)),
     "simulate": ("seeded Monte Carlo shots plus summary report",
                  ("delta-x", "shots", "record-limit")),
 }
@@ -345,11 +344,8 @@ def _cmd_povm_check(args):
 
 @_command("setup-check")
 def _cmd_setup_check(args):
-    # Refuse a bad count before the circuit is built and calibrated.
-    if args.grid_count < 2:
-        raise InvalidParameterError(f"--grid-count must be >= 2, got {args.grid_count}")
     gain = args.gain_a
-    dims = sorted({max(8, args.dim // 2), (3 * args.dim) // 4, args.dim})
+    dims = sorted({min(max(8, args.dim // 2), args.dim), max(2, 3 * args.dim // 4), args.dim})
     params = SetupParams(gain, args.dim)
     circuit = SetupCircuit(params)
     calibration = calibrate_outcome_map(params, circuit=circuit)
@@ -359,8 +355,7 @@ def _cmd_setup_check(args):
     scales = {"vacuum": float(calibration.scale)}
     for name, state in inputs.items():
         defects[name] = float(
-            equivalence_defect(state, params, args.grid_count,
-                               circuit=circuit, calibration=calibration)
+            equivalence_defect(state, params, circuit=circuit, calibration=calibration)
         )
         if name != "vacuum":
             scales[name] = float(
@@ -374,7 +369,7 @@ def _cmd_setup_check(args):
             continue
         sub = SetupParams(gain, dim)
         try:
-            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub, args.grid_count))
+            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub))
             rows.append([int(dim), sub_defect, ""])
         except TruncationOverflowError:
             rows.append([int(dim), None, "truncation-overflow at this dim"])

@@ -341,30 +341,36 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     return out
 
 
+def _one_outcome(state: FockState, model: MeasurementModel, x_m) -> np.ndarray:
+    """<n|P(x_m)|state> after the leak guard, for one scalar outcome x_m."""
+    if np.ndim(x_m) != 0:
+        raise InvalidParameterError(f"x_m must be a scalar outcome, got shape {np.shape(x_m)}")
+    _exact_joint(state, model)
+    return measurement_amplitudes(state, model, x_m)[0]
+
+
 def outcome_density(state: FockState, model: MeasurementModel, x_m: float) -> float:
     """Probability density of outcome x_m, the squared norm of P(x_m)|state>.
 
     For the vacuum this is a centered Gaussian with variance dx^2 + 1/4.
     Raises TruncationOverflowError when the kernel loses more than
-    TRUNCATION_OCCUPATION_LIMIT of the input above the truncation.
+    TRUNCATION_OCCUPATION_LIMIT of the input above the truncation, and
+    InvalidParameterError unless x_m is a scalar.
     """
-    _exact_joint(state, model)
-    amps = measurement_amplitudes(state, model, x_m)
-    return float(np.sum(np.abs(amps[0]) ** 2))
+    return float(np.sum(np.abs(_one_outcome(state, model, x_m)) ** 2))
 
 
 def conditional_state(state: FockState, model: MeasurementModel, x_m: float) -> FockState:
     """Normalized post-measurement state P(x_m)|state> / sqrt(density).
 
-    Raises TruncationOverflowError like outcome_density: the conditioned
-    state would miss the mass the kernel sends above the truncation.
+    Raises like outcome_density: the conditioned state would miss the mass
+    the kernel sends above the truncation.
     """
-    _exact_joint(state, model)
-    amps = measurement_amplitudes(state, model, x_m)[0]
+    amps = _one_outcome(state, model, x_m)
     density = float(np.sum(np.abs(amps) ** 2))
     if density < UNDERFLOW_DENSITY:
         raise DegenerateConditioningError(
-            f"outcome density {density:.3e} at x_m={float(np.asarray(x_m)):.6g} underflows"
+            f"outcome density {density:.3e} at x_m={float(x_m):.6g} underflows"
         )
     return FockState(amps / np.sqrt(density))
 
@@ -402,9 +408,12 @@ def outcome_span(delta_x: float) -> float:
 def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementModel]:
     """The audited dims (default model.dim alone) and the model at the largest of them.
 
-    Raises InvalidParameterError for an empty list or a dim outside 2..model.dim.
+    Raises InvalidParameterError for dims not a list, empty, or with a dim outside 2..model.dim.
     """
-    dims = [model.dim] if dims is None else list(dims)
+    try:
+        dims = [model.dim] if dims is None else list(dims)
+    except TypeError as exc:
+        raise InvalidParameterError(f"dims must be a list of dims, got {dims!r}") from exc
     if not dims:
         raise InvalidParameterError("no dim to audit")
     for d in dims:

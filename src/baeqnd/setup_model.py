@@ -68,9 +68,9 @@ the entries are built.
 
 calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
-so Gauss-Hermite rules integrate both exactly.  Its probes and
-equivalence_defect compare the circuit with the kernel on outcomes spanning
-measurement.outcome_span.  The module needs numpy only.
+so Gauss-Hermite rules integrate both exactly.  One pass over 51 probes gives
+its sign and residual, and equivalence_defect compares on EQUIVALENCE_OUTCOMES
+outcomes, both over measurement.outcome_span.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule, make_grid
+from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule
 from .fock import wavefunction_table
 from .measurement import (
     MeasurementModel,
@@ -104,6 +104,9 @@ CALIBRATION_RESIDUAL_LIMIT = 1e-2
 #: Kernel density above which an outcome enters the equivalence comparison;
 #: below it the conditional states are normalised by a vanishing density.
 EQUIVALENCE_DENSITY_FLOOR = 1e-6
+
+#: Equally spaced outcomes over outcome_span(dx) on which equivalence_defect compares.
+EQUIVALENCE_OUTCOMES = 2001
 
 
 @dataclass(frozen=True)
@@ -263,11 +266,13 @@ def calibrate_outcome_map(
     rule of the jump integrals (which also checks it for leaked mass), the
     raw homodyne density, exp(-2 raw^2) times a polynomial of degree
     2 (keep0 - 1), on keep0 + 1 nodes at raw = u / sqrt(2).  The magnitude is
-    sqrt(var_kernel / var_raw); the sign is resolved by comparing conditional
-    output states at one probe outcome.  The residual is the largest density
-    mismatch over 51 probe outcomes spanning outcome_span(dx), relative to
-    the largest probe density.  The analytic expectation is scale = -2 dx.
-    A residual above CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.
+    sqrt(var_kernel / var_raw).  One pass over 51 probes spanning
+    outcome_span(dx) reads the circuit at probe / magnitude and the kernel at
+    +-probe: the sign is the one whose conditional states are closer (trace
+    distance weighted by the circuit's density), and the residual the largest
+    density mismatch at that sign over the largest probe density.  The
+    analytic scale is -2 dx.  A residual above CALIBRATION_RESIDUAL_LIMIT
+    raises SetupMismatchError.
     """
     circuit = circuit or SetupCircuit(params)
     if signal_in is None:
@@ -284,87 +289,77 @@ def calibrate_outcome_map(
     scale = float(np.sqrt(var_kernel / var_raw))
 
     probe = np.linspace(-1.0, 1.0, 51) * outcome_span(params.delta_x)
-    kernel_probe = np.sum(np.abs(measurement_amplitudes(signal_in, model, probe)) ** 2, axis=1)
     setup_amps = circuit.homodyne_amplitudes(signal_in, probe / scale)
     mapped = np.sum(np.abs(setup_amps) ** 2, axis=1) / scale
+    kernel_amps = measurement_amplitudes(signal_in, model, np.concatenate([probe, -probe]))
+    kernel_density = np.sum(np.abs(kernel_amps) ** 2, axis=1)
+    out = setup_amps[:, : params.dim]
+    halves = (slice(probe.size), slice(probe.size, None))
+    distances = [_state_distance(out, kernel_amps[h], kernel_density[h]) for h in halves]
+    negative = bool(np.sum(mapped * distances[1]) < np.sum(mapped * distances[0]))
+    kernel_probe = kernel_density[halves[negative]]
     residual = float(np.max(np.abs(mapped - kernel_probe)) / np.max(kernel_probe))
-
-    # Sign: compare conditional states at a probe outcome on the positive side.
-    probe_raw = 0.8 * float(np.sqrt(var_raw))
-    probe_amp = circuit.homodyne_amplitudes(signal_in, probe_raw)[0]
-    nrm = np.linalg.norm(probe_amp)
-    if nrm > 0.0:
-        probe_state = probe_amp[: params.dim] / nrm
-        overlaps = []
-        for sign in (1.0, -1.0):
-            ref = measurement_amplitudes(signal_in, model, sign * scale * probe_raw)[0]
-            ref_nrm = np.linalg.norm(ref)
-            if ref_nrm > 0.0:
-                overlaps.append(abs(np.vdot(ref / ref_nrm, probe_state)))
-            else:
-                overlaps.append(0.0)
-        if overlaps[1] > overlaps[0]:
-            scale = -scale
 
     if residual > CALIBRATION_RESIDUAL_LIMIT:
         raise SetupMismatchError(
             f"calibration residual {residual:.3e} exceeds {CALIBRATION_RESIDUAL_LIMIT:g}; "
             "the circuit does not reduce to the measurement kernel"
         )
-    return Calibration(scale=scale, residual=residual)
+    return Calibration(scale=-scale if negative else scale, residual=residual)
 
 
 def equivalence_defect(
     signal_in: FockState,
     params: SetupParams,
-    count: int,
     *,
     circuit: SetupCircuit | None = None,
     calibration: Calibration | None = None,
 ) -> float:
     """Worst-case disagreement between the circuit and the measurement kernel.
 
-    The outcomes are a uniform grid of count nodes over outcome_span(dx).
-    For every one whose kernel density exceeds EQUIVALENCE_DENSITY_FLOOR the
-    defect is |density_setup - density_kernel| plus the trace distance
-    between the conditional output states; the maximum over outcomes is
-    returned.
+    The outcomes are EQUIVALENCE_OUTCOMES equally spaced over outcome_span(dx);
+    at each whose kernel density exceeds EQUIVALENCE_DENSITY_FLOOR the defect
+    is |density_setup - density_kernel| plus the trace distance between the
+    conditional output states, and the largest is returned.
     """
-    grid = make_grid(outcome_span(params.delta_x), count)
+    span = outcome_span(params.delta_x)
+    nodes = np.linspace(-span, span, EQUIVALENCE_OUTCOMES)
     circuit = circuit or SetupCircuit(params)
     calibration = calibration or calibrate_outcome_map(params, circuit=circuit)
 
     model = MeasurementModel(params.delta_x, params.dim)
-    kernel_amps = measurement_amplitudes(signal_in, model, grid.nodes)
+    kernel_amps = measurement_amplitudes(signal_in, model, nodes)
     density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
 
-    raw = grid.nodes / calibration.scale
+    raw = nodes / calibration.scale
     setup_amps = circuit.homodyne_amplitudes(signal_in, raw)
     density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
 
     keep = density_kernel > EQUIVALENCE_DENSITY_FLOOR
     gap = np.abs(density_setup[keep] - density_kernel[keep])
-    out = setup_amps[keep, : params.dim]
-    out_norm = np.linalg.norm(out, axis=1)
-    ref = kernel_amps[keep] / np.sqrt(density_kernel[keep])[:, None]
-    # An outcome the circuit cannot produce at all counts as fully distinct.
-    distance = np.ones_like(gap)
-    live = out_norm > 0.0
-    distance[live] = _trace_distance(out[live] / out_norm[live, None], ref[live])
+    distance = _state_distance(setup_amps[keep, : params.dim], kernel_amps[keep],
+                               density_kernel[keep])
     return float(np.max(gap + distance, initial=0.0))
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray):
-    """Trace distance sqrt(1 - |<a|b>|^2) between normalised pure states, row by row.
+def _state_distance(out: np.ndarray, ref: np.ndarray, ref_density: np.ndarray) -> np.ndarray:
+    """Trace distance sqrt(1 - |<a|b>|^2) between the states of matching rows.
 
-    Evaluated from the phase-aligned difference d2 = |a - e^{i phi} b|^2 =
-    2 (1 - |<a|b>|), which keeps its relative precision for nearly equal
-    states where 1 - |<a|b>|^2 cancels to rounding noise.  a and b hold one
-    state per row along their last axis.
+    a is row i of out over its norm, b row i of ref over sqrt(ref_density[i]),
+    its squared norm; a zero row of out (an outcome the circuit cannot produce)
+    counts as 1.  The phase-aligned difference d2 = |a - e^{i phi} b|^2 =
+    2 (1 - |<a|b>|) keeps its relative precision for nearly equal states,
+    where 1 - |<a|b>|^2 cancels to rounding noise.
     """
+    out_norm = np.linalg.norm(out, axis=1)
+    live = out_norm > 0.0
+    a = out[live] / out_norm[live, None]
+    b = ref[live] / np.sqrt(ref_density[live])[:, None]
     inner = np.sum(np.conj(a) * b, axis=-1)
     mag = np.abs(inner)
     phase = np.ones_like(inner)
     np.divide(np.conj(inner), mag, out=phase, where=mag != 0.0)
-    half = 0.5 * np.sum(np.abs(a - phase[..., None] * b) ** 2, axis=-1)
-    return np.sqrt(np.maximum(0.0, half * (2.0 - half)))
+    half = 0.5 * np.sum(np.abs(a - phase[:, None] * b) ** 2, axis=-1)
+    distance = np.ones(out.shape[0])
+    distance[live] = np.sqrt(np.maximum(0.0, half * (2.0 - half)))
+    return distance

@@ -166,8 +166,7 @@ def test_criterion_6_setup_equivalence():
             circuit = SetupCircuit(params)
             calibration = calibrate_outcome_map(params, circuit=circuit)
             for state in (FockState.vacuum(40), FockState.number(40, 1)):
-                defect = equivalence_defect(state, params, 201,
-                                            circuit=circuit, calibration=calibration)
+                defect = equivalence_defect(state, params, circuit=circuit, calibration=calibration)
                 assert defect < 1e-3, (gain, defect)
             scale_one = calibrate_outcome_map(
                 params, circuit=circuit, signal_in=FockState.number(40, 1)
@@ -178,7 +177,7 @@ def test_criterion_6_setup_equivalence():
         # stays below the truncation guard so every point is evaluable.
         defects = []
         for dim in (20, 30, 40):
-            defects.append(equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim), 201))
+            defects.append(equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim)))
         assert defects[0] > defects[1] > defects[2], defects
 
 

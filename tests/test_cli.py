@@ -292,8 +292,7 @@ class TestSetupCheck:
         # rescaled kernel density: exit 3, and no file.
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
         out = tmp_path / "setup.json"
-        code = main(["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201",
-                     "--out", str(out)])
+        code = main(["setup-check", "--gain-a", "1.5", "--dim", "16", "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert not out.exists()
         assert "calibration residual" in capsys.readouterr().err
@@ -319,19 +318,14 @@ class TestSetupCheck:
                      "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CONFIG
 
-    def test_bad_grid_count_refused_before_the_circuit(self, tmp_path, capsys, monkeypatch):
-        # A count of 1 used to be refused only after the circuit was built and
-        # calibrated (0.77 s at dim 200).
-        def build(params):
-            raise AssertionError("circuit built")
-
-        monkeypatch.setattr(cli, "SetupCircuit", build)
-        out = tmp_path / "s.json"
-        code = main(["setup-check", "--gain-a", "1.5", "--dim", "200", "--grid-count", "1",
-                     "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert list(tmp_path.iterdir()) == []
-        assert "--grid-count must be >= 2, got 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("dim, swept", [(5, [3, 5]), (6, [4, 6]), (12, [8, 9, 12]),
+                                            (16, [8, 12, 16])])
+    def test_sweep_stays_within_dim(self, tmp_path, dim, swept):
+        # max(8, dim // 2) swept dim 8 at --dim 6, past the requested truncation.
+        out = tmp_path / "setup.json"
+        assert main(["setup-check", "--gain-a", "1.05", "--dim", str(dim),
+                     "--out", str(out)]) == EXIT_OK
+        assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == swept
 
     def test_dim_beyond_the_homodyne_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The homodyne reads mode-0 levels up to dim + dim // 4 - 1, at most 256.
@@ -398,19 +392,19 @@ class TestGridFlags:
         "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100",
                      "--seed", "1"],
         "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8"],
+        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16"],
     }
 
-    # The grid commands take only a node count: their span follows from the
-    # resolution, so no span can narrow an audit.
+    # distribution takes only a node count: its span follows from the
+    # resolution, so no span can narrow a table.
     SPAN_COMMANDS = {
         **COMMANDS,
         "distribution": ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "101"],
-        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
     }
 
-    # No command takes --grid-span, and the jump integrals and povm-check use
-    # exact rules, so their commands take no --grid-count either: argparse
-    # refuses them before a file is opened.
+    # No command takes --grid-span; the jump integrals and povm-check use
+    # exact rules and setup-check fixed outcome sets, so their commands take
+    # no --grid-count either: argparse refuses them before a file is opened.
     @pytest.mark.parametrize("command", sorted(SPAN_COMMANDS))
     @pytest.mark.parametrize("span", ["nan", "inf", "-3", "0", "5"])
     def test_invalid_span_is_config_error(self, tmp_path, capsys, command, span):
@@ -445,7 +439,7 @@ class TestUnreadFlags:
         "jump-sweep": ["jump-sweep", "--delta-x", "2", "--dim", "16"],
         "correlation": ["correlation", "--delta-x", "2", "--dim", "16"],
         "povm-check": ["povm-check", "--delta-x", "1", "--dim", "8"],
-        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
+        "setup-check": ["setup-check", "--gain-a", "1.5", "--dim", "16"],
         "simulate": ["simulate", "--delta-x", "2", "--dim", "16", "--shots", "100", "--seed", "1"],
     }
     UNREAD = [
@@ -684,7 +678,7 @@ class TestRuntimeWithoutScipy:
             ["jump-sweep", "--delta-x", "1", "--delta-x", "4", "--dim", "16"],
             ["correlation", "--delta-x", "2", "--dim", "16", "--shots", "200", "--seed", "1"],
             ["povm-check", "--delta-x", "1", "--dim", "8"],
-            ["setup-check", "--gain-a", "1.5", "--dim", "16", "--grid-count", "201"],
+            ["setup-check", "--gain-a", "1.5", "--dim", "16"],
             ["simulate", "--delta-x", "5", "--dim", "16", "--shots", "200", "--seed", "1"],
         ]
         runs = [argv + ["--out", str(tmp_path / f"{argv[0]}.json")] for argv in runs]

@@ -282,6 +282,20 @@ class TestOutcomeDensity:
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
             outcome_density(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
 
+    @pytest.mark.parametrize("x_m", [[1.0, 2.0], np.array([1.0]), [[0.5]]])
+    def test_only_one_outcome_accepted(self, x_m):
+        # A batch read only its first outcome: [1.0, 2.0] gave the density at 1.0.
+        with pytest.raises(InvalidParameterError, match="scalar"):
+            outcome_density(FockState.vacuum(16), MeasurementModel(1.0, 16), x_m)
+        with pytest.raises(InvalidParameterError, match="scalar"):
+            conditional_state(FockState.vacuum(16), MeasurementModel(1.0, 16), x_m)
+
+    def test_zero_dim_array_is_one_outcome(self):
+        model = MeasurementModel(1.0, 16)
+        vac = FockState.vacuum(16)
+        assert outcome_density(vac, model, np.float64(0.5)) == outcome_density(vac, model, 0.5)
+        assert outcome_density(vac, model, np.array(0.5)) == outcome_density(vac, model, 0.5)
+
 
 class TestConditionalState:
     def test_unit_norm(self):
@@ -550,6 +564,13 @@ class TestAuditLeadingBlocks:
     @pytest.mark.parametrize("dims", [(8, 17), (1,), (0, 8), (), (8.0,)])
     def test_dims_outside_the_model_rejected(self, audit, dims):
         with pytest.raises(InvalidParameterError):
+            audit(MeasurementModel(1.0, 16), dims)
+
+    @pytest.mark.parametrize("audit", [completeness_defect, truncated_square_defect])
+    @pytest.mark.parametrize("dims", [2001, 16.0])
+    def test_dims_that_is_not_a_list_rejected(self, audit, dims):
+        # The grid count of the old signature, audit(model, 2001), reads as dims.
+        with pytest.raises(InvalidParameterError, match="dims must be a list"):
             audit(MeasurementModel(1.0, 16), dims)
 
 
