@@ -203,7 +203,12 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InvalidParameterError("wavefunction argument must be finite")
-    return np.stack(list(_hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))))
+    return np.stack(list(_wavefunction_levels(count, x)))
+
+
+def _wavefunction_levels(count: int, x: np.ndarray):
+    """Yield psi_n(x) = 2^(1/4) exp(-x^2) h_n(sqrt(2) x), n = 0..count-1, as _hermite_levels."""
+    return _hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))
 
 
 @dataclass(frozen=True, eq=False)

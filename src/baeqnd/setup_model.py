@@ -22,49 +22,35 @@ to the single-mode measurement-kernel prediction for all inputs.
 
 Mode layout: index 0 is the rail fed by the signal input and read out by the
 meter homodyne; index 1 is fed by the meter vacuum and carries the signal
-output.  Both modes are truncated at the one dimension SetupParams.dim, so
-joint states are (dim, dim) amplitude matrices.
+output, reported on its levels 0..SetupParams.dim - 1.
 
-Circuit entries.  The circuit is a Gaussian unitary U, so it is fixed by
-its Bogoliubov map U^dag a U = W a + V a^dag on a = (a_0, a_1), composed
-from the three stages as 4x4 matrices [[W, V], [V*, W*]] (all real here).
-Each beam splitter has W = [[c, s], [-s, c]] and V = 0, with
-theta = arcsin sqrt(R); the squeezers have W = diag(cosh r) and
-V = diag(sinh r), with r = (-ln a, +ln a): mode 0 amplifies y and mode 1
-amplifies x.  The entries
-G[n0, n1, k] = <n0, n1|U|k, 0> have the generating function
-c exp(z^T A z / 2), one variable z_i per index (n0, n1, k), with
-c = det(W)^(-1/2) and the symmetric 3x3 A assembled from
+Point map.  The circuit is a Gaussian unitary U with the Bogoliubov map
+U^dag a U = W a + V a^dag on a = (a_0, a_1), composed from the three stages
+by _bogoliubov.  Every stage is real and none mixes x with y, so
+U^dag x U = A x with A = W + V, and U acts on two-mode wavefunctions as a
+point map: with B = A^-1 and x = (r, x1),
 
-    A_out = V W*^-1,  A_cross = (W^dag^-1)[:, 0],  A_in = -(V^dag W^dag^-1)[0, 0],
+    <r, x1|U|psi, 0> = |det A|^(-1/2) psi((B x)_0) phi_0((B x)_1),
 
-so they follow the three-term recurrence (Miatto & Quesada, Quantum 4, 366
-(2020))
+whose sign <0, 0|U|0, 0> > 0 fixes.  The homodyne amplitude at raw value r
+and signal-output level n is the integral over x1 of phi_n(x1) times that:
+a Gaussian in x1 times a polynomial of degree top + n, top the input's
+highest level, which a Gauss-Hermite rule of (top + dim) // 2 + 2 nodes
+centred on the Gaussian at each r integrates exactly.  The parity (-1)^n
+undoes the signal-frame inversion.  Mode 0 is never truncated.
 
-    sqrt(k_i + 1) G[k + e_i] = sum_j A_ij sqrt(k_j) G[k - e_j].
+Truncation guard.  Every amplitude is exp(-g r^2) times a polynomial of
+degree top + n in r, so each read also evaluates them on a raw rule of
+top + dim nodes matched to exp(-2 g r^2), on which the output mass below the
+signal mode's top quarter is exact.  ||psi||^2 minus that mass is the exact
+occupation of levels dim - dim // 4 and above, and TruncationOverflowError
+is raised when it exceeds TRUNCATION_OCCUPATION_LIMIT.  The wavefunction
+levels are validated up to MAX_WAVEFUNCTION_LEVEL, so a dim above it plus
+one is refused with OutOfRangeError when the circuit is constructed.
 
-SetupCircuit runs it in n0 for the seed column, in n1 vectorised over n0,
-then in the input level k vectorised over the (n0, n1) plane.  No entry
-depends on a level outside the box, so nothing reflects at its edge, and the
-joint output state is G psi.
-
-Accuracy limit.  The recurrence in k amplifies rounding.  Against the same
-recurrence in np.longdouble, the largest entry error of column k at gain 2,
-dim 96 is 1.1e-12 at k = 40, 4.3e-10 at k = 60 and 2.0e-7 at k = 80; at
-gain 2, dim 160 the column norms (at most 1 exactly) pass 1 from k = 117 and
-reach 5.9e5 (3.5e11 squared) at k = 159.  setup-check reads only k <= 1.
-
-Truncation guard.  The requested dimensions define the I/O contract: input
-states, reported conditional outputs and the guard.  The box keeps one
-extra quarter of levels per mode, mirroring the trusted-subspace policy,
-and the homodyne reads all of them.  With exact entries the mass that leaves
-the box is ||psi||^2 - ||G psi||^2, and a norm that grew instead counts
-with its magnitude; each mode's top-quarter occupation inside the box plus
-that mass bounds the mode's true top-quarter occupation from above, and
-TruncationOverflowError is raised when it exceeds
-TRUNCATION_OCCUPATION_LIMIT.  The homodyne reads mode 0 up to level
-dim + dim // 4 - 1, so dim above 206 is refused with OutOfRangeError before
-the entries are built.
+The circuit shares only the Hermite recurrence (fock._hermite_levels) and the
+Gauss-Hermite rules (fock._gh_rule) with the measurement kernel, not its
+Fock ladder, and its physics enters only through _bogoliubov.
 
 calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
@@ -87,8 +73,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule
-from .fock import wavefunction_table
+from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule, _wavefunction_levels
 from .measurement import (
     MeasurementModel,
     _exact_joint,
@@ -161,88 +146,84 @@ def _bogoliubov(params: SetupParams) -> tuple[np.ndarray, np.ndarray]:
     return total[:2, :2], total[:2, 2:]
 
 
-def _circuit_entries(params: SetupParams, shape: tuple[int, int, int]) -> np.ndarray:
-    """G[n0, n1, k] = <n0, n1|U|k, 0> on the box `shape`, by the Gaussian recurrence."""
-    w, v = _bogoliubov(params)
-    w_inv_t = np.linalg.inv(w).T
-    # Index 0 and 1 are the output modes, 2 the input level of mode 0.
-    a = np.empty((3, 3))
-    a[:2, :2] = v @ np.linalg.inv(w)
-    a[:2, 2] = a[2, :2] = w_inv_t[:, 0]
-    a[2, 2] = -(v.T @ w_inv_t)[0, 0]
-    keep0, keep1, levels = shape
-    root = np.sqrt(np.arange(max(shape), dtype=np.float64))
-    g = np.zeros(shape)
-    g[0, 0, 0] = np.linalg.det(w) ** -0.5
-    for n in range(1, keep0 - 1):
-        g[n + 1, 0, 0] = a[0, 0] * root[n] * g[n - 1, 0, 0] / root[n + 1]
-    # At n = 0 and k = 0, root[0] = 0 cancels the (still empty) wrapped slice.
-    for n in range(keep1 - 1):
-        step = a[1, 1] * root[n] * g[:, n - 1, 0]
-        step[1:] += a[1, 0] * root[1:keep0] * g[:-1, n, 0]
-        g[:, n + 1, 0] = step / root[n + 1]
-    for k in range(levels - 1):
-        step = a[2, 2] * root[k] * g[:, :, k - 1]
-        step[1:] += a[2, 0] * root[1:keep0, None] * g[:-1, :, k]
-        step[:, 1:] += a[2, 1] * root[1:keep1] * g[:, :-1, k]
-        g[:, :, k + 1] = step / root[k + 1]
-    return g
+def _top_level(psi: np.ndarray) -> int:
+    """Highest level with a nonzero amplitude (0 for the zero vector)."""
+    levels = np.flatnonzero(psi)
+    return int(levels[-1]) if levels.size else 0
 
 
 class SetupCircuit:
-    """Prebuilt circuit for one parameter set, reused across inputs and outcomes."""
+    """The circuit's point map for one parameter set, reused across inputs and outcomes."""
 
     def __init__(self, params: SetupParams):
         self.params = params
-        dim = params.dim
-        keep = dim + dim // 4
-        # Detection keeps one extra quarter of levels per mode, the same
-        # margin the trusted-subspace policy excludes.  The homodyne reads every
-        # kept level of mode 0, so refuse a box it cannot read before building
-        # it: the entries grow as dim^3.
-        if keep - 1 > MAX_WAVEFUNCTION_LEVEL:
+        if params.dim - 1 > MAX_WAVEFUNCTION_LEVEL:
             raise OutOfRangeError(
-                f"dim {dim} needs homodyne levels up to {keep - 1}, above the "
-                f"supported {MAX_WAVEFUNCTION_LEVEL}"
+                f"dim {params.dim} needs signal-output levels up to {params.dim - 1}, above "
+                f"the supported {MAX_WAVEFUNCTION_LEVEL}"
             )
-        self._entries = _circuit_entries(params, (keep, keep, dim))
+        w, v = _bogoliubov(params)
+        a = w + v
+        self._b = b = np.linalg.inv(a)
+        # The x1 integrand's Gaussian exponent, x1^2 + (B x)_0^2 + (B x)_1^2, is
+        # alpha (x1 - shift r)^2 + g r^2, with g > 0.
+        alpha = 1.0 + b[0, 1] ** 2 + b[1, 1] ** 2
+        self._shift = -(b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]) / alpha
+        self._gauss = b[0, 0] ** 2 + b[1, 0] ** 2 - alpha * self._shift**2
+        self._width = alpha**-0.5
+        self._norm = (abs(np.linalg.det(a)) * alpha) ** -0.5
 
-    def _evolve(self, signal_in: FockState) -> np.ndarray:
-        """Joint output amplitudes G psi on the kept box, after the truncation guard."""
+    def _raw_rule(self, count: int) -> QuadratureGrid:
+        """Rule in r exact on exp(-2 g r^2) times polynomials of degree below 2 count."""
+        u, _, factored = _gh_rule(count)
+        step = (2.0 * self._gauss) ** -0.5
+        return QuadratureGrid(step * u, step * factored)
+
+    def _point_map(self, psi: np.ndarray, top: int, raw: np.ndarray) -> np.ndarray:
+        """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r."""
         dim = self.params.dim
-        if signal_in.dim != dim:
-            raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")
-        psi = signal_in.amplitudes
-        joint = self._entries @ psi
-        probs = np.abs(joint) ** 2
-        # Exact entries cannot raise the norm, so growth counts as damage too.
-        leak = abs(float(np.vdot(psi, psi).real) - float(probs.sum()))
-        for mode in (0, 1):
-            top = float(probs.sum(axis=1 - mode)[dim - dim // 4 :].sum()) + leak
-            if top > TRUNCATION_OCCUPATION_LIMIT:
-                raise TruncationOverflowError(
-                    f"top-quarter occupation {top:.3e} of mode {mode} exceeds "
-                    f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
-                )
-        return joint
+        u, _, factored = _gh_rule((top + dim) // 2 + 2)
+        r = raw[:, None]
+        x1 = self._shift * r + self._width * u
+        q0 = self._b[0, 0] * r + self._b[0, 1] * x1
+        q1 = self._b[1, 0] * r + self._b[1, 1] * x1
+        # The x1 integrand but phi_n(x1), times the rule's factored weights:
+        # |det A|^(-1/2) alpha^(-1/2) phi_0(q1) psi(q0).
+        psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels(top + 1, q0)))
+        weight = (self._norm * (2.0 / np.pi) ** 0.25 * factored) * np.exp(-q1 * q1) * psi_q0
+        # Real and imaginary parts in one real stack, so no level is cast to complex.
+        parts = np.stack([weight.real, weight.imag])
+        out = np.empty((dim, 2, raw.size))
+        for n, level in enumerate(_wavefunction_levels(dim, x1)):
+            out[n] = np.einsum("rk,crk->cr", level, parts)
+        out[1::2] *= -1.0
+        return (out[:, 0] + 1j * out[:, 1]).T
 
     def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
         """Signal-output amplitudes after reading mode 0 at raw outcome values.
 
-        Projects mode 0 onto the x-quadrature eigenfunction at each raw value
-        and applies the parity frame correction that undoes the circuit's
-        signal-frame inversion.  Shape (len(raw_values), keep1) with
-        keep1 >= dim; squared row norms are the outcome density in the
-        raw homodyne variable.
+        Shape (len(raw_values), dim), parity-corrected; squared row norms are
+        the outcome density in the raw homodyne variable.  The same pass reads
+        the guard's raw rule and raises TruncationOverflowError on its verdict.
         """
         raw = np.atleast_1d(np.asarray(raw_values, dtype=np.float64))
         if not np.all(np.isfinite(raw)):
             raise InvalidParameterError("homodyne outcomes must be finite")
-        joint = self._evolve(signal_in)
-        keep0, keep1 = joint.shape
-        table = wavefunction_table(keep0, raw)
-        projected = np.einsum("ab,ai->ib", joint, table, optimize=True)
-        return projected * np.where(np.arange(keep1) % 2 == 0, 1.0, -1.0)
+        dim = self.params.dim
+        if signal_in.dim != dim:
+            raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")
+        psi = signal_in.amplitudes
+        top = _top_level(psi)
+        guard = self._raw_rule(top + dim)
+        amps = self._point_map(psi, top, np.concatenate([raw, guard.nodes]))
+        below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)
+        occupation = float(np.vdot(psi, psi).real) - guard.integrate(below)
+        if occupation > TRUNCATION_OCCUPATION_LIMIT:
+            raise TruncationOverflowError(
+                f"top-quarter occupation {occupation:.3e} of mode 1 exceeds "
+                f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
+            )
+        return amps[: raw.size]
 
 
 @dataclass(frozen=True)
@@ -264,8 +245,8 @@ def calibrate_outcome_map(
     Both outcome densities are a Gaussian times a polynomial, so their
     variances are exact on Gauss-Hermite rules: the kernel's on the outcome
     rule of the jump integrals (which also checks it for leaked mass), the
-    raw homodyne density, exp(-2 raw^2) times a polynomial of degree
-    2 (keep0 - 1), on keep0 + 1 nodes at raw = u / sqrt(2).  The magnitude is
+    raw homodyne density, exp(-2 g raw^2) times a polynomial of degree
+    2 (top + dim - 1), on the circuit's raw rule of top + dim + 1 nodes.  The magnitude is
     sqrt(var_kernel / var_raw).  One pass over 51 probes spanning
     outcome_span(dx) reads the circuit at probe / magnitude and the kernel at
     +-probe: the sign is the one whose conditional states are closer (trace
@@ -282,8 +263,7 @@ def calibrate_outcome_map(
     density_kernel = joint.sum(axis=1)
     var_kernel = rule.integrate(density_kernel * rule.nodes**2) / rule.integrate(density_kernel)
 
-    u, _, factored = _gh_rule(circuit._entries.shape[0] + 1)
-    raw = QuadratureGrid(u / np.sqrt(2.0), factored)
+    raw = circuit._raw_rule(_top_level(signal_in.amplitudes) + params.dim + 1)
     density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw.nodes)) ** 2, axis=1)
     var_raw = raw.integrate(density_raw * raw.nodes**2) / raw.integrate(density_raw)
     scale = float(np.sqrt(var_kernel / var_raw))
@@ -293,9 +273,8 @@ def calibrate_outcome_map(
     mapped = np.sum(np.abs(setup_amps) ** 2, axis=1) / scale
     kernel_amps = measurement_amplitudes(signal_in, model, np.concatenate([probe, -probe]))
     kernel_density = np.sum(np.abs(kernel_amps) ** 2, axis=1)
-    out = setup_amps[:, : params.dim]
     halves = (slice(probe.size), slice(probe.size, None))
-    distances = [_state_distance(out, kernel_amps[h], kernel_density[h]) for h in halves]
+    distances = [_state_distance(setup_amps, kernel_amps[h], kernel_density[h]) for h in halves]
     negative = bool(np.sum(mapped * distances[1]) < np.sum(mapped * distances[0]))
     kernel_probe = kernel_density[halves[negative]]
     residual = float(np.max(np.abs(mapped - kernel_probe)) / np.max(kernel_probe))
@@ -331,14 +310,11 @@ def equivalence_defect(
     kernel_amps = measurement_amplitudes(signal_in, model, nodes)
     density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
 
-    raw = nodes / calibration.scale
-    setup_amps = circuit.homodyne_amplitudes(signal_in, raw)
-    density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
-
     keep = density_kernel > EQUIVALENCE_DENSITY_FLOOR
-    gap = np.abs(density_setup[keep] - density_kernel[keep])
-    distance = _state_distance(setup_amps[keep, : params.dim], kernel_amps[keep],
-                               density_kernel[keep])
+    setup_amps = circuit.homodyne_amplitudes(signal_in, nodes[keep] / calibration.scale)
+    density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
+    gap = np.abs(density_setup - density_kernel[keep])
+    distance = _state_distance(setup_amps, kernel_amps[keep], density_kernel[keep])
     return float(np.max(gap + distance, initial=0.0))
 
 

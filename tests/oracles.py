@@ -4,11 +4,9 @@ Everything here is computed by a different route than the library: explicit
 Hermite polynomials from scipy.special instead of the in-package recurrence,
 adaptive quadrature instead of Gauss-Hermite rules, scipy's Pade matrix
 exponential of a full generator instead of per-sector rotations, per-sector
-rotations instead of the circuit's Gaussian recurrence, and closed-form
+rotations instead of the circuit's point map, and closed-form
 Gaussian integrals worked out by completing the square.  Values asserted in the tests
-are frozen from these, never from the code under test.  TwoModeState and
-evolve are test helpers, not oracles: they expose the circuit's joint output
-state, which the library itself only reads out through the homodyne.
+are frozen from these, never from the code under test.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
 ladder, quadrature_x and number_operator are the dense truncated matrices
 the library used to build, and operator_correlation_dense is its matrix
@@ -26,17 +24,18 @@ bisection.  rowform_payload_texts is the envelope writer's row-by-row route
 (one json dump of the row payload, then one formatting call per CSV cell),
 the reference for the writer that formats each row once from the columns.
 SpongeCircuit is the circuit route the library used before its Gaussian Fock
-recurrence (beam-splitter rotations per photon-number sector and squeezer
-rotations per parity chain, each from one eigh, on a padded working space),
-kept as the reference for that recurrence; rotation, sector_blocks,
-apply_sectors and squeeze_matrix are its parts, checked against scipy's expm.
+recurrence, since replaced by the point map (beam-splitter rotations per
+photon-number sector and squeezer rotations per parity chain, each from one
+eigh, on a padded working space, read out through the homodyne's
+wavefunction table), kept as the reference for the point map; rotation,
+sector_blocks, apply_sectors and squeeze_matrix are its parts, checked
+against scipy's expm.
 swapped_arms gives the Bogoliubov map of the circuit with its two amplifier
 arms exchanged, the negative control of the setup audits.
 """
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,7 +48,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, trusted_levels
+from baeqnd.fock import FockState, make_grid, trusted_levels, wavefunction_table
 from baeqnd.measurement import MeasurementModel, operator_batch
 
 
@@ -294,16 +293,13 @@ class SpongeCircuit:
     space above each rail, 2 dim + 16 levels) so that amplitude flowing
     through levels just above the truncation during the squeeze-recombine
     sequence is not reflected back into the kept levels; each rotation comes
-    from one real symmetric eigendecomposition.  joint returns the kept box
-    (one extra quarter of levels per mode) after the top-quarter occupation
-    guard on the whole working space.
+    from one real symmetric eigendecomposition.  homodyne_amplitudes reads the
+    whole working space after the top-quarter occupation guard on both modes.
     """
 
     def __init__(self, params):
         self.params = params
-        dim = params.dim
-        self._work = 2 * dim + 16
-        self._keep = min(self._work, dim + dim // 4)
+        self._work = 2 * params.dim + 16
         self._blocks = sector_blocks(params.reflectivity, (self._work, self._work))
         self._squeeze0 = squeeze_matrix(params.gain_a, "amplify-y", self._work)
         self._squeeze1 = squeeze_matrix(params.gain_a, "amplify-x", self._work)
@@ -329,33 +325,17 @@ class SpongeCircuit:
                     f"{TRUNCATION_OCCUPATION_LIMIT:g}; increase the truncation dimension"
                 )
 
-    def joint(self, signal_in: FockState) -> np.ndarray:
-        """Joint output amplitudes on the kept (keep, keep) box."""
-        return self._evolve_work(signal_in)[: self._keep, : self._keep]
+    def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
+        """Signal-output amplitudes (len(raw_values), dim) after reading mode 0 at raw values.
 
-
-@dataclass(frozen=True, eq=False)
-class TwoModeState:
-    """Joint state of the two rails as an amplitude matrix [n_mode0, n_mode1]."""
-
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "TwoModeState":
-        return TwoModeState(self.amplitudes / self.norm())
-
-
-def evolve(circuit, signal_in) -> TwoModeState:
-    """Joint state after the circuit, truncated to the contract dimensions.
-
-    The tiny weight living above the truncation is dropped, not renormalised,
-    so the squared norm reports how much was lost.
-    """
-    joint = circuit._evolve(signal_in)
-    dim = circuit.params.dim
-    return TwoModeState(joint[:dim, :dim])
+        Mode 0 of the whole working space is projected onto the x-quadrature
+        eigenfunctions (wavefunction_table) and the parity (-1)^n undoes the
+        circuit's signal-frame inversion.
+        """
+        dim = self.params.dim
+        joint = self._evolve_work(signal_in)[:, :dim]
+        table = wavefunction_table(self._work, np.atleast_1d(raw_values))
+        return np.einsum("ab,ai->ib", joint, table) * np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
 
 
 def swapped_arms(bogoliubov):

@@ -272,8 +272,8 @@ class TestSetupCheck:
         assert rows[2][1] < 1e-3
 
     def test_exact_calibration_and_converging_sweep(self, tmp_path):
-        # Matched second moments give the analytic scale -2 dx to rounding, so
-        # the dimension sweep shows the truncation error falling with dim.
+        # Matched second moments give the analytic scale -2 dx to rounding, and
+        # with mode 0 untruncated every swept dim agrees with the kernel to rounding.
         out = tmp_path / "setup.json"
         assert main(["setup-check", "--gain-a", "1.5", "--dim", "48",
                      "--out", str(out)]) == EXIT_OK
@@ -284,8 +284,7 @@ class TestSetupCheck:
         assert max(report["equivalence_defect"].values()) < 1e-12
         dims, defects, _ = zip(*payload["table"]["rows"])
         assert dims == (24, 36, 48)
-        assert defects[0] > defects[1] > defects[2]
-        assert defects[2] < 1e-12
+        assert max(defects) <= 1e-12
 
     def test_calibration_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         # With the amplifier arms exchanged the one-photon density matches no
@@ -328,16 +327,41 @@ class TestSetupCheck:
         assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == swept
 
     def test_dim_beyond_the_homodyne_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # The homodyne reads mode-0 levels up to dim + dim // 4 - 1, at most 256.
-        def build(params, shape):
-            raise AssertionError(f"entries built for {shape}")
+        # The signal output's levels 0..dim-1 are validated up to 256, and the
+        # refusal comes before the circuit's map is built.
+        def build(params):
+            raise AssertionError("circuit built")
 
-        monkeypatch.setattr(setup_model, "_circuit_entries", build)
-        code = main(["setup-check", "--gain-a", "1.5", "--dim", "1000",
+        monkeypatch.setattr(setup_model, "_bogoliubov", build)
+        for dim in (258, 1000):
+            code = main(["setup-check", "--gain-a", "1.5", "--dim", str(dim),
+                         "--out", str(tmp_path / "s.json")])
+            assert code == EXIT_CONFIG
+            assert list(tmp_path.iterdir()) == []
+            assert f"up to {dim - 1}" in capsys.readouterr().err
+
+    def test_high_gain_audit_at_rounding(self, tmp_path):
+        # The forward Fock recurrence read defects of 3.7e-5 and 1.2e-4 here,
+        # and sweep rows of 9.4e-6 and 2.6e-8: its own rounding.
+        out = tmp_path / "setup.json"
+        assert main(["setup-check", "--gain-a", "3", "--dim", "200",
+                     "--out", str(out)]) == EXIT_OK
+        payload = read_envelope(out)["payload"]
+        assert max(payload["report"]["equivalence_defect"].values()) < 1e-12
+        dims, defects, _ = zip(*payload["table"]["rows"])
+        assert dims == (100, 150, 200)
+        assert max(defects) < 1e-12
+
+    def test_high_gain_overflow_names_the_signal_mode(self, tmp_path, capsys):
+        # The exact mode-1 occupation is 1.26e-6; the recurrence reported a
+        # mode-0 occupation of 5.3e5, its own norm growth.
+        code = main(["setup-check", "--gain-a", "5", "--dim", "200",
                      "--out", str(tmp_path / "s.json")])
-        assert code == EXIT_CONFIG
+        assert code == EXIT_TRUNCATION
         assert list(tmp_path.iterdir()) == []
-        assert "1249" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "of mode 1 exceeds" in err
+        assert 1e-6 < float(err.split("occupation ")[1].split()[0]) < 2e-6
 
 
 class TestSimulate:

@@ -25,10 +25,8 @@ from baeqnd.setup_model import (
 
 from oracles import (
     SpongeCircuit,
-    TwoModeState,
     apply_sectors,
     beam_splitter_dense,
-    evolve,
     fidelity,
     quadrature_x,
     quadrature_y,
@@ -202,11 +200,13 @@ class TestSqueezer:
 
 class TestCircuitEvolution:
     def test_two_mode_norm_preserved(self):
-        params = SetupParams(1.5, 24)
-        joint = evolve(SetupCircuit(params), FockState.vacuum(24))
-        assert isinstance(joint, TwoModeState)
-        assert joint.norm() == pytest.approx(1.0, abs=1e-9)
-        assert joint.normalize().norm() == pytest.approx(1.0, abs=1e-15)
+        # The raw density integrates to the input's norm on a fine trapezoid
+        # grid, less the mass above the signal output's 24 levels.
+        circuit = SetupCircuit(SetupParams(1.5, 24))
+        grid = make_grid(10.0, 4001)
+        for level in (0, 1):
+            amps = circuit.homodyne_amplitudes(FockState.number(24, level), grid.nodes)
+            assert grid.integrate(np.sum(np.abs(amps) ** 2, axis=1)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("gain, dim, level, raises", [
         (1.8, 20, 0, False),  # bound 7.46e-7
@@ -219,18 +219,18 @@ class TestCircuitEvolution:
         # Near the 1e-6 limit the guard decides as the reference route does.
         params = SetupParams(gain, dim)
         state = FockState.number(dim, level)
-        for run in (SetupCircuit(params)._evolve, SpongeCircuit(params).joint):
+        for circuit in (SetupCircuit(params), SpongeCircuit(params)):
             if raises:
                 with pytest.raises(TruncationOverflowError):
-                    run(state)
+                    circuit.homodyne_amplitudes(state, 0.0)
             else:
-                run(state)
+                circuit.homodyne_amplitudes(state, 0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(gain=st.floats(1.05, 1.8), dim=st.sampled_from([16, 24, 32, 48]),
            data=st.data())
     def test_matches_the_rotation_route(self, gain, dim, data):
-        # The recurrence's entries against the eigh/sponge reference, on a
+        # The point map's read-out against the eigh/sponge reference's, on a
         # random complex input over levels 0-3.
         top = data.draw(st.integers(0, 3))
         parts = st.floats(-1.0, 1.0)
@@ -241,13 +241,14 @@ class TestCircuitEvolution:
             amps[top] = 1.0
         state = FockState(amps).normalize()
         params = SetupParams(gain, dim)
+        raw = np.linspace(-4.0, 4.0, 81)
         try:
-            reference = SpongeCircuit(params).joint(state)
+            reference = SpongeCircuit(params).homodyne_amplitudes(state, raw)
         except TruncationOverflowError:
             return
-        joint = SetupCircuit(params)._evolve(state)
-        assert joint.shape == reference.shape
-        np.testing.assert_allclose(joint, reference, rtol=0, atol=1e-10)
+        amps = SetupCircuit(params).homodyne_amplitudes(state, raw)
+        assert amps.shape == reference.shape == (81, dim)
+        np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-10)
 
     def test_swapped_arms_match_the_rotation_route(self, monkeypatch):
         # The negative control's map (W, -V) is the circuit whose amplifiers
@@ -258,8 +259,9 @@ class TestCircuitEvolution:
         reference._squeeze0 = squeeze_matrix(1.3, "amplify-x", reference._work)
         reference._squeeze1 = squeeze_matrix(1.3, "amplify-y", reference._work)
         state = FockState.number(24, 1)
-        joint = SetupCircuit(params)._evolve(state)
-        np.testing.assert_allclose(joint, reference.joint(state), rtol=0, atol=1e-12)
+        raw = np.linspace(-4.0, 4.0, 81)
+        np.testing.assert_allclose(SetupCircuit(params).homodyne_amplitudes(state, raw),
+                                   reference.homodyne_amplitudes(state, raw), rtol=0, atol=1e-12)
 
     def test_small_gain_large_resolution_is_fine(self):
         params = SetupParams(1.05, 40)
@@ -269,29 +271,14 @@ class TestCircuitEvolution:
 
     def test_signal_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
-            evolve(SetupCircuit(SetupParams(1.5, 24)), FockState.vacuum(16))
+            SetupCircuit(SetupParams(1.5, 24)).homodyne_amplitudes(FockState.vacuum(16), 0.0)
 
-    def test_norm_growth_counts_against_the_guard(self):
-        # Exact entries cannot raise the norm; scaled ones give ||G psi||^2 = 1.00002.
-        circuit = SetupCircuit(SetupParams(1.5, 24))
-        vacuum = FockState.vacuum(24)
-        circuit._evolve(vacuum)
-        circuit._entries = circuit._entries * (1.0 + 1e-5)
-        with pytest.raises(TruncationOverflowError):
-            circuit._evolve(vacuum)
-
-    def test_box_beyond_the_homodyne_is_refused_before_it_is_built(self, monkeypatch):
-        # The homodyne reads mode 0 up to dim + dim // 4 - 1 <= 256, so dim 206
-        # is the largest box it can read; larger ones must not allocate G.
-        def build(params, shape):
-            raise AssertionError(f"entries built for {shape}")
-
-        monkeypatch.setattr(setup_model, "_circuit_entries", build)
-        for dim in (207, 1000):
-            with pytest.raises(OutOfRangeError):
+    def test_dim_past_the_wavefunction_levels_is_refused(self):
+        # The signal output's levels 0..dim-1 are validated up to level 256.
+        assert SetupCircuit(SetupParams(1.5, 257)).params.dim == 257
+        for dim in (258, 1000):
+            with pytest.raises(OutOfRangeError, match=f"up to {dim - 1}"):
                 SetupCircuit(SetupParams(1.5, dim))
-        with pytest.raises(AssertionError, match="entries built"):
-            SetupCircuit(SetupParams(1.5, 206))
 
 
 def _readout(params, signal_in, x_m):
@@ -406,7 +393,8 @@ class TestCalibration:
                             lambda state, model, x: kernel.append(np.size(x))
                             or amplitudes(state, model, x))
         calibrate_outcome_map(circuit.params, circuit=circuit)
-        assert reads == [circuit._entries.shape[0] + 1, 51]
+        # The variance rule's top + dim + 1 nodes, at top 0.
+        assert reads == [25, 51]
         assert kernel == [102]
 
     def test_swapped_arms_detected(self, monkeypatch):
@@ -459,7 +447,7 @@ class TestEquivalence:
         calibration = calibrate_outcome_map(params, circuit=circuit)
         nodes = make_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES).nodes
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
-                            lambda state, raw: np.zeros((np.size(raw), 30), complex))
+                            lambda state, raw: np.zeros((np.size(raw), 24), complex))
         vac = FockState.vacuum(24)
         density = np.array([outcome_density(vac, MeasurementModel(params.delta_x, 24), x)
                             for x in nodes])
@@ -475,12 +463,10 @@ class TestEquivalence:
             defect = equivalence_defect(state, params, circuit=circuit, calibration=calibration)
             assert defect < 1e-3
 
-    def test_defect_decreases_with_dim(self):
-        values = []
+    def test_defect_at_rounding_for_every_dim(self):
+        # Mode 0 is not truncated, so no dim leaves a truncation error.
         for dim in (20, 30, 40):
-            params = SetupParams(1.8, dim)
-            values.append(equivalence_defect(FockState.vacuum(dim), params))
-        assert values[0] > values[1] > values[2]
+            assert equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim)) <= 1e-12
 
     def test_swapped_arms_fail_equivalence(self, monkeypatch):
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
