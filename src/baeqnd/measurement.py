@@ -35,7 +35,13 @@ smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 <n|P(x)|state> without forming a matrix: it runs the recurrence on the
 columns 0..top only, top the state's last nonzero level, and contracts them
 with the state, at cost O(count dim (top + 1)).  Densities, conditional states, the density table,
-the sampler and the jump integrals all read it.
+the sampler and the jump integrals all read it.  It fills a level-major
+(dim, count) buffer, level n as one contiguous row np.dot(rows, state) (a
+strided column of a (count, dim) array costs several times the recurrence),
+and returns one C-ordered (count, dim) copy of its transpose.  The result
+stays C-ordered because numpy sums the rows of a Fortran-ordered array in
+another order: a transposed view would round every density, and with it
+every sampled outcome and payload, differently.
 
 Every entry of the kernel, of its square and of the squared amplitudes is a
 Gaussian times a polynomial in x_m, so every integral over the outcome has an
@@ -329,16 +335,15 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     amps = state.amplitudes
     if np.all(amps.imag == 0.0):
         amps = amps.real
-    dim = model.dim
-    out = np.empty((x.size, dim), dtype=amps.dtype)
+    levels = np.empty((model.dim, x.size), dtype=amps.dtype)
     top = _top_level(amps)
     source = amps[: top + 1]
     chunk = max(1, _CHUNK_ELEMENTS // (top + 1))
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
-            out[sl, n] = row @ source
-    return out
+            levels[n, sl] = np.dot(row, source)
+    return np.ascontiguousarray(levels.T)
 
 
 def _one_outcome(state: FockState, model: MeasurementModel, x_m) -> np.ndarray:

@@ -76,6 +76,7 @@ from .errors import (
 from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule, _wavefunction_levels
 from .measurement import (
     MeasurementModel,
+    _check_outcomes,
     _exact_joint,
     _require_resolution,
     measurement_amplitudes,
@@ -205,10 +206,9 @@ class SetupCircuit:
         Shape (len(raw_values), dim), parity-corrected; squared row norms are
         the outcome density in the raw homodyne variable.  The same pass reads
         the guard's raw rule and raises TruncationOverflowError on its verdict.
+        Raises InvalidParameterError unless raw_values are finite and scalar or 1-D.
         """
-        raw = np.atleast_1d(np.asarray(raw_values, dtype=np.float64))
-        if not np.all(np.isfinite(raw)):
-            raise InvalidParameterError("homodyne outcomes must be finite")
+        raw = _check_outcomes(raw_values)
         dim = self.params.dim
         if signal_in.dim != dim:
             raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")

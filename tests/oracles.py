@@ -18,6 +18,8 @@ their exact Gauss-Hermite rules (2001 nodes over 6 sqrt(dx^2 + dim) by
 default), kept as the reference for those rules.  kernel_factor_tables is
 the Gauss-Hermite factor-table route the library's kernel used before its
 Fock-ladder recurrence, kept as the reference for that recurrence.
+amplitudes_column_fill is measurement_amplitudes' row-major fill, one
+strided column per ladder row, kept as the reference for its level-major fill.
 photon_draw_interpolated is the O(dim) photon draw the sampler used before
 its bisection on the cumulative table, kept as the reference for that
 bisection.  rowform_payload_texts is the envelope writer's row-by-row route
@@ -49,7 +51,13 @@ from baeqnd.errors import (
     TruncationOverflowError,
 )
 from baeqnd.fock import FockState, make_grid, trusted_levels, wavefunction_table
-from baeqnd.measurement import MeasurementModel, operator_batch
+from baeqnd.measurement import (
+    _CHUNK_ELEMENTS,
+    MeasurementModel,
+    _kernel_rows,
+    _top_level,
+    operator_batch,
+)
 
 
 def psi_reference(n: int, x):
@@ -290,16 +298,20 @@ class SpongeCircuit:
     """The circuit by per-sector beam-splitter rotations and per-chain squeezers.
 
     The unitaries act on a padded working space (a sponge layer of one extra
-    space above each rail, 2 dim + 16 levels) so that amplitude flowing
+    space above each rail, 2 dim + 29 levels) so that amplitude flowing
     through levels just above the truncation during the squeeze-recombine
     sequence is not reflected back into the kept levels; each rotation comes
-    from one real symmetric eigendecomposition.  homodyne_amplitudes reads the
-    whole working space after the top-quarter occupation guard on both modes.
+    from one real symmetric eigendecomposition.  The padding is the smallest
+    that keeps the reference within 1e-12 of the exact point map for inputs
+    on levels 0-2 at gain 1.552, dim 16, at the guard's limit: 8.9e-13 at
+    most over 3,000 such inputs, against 3.1e-10 with 2 dim + 16 levels.
+    homodyne_amplitudes reads the whole working space after the top-quarter
+    occupation guard on both modes.
     """
 
     def __init__(self, params):
         self.params = params
-        self._work = 2 * params.dim + 16
+        self._work = 2 * params.dim + 29
         self._blocks = sector_blocks(params.reflectivity, (self._work, self._work))
         self._squeeze0 = squeeze_matrix(params.gain_a, "amplify-y", self._work)
         self._squeeze1 = squeeze_matrix(params.gain_a, "amplify-x", self._work)
@@ -399,6 +411,28 @@ def grid_audit_defects(model, count: int = 2001, dims=None) -> list[tuple[float,
             float(square[:t, :t].max()),
             float(square.max()),
         ))
+    return out
+
+
+def amplitudes_column_fill(state, model, x_values) -> np.ndarray:
+    """<n|P(x)|state>, shape (len(x), dim), written one level column at a time.
+
+    The same ladder rows as measurement_amplitudes, in the same chunks of
+    _CHUNK_ELEMENTS // (top + 1) outcomes, each contracted with the state by
+    row @ source and stored as column n of a row-major array.
+    """
+    x = np.atleast_1d(np.asarray(x_values, dtype=np.float64))
+    amps = state.amplitudes
+    if np.all(amps.imag == 0.0):
+        amps = amps.real
+    out = np.empty((x.size, model.dim), dtype=amps.dtype)
+    top = _top_level(amps)
+    source = amps[: top + 1]
+    chunk = max(1, _CHUNK_ELEMENTS // (top + 1))
+    for start in range(0, x.size, chunk):
+        sl = slice(start, min(start + chunk, x.size))
+        for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
+            out[sl, n] = row @ source
     return out
 
 

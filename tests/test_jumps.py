@@ -223,6 +223,20 @@ class TestTabulatedPhotonDraw:
             return
         np.testing.assert_array_equal(jumps._photon_draw(cum, i, w, u), expected)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(span=st.floats(1e-3, 1e8), centre=st.floats(-1.0, 1.0),
+           count=st.sampled_from([2, 3, 17, 1000, SAMPLING_GRID_COUNT]), data=st.data())
+    def test_cell_lookup_equals_the_search(self, span, centre, count, data):
+        # Every node, both float neighbours of each, points beyond both ends
+        # and points drawn inside the grid find the cell the search finds.
+        xs = np.linspace(centre * span - span, centre * span + span, count)
+        inside = data.draw(arrays(np.float64, 50, elements=st.floats(0.0, 1.0)), label="inside")
+        x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                            xs[0] + inside * (xs[-1] - xs[0]),
+                            [xs[0] - span, xs[-1] + span]])
+        expected = np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
+        np.testing.assert_array_equal(jumps._cell(xs, x), expected)
+
     @pytest.mark.parametrize("shots, threads", [(1000, 1), (120_000, 1), (120_000, 2)])
     def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):
         # The sampling table is the sampler's only kernel evaluation.

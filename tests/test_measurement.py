@@ -32,6 +32,7 @@ from baeqnd.measurement import (
 )
 
 from oracles import (
+    amplitudes_column_fill,
     completeness_integrals_stacked,
     fidelity,
     grid_audit_defects,
@@ -184,6 +185,38 @@ class TestMeasurementAmplitudes:
         assert all(size * width <= 2**15 for size, width in chunks)
         if route == "amplitudes" and top == 0:
             assert len(chunks) == 1
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3])
+    @pytest.mark.parametrize("past_chunk", [-1, 0, 1])
+    def test_level_major_fill_matches_the_column_fill(self, top, past_chunk):
+        # Outcome counts one below, at and one past a chunk.  For a real
+        # input every entry is the same float, and the array is row-major:
+        # a Fortran-ordered copy would round row sums differently.
+        count = measurement._CHUNK_ELEMENTS // (top + 1) + past_chunk
+        rng = np.random.default_rng(top)
+        amps = np.zeros(8)
+        amps[: top + 1] = rng.normal(size=top + 1)
+        state = FockState(amps).normalize()
+        model = MeasurementModel(0.7, 8)
+        x = np.linspace(-9.0, 9.0, count)
+        got = measurement_amplitudes(state, model, x)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, amplitudes_column_fill(state, model, x))
+
+    def test_complex_fill_matches_the_column_fill(self):
+        # A complex contraction may sum in another order: the entries agree
+        # within 1e-14 of the largest amplitude.
+        rng = np.random.default_rng(5)
+        amps = np.zeros(24, dtype=np.complex128)
+        amps[:4] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = FockState(amps).normalize()
+        model = MeasurementModel(0.4, 24)
+        x = np.linspace(-6.0, 6.0, measurement._CHUNK_ELEMENTS // 4 + 1)
+        got = measurement_amplitudes(state, model, x)
+        reference = amplitudes_column_fill(state, model, x)
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        np.testing.assert_allclose(got, reference, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(reference)))
 
 
 class TestLadderKernel:

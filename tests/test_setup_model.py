@@ -198,6 +198,23 @@ class TestSqueezer:
             squeeze_matrix(1.5, "sideways", 8)
 
 
+def _compare_with_the_rotation_route(params, amps, atol):
+    """The point map's read-out against the reference's on 81 raw values.
+
+    Returns False, comparing nothing, when the reference's guard refuses the input.
+    """
+    state = FockState(amps).normalize()
+    raw = np.linspace(-4.0, 4.0, 81)
+    try:
+        reference = SpongeCircuit(params).homodyne_amplitudes(state, raw)
+    except TruncationOverflowError:
+        return False
+    got = SetupCircuit(params).homodyne_amplitudes(state, raw)
+    assert got.shape == reference.shape == (81, params.dim)
+    np.testing.assert_allclose(got, reference, rtol=0, atol=atol)
+    return True
+
+
 class TestCircuitEvolution:
     def test_two_mode_norm_preserved(self):
         # The raw density integrates to the input's norm on a fine trapezoid
@@ -239,16 +256,14 @@ class TestCircuitEvolution:
             amps[level] = complex(data.draw(parts), data.draw(parts))
         if np.linalg.norm(amps) < 1e-3:
             amps[top] = 1.0
-        state = FockState(amps).normalize()
-        params = SetupParams(gain, dim)
-        raw = np.linspace(-4.0, 4.0, 81)
-        try:
-            reference = SpongeCircuit(params).homodyne_amplitudes(state, raw)
-        except TruncationOverflowError:
-            return
-        amps = SetupCircuit(params).homodyne_amplitudes(state, raw)
-        assert amps.shape == reference.shape == (81, dim)
-        np.testing.assert_allclose(amps, reference, rtol=0, atol=1e-10)
+        _compare_with_the_rotation_route(SetupParams(gain, dim), amps, atol=1e-10)
+
+    def test_rotation_route_at_the_guard_limit(self):
+        # Near the guard's limit the reference's own truncation can set the
+        # difference: 3.1e-10 here with a working space of 2 dim + 16 levels.
+        amps = np.zeros(16, dtype=np.complex128)
+        amps[:3] = [0.2 + 0.4j, 0.2, 0.1]
+        assert _compare_with_the_rotation_route(SetupParams(1.552, 16), amps, atol=1e-12)
 
     def test_swapped_arms_match_the_rotation_route(self, monkeypatch):
         # The negative control's map (W, -V) is the circuit whose amplifiers
@@ -272,6 +287,12 @@ class TestCircuitEvolution:
     def test_signal_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             SetupCircuit(SetupParams(1.5, 24)).homodyne_amplitudes(FockState.vacuum(16), 0.0)
+
+    def test_outcomes_must_be_finite_and_one_dimensional(self):
+        circuit = SetupCircuit(SetupParams(1.5, 16))
+        for raw in (np.zeros((2, 3)), [[0.0]], [0.0, np.nan], np.inf):
+            with pytest.raises(InvalidParameterError, match="outcome values must be"):
+                circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
 
     def test_dim_past_the_wavefunction_levels_is_refused(self):
         # The signal output's levels 0..dim-1 are validated up to level 256.
