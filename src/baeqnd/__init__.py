@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     BaeQndError,
@@ -15,7 +15,6 @@ from .errors import (
 from .fock import (
     FockState,
     QuadratureGrid,
-    make_grid,
     trusted_levels,
     wavefunction_table,
 )
@@ -30,7 +29,6 @@ from .jumps import (
 )
 from .measurement import (
     MeasurementModel,
-    OutcomeDensityTable,
     asymptotic_p1,
     completeness_defect,
     conditional_state,
@@ -57,7 +55,6 @@ __all__ = [
     "InvalidParameterError",
     "MeasurementModel",
     "OutOfRangeError",
-    "OutcomeDensityTable",
     "QuadratureGrid",
     "SetupCircuit",
     "SetupMismatchError",
@@ -70,7 +67,6 @@ __all__ = [
     "conditional_state",
     "equivalence_defect",
     "jump_probability",
-    "make_grid",
     "measured_correlation",
     "operator_correlation",
     "outcome_density",

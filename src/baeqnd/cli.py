@@ -18,8 +18,10 @@ sorted JSON of the other keys with the table's text appended last.
 Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
 refuses any other with exit 2 before a file is opened, and meta.config holds
 exactly the settings that shaped the payload.  Only distribution tabulates
-on a uniform outcome grid, so only it takes --grid-count; the span follows
-from --delta-x as measurement.outcome_span.  setup-check compares on fixed
+on uniform outcomes, np.linspace(-span, span, --grid-count) with span =
+measurement.outcome_span(--delta-x), so only it takes --grid-count; it
+refuses a --grid-count below 2 and an --n-max outside 0..--dim - 1 with
+exit 2 before the kernel runs.  setup-check compares on fixed
 outcome sets, and jump-sweep, correlation, simulate and povm-check integrate
 with exact Gauss-Hermite rules whose node counts follow from --dim and the
 input; povm-check's truncated-square rule takes 2 --dim nodes, so it audits
@@ -49,13 +51,13 @@ from .errors import (
     BaeQndError,
     DegenerateConditioningError,
     InvalidParameterError,
+    OutOfRangeError,
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_RULE_NODES, FockState, make_grid, trusted_levels
+from .fock import MAX_RULE_NODES, FockState, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
-    DEFAULT_N_MAX,
     MeasurementModel,
     asymptotic_p1,
     completeness_defect,
@@ -69,6 +71,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_TRUNCATION = 4
+
+#: Highest photon number distribution tabulates by default; for vacuum-like
+#: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
+DEFAULT_N_MAX = 4
 
 #: Command -> (help text, the flags it reads beyond --dim, --out and --format).
 #: "shots" stands for --shots and --seed.
@@ -248,19 +254,24 @@ def _require_delta_x(args, count=1):
 def _cmd_distribution(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
-    grid = make_grid(outcome_span(delta_x), args.grid_count)
-    state = FockState.vacuum(args.dim)
-    table = outcome_density_table(state, model, grid, n_max=args.n_max)
-    asym = asymptotic_p1(delta_x, grid.nodes)
+    if args.grid_count < 2:
+        raise InvalidParameterError(
+            f"grid count must be an integer >= 2, got {args.grid_count!r}")
+    if not 0 <= args.n_max < args.dim:
+        raise OutOfRangeError(f"n_max {args.n_max!r} outside 0..{args.dim - 1}")
+    span = outcome_span(delta_x)
+    x = np.linspace(-span, span, args.grid_count)
+    table = outcome_density_table(FockState.vacuum(args.dim), model, x)
+    asym = asymptotic_p1(delta_x, x)
     columns = (
         ["x_m", "density"]
         + [f"p_{n}" for n in range(args.n_max + 1)]
         + ["p1_asymptotic", "x_scaled", "p1_scaled", "p1_asymptotic_scaled"]
     )
-    p1 = table.per_photon[1] if args.n_max >= 1 else np.zeros(grid.count)
-    x = grid.nodes
+    p1 = table[:, 1] if args.n_max >= 1 else np.zeros(x.size)
     cube = delta_x**3
-    data = [x, table.density, *table.per_photon, asym, x / delta_x, cube * p1, cube * asym]
+    per_photon = table[:, : args.n_max + 1].T
+    data = [x, table.sum(axis=1), *per_photon, asym, x / delta_x, cube * p1, cube * asym]
     return {"table": {"columns": columns, "data": data}}, None
 
 

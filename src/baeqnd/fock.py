@@ -240,30 +240,15 @@ class QuadratureGrid:
     def count(self) -> int:
         return self.nodes.size
 
-    def integrate(self, values: np.ndarray, axis: int = -1) -> np.ndarray | float:
-        """Weighted sum approximating the integral of sampled values."""
+    def integrate(self, values: np.ndarray) -> np.ndarray | float:
+        """Weighted sum over the last axis, approximating the integral of sampled values."""
         values = np.asarray(values)
-        if values.shape[axis] != self.count:
+        if values.shape[-1] != self.count:
             raise DimensionMismatchError(
-                f"values axis length {values.shape[axis]} != grid count {self.count}"
+                f"values axis length {values.shape[-1]} != grid count {self.count}"
             )
-        result = np.tensordot(values, self.weights, axes=([axis], [0]))
+        result = np.tensordot(values, self.weights, axes=([-1], [0]))
         if np.ndim(result) == 0:
             return float(result)
         return result
 
-
-def make_grid(span: float, count: int) -> QuadratureGrid:
-    """Uniform grid covering [-span, span]: equally spaced nodes, trapezoid weights.
-
-    The weights sum to 2*span exactly.
-    """
-    if not np.isfinite(span) or span <= 0.0:
-        raise InvalidParameterError(f"grid span must be positive and finite, got {span!r}")
-    if not isinstance(count, (int, np.integer)) or count < 2:
-        raise InvalidParameterError(f"grid count must be an integer >= 2, got {count!r}")
-    nodes = np.linspace(-span, span, count)
-    step = 2.0 * span / (count - 1)
-    weights = np.full(count, step)
-    weights[0] = weights[-1] = step / 2.0
-    return QuadratureGrid(nodes, weights)

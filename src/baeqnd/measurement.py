@@ -34,7 +34,8 @@ depend on the truncation, so one pass at the largest audited dim gives every
 smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 <n|P(x)|state> without forming a matrix: it runs the recurrence on the
 columns 0..top only, top the state's last nonzero level, and contracts them
-with the state, at cost O(count dim (top + 1)).  Densities, conditional states, the density table,
+with the state, at cost O(count dim (top + 1)).  Densities, conditional
+states, outcome_density_table (the squared amplitudes, one row per outcome),
 the sampler and the jump integrals all read it.  It fills a level-major
 (dim, count) buffer, level n as one contiguous row np.dot(rows, state) (a
 strided column of a (count, dim) array costs several times the recurrence),
@@ -48,10 +49,10 @@ Gaussian times a polynomial in x_m, so every integral over the outcome has an
 exact Gauss-Hermite rule (_scaled_rule), built from numpy alone
 (fock._gh_rule) and limited to fock.MAX_RULE_NODES nodes.  The outcome rule
 (_outcome_rule) measures the mass the kernel loses above the truncation,
-which outcome_density, conditional_state, the density table and the jump
-integrals refuse above TRUNCATION_OCCUPATION_LIMIT.  The completeness audits
-integrate on rules of dim + 1 nodes (the exact P^2) and 2 dim nodes (the
-truncated square), so they carry no quadrature error and end at dim 700.
+which outcome_density, conditional_state, outcome_density_table and the
+jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.  The completeness
+audits integrate on rules of dim + 1 nodes (the exact P^2) and 2 dim nodes
+(the truncated square), so they carry no quadrature error and end at dim 700.
 
 Diagonalizing the truncated x operator and applying the scalar Gaussian to
 its eigenvalues is deliberately not offered: truncated-x eigenvalues are
@@ -79,10 +80,6 @@ from .fock import FockState, QuadratureGrid, _gh_rule, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
-
-#: Number of photon-number columns tabulated by default; for vacuum-like
-#: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
-DEFAULT_N_MAX = 4
 
 #: Ladder-row entries per chunk of outcomes (256 KiB), on every route through
 #: the recurrence: a chunk's rows stay in cache however wide they are, and
@@ -137,30 +134,6 @@ class MeasurementModel:
     def kappa(self) -> float:
         """Exponent coefficient 1/(4 dx^2) of the measurement kernel."""
         return 1.0 / (4.0 * self.delta_x**2)
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDensityTable:
-    """Outcome density sampled on a grid, with its per-photon split."""
-
-    grid: QuadratureGrid
-    density: np.ndarray
-    per_photon: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        density = np.asarray(self.density, dtype=np.float64).copy()
-        if density.shape != (self.grid.count,):
-            raise DimensionMismatchError("density must have one value per grid node")
-        density.setflags(write=False)
-        object.__setattr__(self, "density", density)
-        rows = []
-        for row in self.per_photon:
-            row = np.asarray(row, dtype=np.float64).copy()
-            if row.shape != (self.grid.count,):
-                raise DimensionMismatchError("per-photon rows must match the grid")
-            row.setflags(write=False)
-            rows.append(row)
-        object.__setattr__(self, "per_photon", tuple(rows))
 
 
 def _top_level(amps: np.ndarray) -> int:
@@ -504,23 +477,14 @@ def truncated_square_defect(model: MeasurementModel, dims=None) -> tuple[tuple[f
     )
 
 
-def outcome_density_table(
-    state: FockState,
-    model: MeasurementModel,
-    grid: QuadratureGrid,
-    n_max: int = DEFAULT_N_MAX,
-) -> OutcomeDensityTable:
-    """Tabulate the outcome density and the first n_max+1 per-photon rows.
+def outcome_density_table(state: FockState, model: MeasurementModel, x_values) -> np.ndarray:
+    """The joint table |<n|P(x)|state>|^2 at the outcomes x, shape (len(x), dim).
 
-    Raises TruncationOverflowError when the kernel loses more than
-    TRUNCATION_OCCUPATION_LIMIT of the input above the truncation, which
-    would leave the tabulated density short of its true mass.
+    A row sums to the outcome density at its outcome, and column n is the
+    density of outcome and photon number n.  Raises TruncationOverflowError
+    when the kernel loses more than TRUNCATION_OCCUPATION_LIMIT of the input
+    above the truncation, which would leave the tabulated density short of
+    its true mass.
     """
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max < model.dim:
-        raise OutOfRangeError(f"n_max {n_max!r} outside 0..{model.dim - 1}")
     _exact_joint(state, model)
-    amps = measurement_amplitudes(state, model, grid.nodes)
-    joint = np.abs(amps) ** 2
-    density = joint.sum(axis=1)
-    per_photon = tuple(joint[:, n] for n in range(n_max + 1))
-    return OutcomeDensityTable(grid=grid, density=density, per_photon=per_photon)
+    return np.abs(measurement_amplitudes(state, model, x_values)) ** 2

@@ -79,6 +79,7 @@ from .measurement import (
     _check_outcomes,
     _exact_joint,
     _require_resolution,
+    _top_level,
     measurement_amplitudes,
     outcome_span,
 )
@@ -145,12 +146,6 @@ def _bogoliubov(params: SetupParams) -> tuple[np.ndarray, np.ndarray]:
     cosh, sinh = np.diag(np.cosh(r)), np.diag(np.sinh(r))
     total = splitter @ np.block([[cosh, sinh], [sinh, cosh]]) @ splitter
     return total[:2, :2], total[:2, 2:]
-
-
-def _top_level(psi: np.ndarray) -> int:
-    """Highest level with a nonzero amplitude (0 for the zero vector)."""
-    levels = np.flatnonzero(psi)
-    return int(levels[-1]) if levels.size else 0
 
 
 class SetupCircuit:

@@ -8,6 +8,8 @@ rotations instead of the circuit's point map, and closed-form
 Gaussian integrals worked out by completing the square.  Values asserted in the tests
 are frozen from these, never from the code under test.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
+trapezoid_grid is the uniform trapezoid grid on the np.linspace nodes that
+distribution tabulates on, for the tests' own uniform-grid integrals.
 ladder, quadrature_x and number_operator are the dense truncated matrices
 the library used to build, and operator_correlation_dense is its matrix
 route for the operator-ordering correlation, kept as the reference for the
@@ -50,7 +52,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, trusted_levels, wavefunction_table
+from baeqnd.fock import FockState, QuadratureGrid, trusted_levels, wavefunction_table
 from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
     MeasurementModel,
@@ -65,6 +67,15 @@ def psi_reference(n: int, x):
     x = np.asarray(x, dtype=float)
     norm = math.sqrt(2.0**n * math.factorial(n))
     return (2.0 / np.pi) ** 0.25 * eval_hermite(n, np.sqrt(2.0) * x) * np.exp(-x * x) / norm
+
+
+def trapezoid_grid(span: float, count: int) -> QuadratureGrid:
+    """Uniform grid over [-span, span]: np.linspace nodes, trapezoid weights summing to 2 span."""
+    nodes = np.linspace(-span, span, count)
+    step = 2.0 * span / (count - 1)
+    weights = np.full(count, step)
+    weights[0] = weights[-1] = step / 2.0
+    return QuadratureGrid(nodes, weights)
 
 
 def kernel_element_quad(n: int, m: int, delta_x: float, x_m: float) -> float:
@@ -393,7 +404,7 @@ def grid_audit_defects(model, count: int = 2001, dims=None) -> list[tuple[float,
     """
     dims = [model.dim] if dims is None else list(dims)
     top = MeasurementModel(model.delta_x, max(dims))
-    grid = make_grid(6.0 * math.sqrt(top.delta_x**2 + top.dim), count)
+    grid = trapezoid_grid(6.0 * math.sqrt(top.delta_x**2 + top.dim), count)
     exact = np.zeros((top.dim, top.dim))
     parts = np.zeros((top.dim, top.dim, top.dim))  # parts[n] = sum_b w_b P[:, n] P[n, :]
     for start in range(0, grid.count, 64):

@@ -93,6 +93,30 @@ class TestDistribution:
         assert not out.exists()
         assert "leaks mass" in capsys.readouterr().err
 
+    def test_outcomes_are_linspace_nodes(self, tmp_path):
+        out = tmp_path / "dist.json"
+        assert main(["distribution", "--delta-x", "1", "--dim", "16", "--grid-count", "201",
+                     "--out", str(out)]) == EXIT_OK
+        table = read_envelope(out)["payload"]["table"]
+        x_m = [row[table["columns"].index("x_m")] for row in table["rows"]]
+        assert x_m == np.linspace(-6.0 * math.sqrt(2.0), 6.0 * math.sqrt(2.0), 201).tolist()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-count", "1", "grid count must be an integer >= 2, got 1"),
+        ("--grid-count", "0", "grid count must be an integer >= 2, got 0"),
+        ("--grid-count", "-5", "grid count must be an integer >= 2, got -5"),
+        ("--n-max", "16", "n_max 16 outside 0..15"),
+        ("--n-max", "-1", "n_max -1 outside 0..15"),
+    ])
+    def test_refused_table_writes_no_file(self, tmp_path, capsys, fmt, flag, value, message):
+        out = tmp_path / f"dist.{fmt}"
+        code = main(["distribution", "--delta-x", "1", "--dim", "16", flag, value,
+                     "--format", fmt, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestJumpSweep:
     def test_ratio_column(self, tmp_path):

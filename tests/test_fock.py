@@ -8,9 +8,9 @@ from baeqnd.errors import (
     OutOfRangeError,
 )
 from baeqnd.fock import (
+    QuadratureGrid,
     FockState,
     _x_action,
-    make_grid,
     trusted_levels,
     wavefunction_table,
     x_second_moment,
@@ -24,6 +24,7 @@ from oracles import (
     psi_reference,
     quadrature_x,
     quadrature_y,
+    trapezoid_grid,
 )
 
 
@@ -120,18 +121,18 @@ class TestWavefunctions:
         np.testing.assert_allclose(_psi(n, x), psi_reference(n, x), atol=1e-12)
 
     def test_orthonormality_by_quadrature(self):
-        grid = make_grid(10.0, 4001)
+        grid = trapezoid_grid(10.0, 4001)
         table = wavefunction_table(8, grid.nodes)
         gram = np.einsum("ni,mi,i->nm", table, table, grid.weights)
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-10)
 
     def test_orthogonality_zero_two(self):
-        grid = make_grid(10.0, 4001)
+        grid = trapezoid_grid(10.0, 4001)
         overlap = grid.integrate(_psi(0, grid.nodes) * _psi(2, grid.nodes))
         assert overlap == pytest.approx(0.0, abs=1e-10)
 
     def test_stable_to_level_64_and_beyond(self):
-        grid = make_grid(14.0, 8001)
+        grid = trapezoid_grid(14.0, 8001)
         for n in (64, 96):
             values = _psi(n, grid.nodes)
             assert np.all(np.isfinite(values))
@@ -140,7 +141,7 @@ class TestWavefunctions:
     def test_position_number_consistency(self):
         # integral psi_n x psi_m equals the x-operator entry on low levels.
         dim = 16
-        grid = make_grid(12.0, 8001)
+        grid = trapezoid_grid(12.0, 8001)
         table = wavefunction_table(dim, grid.nodes)
         xmat = np.einsum("ni,mi,i,i->nm", table, table, grid.nodes, grid.weights)
         half = dim // 2
@@ -165,7 +166,7 @@ class TestWavefunctions:
 
 class TestGrids:
     def test_uniform_nodes(self):
-        grid = make_grid(5.0, 11)
+        grid = trapezoid_grid(5.0, 11)
         np.testing.assert_allclose(grid.nodes, np.arange(-5.0, 6.0), atol=1e-12)
         assert grid.weights.sum() == pytest.approx(10.0, abs=1e-12)
 
@@ -176,20 +177,26 @@ class TestGrids:
         assert np.all(rule.weights > 0)
 
     def test_gaussian_integral(self):
-        grid = make_grid(8.0, 2001)
+        grid = trapezoid_grid(8.0, 2001)
         value = grid.integrate(np.exp(-2.0 * grid.nodes**2))
         assert value == pytest.approx(np.sqrt(np.pi / 2.0), abs=1e-9)
 
-    def test_invalid_parameters(self):
-        for span in (-1.0, 0.0, np.inf, np.nan):
-            with pytest.raises(InvalidParameterError):
-                make_grid(span, 11)
-        for count in (1, 11.0):
-            with pytest.raises(InvalidParameterError):
-                make_grid(1.0, count)
+    @pytest.mark.parametrize("nodes, weights", [
+        ([0.0], [1.0]),
+        ([0.0, 1.0], [1.0]),
+        ([[0.0, 1.0]], [[1.0, 1.0]]),
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, np.inf]),
+        ([0.0, 1.0], [1.0, 0.0]),
+        ([1.0, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0]),
+    ])
+    def test_invalid_grid_rejected(self, nodes, weights):
+        with pytest.raises(InvalidParameterError):
+            QuadratureGrid(nodes, weights)
 
     def test_integrate_checks_length(self):
-        grid = make_grid(1.0, 11)
+        grid = trapezoid_grid(1.0, 11)
         with pytest.raises(DimensionMismatchError):
             grid.integrate(np.ones(10))
 

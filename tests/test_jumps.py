@@ -14,7 +14,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid, x_second_moment
+from baeqnd.fock import FockState, x_second_moment
 from baeqnd.jumps import (
     SAMPLING_GRID_COUNT,
     SHARD_SIZE,
@@ -37,6 +37,7 @@ from oracles import (
     p1_asymptotic,
     photon_draw_interpolated,
     quadrature_x,
+    trapezoid_grid,
     trapezoid_jump_integrals,
 )
 
@@ -410,7 +411,7 @@ class TestMeasuredCorrelation:
         # Gaussian moments: E x^4 = 3 dx^4 and E x^2 = dx^2 under the wide
         # kernel make the integral (3 - 1) dx^4/(16 dx^4) = 1/8 exactly.
         dx = 6.0
-        grid = make_grid(10.0 * dx, 8001)
+        grid = trapezoid_grid(10.0 * dx, 8001)
         integrand = p1_asymptotic(dx, grid.nodes) * (grid.nodes**2 - dx**2)
         assert grid.integrate(integrand) == pytest.approx(0.125, rel=1e-9)
 

@@ -15,7 +15,7 @@ from baeqnd.errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, make_grid, trusted_levels
+from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, trusted_levels
 from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
@@ -41,6 +41,7 @@ from oracles import (
     kernel_operator_dense,
     p1_asymptotic,
     p1_exact,
+    trapezoid_grid,
     vacuum_density,
     vacuum_diag_element,
 )
@@ -296,9 +297,9 @@ class TestOutcomeDensity:
 
     def test_total_probability_one(self):
         model = MeasurementModel(1.0, 16)
-        grid = make_grid(6.0 * np.sqrt(2.0), 2001)
-        table = outcome_density_table(FockState.vacuum(16), model, grid)
-        assert table.grid.integrate(table.density) == pytest.approx(1.0, abs=1e-6)
+        grid = trapezoid_grid(6.0 * np.sqrt(2.0), 2001)
+        table = outcome_density_table(FockState.vacuum(16), model, grid.nodes)
+        assert grid.integrate(table.sum(axis=1)) == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -374,7 +375,7 @@ class TestJointPhotonDensity:
         dx = 10.0
         model = MeasurementModel(dx, 32)
         vac = FockState.vacuum(32)
-        grid = make_grid(6.0 * np.sqrt(dx**2 + 1.0), 2001)
+        grid = trapezoid_grid(6.0 * np.sqrt(dx**2 + 1.0), 2001)
         p1 = np.abs(measurement_amplitudes(vac, model, grid.nodes)[:, 1]) ** 2
         step = grid.nodes[1] - grid.nodes[0]
         positive = grid.nodes > 0
@@ -420,7 +421,7 @@ class TestAsymptoticP1:
     def test_total_area_is_jump_probability(self):
         # Analytically the area is exactly 1/(16 dx^2).
         dx = 7.0
-        grid = make_grid(8.0 * dx, 4001)
+        grid = trapezoid_grid(8.0 * dx, 4001)
         area = grid.integrate(asymptotic_p1(dx, grid.nodes))
         assert area == pytest.approx(1.0 / (16.0 * dx**2), rel=1e-9)
 
@@ -625,27 +626,31 @@ class TestAuditMemory:
 
 class TestDensityTable:
     def test_rows_sum_to_density(self):
+        # Each row sums to the closed-form vacuum density at its outcome, and
+        # at dx 10 the photon numbers 0..4 carry all of it.
         model = MeasurementModel(10.0, 32)
-        grid = make_grid(6.0 * np.sqrt(101.0), 801)
-        table = outcome_density_table(FockState.vacuum(32), model, grid, n_max=4)
-        stacked = np.sum(table.per_photon, axis=0)
-        np.testing.assert_allclose(stacked, table.density, atol=1e-8)
+        x = np.linspace(-6.0 * np.sqrt(101.0), 6.0 * np.sqrt(101.0), 801)
+        table = outcome_density_table(FockState.vacuum(32), model, x)
+        assert table.shape == (801, 32)
+        np.testing.assert_allclose(table.sum(axis=1), vacuum_density(10.0, x), rtol=1e-10)
+        np.testing.assert_allclose(table[:, :5].sum(axis=1), table.sum(axis=1), atol=1e-8)
+
+    def test_matches_the_one_photon_density(self):
+        model = MeasurementModel(2.0, 24)
+        x = np.linspace(-6.0, 6.0, 13)
+        table = outcome_density_table(FockState.vacuum(24), model, x)
+        np.testing.assert_allclose(table[:, 1], p1_exact(2.0, x), rtol=1e-10, atol=1e-16)
 
     def test_kernel_leak_raises(self):
         # At dx 0.05 the kernel sends 0.26 of the vacuum above level 31, so the
         # tabulated density would integrate to 0.74.
         model = MeasurementModel(0.05, 32)
-        grid = make_grid(6.0 * np.sqrt(0.05**2 + 1.0), 2001)
+        x = np.linspace(-6.0 * np.sqrt(0.05**2 + 1.0), 6.0 * np.sqrt(0.05**2 + 1.0), 2001)
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
-            outcome_density_table(FockState.vacuum(32), model, grid)
+            outcome_density_table(FockState.vacuum(32), model, x)
 
     def test_non_finite_mass_is_an_error(self):
         # An overflowing kernel must not pass the leak check as NaN.
         with pytest.raises(OutOfRangeError, match="overflows"):
             _check_captured(FockState.vacuum(8), MeasurementModel(1.0, 8), float("nan"))
 
-    def test_invalid_n_max(self):
-        model = MeasurementModel(1.0, 8)
-        grid = make_grid(10.0, 101)
-        with pytest.raises(OutOfRangeError):
-            outcome_density_table(FockState.vacuum(8), model, grid, n_max=8)

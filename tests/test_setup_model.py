@@ -12,7 +12,7 @@ from baeqnd.errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, make_grid
+from baeqnd.fock import FockState
 from baeqnd.measurement import MeasurementModel, conditional_state, outcome_density, outcome_span
 from baeqnd.setup_model import (
     EQUIVALENCE_OUTCOMES,
@@ -33,6 +33,7 @@ from oracles import (
     sector_blocks,
     squeeze_matrix,
     swapped_arms,
+    trapezoid_grid,
 )
 
 
@@ -220,7 +221,7 @@ class TestCircuitEvolution:
         # The raw density integrates to the input's norm on a fine trapezoid
         # grid, less the mass above the signal output's 24 levels.
         circuit = SetupCircuit(SetupParams(1.5, 24))
-        grid = make_grid(10.0, 4001)
+        grid = trapezoid_grid(10.0, 4001)
         for level in (0, 1):
             amps = circuit.homodyne_amplitudes(FockState.number(24, level), grid.nodes)
             assert grid.integrate(np.sum(np.abs(amps) ** 2, axis=1)) == pytest.approx(1.0, abs=1e-9)
@@ -328,7 +329,7 @@ class TestRunSetup:
 
     def test_outcome_variance(self):
         params = SetupParams(1.5, 40)
-        grid = make_grid(outcome_span(params.delta_x), 801)
+        grid = trapezoid_grid(outcome_span(params.delta_x), 801)
         densities, _ = _readout(params, FockState.vacuum(40), grid.nodes)
         variance = grid.integrate(densities * grid.nodes**2) / grid.integrate(densities)
         assert variance == pytest.approx(params.delta_x**2 + 0.25, abs=1e-3)
@@ -466,7 +467,7 @@ class TestEquivalence:
         params = SetupParams(1.5, 24)
         circuit = SetupCircuit(params)
         calibration = calibrate_outcome_map(params, circuit=circuit)
-        nodes = make_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES).nodes
+        nodes = trapezoid_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES).nodes
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
                             lambda state, raw: np.zeros((np.size(raw), 24), complex))
         vac = FockState.vacuum(24)
