@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (
     BaeQndError,
@@ -14,7 +14,6 @@ from .errors import (
 )
 from .fock import (
     FockState,
-    QuadratureGrid,
     trusted_levels,
     wavefunction_table,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "InvalidParameterError",
     "MeasurementModel",
     "OutOfRangeError",
-    "QuadratureGrid",
     "SetupCircuit",
     "SetupMismatchError",
     "SetupParams",

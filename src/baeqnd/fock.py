@@ -18,7 +18,9 @@ excludes the top quarter of levels (see :func:`trusted_levels`).
 
 The orthonormal Hermite recurrence (_hermite_levels) gives the position
 wavefunctions and the Gauss-Hermite rules (_gh_rule) of the exact outcome
-integrals; the measurement kernel itself needs neither.
+integrals; the measurement kernel itself needs neither.  A rule is a plain
+pair of read-only arrays (nodes, factored weights), scaled to an outcome
+Gaussian by measurement._scaled_rule; an integral over it is values @ weights.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    InvalidParameterError,
-    OutOfRangeError,
-)
+from .errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
 
 #: Highest wavefunction level for which the recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
@@ -49,6 +46,23 @@ def _require_dim(dim) -> int:
     if dim < 2:
         raise InvalidDimensionError(f"dimension must be >= 2, got {dim}")
     return int(dim)
+
+
+def _numeric_array(values, kinds: str, what: str) -> np.ndarray:
+    """np.asarray(values), refused with InvalidParameterError unless its dtype kind is in kinds.
+
+    A cast to float64 or complex128 would silently drop an imaginary part or
+    raise a bare ValueError or TypeError for text and ragged nesting.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{what} must be a scalar or a regular array") from exc
+    if arr.dtype.kind not in kinds:
+        raise InvalidParameterError(
+            f"{what} must be numeric (dtype kind in {kinds!r}), got dtype {arr.dtype}"
+        )
+    return arr
 
 
 def trusted_levels(dim: int) -> int:
@@ -69,7 +83,7 @@ class FockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()
+        amps = _numeric_array(self.amplitudes, "biufc", "state amplitudes").astype(np.complex128)
         if amps.ndim != 1:
             raise InvalidDimensionError("state amplitudes must be a 1-D vector")
         _require_dim(amps.size)
@@ -156,7 +170,7 @@ def _hermite_levels(count: int, xi: np.ndarray, seed):
 
 @lru_cache(maxsize=64)
 def _gh_rule(count: int):
-    """Gauss-Hermite rule for the weight exp(-u^2): nodes u, weights w, factored w exp(u^2).
+    """Gauss-Hermite rule for the weight exp(-u^2): nodes u and factored weights w exp(u^2).
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     orthonormal Hermite recurrence (off-diagonal sqrt(k/2)), polished by one
@@ -181,10 +195,9 @@ def _gh_rule(count: int):
     u = 0.5 * (u - u[::-1])
     quarter = np.exp(-0.25 * u * u)
     factored = 1.0 / sum((level * quarter) ** 2 for level in _hermite_levels(count, u, quarter))
-    w = factored * np.exp(-u * u)
-    for arr in (u, w, factored):
+    for arr in (u, factored):
         arr.setflags(write=False)
-    return u, w, factored
+    return u, factored
 
 
 def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
@@ -209,46 +222,3 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
 def _wavefunction_levels(count: int, x: np.ndarray):
     """Yield psi_n(x) = 2^(1/4) exp(-x^2) h_n(sqrt(2) x), n = 0..count-1, as _hermite_levels."""
     return _hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Integration grid over a quadrature variable: nodes and weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64).copy()
-        weights = np.asarray(self.weights, dtype=np.float64).copy()
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
-            raise InvalidParameterError("grid nodes and weights must be 1-D and equal length")
-        if nodes.size < 2:
-            raise InvalidParameterError("grid needs at least 2 nodes")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise InvalidParameterError("grid nodes and weights must be finite")
-        if np.any(weights <= 0.0):
-            raise InvalidParameterError("grid weights must be strictly positive")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise InvalidParameterError("grid nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def count(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> np.ndarray | float:
-        """Weighted sum over the last axis, approximating the integral of sampled values."""
-        values = np.asarray(values)
-        if values.shape[-1] != self.count:
-            raise DimensionMismatchError(
-                f"values axis length {values.shape[-1]} != grid count {self.count}"
-            )
-        result = np.tensordot(values, self.weights, axes=([-1], [0]))
-        if np.ndim(result) == 0:
-            return float(result)
-        return result
-

@@ -39,7 +39,8 @@ is the input's highest nonzero level.  With n <= dim - 1 and the correlation's
 extra x_m^2 weight the degree stays at most 2 (dim + top), so a Gauss-Hermite
 rule with N = dim + top + 2 nodes (exact to degree 2N - 1), scaled by
 1/sqrt(g), integrates all three exactly (Golub & Welsch, Math. Comp. 23
-(1969) 221); see measurement._outcome_rule.
+(1969) 221) as values @ weights on its plain node and weight arrays; see
+measurement._outcome_rule.
 
 At small dx the measurement lifts part of the input above the truncation.
 The deterministic integrals and the sampling table raise
@@ -58,7 +59,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
-from .fock import FockState, QuadratureGrid, _x_action, require_normalized, x_second_moment
+from .fock import FockState, _x_action, require_normalized, x_second_moment
 from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
@@ -248,11 +249,11 @@ def _baseline_photon(state: FockState) -> int:
     return int(np.argmax(state.probabilities()))
 
 
-def _off_baseline_mass(probs: np.ndarray, rule: QuadratureGrid, baseline_n: int) -> float:
+def _off_baseline_mass(probs: np.ndarray, weights: np.ndarray, baseline_n: int) -> float:
     # Summed over the other columns, not the row total minus the baseline:
     # that difference cancels when the jump is rare (wide dx).
     off = probs[:, :baseline_n].sum(axis=1) + probs[:, baseline_n + 1 :].sum(axis=1)
-    return float(rule.integrate(off))
+    return float(off @ weights)
 
 
 def _require_finite(delta_x: float, *values: float) -> None:
@@ -264,10 +265,12 @@ def _require_finite(delta_x: float, *values: float) -> None:
         )
 
 
-def _correlation_integral(probs: np.ndarray, rule: QuadratureGrid, delta_x: float) -> float:
+def _correlation_integral(
+    probs: np.ndarray, nodes: np.ndarray, weights: np.ndarray, delta_x: float
+) -> float:
     weighted = probs @ np.arange(probs.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(rule.integrate(weighted * (rule.nodes**2 - delta_x**2)))
+        value = float((weighted * (nodes**2 - delta_x**2)) @ weights)
     _require_finite(delta_x, value)
     return value
 
@@ -279,8 +282,8 @@ def jump_probability(state: FockState, model: MeasurementModel) -> float:
     so this is the total weight of all n >= 1 columns).
     """
     require_normalized(state)
-    rule, probs = _exact_joint(state, model)
-    return _off_baseline_mass(probs, rule, _baseline_photon(state))
+    _, weights, probs = _exact_joint(state, model)
+    return _off_baseline_mass(probs, weights, _baseline_photon(state))
 
 
 def measured_correlation(state: FockState, model: MeasurementModel) -> float:
@@ -294,8 +297,8 @@ def measured_correlation(state: FockState, model: MeasurementModel) -> float:
     number(48, 1) at dx 10).
     """
     require_normalized(state)
-    rule, probs = _exact_joint(state, model)
-    return _correlation_integral(probs, rule, model.delta_x)
+    nodes, weights, probs = _exact_joint(state, model)
+    return _correlation_integral(probs, nodes, weights, model.delta_x)
 
 
 def operator_correlation(state: FockState) -> float:
@@ -371,9 +374,9 @@ def exact_report(state: FockState, model: MeasurementModel) -> CorrelationReport
 
 def _exact_report_fields(state, model) -> dict:
     require_normalized(state)
-    rule, probs = _exact_joint(state, model)
+    nodes, weights, probs = _exact_joint(state, model)
     return {
-        "exact_c_integral": _correlation_integral(probs, rule, model.delta_x),
+        "exact_c_integral": _correlation_integral(probs, nodes, weights, model.delta_x),
         "operator_c": operator_correlation(state),
-        "jump_probability": _off_baseline_mass(probs, rule, _baseline_photon(state)),
+        "jump_probability": _off_baseline_mass(probs, weights, _baseline_photon(state)),
     }

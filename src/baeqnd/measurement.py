@@ -46,8 +46,10 @@ every sampled outcome and payload, differently.
 
 Every entry of the kernel, of its square and of the squared amplitudes is a
 Gaussian times a polynomial in x_m, so every integral over the outcome has an
-exact Gauss-Hermite rule (_scaled_rule), built from numpy alone
-(fock._gh_rule) and limited to fock.MAX_RULE_NODES nodes.  The outcome rule
+exact Gauss-Hermite rule.  _scaled_rule, the one rule builder (the circuit's
+guard and calibration use it too), returns it as plain arrays (nodes,
+weights), built from numpy alone (fock._gh_rule) and limited to
+fock.MAX_RULE_NODES nodes; an integral is values @ weights.  The outcome rule
 (_outcome_rule) measures the mass the kernel loses above the truncation,
 which outcome_density, conditional_state, outcome_density_table and the
 jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.  The completeness
@@ -76,7 +78,7 @@ from .errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockState, QuadratureGrid, _gh_rule, trusted_levels
+from .fock import FockState, _gh_rule, _numeric_array, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -142,22 +144,22 @@ def _top_level(amps: np.ndarray) -> int:
     return int(support[-1]) if support.size else 0
 
 
-def _scaled_rule(count: int, g: float) -> QuadratureGrid:
-    """Gauss-Hermite rule of count nodes for integrals of exp(-g x^2) times a polynomial.
+def _scaled_rule(count: int, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule (nodes, weights) of count nodes for exp(-g x^2) times a polynomial.
 
     The rule is exact for polynomial degree up to 2 count - 1.  The nodes are
-    scaled by 1/sqrt(g) and the Gaussian is factored into the weights, so the
-    rule integrates plain samples.  The factored weights w_k exp(u_k^2) come
-    from _gh_rule, which keeps them finite where w_k itself underflows and
-    raises OutOfRangeError past MAX_RULE_NODES.
+    scaled by 1/sqrt(g) and the Gaussian is factored into the weights, so
+    values @ weights integrates plain samples at the nodes.  The factored
+    weights w_k exp(u_k^2) come from _gh_rule, which keeps them finite where
+    w_k itself underflows and raises OutOfRangeError past MAX_RULE_NODES.
     """
     scale = 1.0 / np.sqrt(g)
-    u, _, factored = _gh_rule(count)
-    return QuadratureGrid(scale * u, scale * factored)
+    u, factored = _gh_rule(count)
+    return scale * u, scale * factored
 
 
-def _outcome_rule(state: FockState, model: MeasurementModel) -> QuadratureGrid:
-    """Gauss-Hermite rule in the outcome variable, exact for the jump integrals.
+def _outcome_rule(state: FockState, model: MeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule (nodes, weights) in the outcome variable, exact for the jump integrals.
 
     Each |<n|P(x)|state>|^2 is exp(-g x^2) times a polynomial of degree at
     most 2 (n + top), with g = 4 kappa / (2 + kappa) and top the state's
@@ -188,11 +190,14 @@ def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> N
 
 
 def _exact_joint(state: FockState, model: MeasurementModel):
-    """The exact outcome rule and |<n|P(x)|state>|^2 on its nodes, checked for leaked mass."""
-    rule = _outcome_rule(state, model)
-    joint = np.abs(measurement_amplitudes(state, model, rule.nodes)) ** 2
-    _check_captured(state, model, rule.integrate(joint.sum(axis=1)))
-    return rule, joint
+    """(nodes, weights, joint): the exact outcome rule and |<n|P(x)|state>|^2 on its nodes.
+
+    Raises like _check_captured when the joint misses mass above the truncation.
+    """
+    nodes, weights = _outcome_rule(state, model)
+    joint = np.abs(measurement_amplitudes(state, model, nodes)) ** 2
+    _check_captured(state, model, joint.sum(axis=1) @ weights)
+    return nodes, weights, joint
 
 
 def _ladder(kappa: float, x: np.ndarray, first: np.ndarray, exponent: np.ndarray):
@@ -277,12 +282,25 @@ def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bo
 
 
 def _check_outcomes(x_values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x_values, dtype=np.float64))
+    arr = _numeric_array(x_values, "biuf", "outcome values").astype(np.float64, copy=False)
+    arr = np.atleast_1d(arr)
     if arr.ndim != 1:
         raise InvalidParameterError("outcome values must be scalar or 1-D")
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError("outcome values must be finite")
     return arr
+
+
+def _chunks(count: int, width: int):
+    """Yield slices of range(count) of about _CHUNK_ELEMENTS / width outcomes each.
+
+    A chunk's ladder row (outcomes x width) then holds about _CHUNK_ELEMENTS
+    entries, so every ladder step is one vector operation over many outcomes
+    at any width.
+    """
+    chunk = max(1, _CHUNK_ELEMENTS // width)
+    for start in range(0, count, chunk):
+        yield slice(start, min(start + chunk, count))
 
 
 def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> np.ndarray:
@@ -292,9 +310,7 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     """
     x = _check_outcomes(x_values)
     out = np.empty((x.size, model.dim, model.dim))
-    chunk = max(1, _CHUNK_ELEMENTS // model.dim)
-    for start in range(0, x.size, chunk):
-        sl = slice(start, min(start + chunk, x.size))
+    for sl in _chunks(x.size, model.dim):
         for n, row in enumerate(_kernel_rows(model, x[sl], model.dim, squared)):
             out[sl, n] = row
     return out
@@ -311,9 +327,7 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     levels = np.empty((model.dim, x.size), dtype=amps.dtype)
     top = _top_level(amps)
     source = amps[: top + 1]
-    chunk = max(1, _CHUNK_ELEMENTS // (top + 1))
-    for start in range(0, x.size, chunk):
-        sl = slice(start, min(start + chunk, x.size))
+    for sl in _chunks(x.size, top + 1):
         for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
             levels[n, sl] = np.dot(row, source)
     return np.ascontiguousarray(levels.T)
@@ -359,14 +373,15 @@ def asymptotic_p1(delta_x: float, x_m) -> np.ndarray | float:
     (2 pi dx^2)^(-1/2) * x_m^2/(4 dx^2)^2 * exp(-x_m^2/(2 dx^2)); a double
     peak at x_m = +-sqrt(2) dx whose total area is 1/(16 dx^2).
     """
-    if not np.isfinite(delta_x) or delta_x <= 0:
+    dx = _numeric_array(delta_x, "biuf", "delta_x")
+    if dx.ndim != 0 or not np.isfinite(dx) or dx <= 0:
         raise InvalidParameterError(f"delta_x must be positive and finite, got {delta_x!r}")
-    delta_x = float(delta_x)
+    delta_x = float(dx)
     try:
         quartic = (4.0 * delta_x**2) ** 2
     except OverflowError as exc:
         raise InvalidParameterError(f"(4 dx^2)^2 overflows at delta_x {delta_x!r}") from exc
-    x = np.asarray(x_m, dtype=np.float64)
+    x = _numeric_array(x_m, "biuf", "x_m").astype(np.float64, copy=False)
     val = (
         (2.0 * np.pi * delta_x**2) ** -0.5
         * x**2
@@ -401,18 +416,6 @@ def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementMo
     return dims, MeasurementModel(model.delta_x, max(dims))
 
 
-def _rule_chunks(rule: QuadratureGrid, dim: int):
-    """Yield the rule's nodes and weights in chunks of _CHUNK_ELEMENTS / dim outcomes.
-
-    A chunk's ladder row (outcomes x dim) then holds about _CHUNK_ELEMENTS
-    entries, so every ladder step is one vector operation over many outcomes
-    at any dim.
-    """
-    chunk = max(1, _CHUNK_ELEMENTS // dim)
-    for start in range(0, rule.count, chunk):
-        yield rule.nodes[start : start + chunk], rule.weights[start : start + chunk]
-
-
 def _deviation(block: np.ndarray, levels: int) -> float:
     """Max-entry deviation of block[:levels, :levels] from the identity."""
     return float(np.max(np.abs(block[:levels, :levels] - np.eye(levels))))
@@ -434,11 +437,11 @@ def completeness_defect(model: MeasurementModel, dims=None) -> tuple[float, ...]
     """
     dims, top = _audit_dims(model, dims)
     kappa = top.kappa
-    rule = _scaled_rule(top.dim + 1, 4.0 * kappa / (2.0 + 2.0 * kappa))
+    nodes, weights = _scaled_rule(top.dim + 1, 4.0 * kappa / (2.0 + 2.0 * kappa))
     total = np.zeros((top.dim, top.dim))
-    for nodes, weights in _rule_chunks(rule, top.dim):
-        for n, row in enumerate(_kernel_rows(top, nodes, top.dim, squared=True)):
-            total[n] += weights @ row
+    for sl in _chunks(nodes.size, top.dim):
+        for n, row in enumerate(_kernel_rows(top, nodes[sl], top.dim, squared=True)):
+            total[n] += weights[sl] @ row
     return tuple(_deviation(total, trusted_levels(d)) for d in dims)
 
 
@@ -462,13 +465,13 @@ def truncated_square_defect(model: MeasurementModel, dims=None) -> tuple[tuple[f
     """
     dims, top = _audit_dims(model, dims)
     kappa = top.kappa
-    rule = _scaled_rule(2 * top.dim, 4.0 * kappa / (2.0 + kappa))
+    nodes, weights = _scaled_rule(2 * top.dim, 4.0 * kappa / (2.0 + kappa))
     ends = sorted(set(dims))
     part_of_row = np.searchsorted(ends, np.arange(top.dim), side="right")
     parts = np.zeros((len(ends), top.dim, top.dim))
-    for nodes, weights in _rule_chunks(rule, top.dim):
-        root = np.sqrt(weights)[:, None]
-        for n, row in enumerate(_kernel_rows(top, nodes, top.dim)):
+    for sl in _chunks(nodes.size, top.dim):
+        root = np.sqrt(weights[sl])[:, None]
+        for n, row in enumerate(_kernel_rows(top, nodes[sl], top.dim)):
             q = root * row
             parts[part_of_row[n]] += q.T @ q
     totals = dict(zip(ends, np.cumsum(parts, axis=0)))

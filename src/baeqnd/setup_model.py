@@ -48,9 +48,11 @@ is raised when it exceeds TRUNCATION_OCCUPATION_LIMIT.  The wavefunction
 levels are validated up to MAX_WAVEFUNCTION_LEVEL, so a dim above it plus
 one is refused with OutOfRangeError when the circuit is constructed.
 
-The circuit shares only the Hermite recurrence (fock._hermite_levels) and the
-Gauss-Hermite rules (fock._gh_rule) with the measurement kernel, not its
-Fock ladder, and its physics enters only through _bogoliubov.
+The circuit shares with the measurement kernel the Hermite recurrence
+(fock._hermite_levels), the per-r rule in x1 (fock._gh_rule) and the rule
+builder measurement._scaled_rule, whose (nodes, weights) at g -> 2 g give the
+guard's and the calibration's raw rules; it shares no Fock ladder, and its
+physics enters only through _bogoliubov.
 
 calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
@@ -73,12 +75,13 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, QuadratureGrid, _gh_rule, _wavefunction_levels
+from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, _gh_rule, _wavefunction_levels
 from .measurement import (
     MeasurementModel,
     _check_outcomes,
     _exact_joint,
     _require_resolution,
+    _scaled_rule,
     _top_level,
     measurement_amplitudes,
     outcome_span,
@@ -169,16 +172,10 @@ class SetupCircuit:
         self._width = alpha**-0.5
         self._norm = (abs(np.linalg.det(a)) * alpha) ** -0.5
 
-    def _raw_rule(self, count: int) -> QuadratureGrid:
-        """Rule in r exact on exp(-2 g r^2) times polynomials of degree below 2 count."""
-        u, _, factored = _gh_rule(count)
-        step = (2.0 * self._gauss) ** -0.5
-        return QuadratureGrid(step * u, step * factored)
-
     def _point_map(self, psi: np.ndarray, top: int, raw: np.ndarray) -> np.ndarray:
         """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r."""
         dim = self.params.dim
-        u, _, factored = _gh_rule((top + dim) // 2 + 2)
+        u, factored = _gh_rule((top + dim) // 2 + 2)
         r = raw[:, None]
         x1 = self._shift * r + self._width * u
         q0 = self._b[0, 0] * r + self._b[0, 1] * x1
@@ -209,10 +206,10 @@ class SetupCircuit:
             raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")
         psi = signal_in.amplitudes
         top = _top_level(psi)
-        guard = self._raw_rule(top + dim)
-        amps = self._point_map(psi, top, np.concatenate([raw, guard.nodes]))
+        nodes, weights = _scaled_rule(top + dim, 2.0 * self._gauss)
+        amps = self._point_map(psi, top, np.concatenate([raw, nodes]))
         below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)
-        occupation = float(np.vdot(psi, psi).real) - guard.integrate(below)
+        occupation = float(np.vdot(psi, psi).real) - below @ weights
         if occupation > TRUNCATION_OCCUPATION_LIMIT:
             raise TruncationOverflowError(
                 f"top-quarter occupation {occupation:.3e} of mode 1 exceeds "
@@ -241,7 +238,7 @@ def calibrate_outcome_map(
     variances are exact on Gauss-Hermite rules: the kernel's on the outcome
     rule of the jump integrals (which also checks it for leaked mass), the
     raw homodyne density, exp(-2 g raw^2) times a polynomial of degree
-    2 (top + dim - 1), on the circuit's raw rule of top + dim + 1 nodes.  The magnitude is
+    2 (top + dim - 1), on the raw rule of top + dim + 1 nodes.  The magnitude is
     sqrt(var_kernel / var_raw).  One pass over 51 probes spanning
     outcome_span(dx) reads the circuit at probe / magnitude and the kernel at
     +-probe: the sign is the one whose conditional states are closer (trace
@@ -254,13 +251,14 @@ def calibrate_outcome_map(
     if signal_in is None:
         signal_in = FockState.vacuum(params.dim)
     model = MeasurementModel(params.delta_x, params.dim)
-    rule, joint = _exact_joint(signal_in, model)
+    nodes, weights, joint = _exact_joint(signal_in, model)
     density_kernel = joint.sum(axis=1)
-    var_kernel = rule.integrate(density_kernel * rule.nodes**2) / rule.integrate(density_kernel)
+    var_kernel = (density_kernel * nodes**2) @ weights / (density_kernel @ weights)
 
-    raw = circuit._raw_rule(_top_level(signal_in.amplitudes) + params.dim + 1)
-    density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw.nodes)) ** 2, axis=1)
-    var_raw = raw.integrate(density_raw * raw.nodes**2) / raw.integrate(density_raw)
+    count = _top_level(signal_in.amplitudes) + params.dim + 1
+    raw, raw_weights = _scaled_rule(count, 2.0 * circuit._gauss)
+    density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw)) ** 2, axis=1)
+    var_raw = (density_raw * raw**2) @ raw_weights / (density_raw @ raw_weights)
     scale = float(np.sqrt(var_kernel / var_raw))
 
     probe = np.linspace(-1.0, 1.0, 51) * outcome_span(params.delta_x)

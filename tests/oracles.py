@@ -8,8 +8,9 @@ rotations instead of the circuit's point map, and closed-form
 Gaussian integrals worked out by completing the square.  Values asserted in the tests
 are frozen from these, never from the code under test.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
-trapezoid_grid is the uniform trapezoid grid on the np.linspace nodes that
-distribution tabulates on, for the tests' own uniform-grid integrals.
+trapezoid_grid is the uniform trapezoid grid, (nodes, weights), on the
+np.linspace nodes that distribution tabulates on, for the tests' own
+uniform-grid integrals.
 ladder, quadrature_x and number_operator are the dense truncated matrices
 the library used to build, and operator_correlation_dense is its matrix
 route for the operator-ordering correlation, kept as the reference for the
@@ -52,7 +53,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, QuadratureGrid, trusted_levels, wavefunction_table
+from baeqnd.fock import FockState, trusted_levels, wavefunction_table
 from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
     MeasurementModel,
@@ -69,13 +70,13 @@ def psi_reference(n: int, x):
     return (2.0 / np.pi) ** 0.25 * eval_hermite(n, np.sqrt(2.0) * x) * np.exp(-x * x) / norm
 
 
-def trapezoid_grid(span: float, count: int) -> QuadratureGrid:
-    """Uniform grid over [-span, span]: np.linspace nodes, trapezoid weights summing to 2 span."""
+def trapezoid_grid(span: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) over [-span, span]: np.linspace nodes, trapezoid weights summing to 2 span."""
     nodes = np.linspace(-span, span, count)
     step = 2.0 * span / (count - 1)
     weights = np.full(count, step)
     weights[0] = weights[-1] = step / 2.0
-    return QuadratureGrid(nodes, weights)
+    return nodes, weights
 
 
 def kernel_element_quad(n: int, m: int, delta_x: float, x_m: float) -> float:
@@ -378,17 +379,17 @@ def swapped_arms(bogoliubov):
     return swapped
 
 
-def completeness_integrals_stacked(model, grid) -> tuple[np.ndarray, np.ndarray]:
+def completeness_integrals_stacked(model, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
     """(integral of P^2, integral of the squared truncated matrix P P) from whole-grid stacks.
 
-    operator_batch builds the (grid.count, dim, dim) stacks of P(x)^2 and P(x)
-    over the whole grid, and einsum contracts them with the weights, instead
+    operator_batch builds the (len(nodes), dim, dim) stacks of P(x)^2 and P(x)
+    over all the nodes, and einsum contracts them with the weights, instead
     of the library's chunked GEMMs.
     """
-    squares = operator_batch(model, grid.nodes, squared=True)
-    exact = np.einsum("bnm,b->nm", squares, grid.weights, optimize=True)
-    ops = operator_batch(model, grid.nodes)
-    truncated = np.einsum("bnm,bml,b->nl", ops, ops, grid.weights, optimize=True)
+    squares = operator_batch(model, nodes, squared=True)
+    exact = np.einsum("bnm,b->nm", squares, weights, optimize=True)
+    ops = operator_batch(model, nodes)
+    truncated = np.einsum("bnm,bml,b->nl", ops, ops, weights, optimize=True)
     return exact, truncated
 
 
@@ -404,11 +405,11 @@ def grid_audit_defects(model, count: int = 2001, dims=None) -> list[tuple[float,
     """
     dims = [model.dim] if dims is None else list(dims)
     top = MeasurementModel(model.delta_x, max(dims))
-    grid = trapezoid_grid(6.0 * math.sqrt(top.delta_x**2 + top.dim), count)
+    nodes, weights = trapezoid_grid(6.0 * math.sqrt(top.delta_x**2 + top.dim), count)
     exact = np.zeros((top.dim, top.dim))
     parts = np.zeros((top.dim, top.dim, top.dim))  # parts[n] = sum_b w_b P[:, n] P[n, :]
-    for start in range(0, grid.count, 64):
-        x, w = grid.nodes[start : start + 64], grid.weights[start : start + 64]
+    for start in range(0, count, 64):
+        x, w = nodes[start : start + 64], weights[start : start + 64]
         exact += np.einsum("bnm,b->nm", operator_batch(top, x, squared=True), w)
         ops = operator_batch(top, x)
         parts += np.einsum("bin,bnj,b->nij", ops, ops, w, optimize=True)

@@ -344,7 +344,7 @@ class TestExactOutcomeRule:
         # The rule's node count is dim + top + 2; the same rule for 2 dim has dim more nodes.
         wider = lambda s, m: rule(s, MeasurementModel(m.delta_x, 2 * m.dim))
         with mock.patch.object(measurement, "_outcome_rule", wider):
-            assert measurement._outcome_rule(state, model).count == rule(state, model).count + dim
+            assert measurement._outcome_rule(state, model)[0].size == rule(state, model)[0].size + dim
             again = exact_report(state, model)
         for field in ("jump_probability", "exact_c_integral"):
             assert getattr(value, field) == pytest.approx(getattr(again, field), rel=1e-12, abs=1e-15)
@@ -411,9 +411,9 @@ class TestMeasuredCorrelation:
         # Gaussian moments: E x^4 = 3 dx^4 and E x^2 = dx^2 under the wide
         # kernel make the integral (3 - 1) dx^4/(16 dx^4) = 1/8 exactly.
         dx = 6.0
-        grid = trapezoid_grid(10.0 * dx, 8001)
-        integrand = p1_asymptotic(dx, grid.nodes) * (grid.nodes**2 - dx**2)
-        assert grid.integrate(integrand) == pytest.approx(0.125, rel=1e-9)
+        nodes, weights = trapezoid_grid(10.0 * dx, 8001)
+        integrand = p1_asymptotic(dx, nodes) * (nodes**2 - dx**2)
+        assert integrand @ weights == pytest.approx(0.125, rel=1e-9)
 
 
 class TestOverflowingResolution:

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -60,7 +61,8 @@ def _joint(state, model, x_m, n):
 class TestGaussHermiteRule:
     @pytest.mark.parametrize("count", [*range(2, 200), 300, 400, 700])
     def test_matches_scipy_roots(self, count):
-        u, w, factored = _gh_rule(count)
+        u, factored = _gh_rule(count)
+        w = factored * np.exp(-u * u)
         ref_u, ref_w = roots_hermite(count)
         assert np.all(np.isfinite(w))
         assert np.all(np.isfinite(factored)) and np.all(factored > 0.0)
@@ -71,13 +73,30 @@ class TestGaussHermiteRule:
     def test_largest_rule_is_finite_and_larger_ones_are_refused(self):
         # Past the limit the outermost levels leave double precision and the
         # rule turns NaN, which used to surface as a grid-validation error.
-        u, w, factored = _gh_rule(MAX_RULE_NODES)
+        u, factored = _gh_rule(MAX_RULE_NODES)
         assert np.all(np.isfinite(u)) and np.all(factored > 0.0) and np.all(np.isfinite(factored))
-        assert np.sum(w) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
+        assert np.sum(factored * np.exp(-u * u)) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
         with pytest.raises(OutOfRangeError, match="1400-node limit"):
             _gh_rule(MAX_RULE_NODES + 1)
         with pytest.raises(OutOfRangeError, match="1400-node limit"):
             outcome_density(FockState.vacuum(1500), MeasurementModel(1.0, 1500), 0.0)
+
+    @pytest.mark.parametrize("g", [0.01, 1.0, 50.0])
+    @pytest.mark.parametrize("count", [2, 3, 10, 50, 360, 361, 700, 1400])
+    def test_scaled_rule_is_exact_in_factored_form(self, count, g):
+        # The reference roots drop weights below 1e-250 (counts past about
+        # 360), so the factored weights are checked on the even moments of
+        # exp(-g x^2): Gamma(j + 1/2) g^-(j + 1/2), exact for 2 j < 2 count.
+        nodes, weights = _scaled_rule(count, g)
+        assert nodes.shape == weights.shape == (count,)
+        assert np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0.0)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
+        gauss = weights * np.exp(-g * nodes**2)
+        for j in range(min(count, 25)):
+            moment = gauss @ nodes ** (2 * j)
+            exact = math.gamma(j + 0.5) * g ** -(j + 0.5)
+            assert moment == pytest.approx(exact, rel=1e-13, abs=0.0), j
 
 
 class TestMeasurementOperator:
@@ -161,6 +180,16 @@ class TestMeasurementAmplitudes:
         got = measurement_amplitudes(FockState(amps), model, x)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("x", [np.array([1 + 2j]), 1 + 2j, "abc", [1.0, "x"], [[1.0], [1.0, 2.0]]])
+    def test_non_real_outcomes_are_refused(self, x):
+        # A complex array used to be read at its real part with only a
+        # ComplexWarning; text and ragged lists raised bare numpy errors.
+        model = MeasurementModel(2.0, 16)
+        with pytest.raises(InvalidParameterError, match="outcome values must be"):
+            measurement_amplitudes(FockState.vacuum(16), model, x)
+        with pytest.raises(InvalidParameterError, match="outcome values must be"):
+            operator_batch(model, x)
+
     @pytest.mark.parametrize("route, dim, top, count", [
         ("amplitudes", 64, 0, 8193), ("amplitudes", 400, 390, 200), ("operator_batch", 64, 0, 2001),
     ])
@@ -231,7 +260,7 @@ class TestLadderKernel:
         amps[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
         state = FockState(amps).normalize()
         model = MeasurementModel(dx, dim)
-        edge = float(np.max(np.abs(_outcome_rule(state, model).nodes)))
+        edge = float(np.max(np.abs(_outcome_rule(state, model)[0])))
         x = np.concatenate([rng.uniform(-edge, edge, 5), [0.0, -edge, edge]])
         for squared in (False, True):
             np.testing.assert_allclose(operator_batch(model, x, squared),
@@ -247,7 +276,7 @@ class TestLadderKernel:
         # below double range too, and at every node the kernel matches it.
         model = MeasurementModel(dx, 1000)
         vac = FockState.vacuum(1000)
-        nodes = _outcome_rule(vac, model).nodes
+        nodes, _ = _outcome_rule(vac, model)
         kappa = model.kappa
         lost = np.exp(-2.0 * kappa * nodes**2 / (2.0 + kappa)) == 0.0
         assert lost[[0, -1]].all() and not lost.all()
@@ -297,9 +326,9 @@ class TestOutcomeDensity:
 
     def test_total_probability_one(self):
         model = MeasurementModel(1.0, 16)
-        grid = trapezoid_grid(6.0 * np.sqrt(2.0), 2001)
-        table = outcome_density_table(FockState.vacuum(16), model, grid.nodes)
-        assert grid.integrate(table.sum(axis=1)) == pytest.approx(1.0, abs=1e-6)
+        nodes, weights = trapezoid_grid(6.0 * np.sqrt(2.0), 2001)
+        table = outcome_density_table(FockState.vacuum(16), model, nodes)
+        assert table.sum(axis=1) @ weights == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -375,12 +404,12 @@ class TestJointPhotonDensity:
         dx = 10.0
         model = MeasurementModel(dx, 32)
         vac = FockState.vacuum(32)
-        grid = trapezoid_grid(6.0 * np.sqrt(dx**2 + 1.0), 2001)
-        p1 = np.abs(measurement_amplitudes(vac, model, grid.nodes)[:, 1]) ** 2
-        step = grid.nodes[1] - grid.nodes[0]
-        positive = grid.nodes > 0
-        peak_pos = grid.nodes[positive][np.argmax(p1[positive])]
-        peak_neg = grid.nodes[~positive][np.argmax(p1[~positive])]
+        nodes, _ = trapezoid_grid(6.0 * np.sqrt(dx**2 + 1.0), 2001)
+        p1 = np.abs(measurement_amplitudes(vac, model, nodes)[:, 1]) ** 2
+        step = nodes[1] - nodes[0]
+        positive = nodes > 0
+        peak_pos = nodes[positive][np.argmax(p1[positive])]
+        peak_neg = nodes[~positive][np.argmax(p1[~positive])]
         assert abs(peak_pos - np.sqrt(2.0) * dx) <= step
         assert abs(peak_neg + np.sqrt(2.0) * dx) <= step
 
@@ -421,8 +450,8 @@ class TestAsymptoticP1:
     def test_total_area_is_jump_probability(self):
         # Analytically the area is exactly 1/(16 dx^2).
         dx = 7.0
-        grid = trapezoid_grid(8.0 * dx, 4001)
-        area = grid.integrate(asymptotic_p1(dx, grid.nodes))
+        nodes, weights = trapezoid_grid(8.0 * dx, 4001)
+        area = asymptotic_p1(dx, nodes) @ weights
         assert area == pytest.approx(1.0 / (16.0 * dx**2), rel=1e-9)
 
     def test_exact_vs_asymptotic_convergence_is_monotone(self):
@@ -449,6 +478,13 @@ class TestAsymptoticP1:
         with pytest.raises(InvalidParameterError, match="overflows"):
             asymptotic_p1(1e100, 0.0)
 
+    def test_non_numeric_arguments_are_refused(self):
+        # These raised a bare ValueError and TypeError.
+        with pytest.raises(InvalidParameterError, match="x_m must be numeric"):
+            asymptotic_p1(1.0, "a")
+        with pytest.raises(InvalidParameterError, match="delta_x must be numeric"):
+            asymptotic_p1("1", 0.1)
+
 
 def _audit_rules(model):
     """The rules of the exact P^2 (dim + 1 nodes) and of the truncated square (2 dim nodes)."""
@@ -462,8 +498,8 @@ def _audit_rules(model):
 def _stacked_defects(model) -> list[float]:
     """(defect, truncated-square trusted, truncated-square full) from whole-rule stacks."""
     exact_rule, square_rule = _audit_rules(model)
-    exact, _ = completeness_integrals_stacked(model, exact_rule)
-    _, truncated = completeness_integrals_stacked(model, square_rule)
+    exact, _ = completeness_integrals_stacked(model, *exact_rule)
+    _, truncated = completeness_integrals_stacked(model, *square_rule)
     t = trusted_levels(model.dim)
     exact_dev = np.abs(exact - np.eye(model.dim))
     truncated_dev = np.abs(truncated - np.eye(model.dim))
@@ -578,9 +614,9 @@ class TestAuditLeadingBlocks:
         # 2 kappa), so the ladder starts those outcomes' rows in their own
         # power-of-two units; the integral stays exact.
         model = MeasurementModel(0.05, 336)
-        exact_rule, _ = _audit_rules(model)
+        (nodes, _), _ = _audit_rules(model)
         kappa = 2.0 * model.kappa
-        edge = exact_rule.nodes[-1]
+        edge = nodes[-1]
         assert 2.0 * kappa * edge**2 / (2.0 + kappa) > measurement._SEED_EXPONENT * np.log(2.0)
         (defect,) = completeness_defect(model)
         assert defect <= 1e-13

@@ -221,10 +221,10 @@ class TestCircuitEvolution:
         # The raw density integrates to the input's norm on a fine trapezoid
         # grid, less the mass above the signal output's 24 levels.
         circuit = SetupCircuit(SetupParams(1.5, 24))
-        grid = trapezoid_grid(10.0, 4001)
+        nodes, weights = trapezoid_grid(10.0, 4001)
         for level in (0, 1):
-            amps = circuit.homodyne_amplitudes(FockState.number(24, level), grid.nodes)
-            assert grid.integrate(np.sum(np.abs(amps) ** 2, axis=1)) == pytest.approx(1.0, abs=1e-9)
+            amps = circuit.homodyne_amplitudes(FockState.number(24, level), nodes)
+            assert np.sum(np.abs(amps) ** 2, axis=1) @ weights == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("gain, dim, level, raises", [
         (1.8, 20, 0, False),  # bound 7.46e-7
@@ -295,6 +295,13 @@ class TestCircuitEvolution:
             with pytest.raises(InvalidParameterError, match="outcome values must be"):
                 circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
 
+    def test_non_real_outcomes_are_refused(self):
+        # A complex array used to be read at its real part with only a ComplexWarning.
+        circuit = SetupCircuit(SetupParams(1.5, 16))
+        for raw in (np.array([1 + 2j]), 1 + 2j, "abc", [1.0, "x"]):
+            with pytest.raises(InvalidParameterError, match="outcome values must be numeric"):
+                circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
+
     def test_dim_past_the_wavefunction_levels_is_refused(self):
         # The signal output's levels 0..dim-1 are validated up to level 256.
         assert SetupCircuit(SetupParams(1.5, 257)).params.dim == 257
@@ -329,9 +336,9 @@ class TestRunSetup:
 
     def test_outcome_variance(self):
         params = SetupParams(1.5, 40)
-        grid = trapezoid_grid(outcome_span(params.delta_x), 801)
-        densities, _ = _readout(params, FockState.vacuum(40), grid.nodes)
-        variance = grid.integrate(densities * grid.nodes**2) / grid.integrate(densities)
+        nodes, weights = trapezoid_grid(outcome_span(params.delta_x), 801)
+        densities, _ = _readout(params, FockState.vacuum(40), nodes)
+        variance = (densities * nodes**2) @ weights / (densities @ weights)
         assert variance == pytest.approx(params.delta_x**2 + 0.25, abs=1e-3)
 
 
@@ -467,7 +474,7 @@ class TestEquivalence:
         params = SetupParams(1.5, 24)
         circuit = SetupCircuit(params)
         calibration = calibrate_outcome_map(params, circuit=circuit)
-        nodes = trapezoid_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES).nodes
+        nodes, _ = trapezoid_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES)
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
                             lambda state, raw: np.zeros((np.size(raw), 24), complex))
         vac = FockState.vacuum(24)
