@@ -55,7 +55,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_RULE_NODES, FockState, trusted_levels
+from .fock import MAX_RULE_NODES, FockState, _integer, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
     MeasurementModel,
@@ -111,9 +111,7 @@ def _env_threads() -> int:
         value = int(raw)
     except ValueError as exc:
         raise InvalidParameterError(f"BAE_QND_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidParameterError(f"BAE_QND_THREADS must be >= 1, got {value}")
-    return value
+    return _integer(value, "BAE_QND_THREADS", 1)
 
 
 def _compact_json(obj) -> str:
@@ -239,26 +237,18 @@ def _write_envelope(args, payload: dict, seed) -> None:
     print(f"wrote {out} and {out}.meta.json")
 
 
-def _require_delta_x(args, count=1):
-    if count == 1 and len(args.delta_x) != 1:
-        raise InvalidParameterError(
-            f"command {args.command!r} takes exactly one --delta-x value"
-        )
-    for dx in args.delta_x:
-        if not np.isfinite(dx) or dx <= 0:
-            raise InvalidParameterError(f"--delta-x must be positive, got {dx}")
-    return args.delta_x[0] if count == 1 else list(args.delta_x)
+def _require_delta_x(args):
+    if len(args.delta_x) != 1:
+        raise InvalidParameterError(f"command {args.command!r} takes exactly one --delta-x value")
+    return args.delta_x[0]
 
 
 @_command("distribution")
 def _cmd_distribution(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
-    if args.grid_count < 2:
-        raise InvalidParameterError(
-            f"grid count must be an integer >= 2, got {args.grid_count!r}")
-    if not 0 <= args.n_max < args.dim:
-        raise OutOfRangeError(f"n_max {args.n_max!r} outside 0..{args.dim - 1}")
+    _integer(args.grid_count, "grid count", 2)
+    _integer(args.n_max, "n_max", 0, args.dim - 1, OutOfRangeError)
     span = outcome_span(delta_x)
     x = np.linspace(-span, span, args.grid_count)
     table = outcome_density_table(FockState.vacuum(args.dim), model, x)
@@ -277,10 +267,11 @@ def _cmd_distribution(args):
 
 @_command("jump-sweep")
 def _cmd_jump_sweep(args):
-    sweep = _require_delta_x(args, count=None)
+    # Every --delta-x is checked, by its model, before the first integral.
+    models = [MeasurementModel(dx, args.dim) for dx in args.delta_x]
     rows = []
-    for dx in sweep:
-        exact = jump_probability(FockState.vacuum(args.dim), MeasurementModel(dx, args.dim))
+    for dx, model in zip(args.delta_x, models):
+        exact = jump_probability(FockState.vacuum(args.dim), model)
         asym = 1.0 / (16.0 * dx * dx)
         rows.append([float(dx), float(exact), float(asym), float(exact / asym)])
     return {
@@ -404,8 +395,8 @@ def _cmd_simulate(args):
     delta_x = _require_delta_x(args)
     if args.shots is None or args.seed is None:
         raise InvalidParameterError("simulate requires --shots and --seed")
-    if args.record_limit is not None and args.record_limit < 0:
-        raise InvalidParameterError(f"--record-limit must be >= 0, got {args.record_limit}")
+    if args.record_limit is not None:
+        _integer(args.record_limit, "--record-limit", 0)
     model = MeasurementModel(delta_x, args.dim)
     state = FockState.vacuum(args.dim)
     shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())

@@ -40,12 +40,17 @@ MAX_WAVEFUNCTION_LEVEL = 256
 MAX_RULE_NODES = 1400
 
 
-def _require_dim(dim) -> int:
-    if not isinstance(dim, (int, np.integer)):
-        raise InvalidDimensionError(f"dimension must be an integer, got {dim!r}")
-    if dim < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {dim}")
-    return int(dim)
+def _integer(value, what: str, low: int, high=None, error=InvalidParameterError) -> int:
+    """int(value) for a Python or numpy integer, not a bool, in low..high; raises error otherwise.
+
+    isinstance, not a dtype: Python ints beyond int64 (numpy's object dtype) pass.
+    """
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    if high is None:
+        raise error(f"{what} must be an integer >= {low}, got {value!r}")
+    raise error(f"{what} {value!r} outside {low}..{high}")
 
 
 def _numeric_array(values, kinds: str, what: str) -> np.ndarray:
@@ -65,6 +70,23 @@ def _numeric_array(values, kinds: str, what: str) -> np.ndarray:
     return arr
 
 
+def _finite_reals(values, what: str) -> np.ndarray:
+    """values as float64, refused with InvalidParameterError unless int or float and finite."""
+    arr = _numeric_array(values, "iuf", what).astype(np.float64, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidParameterError(f"{what} must be finite")
+    return arr
+
+
+def _real(value, what: str, above: float | None = None) -> float:
+    """float(value) for a finite real scalar (0-d), greater than above if given."""
+    arr = _finite_reals(value, what)
+    if arr.ndim != 0 or (above is not None and not arr > above):
+        bound = "" if above is None else f" > {above:g}"
+        raise InvalidParameterError(f"{what} must be a real scalar{bound}, got {value!r}")
+    return float(arr)
+
+
 def trusted_levels(dim: int) -> int:
     """Number of low-lying levels on which truncated-operator identities hold.
 
@@ -72,7 +94,7 @@ def trusted_levels(dim: int) -> int:
     ladder couplings; results should only be trusted on levels
     0 .. trusted_levels(dim) - 1.
     """
-    dim = _require_dim(dim)
+    dim = _integer(dim, "dimension", 2, error=InvalidDimensionError)
     return dim - dim // 4
 
 
@@ -83,10 +105,10 @@ class FockState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _numeric_array(self.amplitudes, "biufc", "state amplitudes").astype(np.complex128)
+        amps = _numeric_array(self.amplitudes, "iufc", "state amplitudes").astype(np.complex128)
         if amps.ndim != 1:
             raise InvalidDimensionError("state amplitudes must be a 1-D vector")
-        _require_dim(amps.size)
+        _integer(amps.size, "dimension", 2, error=InvalidDimensionError)
         if not np.all(np.isfinite(amps)):
             raise InvalidParameterError("state amplitudes must be finite")
         amps.setflags(write=False)
@@ -103,11 +125,9 @@ class FockState:
     @classmethod
     def number(cls, dim: int, n: int) -> "FockState":
         """The photon-number eigenstate |n> in a dim-dimensional space."""
-        dim = _require_dim(dim)
-        if not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
-            raise OutOfRangeError(f"photon number {n!r} outside 0..{dim - 1}")
+        dim = _integer(dim, "dimension", 2, error=InvalidDimensionError)
         amps = np.zeros(dim, dtype=np.complex128)
-        amps[n] = 1.0
+        amps[_integer(n, "photon number", 0, dim - 1, OutOfRangeError)] = 1.0
         return cls(amps)
 
     def norm(self) -> float:
@@ -207,16 +227,14 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
     Hermite polynomials of :func:`_hermite_levels`; bounded up to
     MAX_WAVEFUNCTION_LEVEL.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise InvalidParameterError(f"wavefunction count must be >= 1, got {count!r}")
+    count = _integer(count, "wavefunction count", 1)
     if count - 1 > MAX_WAVEFUNCTION_LEVEL:
         raise OutOfRangeError(
             f"wavefunction level {count - 1} exceeds supported maximum {MAX_WAVEFUNCTION_LEVEL}"
         )
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise InvalidParameterError("wavefunction argument must be finite")
-    return np.stack(list(_wavefunction_levels(count, x)))
+    x = _finite_reals(x, "wavefunction argument")
+    # Every level is 0 where exp(-x^2) is, from |x| = 27.3: the clip keeps x^2 finite.
+    return np.stack(list(_wavefunction_levels(count, np.clip(x, -30.0, 30.0))))
 
 
 def _wavefunction_levels(count: int, x: np.ndarray):

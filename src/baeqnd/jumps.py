@@ -59,7 +59,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
-from .fock import FockState, _x_action, require_normalized, x_second_moment
+from .fock import FockState, _finite_reals, _integer, _numeric_array, _real, _x_action
+from .fock import require_normalized, x_second_moment
 from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
@@ -82,10 +83,12 @@ class ShotTable:
     photon_n: np.ndarray
 
     def __post_init__(self):
-        x_m = np.array(self.x_m, dtype=np.float64)
-        photon_n = np.array(self.photon_n, dtype=np.int64)
+        x_m = _finite_reals(self.x_m, "x_m").copy()
+        photon_n = _numeric_array(self.photon_n, "iu", "photon_n").astype(np.int64)
         if x_m.ndim != 1 or x_m.shape != photon_n.shape:
             raise DimensionMismatchError("x_m and photon_n must be 1-D columns of equal length")
+        if np.any(photon_n < 0):
+            raise InvalidParameterError("photon_n must be >= 0")
         for name, column in (("x_m", x_m), ("photon_n", photon_n)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
@@ -120,7 +123,7 @@ class CorrelationReport:
     standard_errors: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.standard_errors.values()):
+        if any(_real(v, f"standard error of {k}") < 0 for k, v in self.standard_errors.items()):
             raise InvalidParameterError("standard errors must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -225,9 +228,8 @@ def run_experiment(
     and shards are concatenated in shot order, so serial and threaded
     execution produce identical tables.
     """
-    for name, value, low in (("shots", shots, 1), ("seed", seed, 0), ("threads", threads, 1)):
-        if not isinstance(value, (int, np.integer)) or value < low:
-            raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    shots, seed = _integer(shots, "shots", 1), _integer(seed, "seed", 0)
+    threads = _integer(threads, "threads", 1)
     require_normalized(state)
     xs, cdf, cum = _sampling_table(state, model)
 
@@ -308,8 +310,7 @@ def operator_correlation(state: FockState) -> float:
     term contributes because n annihilates the vacuum on either side, and
     x|0> is the one-photon state with amplitude 0.5.
     """
-    if state.dim < 4:
-        raise InvalidParameterError(f"state dim must be >= 4, got {state.dim}")
+    _integer(state.dim, "state dim", 4)
     require_normalized(state)
     # <x^2 n> + <n x^2> = 2 Re<x psi, x n psi> and <x n x> = <x psi, n x psi>
     # hold exactly for the truncated Hermitian x, so no matrix is formed.

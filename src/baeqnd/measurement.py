@@ -78,7 +78,7 @@ from .errors import (
     OutOfRangeError,
     TruncationOverflowError,
 )
-from .fock import FockState, _gh_rule, _numeric_array, trusted_levels
+from .fock import FockState, _finite_reals, _gh_rule, _integer, _real, trusted_levels
 
 #: Densities below this are treated as degenerate conditioning, never divided by.
 UNDERFLOW_DENSITY = 1e-300
@@ -124,13 +124,9 @@ class MeasurementModel:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise InvalidParameterError(f"model dim must be an integer >= 2, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
-        dx = self.delta_x
-        if not isinstance(dx, (int, float, np.floating)) or not np.isfinite(dx) or dx <= 0:
-            raise InvalidParameterError(f"delta_x must be positive and finite, got {dx!r}")
-        object.__setattr__(self, "delta_x", _require_resolution(float(dx)))
+        object.__setattr__(self, "dim", _integer(self.dim, "model dim", 2))
+        dx = _require_resolution(_real(self.delta_x, "delta_x", above=0.0))
+        object.__setattr__(self, "delta_x", dx)
 
     @property
     def kappa(self) -> float:
@@ -263,12 +259,14 @@ def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bo
     """
     kappa = 2.0 * model.kappa if squared else model.kappa
     norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
-    gauss = 2.0 * kappa * x * x / (2.0 + kappa)
+    with np.errstate(over="ignore"):  # an infinite g lifts the outcome to 2**30 below
+        gauss = 2.0 * kappa * x * x / (2.0 + kappa)
     lift = np.ceil(np.clip(gauss / _LN2 - _SEED_EXPONENT, 0.0, 2.0**30))
     corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(lift * _LN2 - gauss)
     # int32, not int64: numpy's ldexp loop is about 15 times faster for it.
-    # Past a lift of 2**30 every row is 0 anyway.
+    # Past a lift of 2**30 every row is 0 anyway, so its ladder runs at x_m = 0.
     exponent = -lift.astype(np.int32)
+    x = np.where(lift < 2.0**30, x, 0.0)
     column = _ladder(kappa, x, corner[:, None], exponent)
     parts, units = [], []
     for _ in range(width):
@@ -282,12 +280,9 @@ def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bo
 
 
 def _check_outcomes(x_values) -> np.ndarray:
-    arr = _numeric_array(x_values, "biuf", "outcome values").astype(np.float64, copy=False)
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(_finite_reals(x_values, "outcome values"))
     if arr.ndim != 1:
         raise InvalidParameterError("outcome values must be scalar or 1-D")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError("outcome values must be finite")
     return arr
 
 
@@ -335,8 +330,7 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
 
 def _one_outcome(state: FockState, model: MeasurementModel, x_m) -> np.ndarray:
     """<n|P(x_m)|state> after the leak guard, for one scalar outcome x_m."""
-    if np.ndim(x_m) != 0:
-        raise InvalidParameterError(f"x_m must be a scalar outcome, got shape {np.shape(x_m)}")
+    x_m = _real(x_m, "x_m")
     _exact_joint(state, model)
     return measurement_amplitudes(state, model, x_m)[0]
 
@@ -373,21 +367,18 @@ def asymptotic_p1(delta_x: float, x_m) -> np.ndarray | float:
     (2 pi dx^2)^(-1/2) * x_m^2/(4 dx^2)^2 * exp(-x_m^2/(2 dx^2)); a double
     peak at x_m = +-sqrt(2) dx whose total area is 1/(16 dx^2).
     """
-    dx = _numeric_array(delta_x, "biuf", "delta_x")
-    if dx.ndim != 0 or not np.isfinite(dx) or dx <= 0:
-        raise InvalidParameterError(f"delta_x must be positive and finite, got {delta_x!r}")
-    delta_x = float(dx)
+    delta_x = _require_resolution(_real(delta_x, "delta_x", above=0.0))
     try:
         quartic = (4.0 * delta_x**2) ** 2
-    except OverflowError as exc:
-        raise InvalidParameterError(f"(4 dx^2)^2 overflows at delta_x {delta_x!r}") from exc
-    x = _numeric_array(x_m, "biuf", "x_m").astype(np.float64, copy=False)
-    val = (
-        (2.0 * np.pi * delta_x**2) ** -0.5
-        * x**2
-        / quartic
-        * np.exp(-(x**2) / (2.0 * delta_x**2))
-    )
+    except OverflowError:
+        quartic = math.inf
+    if not sys.float_info.min <= quartic < math.inf:
+        raise InvalidParameterError(f"(4 dx^2)^2 overflows or underflows at delta_x {delta_x!r}")
+    x = _finite_reals(x_m, "x_m")
+    with np.errstate(over="ignore", invalid="ignore"):  # x^2 / (4 dx^2)^2 where exp gives 0
+        gauss = np.exp(-(x**2) / (2.0 * delta_x**2))
+        val = (2.0 * np.pi * delta_x**2) ** -0.5 * x**2 / quartic * gauss
+    val = np.where(gauss == 0.0, 0.0, val)
     if np.ndim(x_m) == 0:
         return float(val)
     return val
@@ -409,10 +400,7 @@ def _audit_dims(model: MeasurementModel, dims) -> tuple[list[int], MeasurementMo
         raise InvalidParameterError(f"dims must be a list of dims, got {dims!r}") from exc
     if not dims:
         raise InvalidParameterError("no dim to audit")
-    for d in dims:
-        if not isinstance(d, (int, np.integer)) or not 2 <= d <= model.dim:
-            raise InvalidParameterError(f"audited dim {d!r} outside 2..{model.dim}")
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "audited dim", 2, model.dim) for d in dims]
     return dims, MeasurementModel(model.delta_x, max(dims))
 
 

@@ -75,7 +75,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, _gh_rule, _wavefunction_levels
+from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, _gh_rule, _integer, _real, _wavefunction_levels
 from .measurement import (
     MeasurementModel,
     _check_outcomes,
@@ -107,19 +107,11 @@ class SetupParams:
     dim: int = 40
 
     def __post_init__(self):
-        a = self.gain_a
-        if not isinstance(a, (int, float, np.floating)) or not np.isfinite(a) or a <= 1.0:
-            raise InvalidParameterError(
-                f"gain_a must be > 1 (the resolution diverges at a = 1), got {a!r}"
-            )
-        a = float(a)
+        a = _real(self.gain_a, "gain_a", above=1.0)
         object.__setattr__(self, "gain_a", a)
         # The delta_x property, with a * a so that a huge gain gives 0, not an OverflowError.
         _require_resolution(a / (2.0 * (a * a - 1.0)), f"gain_a {a!r}")
-        d = self.dim
-        if not isinstance(d, (int, np.integer)) or d < 2:
-            raise InvalidParameterError(f"dim must be an integer >= 2, got {d!r}")
-        object.__setattr__(self, "dim", int(d))
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
 
     @property
     def reflectivity(self) -> float:
@@ -207,7 +199,10 @@ class SetupCircuit:
         psi = signal_in.amplitudes
         top = _top_level(psi)
         nodes, weights = _scaled_rule(top + dim, 2.0 * self._gauss)
-        amps = self._point_map(psi, top, np.concatenate([raw, nodes]))
+        with np.errstate(over="ignore", invalid="ignore"):  # far out, exp(-inf) is 0
+            amps = self._point_map(psi, top, np.concatenate([raw, nodes]))
+        if not np.all(np.isfinite(amps)):
+            raise OutOfRangeError("the point map leaves the float range at these raw values")
         below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)
         occupation = float(np.vdot(psi, psi).real) - below @ weights
         if occupation > TRUNCATION_OCCUPATION_LIMIT:
@@ -224,6 +219,10 @@ class Calibration:
 
     scale: float
     residual: float
+
+    def __post_init__(self):
+        if _real(self.scale, "calibration scale") == 0.0:
+            raise InvalidParameterError("calibration scale must be nonzero")
 
 
 def calibrate_outcome_map(
