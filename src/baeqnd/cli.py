@@ -27,6 +27,14 @@ with exact Gauss-Hermite rules whose node counts follow from --dim and the
 input; povm-check's truncated-square rule takes 2 --dim nodes, so it audits
 dims up to fock.MAX_RULE_NODES // 2 = 700.
 
+Each command takes --dim within one range (_DIM_RANGE): up to 1,398 where
+the vacuum's outcome rule of --dim + 2 nodes bounds it, 8..700 for
+povm-check and up to 257 for setup-check, whose signal output is read on
+wavefunction levels up to fock.MAX_WAVEFUNCTION_LEVEL.  A --dim outside is
+refused with exit 2 before any work, and the exit-4 suggestion of a larger
+--dim never passes the range's top: at the top it says that no --dim the
+command takes holds the mass.
+
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened), 3 numeric
 precondition failure (degenerate conditioning, calibration mismatch),
@@ -55,7 +63,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_RULE_NODES, FockState, _integer, trusted_levels
+from .fock import MAX_RULE_NODES, MAX_WAVEFUNCTION_LEVEL, FockState, _integer, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
     MeasurementModel,
@@ -90,6 +98,23 @@ _COMMAND_FLAGS = {
     "setup-check": ("two-mode circuit vs measurement kernel equivalence", ("gain-a",)),
     "simulate": ("seeded Monte Carlo shots plus summary report",
                  ("delta-x", "shots", "record-limit")),
+}
+
+#: The vacuum's exact outcome rule takes --dim + 2 nodes, at most MAX_RULE_NODES.
+_RULE_DIMS = (2, MAX_RULE_NODES - 2, "its outcome rule of --dim + 2 nodes must stay within "
+              f"the {MAX_RULE_NODES}-node limit of double precision")
+
+#: Command -> (smallest, largest --dim it takes, why the largest).  A --dim
+#: outside is refused before any work, and an exit-4 suggestion never passes it.
+_DIM_RANGE = {
+    "distribution": _RULE_DIMS,
+    "jump-sweep": _RULE_DIMS,
+    "correlation": _RULE_DIMS,
+    "simulate": _RULE_DIMS,
+    "povm-check": (8, MAX_RULE_NODES // 2, "the truncated square's rule of 2 --dim nodes "
+                   f"must stay within the {MAX_RULE_NODES}-node limit"),
+    "setup-check": (2, MAX_WAVEFUNCTION_LEVEL + 1, "--dim {dim} needs signal-output levels "
+                    f"up to {{last}}, above the supported {MAX_WAVEFUNCTION_LEVEL}"),
 }
 
 _COMMANDS = {}
@@ -302,11 +327,6 @@ def _cmd_correlation(args):
 @_command("povm-check")
 def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
-    if not 8 <= args.dim <= MAX_RULE_NODES // 2:
-        # The truncated square integrates on a rule of 2 --dim nodes.
-        raise InvalidParameterError(
-            f"povm-check audits dims 8..{MAX_RULE_NODES // 2}, got --dim {args.dim}"
-        )
     model = MeasurementModel(delta_x, args.dim)
     dims = sorted({d for d in (args.dim - 16, args.dim - 8, args.dim) if d >= 8})
     # Exact-kernel defect is the audit; the truncated-square pair shows that
@@ -447,6 +467,24 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _check_dim(args) -> None:
+    low, high, why = _DIM_RANGE[args.command]
+    if not low <= args.dim <= high:
+        reason = f": {why.format(dim=args.dim, last=args.dim - 1)}" if args.dim > high else ""
+        raise InvalidParameterError(
+            f"{args.command} takes dims {low}..{high}, got --dim {args.dim}{reason}"
+        )
+
+
+def _dim_suggestion(args) -> str:
+    """Half as many levels again, up to the command's largest --dim."""
+    high = _DIM_RANGE[args.command][1]
+    larger = min(args.dim + args.dim // 2, high)
+    if larger > args.dim:
+        return f"suggestion: retry with --dim {larger}"
+    return f"no --dim that {args.command} takes, {high} at most, holds the mass"
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
@@ -457,11 +495,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_dim(args)
         payload, seed = _COMMANDS[args.command](args)
         _write_envelope(args, payload, seed)
     except TruncationOverflowError as exc:
-        print(f"error: {exc} (suggestion: retry with --dim {args.dim + args.dim // 2})",
-              file=sys.stderr)
+        print(f"error: {exc} ({_dim_suggestion(args)})", file=sys.stderr)
         return EXIT_TRUNCATION
     except (DegenerateConditioningError, SetupMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,8 +126,12 @@ class FockState:
     def number(cls, dim: int, n: int) -> "FockState":
         """The photon-number eigenstate |n> in a dim-dimensional space."""
         dim = _integer(dim, "dimension", 2, error=InvalidDimensionError)
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[_integer(n, "photon number", 0, dim - 1, OutOfRangeError)] = 1.0
+        n = _integer(n, "photon number", 0, dim - 1, OutOfRangeError)
+        try:
+            amps = np.zeros(dim, dtype=np.complex128)
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+            raise OutOfRangeError(f"dimension {dim} leaves no memory for its amplitudes") from exc
+        amps[n] = 1.0
         return cls(amps)
 
     def norm(self) -> float:

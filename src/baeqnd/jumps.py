@@ -20,14 +20,20 @@ shot table is byte-identical no matter how many workers execute the shards.
 
 run_experiment is the only sampler.  It evaluates the measurement kernel once
 per (state, model): the joint table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT
-nodes x_i.  Its row sums give the outcome CDF, which is inverted by linear
-interpolation to draw x_m.  The table is then kept as its cumulative sum over
-the photon number, and the shot's photon CDF is the same linear interpolation
-between the two cumulative rows around x_m.  The nodes are equally spaced, so
-the cell around x_m comes from the spacing, corrected by one comparison with
-each of its ends, with no search over the nodes.  The photon number is the
-first level whose interpolated CDF reaches the shot's uniform, found by
-bisection over the levels, so each shot costs O(log dim) and no kernel call.
+nodes x_i, kept level-major as the kernel writes it, shape (dim, nodes), and
+squared in place.  Each node's level sum (taken on C-ordered (node, level)
+copies of blocks of the table, whose row order fixes the rounding) gives the
+outcome CDF, which is inverted by linear interpolation to draw x_m.  The table
+then becomes its cumulative sum over the photon number, one vector add per
+level in place, and the shot's photon CDF is the same linear interpolation
+between the two cumulative columns around x_m, adjacent in memory.  The
+nodes are equally spaced, so the cell around x_m comes from the spacing,
+corrected by one comparison with each of its ends, with no search over the
+nodes.  The photon number is the first level whose interpolated CDF reaches
+the shot's uniform: 0 after one read where level 0 already does (most shots
+at wide dx), otherwise found by bisection over the levels, so each shot
+costs O(log dim) and no kernel call.  The table is the sampler's one array
+of nodes x dim entries.
 Over dx 0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated
 conditional photon CDF stays within 2e-5 of the exact one at x_m.
 
@@ -61,7 +67,7 @@ import numpy as np
 from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
 from .fock import FockState, _finite_reals, _integer, _numeric_array, _real, _x_action
 from .fock import require_normalized, x_second_moment
-from .measurement import MeasurementModel, _check_captured, _exact_joint, measurement_amplitudes
+from .measurement import MeasurementModel, _amplitude_levels, _check_captured, _chunks, _exact_joint
 
 #: Shots per random stream; fixed so that shard boundaries, and therefore the
 #: sampled shots, do not depend on how many workers run them.
@@ -123,6 +129,13 @@ class CorrelationReport:
     standard_errors: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("exact_c_integral", "operator_c", "jump_probability"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name in ("measured_c", "measured_covariance", "jump_fraction"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _integer(self.shots, "shots", 1))
         if any(_real(v, f"standard error of {k}") < 0 for k, v in self.standard_errors.items()):
             raise InvalidParameterError("standard errors must be nonnegative")
 
@@ -138,13 +151,23 @@ def sampling_span(state: FockState, model: MeasurementModel) -> float:
 def _sampling_table(state: FockState, model: MeasurementModel):
     """Sampling nodes xs, the outcome CDF on them and the photon CDF table.
 
-    Row i of the photon CDF table is the cumulative sum over n of the joint
-    density |<n|P(xs[i])|psi>|^2, unnormalised.
+    The photon CDF table is level-major, shape (dim, len(xs)): entry [k, i]
+    is the sum over n <= k of the joint density |<n|P(xs[i])|psi>|^2,
+    unnormalised.
     """
     span = sampling_span(state, model)
     xs = np.linspace(-span, span, SAMPLING_GRID_COUNT)
-    joint = np.abs(measurement_amplitudes(state, model, xs)) ** 2
-    density = joint.sum(axis=1)
+    joint = _amplitude_levels(state, model, xs)
+    if joint.dtype.kind == "f":
+        np.square(joint, out=joint)
+    else:
+        joint = np.abs(joint) ** 2
+    # Each node's density sums its levels as a C-ordered (node, level) row,
+    # the order measurement_amplitudes' rows are summed in elsewhere, so the
+    # outcome CDF does not depend on the table's layout.
+    density = np.empty(xs.size)
+    for sl in _chunks(xs.size, model.dim):
+        density[sl] = joint[:, sl].T.copy().sum(axis=1)
     increments = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(increments)))
     _check_captured(state, model, float(cdf[-1]))
@@ -152,40 +175,48 @@ def _sampling_table(state: FockState, model: MeasurementModel):
     # the tilt shifts probability by ~1e-12, far below sampling noise.
     cdf += np.arange(cdf.size) * 1e-16
     cdf /= cdf[-1]
-    return xs, cdf, np.cumsum(joint, axis=1, out=joint)
+    # One vector add per level, in place: the same sequential sums as a
+    # cumulative sum along each node's levels.
+    for n in range(1, model.dim):
+        joint[n] += joint[n - 1]
+    return xs, cdf, joint
 
 
 def _photon_draw(cum: np.ndarray, i: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Photon numbers drawn from the photon CDF table, one per shot.
+    """Photon numbers drawn from the level-major photon CDF table, one per shot.
 
-    Shot s reads the CDF F_s(k) = (1 - w_s) cum[i_s, k] + w_s cum[i_s + 1, k]
+    Shot s reads the CDF F_s(k) = (1 - w_s) cum[k, i_s] + w_s cum[k, i_s + 1]
     and draws the smallest level k with F_s(k) >= u_s F_s(dim - 1), that is
-    the count of levels with F_s(k) < u_s F_s(dim - 1).  Both rows are
-    nondecreasing and rounding is monotone, so F_s is nondecreasing and the
-    count is found by bisection: a branchless binary search over the levels,
-    about log2(dim) gathers per shot.
+    the count of levels with F_s(k) < u_s F_s(dim - 1).  Both columns are
+    nondecreasing and rounding is monotone, so F_s is nondecreasing: a shot
+    whose F_s(0) already reaches its target draws 0, and every other shot's
+    count is found by bisection, a branchless binary search over the levels,
+    about log2(dim) gathers of two adjacent entries per shot.
     """
-    dim = cum.shape[1]
+    dim, count = cum.shape
     flat = cum.reshape(-1)
-    below = i * dim
-    above = below + dim
+
+    def level_cdf(k, left, keep, w):
+        at = left + k * count
+        return keep * flat[at] + w * flat[at + 1]
+
     keep = 1.0 - w
-
-    def level_cdf(k):
-        return keep * flat[below + k] + w * flat[above + k]
-
-    totals = level_cdf(dim - 1)
+    totals = level_cdf(dim - 1, i, keep, w)
     if np.any(totals <= 0.0):
         raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
     target = u * totals
     n = np.zeros(i.shape, dtype=np.int64)
-    # Level dim - 1 holds the total, never below the target, so a probe
-    # clamped to it never advances the count.
-    step = 1 << (dim - 1).bit_length()
+    rest = np.flatnonzero(level_cdf(0, i, keep, w) < target)
+    i, keep, w, target = i[rest], keep[rest], w[rest], target[rest]
+    # Every other shot draws at least 1.  Level dim - 1 holds the total,
+    # never below the target, so a probe clamped to it never advances the count.
+    found = np.ones(rest.size, dtype=np.int64)
+    step = 1 << (dim - 2).bit_length()
     while step > 1:
         step >>= 1
-        probe = np.minimum(n + (step - 1), dim - 1)
-        n += step * (level_cdf(probe) < target)
+        probe = np.minimum(found + (step - 1), dim - 1)
+        found += step * (level_cdf(probe, i, keep, w) < target)
+    n[rest] = found
     return n
 
 

@@ -36,13 +36,18 @@ smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 columns 0..top only, top the state's last nonzero level, and contracts them
 with the state, at cost O(count dim (top + 1)).  Densities, conditional
 states, outcome_density_table (the squared amplitudes, one row per outcome),
-the sampler and the jump integrals all read it.  It fills a level-major
-(dim, count) buffer, level n as one contiguous row np.dot(rows, state) (a
-strided column of a (count, dim) array costs several times the recurrence),
-and returns one C-ordered (count, dim) copy of its transpose.  The result
-stays C-ordered because numpy sums the rows of a Fortran-ordered array in
-another order: a transposed view would round every density, and with it
-every sampled outcome and payload, differently.
+and the jump integrals read it, the sampler through _amplitude_levels.
+_amplitude_levels fills a level-major (dim, count) buffer, level n as one
+contiguous row np.dot(rows, state) (a strided column of a (count, dim) array
+costs several times the recurrence), and the sampler keeps that layout: its
+photon CDF is one vector add per level, in place, and a shot's draw reads
+two adjacent entries per level.  measurement_amplitudes returns one
+C-ordered (count, dim) copy of the buffer's transpose.  That C-row order now
+serves only the density sums: numpy sums the rows of a Fortran-ordered array
+in another order, so a transposed view would round every density, and with
+it every sampled outcome and payload, differently.  The sampler sums its
+nodes' levels on C-ordered (node, level) copies of blocks of its table for
+the same reason.
 
 Every entry of the kernel, of its square and of the squared amplitudes is a
 Gaussian times a polynomial in x_m, so every integral over the outcome has an
@@ -311,8 +316,11 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     return out
 
 
-def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) -> np.ndarray:
-    """Amplitudes <n|P(x)|state> for a batch of outcomes, shape (len(x), dim)."""
+def _amplitude_levels(state: FockState, model: MeasurementModel, x_values) -> np.ndarray:
+    """Amplitudes <n|P(x)|state> for a batch of outcomes, level-major: shape (dim, len(x)).
+
+    Real when the state's amplitudes are, complex otherwise.
+    """
     if state.dim != model.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
     x = _check_outcomes(x_values)
@@ -325,7 +333,12 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     for sl in _chunks(x.size, top + 1):
         for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
             levels[n, sl] = np.dot(row, source)
-    return np.ascontiguousarray(levels.T)
+    return levels
+
+
+def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) -> np.ndarray:
+    """Amplitudes <n|P(x)|state> for a batch of outcomes, shape (len(x), dim), C-ordered."""
+    return np.ascontiguousarray(_amplitude_levels(state, model, x_values).T)
 
 
 def _one_outcome(state: FockState, model: MeasurementModel, x_m) -> np.ndarray:

@@ -25,7 +25,11 @@ amplitudes_column_fill is measurement_amplitudes' row-major fill, one
 strided column per ladder row, kept as the reference for its level-major fill.
 photon_draw_interpolated is the O(dim) photon draw the sampler used before
 its bisection on the cumulative table, kept as the reference for that
-bisection.  rowform_payload_texts is the envelope writer's row-by-row route
+bisection.  sampler_reference is run_experiment's earlier route, a
+(count, dim) joint table from measurement_amplitudes, its cumulative sum
+along each row, the cell found by search and bisection over the levels for
+every shot, kept as the byte-for-byte reference for the sampler that reads
+the kernel's level-major rows.  rowform_payload_texts is the envelope writer's row-by-row route
 (one json dump of the row payload, then one formatting call per CSV cell),
 the reference for the writer that formats each row once from the columns.
 SpongeCircuit is the circuit route the library used before its Gaussian Fock
@@ -54,11 +58,13 @@ from baeqnd.errors import (
     TruncationOverflowError,
 )
 from baeqnd.fock import FockState, trusted_levels, wavefunction_table
+from baeqnd.jumps import SAMPLING_GRID_COUNT, SHARD_SIZE, sampling_span
 from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
     MeasurementModel,
     _kernel_rows,
     _top_level,
+    measurement_amplitudes,
     operator_batch,
 )
 
@@ -462,6 +468,57 @@ def photon_draw_interpolated(joint, i, w, u) -> np.ndarray:
     if np.any(totals <= 0.0):
         raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
     return np.sum(cum < (u * totals)[:, None], axis=1)
+
+
+def sampler_reference(state, model, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x_m, photon_n) of shots drawn on a (count, dim) joint table, shard after shard.
+
+    The joint |<n|P(x_i)|state>|^2 on SAMPLING_GRID_COUNT nodes over
+    +-sampling_span is summed along its rows into the outcome density, whose
+    trapezoid CDF (tilted by 1e-16 per node, then normalised) is inverted by
+    np.interp.  Shard s draws its outcome uniforms and then its photon
+    uniforms from default_rng([seed, s]); each shot's cell comes from
+    np.searchsorted, and its photon number is the count of levels whose
+    interpolated row cumsum stays below u times the row total, found by
+    bisection for every shot.  Raises TruncationOverflowError when the
+    trapezoid mass falls short of the squared norm by more than
+    TRUNCATION_OCCUPATION_LIMIT.
+    """
+    span = sampling_span(state, model)
+    xs = np.linspace(-span, span, SAMPLING_GRID_COUNT)
+    joint = np.abs(measurement_amplitudes(state, model, xs)) ** 2
+    density = joint.sum(axis=1)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))))
+    leaked = state.norm() ** 2 - cdf[-1]
+    if leaked > TRUNCATION_OCCUPATION_LIMIT:
+        raise TruncationOverflowError(f"the sampling table misses mass {leaked:.3e}")
+    cdf += np.arange(cdf.size) * 1e-16
+    cdf /= cdf[-1]
+    cum = np.cumsum(joint, axis=1)
+    dim = model.dim
+    x_parts, n_parts = [], []
+    for start in range(0, shots, SHARD_SIZE):
+        rng = np.random.default_rng([seed, start // SHARD_SIZE])
+        count = min(SHARD_SIZE, shots - start)
+        x = np.interp(rng.random(count), cdf, xs)
+        u = rng.random(count)
+        i = np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
+        w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+
+        def row_cdf(k):
+            return (1.0 - w) * cum[i, k] + w * cum[i + 1, k]
+
+        totals = row_cdf(dim - 1)
+        if np.any(totals <= 0.0):
+            raise DegenerateConditioningError("sampled an outcome with zero conditional weight")
+        n = np.zeros(count, dtype=np.int64)
+        step = 1 << (dim - 1).bit_length()
+        while step > 1:
+            step >>= 1
+            n += step * (row_cdf(np.minimum(n + (step - 1), dim - 1)) < u * totals)
+        x_parts.append(x)
+        n_parts.append(n)
+    return np.concatenate(x_parts), np.concatenate(n_parts)
 
 
 def rowform_payload_texts(payload: dict) -> tuple[str, str]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from baeqnd import __version__, cli, measurement, setup_model
 from baeqnd.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_TRUNCATION, main
+from baeqnd.errors import InvalidParameterError
 
 from oracles import rowform_payload_texts, swapped_arms
 
@@ -701,6 +702,59 @@ class TestExtremeResolution:
         (row,) = read_envelope(out)["payload"]["table"]["rows"]
         assert row[1] == pytest.approx(6.25e-202, rel=1e-13)
         assert row[3] == pytest.approx(1.0, rel=1e-13)
+
+
+class TestDimCaps:
+    @pytest.mark.parametrize("argv", [
+        ["distribution", "--delta-x", "1"],
+        ["jump-sweep", "--delta-x", "1"],
+        ["correlation", "--delta-x", "1"],
+        ["simulate", "--delta-x", "1", "--shots", "10", "--seed", "1"],
+        ["povm-check", "--delta-x", "1"],
+        ["setup-check", "--gain-a", "1.5"],
+    ])
+    def test_dim_past_memory_is_config_error(self, tmp_path, capsys, argv):
+        # The four kernel commands allocated the state first and ended in a
+        # bare MemoryError traceback.
+        out = tmp_path / "out.json"
+        assert main([*argv, "--dim", "1000000000000", "--out", str(out)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "got --dim 1000000000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, high", [
+        ("distribution", 1398), ("jump-sweep", 1398), ("correlation", 1398),
+        ("simulate", 1398), ("povm-check", 700), ("setup-check", 257),
+    ])
+    def test_one_cap_refuses_and_bounds_the_suggestion(self, command, high):
+        # The suggestion used to be --dim * 3 / 2 whatever the command took.
+        assert cli._DIM_RANGE[command][1] == high
+        for dim, suggested in ((high - 1, f"--dim {high}"), (high, "no --dim")):
+            args = cli._build_parser()[0].parse_args(
+                [command, "--delta-x" if command != "setup-check" else "--gain-a", "2",
+                 "--dim", str(dim), "--out", "unused.json"])
+            cli._check_dim(args)
+            assert suggested in cli._dim_suggestion(args)
+        args.dim = high + 1
+        with pytest.raises(InvalidParameterError, match=re.escape(f"{high}, got --dim {high + 1}")):
+            cli._check_dim(args)
+
+    def test_setup_check_suggests_no_dim_it_refuses(self, tmp_path, capsys):
+        # The kernel leaks 3.7e-6 at gain 7, dim 257; the suggested --dim 385
+        # exited 2.
+        out = tmp_path / "setup.json"
+        assert main(["setup-check", "--gain-a", "7", "--dim", "257",
+                     "--out", str(out)]) == EXIT_TRUNCATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "retry with" not in err and "257 at most" in err
+
+    def test_correlation_suggests_its_largest_dim(self, tmp_path, capsys):
+        # --dim 1500 needs a rule of 1502 nodes and exits 2.
+        out = tmp_path / "corr.json"
+        assert main(["correlation", "--delta-x", "0.02", "--dim", "1000",
+                     "--out", str(out)]) == EXIT_TRUNCATION
+        assert not out.exists()
+        assert "retry with --dim 1398)" in capsys.readouterr().err
 
 
 def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:

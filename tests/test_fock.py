@@ -221,6 +221,15 @@ class TestStateAndOperator:
         with pytest.raises(InvalidDimensionError):
             FockState.number(1, 0)
 
+    @pytest.mark.parametrize("dim", [10**13, 2**62, 2**70])
+    def test_dim_past_memory_is_out_of_range(self, dim):
+        # A bare MemoryError or ValueError from numpy.  10**13 amplitudes
+        # (160 TB) pass any 47-bit address space, so nothing is allocated.
+        with pytest.raises(OutOfRangeError, match="no memory"):
+            FockState.vacuum(dim)
+        with pytest.raises(OutOfRangeError, match="no memory"):
+            FockState.number(dim, 1)
+
     def test_trusted_levels(self):
         assert trusted_levels(16) == 12
         assert trusted_levels(40) == 30

@@ -67,6 +67,9 @@ SITES = {
     "run_experiment threads": ("int", lambda v: run_experiment(VAC8, MODEL8, 5, 3, threads=v)),
     "ShotTable x_m": ("real", lambda v: ShotTable([v], [1])),
     "ShotTable photon_n": ("int_array", lambda v: ShotTable([0.5], [v])),
+    "CorrelationReport exact_c_integral": ("real", lambda v: CorrelationReport(v, 0.125, 0.01)),
+    "CorrelationReport operator_c": ("real", lambda v: CorrelationReport(0.1, v, 0.01)),
+    "CorrelationReport jump_probability": ("real", lambda v: CorrelationReport(0.1, 0.125, v)),
     "CorrelationReport standard error": (
         "real", lambda v: CorrelationReport(0.1, 0.125, 0.01, standard_errors={"measured_c": v})),
     "SetupParams gain_a": ("real", lambda v: SetupParams(v, 8)),
@@ -215,6 +218,33 @@ class TestNonRealInputs:
         # NaN passed, since nan < 0 is false.
         with pytest.raises(InvalidParameterError):
             CorrelationReport(0.1, 0.125, 0.01, standard_errors={"measured_c": error})
+
+    def test_report_fields(self):
+        # The report took text, None and a list as its exact fields and any
+        # shot count; the JSON writer refused them only later.
+        with pytest.raises(InvalidParameterError):
+            CorrelationReport("a", None, [1.0], shots="many")
+        with pytest.raises(InvalidParameterError, match="shots"):
+            CorrelationReport(0.1, 0.125, 0.01, shots="many")
+
+    @pytest.mark.parametrize("field", ["measured_c", "measured_covariance", "jump_fraction"])
+    @pytest.mark.parametrize("value", ["0.1", [0.1], np.nan, -np.inf, 1 + 1j, True])
+    def test_report_sampled_fields(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            CorrelationReport(0.1, 0.125, 0.01, shots=10, **{field: value})
+
+    @pytest.mark.parametrize("shots", [0, -1, 2.0, True, "many", [10]])
+    def test_report_shots(self, shots):
+        with pytest.raises(InvalidParameterError, match="shots"):
+            CorrelationReport(0.1, 0.125, 0.01, shots=shots)
+
+    def test_report_reads_numpy_numbers_as_plain(self):
+        sampled = {"measured_c": np.float64(0.1), "measured_covariance": np.array(0.2),
+                   "jump_fraction": np.int64(0)}
+        report = CorrelationReport(np.float32(0.5), np.int64(0), 0.01, np.int64(10), **sampled)
+        assert report == CorrelationReport(0.5, 0.0, 0.01, 10, 0.1, 0.2, 0.0)
+        assert type(report.shots) is int and type(report.operator_c) is float
+        assert CorrelationReport(0.1, 0.125, 0.01).measured_c is None
 
     @pytest.mark.parametrize("scale", [0.0, np.nan, "x", None, [1.0]])
     def test_calibration_scale(self, scale):

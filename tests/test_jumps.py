@@ -37,14 +37,15 @@ from oracles import (
     p1_asymptotic,
     photon_draw_interpolated,
     quadrature_x,
+    sampler_reference,
     trapezoid_grid,
     trapezoid_jump_integrals,
 )
 
 
 def _draw_from_row(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The sampler's photon draw on a table whose two rows both hold probs."""
-    cum = np.cumsum(np.tile(probs, (2, 1)), axis=1)
+    """The sampler's photon draw on a level-major table whose two nodes both hold probs."""
+    cum = np.tile(np.cumsum(probs)[:, None], (1, 2))
     w = np.random.default_rng(0).random(u.size)
     return jumps._photon_draw(cum, np.zeros(u.size, dtype=np.intp), w, u)
 
@@ -215,7 +216,8 @@ class TestTabulatedPhotonDraw:
         # default_rng().random() draws multiples of 2**-53 in [0, 1 - 2**-53].
         k = st.one_of(st.integers(0, 4), st.integers(2**53 - 5, 2**53 - 1), st.integers(0, 2**53 - 1))
         u = data.draw(arrays(np.int64, shots, elements=k), label="k") * 2.0**-53
-        cum = np.cumsum(joint, axis=1)
+        # The sampler's table is level-major: level k of node i is cum[k, i].
+        cum = np.ascontiguousarray(np.cumsum(joint, axis=1).T)
         try:
             expected = photon_draw_interpolated(joint, i, w, u)
         except DegenerateConditioningError:
@@ -242,16 +244,54 @@ class TestTabulatedPhotonDraw:
     def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):
         # The sampling table is the sampler's only kernel evaluation.
         rows = []
-        kernel = jumps.measurement_amplitudes
+        kernel = jumps._amplitude_levels
 
         def counting(state, model, x_values):
             rows.append(np.size(x_values))
             return kernel(state, model, x_values)
 
-        monkeypatch.setattr(jumps, "measurement_amplitudes", counting)
+        monkeypatch.setattr(jumps, "_amplitude_levels", counting)
         run_experiment(FockState.vacuum(8), MeasurementModel(5.0, 8), shots, seed=1,
                        threads=threads)
         assert sum(rows) == SAMPLING_GRID_COUNT
+
+
+def _sampler_input(kind: str, dim: int, seed: int) -> FockState:
+    if kind == "superposition":
+        amps = np.zeros(dim, dtype=np.complex128)
+        amps[:4] = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, 4))
+        return FockState(amps).normalize()
+    return FockState.number(dim, int(kind == "one-photon"))
+
+
+class TestSamplerReference:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.15, 20.0), dim=st.sampled_from([8, 16, 32, 64, 96]),
+           kind=st.sampled_from(["vacuum", "one-photon", "superposition"]),
+           seed=st.integers(0, 2**16))
+    def test_shots_equal_the_reference_or_both_raise(self, dx, dim, kind, seed):
+        # Oracle: the (count, dim) joint, its row cumsum and bisection for every shot.
+        state = _sampler_input(kind, dim, seed)
+        model = MeasurementModel(dx, dim)
+        try:
+            x_m, photon_n = sampler_reference(state, model, 3000, seed)
+        except TruncationOverflowError:
+            with pytest.raises(TruncationOverflowError):
+                run_experiment(state, model, 3000, seed)
+            return
+        shots = run_experiment(state, model, 3000, seed)
+        assert shots.x_m.tobytes() == x_m.tobytes()
+        assert shots.photon_n.tobytes() == photon_n.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shards_equal_the_reference(self, threads):
+        state = _sampler_input("superposition", 32, 11)
+        model = MeasurementModel(0.4, 32)
+        shots = run_experiment(state, model, SHARD_SIZE + 2000, 17, threads=threads)
+        x_m, photon_n = sampler_reference(state, model, SHARD_SIZE + 2000, 17)
+        assert shots.x_m.tobytes() == x_m.tobytes()
+        assert shots.photon_n.tobytes() == photon_n.tobytes()
+        assert np.any(photon_n > 1)
 
 
 class TestJumpProbability:
