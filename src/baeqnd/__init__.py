@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (
     BaeQndError,

@@ -23,17 +23,20 @@ per (state, model): the joint table |<n|P(x_i)|psi>|^2 on SAMPLING_GRID_COUNT
 nodes x_i, kept level-major as the kernel writes it, shape (dim, nodes), and
 squared in place.  Each node's level sum (taken on C-ordered (node, level)
 copies of blocks of the table, whose row order fixes the rounding) gives the
-outcome CDF, which is inverted by linear interpolation to draw x_m.  The table
-then becomes its cumulative sum over the photon number, one vector add per
-level in place, and the shot's photon CDF is the same linear interpolation
-between the two cumulative columns around x_m, adjacent in memory.  The
-nodes are equally spaced, so the cell around x_m comes from the spacing,
-corrected by one comparison with each of its ends, with no search over the
-nodes.  The photon number is the first level whose interpolated CDF reaches
-the shot's uniform: 0 after one read where level 0 already does (most shots
-at wide dx), otherwise found by bisection over the levels, so each shot
-costs O(log dim) and no kernel call.  The table is the sampler's one array
-of nodes x dim entries.
+outcome CDF, which is inverted by linear interpolation to draw x_m, bit for
+bit as np.interp(u, cdf, xs) would.  The cell of the CDF holding a shot's
+uniform u comes from a guide table (Chen & Asau, AIIE Transactions 6 (1974)
+163), built once per table: one read at u's bucket, kept where the cell's two
+CDF values bracket u, and a binary search only for the shots where they do
+not.  The table then becomes its cumulative sum over the photon number, one
+vector add per level in place, and the shot's photon CDF is the same linear
+interpolation between the two cumulative columns around x_m, adjacent in
+memory.  x_m lies in the node cell of u's CDF cell, or an ulp past its end,
+which one comparison with each end of the cell corrects.  The photon number
+is the first level whose interpolated CDF reaches the shot's uniform: 0 after
+one read where level 0 already does (most shots at wide dx), otherwise found
+by bisection over the levels, so each shot costs O(log dim) and no kernel
+call.  The table is the sampler's one array of nodes x dim entries.
 Over dx 0.1-20, dim 8-96 and vacuum or one-photon inputs the interpolated
 conditional photon CDF stays within 2e-5 of the exact one at x_m.
 
@@ -54,7 +57,11 @@ TruncationOverflowError when that lost probability exceeds
 TRUNCATION_OCCUPATION_LIMIT (the photon draw normalises each shot's
 probabilities and would hide it).  The sampler and the statistics refuse an
 input whose squared norm is more than 1e-12 away from 1: its exact
-probabilities would come out scaled by it, and its samples would not.
+probabilities would come out scaled by it, and its samples would not.  At
+wide dx the joint density off the baseline photon number falls as dx^-3; the
+deterministic integrals raise OutOfRangeError where its peak leaves the
+normal float range (dx ~ 9.4e101 for the vacuum), where they would lose
+digits and then read 0.
 """
 
 from __future__ import annotations
@@ -64,7 +71,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConditioningError, DimensionMismatchError, InvalidParameterError
+from .errors import (
+    DegenerateConditioningError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    OutOfRangeError,
+)
 from .fock import FockState, _finite_reals, _integer, _numeric_array, _real, _x_action
 from .fock import require_normalized, x_second_moment
 from .measurement import MeasurementModel, _amplitude_levels, _check_captured, _chunks, _exact_joint
@@ -220,26 +232,60 @@ def _photon_draw(cum: np.ndarray, i: np.ndarray, w: np.ndarray, u: np.ndarray) -
     return n
 
 
-def _cell(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Index of the cell [xs[i], xs[i + 1]) of the uniform grid xs holding each x.
+def _outcome_guide(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of the outcome CDF: entry b is the last cell j with cdf[j] <= b / M.
 
-    The same index as np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2),
-    without the search: the spacing gives the cell up to rounding, which can
-    put it one off, and one comparison with each of its ends corrects that.
+    M = cdf.size - 1 buckets, cells j = 0..cdf.size - 2 (Chen & Asau, AIIE
+    Transactions 6 (1974) 163), from one search of the sorted bucket edges: a
+    counting pass over the nodes (bincount of ceil(cdf M)) is faster, but
+    its counts array raised simulate's peak RSS.
     """
-    last = xs.size - 2
-    guess = np.clip((x - xs[0]) * ((last + 1) / (xs[-1] - xs[0])), 0, last).astype(np.intp)
+    buckets = cdf.size - 1
+    guide = np.searchsorted(cdf[:-1], np.arange(buckets + 1) / buckets, "right")
+    guide -= 1
+    return guide
+
+
+def _outcome_draw(xs, cdf, slopes, guide, u):
+    """(x, j): outcomes x = np.interp(u, cdf, xs) bit for bit, and their CDF cells j.
+
+    The guide's bucket of u gives a guessed cell; a shot keeps it where
+    cdf[j] <= u < cdf[j + 1], and the others find theirs by searchsorted, so j
+    is the cell np.interp finds, whatever the guide holds.  x is the
+    expression np.interp evaluates in that cell: slopes[j] (u - cdf[j]) + xs[j],
+    or xs[j] where u == cdf[j].
+    """
+    j = guide[(u * (guide.size - 1)).astype(np.intp)]
+    below = cdf[j]
+    miss = np.flatnonzero((u < below) | (u >= cdf[j + 1]))
+    if miss.size:
+        j[miss] = np.searchsorted(cdf, u[miss], "right") - 1
+        below[miss] = cdf[j[miss]]
+    offset = u - below
+    at_node = xs[j]
+    x = slopes[j] * offset + at_node
+    np.copyto(x, at_node, where=offset == 0.0)
+    return x, j
+
+
+def _cell(xs: np.ndarray, x: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Index of the cell [xs[i], xs[i + 1]) of the nodes xs holding each x.
+
+    The same index as np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
+    for a guess in 0..xs.size - 2 that is off by at most one: one comparison
+    with each end of the guessed cell corrects it.
+    """
     i = guess - (xs[guess] > x) + (xs[guess + 1] <= x)
-    return np.clip(i, 0, last)
+    return np.clip(i, 0, xs.size - 2)
 
 
-def _run_shard(xs, cdf, cum, seed, stream_id, count):
+def _run_shard(xs, cdf, slopes, guide, cum, seed, stream_id, count):
     rng = np.random.default_rng([seed, stream_id])
-    u_x = rng.random(count)
-    x = np.interp(u_x, cdf, xs)
+    x, j = _outcome_draw(xs, cdf, slopes, guide, rng.random(count))
     u_n = rng.random(count)
-    i = _cell(xs, x)
-    # Rounding in np.interp can leave x an ulp outside its cell: keep 0 <= w <= 1.
+    # x lies in the node cell j up to rounding, which can push it an ulp into
+    # the next cell; the guessed cell absorbs that, and w stays in [0, 1].
+    i = _cell(xs, x, j)
     w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
     return x, _photon_draw(cum, i, w, u_n)
 
@@ -263,10 +309,15 @@ def run_experiment(
     threads = _integer(threads, "threads", 1)
     require_normalized(state)
     xs, cdf, cum = _sampling_table(state, model)
+    # np.interp's slopes and the guide, once per table.  Where the tilt is
+    # absorbed the CDF is flat and its slope infinite; no u falls in such a cell.
+    with np.errstate(divide="ignore"):
+        slopes = np.diff(xs) / np.diff(cdf)
+    guide = _outcome_guide(cdf)
 
     def work(start):
         count = min(SHARD_SIZE, shots - start)
-        return _run_shard(xs, cdf, cum, seed, start // SHARD_SIZE, count)
+        return _run_shard(xs, cdf, slopes, guide, cum, seed, start // SHARD_SIZE, count)
 
     starts = range(0, shots, SHARD_SIZE)
     if threads > 1 and len(starts) > 1:
@@ -282,13 +333,6 @@ def _baseline_photon(state: FockState) -> int:
     return int(np.argmax(state.probabilities()))
 
 
-def _off_baseline_mass(probs: np.ndarray, weights: np.ndarray, baseline_n: int) -> float:
-    # Summed over the other columns, not the row total minus the baseline:
-    # that difference cancels when the jump is rare (wide dx).
-    off = probs[:, :baseline_n].sum(axis=1) + probs[:, baseline_n + 1 :].sum(axis=1)
-    return float(off @ weights)
-
-
 def _require_finite(delta_x: float, *values: float) -> None:
     # x_m^2 - dx^2 leaves float64 near the top of the accepted resolution range.
     if not np.all(np.isfinite(values)):
@@ -298,14 +342,36 @@ def _require_finite(delta_x: float, *values: float) -> None:
         )
 
 
-def _correlation_integral(
-    probs: np.ndarray, nodes: np.ndarray, weights: np.ndarray, delta_x: float
-) -> float:
-    weighted = probs @ np.arange(probs.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float((weighted * (nodes**2 - delta_x**2)) @ weights)
-    _require_finite(delta_x, value)
-    return value
+def _exact_integrals(state: FockState, model: MeasurementModel, correlation: bool = True):
+    """(correlation integral, jump probability) on the exact outcome rule.
+
+    The correlation integral is None when not asked for.  Off the baseline
+    the joint density falls as dx^-3 (the vacuum's peaks at about
+    0.018 dx^-3); where it leaves the normal float range, from dx ~ 9.4e101
+    for the vacuum, both integrals lose digits and then read 0, so that
+    raises OutOfRangeError.
+    """
+    require_normalized(state)
+    nodes, weights, probs = _exact_joint(state, model)
+    value = None
+    # The correlation first: where x_m^2 - dx^2 overflows, that is the error.
+    if correlation:
+        weighted = probs @ np.arange(probs.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float((weighted * (nodes**2 - model.delta_x**2)) @ weights)
+        _require_finite(model.delta_x, value)
+    baseline = _baseline_photon(state)
+    # Summed over the other columns, not the row total minus the baseline:
+    # that difference cancels when the jump is rare (wide dx).
+    off = probs[:, :baseline].sum(axis=1) + probs[:, baseline + 1 :].sum(axis=1)
+    peak = off.max()
+    if peak < np.finfo(np.float64).tiny:
+        raise OutOfRangeError(
+            f"the exact jump integrals underflow at delta_x {model.delta_x!r}: the joint "
+            f"density off photon number {baseline} peaks at {peak:.3g}, below the normal "
+            "float range"
+        )
+    return value, float(off @ weights)
 
 
 def jump_probability(state: FockState, model: MeasurementModel) -> float:
@@ -314,9 +380,7 @@ def jump_probability(state: FockState, model: MeasurementModel) -> float:
     The baseline is the input's most probable photon number (0 for vacuum,
     so this is the total weight of all n >= 1 columns).
     """
-    require_normalized(state)
-    _, weights, probs = _exact_joint(state, model)
-    return _off_baseline_mass(probs, weights, _baseline_photon(state))
+    return _exact_integrals(state, model, correlation=False)[1]
 
 
 def measured_correlation(state: FockState, model: MeasurementModel) -> float:
@@ -329,9 +393,7 @@ def measured_correlation(state: FockState, model: MeasurementModel) -> float:
     it does not tend to operator_correlation (0.8755 against 0.125 for
     number(48, 1) at dx 10).
     """
-    require_normalized(state)
-    nodes, weights, probs = _exact_joint(state, model)
-    return _correlation_integral(probs, nodes, weights, model.delta_x)
+    return _exact_integrals(state, model)[0]
 
 
 def operator_correlation(state: FockState) -> float:
@@ -405,10 +467,9 @@ def exact_report(state: FockState, model: MeasurementModel) -> CorrelationReport
 
 
 def _exact_report_fields(state, model) -> dict:
-    require_normalized(state)
-    nodes, weights, probs = _exact_joint(state, model)
+    correlation, jump = _exact_integrals(state, model)
     return {
-        "exact_c_integral": _correlation_integral(probs, nodes, weights, model.delta_x),
+        "exact_c_integral": correlation,
         "operator_c": operator_correlation(state),
-        "jump_probability": _off_baseline_mass(probs, weights, _baseline_photon(state)),
+        "jump_probability": jump,
     }

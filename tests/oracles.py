@@ -218,14 +218,13 @@ def correlation_exact(delta_x: float) -> float:
     displaced squeezed state with center k x_m/(1+k) and squeezed width
     1/(4(1+k)), so sum_n n P_n(x_m) = P(x_m) (x_c^2 + k^2/(4(1+k))).
     Integrating against the outcome density moments (E x^2 = V,
-    E x^4 = 3 V^2 with V = dx^2 + 1/4) gives the value below; it tends to
-    1/8 as dx grows.
+    E x^4 = 3 V^2 with V = dx^2 + 1/4) gives the displacement term
+    k^2 V (2 dx^2 + 3/4) / (1 + k)^2 = (2 + 3k) / (16 (1 + k)) and the
+    squeeze term k^2 / (16 (1 + k)), whose sum is (2 + k) / 16 =
+    1/8 + 1/(64 dx^2); it tends to 1/8 as dx grows.  In that form no
+    intermediate underflows, up to the widest accepted dx.
     """
-    k = 1.0 / (4.0 * delta_x**2)
-    v = delta_x**2 + 0.25
-    term_displacement = k**2 * v * (2.0 * delta_x**2 + 0.75) / (1.0 + k) ** 2
-    term_squeeze = (k**2 / (4.0 * (1.0 + k))) * 0.25
-    return term_displacement + term_squeeze
+    return 0.125 + 1.0 / (64.0 * delta_x**2)
 
 
 def beam_splitter_dense(reflectivity: float, dims: tuple[int, int]) -> np.ndarray:

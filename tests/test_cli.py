@@ -703,6 +703,20 @@ class TestExtremeResolution:
         assert row[1] == pytest.approx(6.25e-202, rel=1e-13)
         assert row[3] == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.parametrize("argv", [
+        ["jump-sweep", "--delta-x", "1e150"],
+        ["jump-sweep", "--delta-x", "1e110"],
+        ["correlation", "--delta-x", "1e110"],
+        ["correlation", "--delta-x", "1e110", "--shots", "100", "--seed", "1"],
+    ])
+    def test_underflowing_jump_density_is_config_error(self, tmp_path, capsys, argv):
+        # jump-sweep --delta-x 1e150 wrote ratio 0.0: past dx ~ 9.4e101 the
+        # vacuum's joint density off n = 0 is subnormal, and the integrals read 0.
+        out = tmp_path / "out.json"
+        assert main([*argv, "--dim", "8", "--out", str(out)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "underflow" in capsys.readouterr().err
+
 
 class TestDimCaps:
     @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from baeqnd.errors import (
     DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
+    OutOfRangeError,
     TruncationOverflowError,
 )
 from baeqnd.fock import FockState, x_second_moment
@@ -231,14 +232,18 @@ class TestTabulatedPhotonDraw:
            count=st.sampled_from([2, 3, 17, 1000, SAMPLING_GRID_COUNT]), data=st.data())
     def test_cell_lookup_equals_the_search(self, span, centre, count, data):
         # Every node, both float neighbours of each, points beyond both ends
-        # and points drawn inside the grid find the cell the search finds.
+        # and points drawn inside the grid find the cell the search finds,
+        # from a guessed cell that is off by at most one.
         xs = np.linspace(centre * span - span, centre * span + span, count)
         inside = data.draw(arrays(np.float64, 50, elements=st.floats(0.0, 1.0)), label="inside")
         x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
                             xs[0] + inside * (xs[-1] - xs[0]),
                             [xs[0] - span, xs[-1] + span]])
         expected = np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
-        np.testing.assert_array_equal(jumps._cell(xs, x), expected)
+        slip = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="slip")).integers(
+            -1, 2, x.size)
+        guess = np.clip(expected + slip, 0, xs.size - 2)
+        np.testing.assert_array_equal(jumps._cell(xs, x, guess), expected)
 
     @pytest.mark.parametrize("shots, threads", [(1000, 1), (120_000, 1), (120_000, 2)])
     def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):
@@ -254,6 +259,69 @@ class TestTabulatedPhotonDraw:
         run_experiment(FockState.vacuum(8), MeasurementModel(5.0, 8), shots, seed=1,
                        threads=threads)
         assert sum(rows) == SAMPLING_GRID_COUNT
+
+
+def _tilted_cdf(mass: np.ndarray) -> np.ndarray:
+    """The sampler's outcome CDF of per-cell masses: tilted by 1e-16 per node, then normalised."""
+    cdf = np.concatenate(([0.0], np.cumsum(mass)))
+    cdf += np.arange(cdf.size) * 1e-16
+    cdf /= cdf[-1]
+    return cdf
+
+
+class TestGuidedOutcomeDraw:
+    """The guide-table draw gives np.interp's outcomes and searchsorted's cells, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(nodes=st.sampled_from([2, 3, 17, 1000, SAMPLING_GRID_COUNT]),
+           decades=st.floats(0.0, 300.0), empty=st.sampled_from([0.0, 0.3, 0.9]),
+           tail=st.floats(0.0, 1.0), span=st.floats(-300.0, 250.0),
+           fewer_shots=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_draw_equals_interp(self, nodes, decades, empty, tail, span, fewer_shots, seed):
+        rng = np.random.default_rng(seed)
+        # Cell masses from 1 down to 10**-decades, some cells empty, and a
+        # right tail without mass, where only the tilt is left: it is
+        # absorbed near 1 into flat runs of the CDF.  Spans from 1e-300 to
+        # 1e250 give slopes from tiny to huge.
+        mass = 10.0 ** (-decades * rng.random(nodes - 1))
+        mass[rng.random(nodes - 1) < empty] = 0.0
+        mass[int((1.0 - tail) * (nodes - 1)):] = 0.0
+        cdf = _tilted_cdf(mass)
+        xs = np.linspace(-(10.0**span), 10.0**span, nodes)
+        with np.errstate(divide="ignore"):
+            slopes = np.diff(xs) / np.diff(cdf)
+        guide = jumps._outcome_guide(cdf)
+        # default_rng().random() draws multiples of 2**-53 in [0, 1 - 2**-53];
+        # add u = 0, every bucket edge b / M, every CDF node below 1 and its
+        # float neighbours, and the largest draw.
+        buckets = np.arange(nodes - 1) / (nodes - 1)
+        inside = cdf[cdf < 1.0]
+        special = np.concatenate([[0.0, 1.0 - 2.0**-53], buckets, inside,
+                                  np.nextafter(inside, 0.0), np.nextafter(inside, 1.0)])
+        special = rng.permutation(special[special < 1.0])
+        # np.interp precomputes its slopes only for at least as many shots as nodes.
+        shots = nodes - 1 if fewer_shots else nodes + 100
+        u = np.concatenate([special, rng.random(max(0, shots - special.size))])[:shots]
+        expected_x = np.interp(u, cdf, xs)
+        expected_j = np.searchsorted(cdf, u, "right") - 1
+        # The guide shifted by one bucket either way is wrong nearly
+        # everywhere; the fallback search alone then gives the same bytes.
+        for table in (guide, np.append(guide[1:], guide[-1]), np.insert(guide[:-1], 0, guide[0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x, j = jumps._outcome_draw(xs, cdf, slopes, table, u)
+            assert x.tobytes() == expected_x.tobytes()
+            np.testing.assert_array_equal(j, expected_j)
+
+    def test_shot_on_a_node_takes_the_node_value(self):
+        # A u equal to a CDF node gets that node's outcome as it is, as in
+        # np.interp: slope * 0 + (-0.0) would read +0.0.
+        xs = np.array([-1.0, -0.0, 1.0])
+        cdf = np.array([0.0, 0.5, 1.0])
+        u = np.array([0.0, 0.5, 0.75])
+        x, j = jumps._outcome_draw(xs, cdf, np.diff(xs) / np.diff(cdf), jumps._outcome_guide(cdf), u)
+        assert x.tobytes() == np.interp(u, cdf, xs).tobytes()
+        np.testing.assert_array_equal(j, [0, 1, 1])
 
 
 def _sampler_input(kind: str, dim: int, seed: int) -> FockState:
@@ -282,6 +350,18 @@ class TestSamplerReference:
         shots = run_experiment(state, model, 3000, seed)
         assert shots.x_m.tobytes() == x_m.tobytes()
         assert shots.photon_n.tobytes() == photon_n.tobytes()
+
+    @pytest.mark.parametrize("dx, dim, shots, seed", [(0.2, 64, 25_000, 11), (5.0, 32, 20_000, 7)])
+    def test_benchmark_shots_equal_the_reference(self, dx, dim, shots, seed):
+        # The benchmark's two shot configurations draw more shots than the
+        # table has nodes, where np.interp precomputes its slopes.
+        state = FockState.vacuum(dim)
+        model = MeasurementModel(dx, dim)
+        table = run_experiment(state, model, shots, seed)
+        x_m, photon_n = sampler_reference(state, model, shots, seed)
+        assert shots > SAMPLING_GRID_COUNT
+        assert table.x_m.tobytes() == x_m.tobytes()
+        assert table.photon_n.tobytes() == photon_n.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_shards_equal_the_reference(self, threads):
@@ -454,6 +534,37 @@ class TestMeasuredCorrelation:
         nodes, weights = trapezoid_grid(10.0 * dx, 8001)
         integrand = p1_asymptotic(dx, nodes) * (nodes**2 - dx**2)
         assert integrand @ weights == pytest.approx(0.125, rel=1e-9)
+
+
+class TestUnderflowingJointDensity:
+    """Past dx ~ 9.4e101 the vacuum's joint density off n = 0 is subnormal: a typed error, not 0."""
+
+    @pytest.mark.parametrize("dim", [8, 32])
+    @pytest.mark.parametrize("dx", [*np.geomspace(10.0, 3e153, 16), 9.3e101, 9.4e101, 1e103, 1e110])
+    def test_closed_form_or_out_of_range(self, dx, dim):
+        # Each exact integral matches its closed form within 1e-12 or raises.
+        # At dx 1e110 both read 0.0, against 6.25e-222 and 1/8.
+        vac = FockState.vacuum(dim)
+        model = MeasurementModel(dx, dim)
+        for compute, closed in ((jump_probability, jump_probability_exact),
+                                (measured_correlation, correlation_exact)):
+            try:
+                value = compute(vac, model)
+            except OutOfRangeError:
+                assert dx > 9.3e101
+            except InvalidParameterError:
+                # x_m^2 - dx^2 leaves float64 first (TestOverflowingResolution).
+                assert compute is measured_correlation and dx > 1e153
+            else:
+                assert value == pytest.approx(closed(dx), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("state", [FockState.vacuum(32), FockState.number(32, 1)])
+    def test_report_and_summary_refuse(self, state):
+        model = MeasurementModel(1e110, 32)
+        with pytest.raises(OutOfRangeError, match="delta_x 1e\\+110"):
+            exact_report(state, model)
+        with pytest.raises(OutOfRangeError, match="delta_x 1e\\+110"):
+            summarize(run_experiment(state, model, 200, seed=1), state, model)
 
 
 class TestOverflowingResolution:
