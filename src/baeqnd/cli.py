@@ -15,19 +15,19 @@ CSV line.  setup-check's table, which holds null and text, is formatted cell by
 cell (null is an empty CSV cell).  The canonical payload is the compact,
 sorted JSON of the other keys with the table's text appended last.
 
-Each command registers only the flags it reads (_COMMAND_FLAGS), so argparse
-refuses any other with exit 2 before a file is opened, and meta.config holds
-exactly the settings that shaped the payload.  Only distribution tabulates
-on uniform outcomes, np.linspace(-span, span, --grid-count) with span =
-measurement.outcome_span(--delta-x), so only it takes --grid-count; it
-refuses a --grid-count below 2 and an --n-max outside 0..--dim - 1 with
-exit 2 before the kernel runs.  setup-check compares on fixed
-outcome sets, and jump-sweep, correlation, simulate and povm-check integrate
-with exact Gauss-Hermite rules whose node counts follow from --dim and the
-input; povm-check's truncated-square rule takes 2 --dim nodes, so it audits
-dims up to fock.MAX_RULE_NODES // 2 = 700.
+Each command registers once (@_command: help, the flags it reads, --dim
+range), so argparse refuses any other flag with exit 2 before a file is
+opened, and meta.config holds exactly the settings that shaped the payload.
+Only distribution tabulates on uniform outcomes, np.linspace(-span, span,
+--grid-count) with span = measurement.outcome_span(--delta-x), so only it
+takes --grid-count; it refuses a --grid-count below 2 and an --n-max outside
+0..--dim - 1 with exit 2 before the kernel runs.  setup-check compares on
+fixed outcome sets, and jump-sweep, correlation, simulate and povm-check
+integrate with exact Gauss-Hermite rules whose node counts follow from --dim
+and the input; povm-check's truncated-square rule takes 2 --dim nodes, so it
+audits dims up to fock.MAX_RULE_NODES // 2 = 700.
 
-Each command takes --dim within one range (_DIM_RANGE): up to 1,398 where
+Each command takes --dim within its registered range: up to 1,398 where
 the vacuum's outcome rule of --dim + 2 nodes bounds it, 8..700 for
 povm-check and up to 257 for setup-check, whose signal output is read on
 wavefunction levels up to fock.MAX_WAVEFUNCTION_LEVEL.  A --dim outside is
@@ -50,6 +50,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -84,45 +85,35 @@ EXIT_TRUNCATION = 4
 #: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
 DEFAULT_N_MAX = 4
 
-#: Command -> (help text, the flags it reads beyond --dim, --out and --format).
-#: "shots" stands for --shots and --seed.
-_COMMAND_FLAGS = {
-    "distribution": ("tabulate outcome and per-photon densities on a grid",
-                     ("delta-x", "grid-count", "n-max")),
-    "jump-sweep": ("exact jump probability against the wide-kernel 1/(16 dx^2) law",
-                   ("delta-x",)),
-    "correlation": ("jump/outcome correlation report (exact, optionally sampled)",
-                    ("delta-x", "shots")),
-    "povm-check": ("completeness audit of the squared measurement kernel",
-                   ("delta-x",)),
-    "setup-check": ("two-mode circuit vs measurement kernel equivalence", ("gain-a",)),
-    "simulate": ("seeded Monte Carlo shots plus summary report",
-                 ("delta-x", "shots", "record-limit")),
+#: Flag -> its add_argument keywords, in usage order.  Every command takes
+#: --dim, --out and --format; the others only where it registers them.
+_FLAGS = {
+    "delta-x": dict(type=float, action="append", required=True,
+                    help="measurement resolution (repeatable for jump-sweep)"),
+    "gain-a": dict(type=float, required=True, help="amplifier gain"),
+    "dim": dict(type=int, default=32, help="Fock truncation dimension"),
+    "grid-count": dict(type=int, default=2001, help="outcome grid nodes"),
+    "n-max": dict(type=int, default=DEFAULT_N_MAX, help="highest tabulated photon number"),
+    "shots": dict(type=int, default=None, help="Monte Carlo shots"),
+    "seed": dict(type=int, default=None, help="random seed (required for shots)"),
+    "record-limit": dict(type=int, default=None, help="emit at most this many per-shot records"),
+    "out": dict(required=True, help="output file path"),
+    "format": dict(choices=("csv", "json"), default="json", help="output format (default json)"),
 }
+_COMMON_FLAGS = ("dim", "out", "format")
 
-#: The vacuum's exact outcome rule takes --dim + 2 nodes, at most MAX_RULE_NODES.
+#: The --dim range where the vacuum's outcome rule of --dim + 2 nodes fits MAX_RULE_NODES.
 _RULE_DIMS = (2, MAX_RULE_NODES - 2, "its outcome rule of --dim + 2 nodes must stay within "
               f"the {MAX_RULE_NODES}-node limit of double precision")
 
-#: Command -> (smallest, largest --dim it takes, why the largest).  A --dim
-#: outside is refused before any work, and an exit-4 suggestion never passes it.
-_DIM_RANGE = {
-    "distribution": _RULE_DIMS,
-    "jump-sweep": _RULE_DIMS,
-    "correlation": _RULE_DIMS,
-    "simulate": _RULE_DIMS,
-    "povm-check": (8, MAX_RULE_NODES // 2, "the truncated square's rule of 2 --dim nodes "
-                   f"must stay within the {MAX_RULE_NODES}-node limit"),
-    "setup-check": (2, MAX_WAVEFUNCTION_LEVEL + 1, "--dim {dim} needs signal-output levels "
-                    f"up to {{last}}, above the supported {MAX_WAVEFUNCTION_LEVEL}"),
-}
-
+#: Command name -> (function, help, flags read beyond _COMMON_FLAGS, --dim range).
 _COMMANDS = {}
+_Command = namedtuple("_Command", "run help flags dims")
 
 
-def _command(name):
+def _command(name, help, flags, dims=_RULE_DIMS):
     def register(fn):
-        _COMMANDS[name] = fn
+        _COMMANDS[name] = _Command(fn, help, flags, dims)
         return fn
 
     return register
@@ -268,7 +259,8 @@ def _require_delta_x(args):
     return args.delta_x[0]
 
 
-@_command("distribution")
+@_command("distribution", "tabulate outcome and per-photon densities on a grid",
+          ("delta-x", "grid-count", "n-max"))
 def _cmd_distribution(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
@@ -290,7 +282,8 @@ def _cmd_distribution(args):
     return {"table": {"columns": columns, "data": data}}, None
 
 
-@_command("jump-sweep")
+@_command("jump-sweep", "exact jump probability against the wide-kernel 1/(16 dx^2) law",
+          ("delta-x",))
 def _cmd_jump_sweep(args):
     # Every --delta-x is checked, by its model, before the first integral.
     models = [MeasurementModel(dx, args.dim) for dx in args.delta_x]
@@ -307,7 +300,8 @@ def _cmd_jump_sweep(args):
     }, None
 
 
-@_command("correlation")
+@_command("correlation", "jump/outcome correlation report (exact, optionally sampled)",
+          ("delta-x", "shots", "seed"))
 def _cmd_correlation(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
@@ -324,7 +318,9 @@ def _cmd_correlation(args):
     return {"report": report.to_dict()}, seed
 
 
-@_command("povm-check")
+@_command("povm-check", "completeness audit of the squared measurement kernel",
+          ("delta-x",), dims=(8, MAX_RULE_NODES // 2, "the truncated square's rule of 2 --dim "
+                             f"nodes must stay within the {MAX_RULE_NODES}-node limit"))
 def _cmd_povm_check(args):
     delta_x = _require_delta_x(args)
     model = MeasurementModel(delta_x, args.dim)
@@ -364,7 +360,9 @@ def _cmd_povm_check(args):
     }, None
 
 
-@_command("setup-check")
+@_command("setup-check", "two-mode circuit vs measurement kernel equivalence", ("gain-a",),
+          dims=(2, MAX_WAVEFUNCTION_LEVEL + 1, "--dim {dim} needs signal-output levels up to "
+                f"{{last}}, above the supported {MAX_WAVEFUNCTION_LEVEL}"))
 def _cmd_setup_check(args):
     gain = args.gain_a
     dims = sorted({min(max(8, args.dim // 2), args.dim), max(2, 3 * args.dim // 4), args.dim})
@@ -410,7 +408,8 @@ def _cmd_setup_check(args):
     }, None
 
 
-@_command("simulate")
+@_command("simulate", "seeded Monte Carlo shots plus summary report",
+          ("delta-x", "shots", "seed", "record-limit"))
 def _cmd_simulate(args):
     delta_x = _require_delta_x(args)
     if args.shots is None or args.seed is None:
@@ -441,34 +440,16 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMAND_FLAGS.items():
-        p = sub.add_parser(name, help=help_text)
-        if "delta-x" in flags:
-            p.add_argument("--delta-x", type=float, action="append", required=True,
-                           help="measurement resolution (repeatable for jump-sweep)")
-        if "gain-a" in flags:
-            p.add_argument("--gain-a", type=float, required=True, help="amplifier gain")
-        p.add_argument("--dim", type=int, default=32, help="Fock truncation dimension")
-        if "grid-count" in flags:
-            p.add_argument("--grid-count", type=int, default=2001, help="outcome grid nodes")
-        if "n-max" in flags:
-            p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
-                           help="highest tabulated photon number")
-        if "shots" in flags:
-            p.add_argument("--shots", type=int, default=None, help="Monte Carlo shots")
-            p.add_argument("--seed", type=int, default=None,
-                           help="random seed (required for shots)")
-        if "record-limit" in flags:
-            p.add_argument("--record-limit", type=int, default=None,
-                           help="emit at most this many per-shot records")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="output format (default json)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in _FLAGS.items():
+            if flag in command.flags or flag in _COMMON_FLAGS:
+                p.add_argument(f"--{flag}", **keywords)
     return parser, sub.choices
 
 
 def _check_dim(args) -> None:
-    low, high, why = _DIM_RANGE[args.command]
+    low, high, why = _COMMANDS[args.command].dims
     if not low <= args.dim <= high:
         reason = f": {why.format(dim=args.dim, last=args.dim - 1)}" if args.dim > high else ""
         raise InvalidParameterError(
@@ -478,7 +459,7 @@ def _check_dim(args) -> None:
 
 def _dim_suggestion(args) -> str:
     """Half as many levels again, up to the command's largest --dim."""
-    high = _DIM_RANGE[args.command][1]
+    high = _COMMANDS[args.command].dims[1]
     larger = min(args.dim + args.dim // 2, high)
     if larger > args.dim:
         return f"suggestion: retry with --dim {larger}"
@@ -496,7 +477,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_dim(args)
-        payload, seed = _COMMANDS[args.command](args)
+        payload, seed = _COMMANDS[args.command].run(args)
         _write_envelope(args, payload, seed)
     except TruncationOverflowError as exc:
         print(f"error: {exc} ({_dim_suggestion(args)})", file=sys.stderr)

@@ -134,14 +134,27 @@ class FockState:
         amps[n] = 1.0
         return cls(amps)
 
+    def _unit_scaled(self) -> tuple[np.ndarray, int]:
+        """(amplitudes 2**-e, e), the largest |real| or |imag| part in [0.5, 1) (e = 0 at 0).
+
+        A power of two scales exactly: the norm is the plain one, bit for bit,
+        wherever that neither overflows nor loses digits to underflow.
+        """
+        parts = self.amplitudes.view(np.float64)
+        e = int(np.frexp(np.max(np.abs(parts)))[1])
+        return np.ldexp(parts, -e).view(np.complex128), e
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        unit, e = self._unit_scaled()
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            return float(np.ldexp(np.linalg.norm(unit), e))
 
     def normalize(self) -> "FockState":
-        nrm = self.norm()
-        if nrm == 0.0 or not np.isfinite(nrm):
+        unit = self._unit_scaled()[0]
+        nrm = np.linalg.norm(unit)
+        if nrm == 0.0:
             raise InvalidParameterError("cannot normalize a zero-norm state")
-        return FockState(self.amplitudes / nrm)
+        return FockState(unit / nrm)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

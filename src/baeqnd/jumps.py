@@ -352,7 +352,7 @@ def _exact_integrals(state: FockState, model: MeasurementModel, correlation: boo
     raises OutOfRangeError.
     """
     require_normalized(state)
-    nodes, weights, probs = _exact_joint(state, model)
+    nodes, weights, probs, _ = _exact_joint(state, model)
     value = None
     # The correlation first: where x_m^2 - dx^2 overflows, that is the error.
     if correlation:
@@ -420,11 +420,15 @@ def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> Co
 
     Sampled quantities: the jump fraction, the correlation estimator
     mean of n (x_m^2 - dx^2), and the sample covariance of (n, x_m^2), each
-    with a shot-noise standard error.
+    with a shot-noise standard error.  Raises DimensionMismatchError for a
+    photon number that is not a level of the model.
     """
     shots = len(table)
     if shots == 0:
         raise InvalidParameterError("the shot table must be nonempty")
+    top = int(table.photon_n.max())
+    if top >= model.dim:
+        raise DimensionMismatchError(f"photon number {top} is not a level of model dim {model.dim}")
     exact = _exact_report_fields(state, model)
 
     x = table.x_m

@@ -35,8 +35,8 @@ smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 <n|P(x)|state> without forming a matrix: it runs the recurrence on the
 columns 0..top only, top the state's last nonzero level, and contracts them
 with the state, at cost O(count dim (top + 1)).  Densities, conditional
-states, outcome_density_table (the squared amplitudes, one row per outcome),
-and the jump integrals read it, the sampler through _amplitude_levels.
+states, outcome_density_table and the jump integrals read it through
+_exact_joint, the sampler through _amplitude_levels.
 _amplitude_levels fills a level-major (dim, count) buffer, level n as one
 contiguous row np.dot(rows, state) (a strided column of a (count, dim) array
 costs several times the recurrence), and the sampler keeps that layout: its
@@ -56,8 +56,10 @@ guard and calibration use it too), returns it as plain arrays (nodes,
 weights), built from numpy alone (fock._gh_rule) and limited to
 fock.MAX_RULE_NODES nodes; an integral is values @ weights.  The outcome rule
 (_outcome_rule) measures the mass the kernel loses above the truncation,
-which outcome_density, conditional_state, outcome_density_table and the
-jump integrals refuse above TRUNCATION_OCCUPATION_LIMIT.  The completeness
+which every guarded read refuses above TRUNCATION_OCCUPATION_LIMIT.
+_exact_joint, the one caller of measurement_amplitudes, makes a guarded read
+one ladder pass, the requested outcomes first and the rule's nodes last, as
+the circuit reads its guard rule with its raw values.  The completeness
 audits integrate on rules of dim + 1 nodes (the exact P^2) and 2 dim nodes
 (the truncated square), so they carry no quadrature error and end at dim 700.
 
@@ -190,15 +192,19 @@ def _check_captured(state: FockState, model: MeasurementModel, mass: float) -> N
         )
 
 
-def _exact_joint(state: FockState, model: MeasurementModel):
-    """(nodes, weights, joint): the exact outcome rule and |<n|P(x)|state>|^2 on its nodes.
+def _exact_joint(state: FockState, model: MeasurementModel, x_values=()):
+    """(nodes, weights, joint, amps): outcome rule, |<n|P(x)|state>|^2 on it, amps at x_values.
 
-    Raises like _check_captured when the joint misses mass above the truncation.
+    One kernel read takes the requested outcomes first, so they keep their
+    chunks, and the rule's nodes last.  Raises like _check_captured when the
+    joint misses mass above the truncation.
     """
+    x = _check_outcomes(x_values)
     nodes, weights = _outcome_rule(state, model)
-    joint = np.abs(measurement_amplitudes(state, model, nodes)) ** 2
+    rows = measurement_amplitudes(state, model, np.concatenate([x, nodes]))
+    joint = np.abs(rows[x.size :]) ** 2
     _check_captured(state, model, joint.sum(axis=1) @ weights)
-    return nodes, weights, joint
+    return nodes, weights, joint, rows[: x.size]
 
 
 def _ladder(kappa: float, x: np.ndarray, first: np.ndarray, exponent: np.ndarray):
@@ -341,13 +347,6 @@ def measurement_amplitudes(state: FockState, model: MeasurementModel, x_values) 
     return np.ascontiguousarray(_amplitude_levels(state, model, x_values).T)
 
 
-def _one_outcome(state: FockState, model: MeasurementModel, x_m) -> np.ndarray:
-    """<n|P(x_m)|state> after the leak guard, for one scalar outcome x_m."""
-    x_m = _real(x_m, "x_m")
-    _exact_joint(state, model)
-    return measurement_amplitudes(state, model, x_m)[0]
-
-
 def outcome_density(state: FockState, model: MeasurementModel, x_m: float) -> float:
     """Probability density of outcome x_m, the squared norm of P(x_m)|state>.
 
@@ -356,7 +355,8 @@ def outcome_density(state: FockState, model: MeasurementModel, x_m: float) -> fl
     TRUNCATION_OCCUPATION_LIMIT of the input above the truncation, and
     InvalidParameterError unless x_m is a scalar.
     """
-    return float(np.sum(np.abs(_one_outcome(state, model, x_m)) ** 2))
+    amps = _exact_joint(state, model, _real(x_m, "x_m"))[3][0]
+    return float(np.sum(np.abs(amps) ** 2))
 
 
 def conditional_state(state: FockState, model: MeasurementModel, x_m: float) -> FockState:
@@ -365,7 +365,7 @@ def conditional_state(state: FockState, model: MeasurementModel, x_m: float) -> 
     Raises like outcome_density: the conditioned state would miss the mass
     the kernel sends above the truncation.
     """
-    amps = _one_outcome(state, model, x_m)
+    amps = _exact_joint(state, model, _real(x_m, "x_m"))[3][0]
     density = float(np.sum(np.abs(amps) ** 2))
     if density < UNDERFLOW_DENSITY:
         raise DegenerateConditioningError(
@@ -490,5 +490,4 @@ def outcome_density_table(state: FockState, model: MeasurementModel, x_values) -
     above the truncation, which would leave the tabulated density short of
     its true mass.
     """
-    _exact_joint(state, model)
-    return np.abs(measurement_amplitudes(state, model, x_values)) ** 2
+    return np.abs(_exact_joint(state, model, x_values)[3]) ** 2

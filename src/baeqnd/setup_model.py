@@ -58,7 +58,9 @@ calibrate_outcome_map takes its scale from the ratio of the two outcome
 densities' second moments.  Each density is a Gaussian times a polynomial,
 so Gauss-Hermite rules integrate both exactly.  One pass over 51 probes gives
 its sign and residual, and equivalence_defect compares on EQUIVALENCE_OUTCOMES
-outcomes, both over measurement.outcome_span.  The module needs numpy only.
+outcomes, both over measurement.outcome_span.  Each reads the kernel once,
+its leak guard's rule included (measurement._exact_joint).  The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from .measurement import (
     _require_resolution,
     _scaled_rule,
     _top_level,
-    measurement_amplitudes,
     outcome_span,
 )
 
@@ -238,19 +239,21 @@ def calibrate_outcome_map(
     rule of the jump integrals (which also checks it for leaked mass), the
     raw homodyne density, exp(-2 g raw^2) times a polynomial of degree
     2 (top + dim - 1), on the raw rule of top + dim + 1 nodes.  The magnitude is
-    sqrt(var_kernel / var_raw).  One pass over 51 probes spanning
-    outcome_span(dx) reads the circuit at probe / magnitude and the kernel at
-    +-probe: the sign is the one whose conditional states are closer (trace
-    distance weighted by the circuit's density), and the residual the largest
-    density mismatch at that sign over the largest probe density.  The
-    analytic scale is -2 dx.  A residual above CALIBRATION_RESIDUAL_LIMIT
-    raises SetupMismatchError.
+    sqrt(var_kernel / var_raw).  51 probes span outcome_span(dx): the kernel
+    reads them at +-probe in the same pass as its rule, and the circuit once
+    at probe / magnitude.  The sign is the one whose conditional states are
+    closer (trace distance weighted by the circuit's density), and the
+    residual the largest density mismatch at that sign over the largest
+    probe density.  The analytic scale is -2 dx.  A residual above
+    CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.
     """
     circuit = circuit or SetupCircuit(params)
     if signal_in is None:
         signal_in = FockState.vacuum(params.dim)
     model = MeasurementModel(params.delta_x, params.dim)
-    nodes, weights, joint = _exact_joint(signal_in, model)
+    probe = np.linspace(-1.0, 1.0, 51) * outcome_span(params.delta_x)
+    nodes, weights, joint, kernel_amps = _exact_joint(
+        signal_in, model, np.concatenate([probe, -probe]))
     density_kernel = joint.sum(axis=1)
     var_kernel = (density_kernel * nodes**2) @ weights / (density_kernel @ weights)
 
@@ -260,10 +263,8 @@ def calibrate_outcome_map(
     var_raw = (density_raw * raw**2) @ raw_weights / (density_raw @ raw_weights)
     scale = float(np.sqrt(var_kernel / var_raw))
 
-    probe = np.linspace(-1.0, 1.0, 51) * outcome_span(params.delta_x)
     setup_amps = circuit.homodyne_amplitudes(signal_in, probe / scale)
     mapped = np.sum(np.abs(setup_amps) ** 2, axis=1) / scale
-    kernel_amps = measurement_amplitudes(signal_in, model, np.concatenate([probe, -probe]))
     kernel_density = np.sum(np.abs(kernel_amps) ** 2, axis=1)
     halves = (slice(probe.size), slice(probe.size, None))
     distances = [_state_distance(setup_amps, kernel_amps[h], kernel_density[h]) for h in halves]
@@ -291,7 +292,8 @@ def equivalence_defect(
     The outcomes are EQUIVALENCE_OUTCOMES equally spaced over outcome_span(dx);
     at each whose kernel density exceeds EQUIVALENCE_DENSITY_FLOOR the defect
     is |density_setup - density_kernel| plus the trace distance between the
-    conditional output states, and the largest is returned.
+    conditional output states, and the largest is returned.  The kernel read
+    raises TruncationOverflowError like outcome_density_table.
     """
     span = outcome_span(params.delta_x)
     nodes = np.linspace(-span, span, EQUIVALENCE_OUTCOMES)
@@ -299,7 +301,7 @@ def equivalence_defect(
     calibration = calibration or calibrate_outcome_map(params, circuit=circuit)
 
     model = MeasurementModel(params.delta_x, params.dim)
-    kernel_amps = measurement_amplitudes(signal_in, model, nodes)
+    kernel_amps = _exact_joint(signal_in, model, nodes)[3]
     density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
 
     keep = density_kernel > EQUIVALENCE_DENSITY_FLOOR

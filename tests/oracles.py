@@ -23,6 +23,9 @@ the Gauss-Hermite factor-table route the library's kernel used before its
 Fock-ladder recurrence, kept as the reference for that recurrence.
 amplitudes_column_fill is measurement_amplitudes' row-major fill, one
 strided column per ladder row, kept as the reference for its level-major fill.
+guarded_read_two_pass is the guarded kernel read's earlier route, the leak
+guard on the outcome rule in one kernel call and the requested outcomes in a
+second, kept as the reference for the read that does both in one pass.
 photon_draw_interpolated is the O(dim) photon draw the sampler used before
 its bisection on the cumulative table, kept as the reference for that
 bisection.  sampler_reference is run_experiment's earlier route, a
@@ -63,6 +66,7 @@ from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
     MeasurementModel,
     _kernel_rows,
+    _outcome_rule,
     _top_level,
     measurement_amplitudes,
     operator_batch,
@@ -451,6 +455,22 @@ def amplitudes_column_fill(state, model, x_values) -> np.ndarray:
         for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
             out[sl, n] = row @ source
     return out
+
+
+def guarded_read_two_pass(state, model, x_values) -> tuple[np.ndarray, np.ndarray]:
+    """(joint on the outcome rule, amplitudes at x_values), one kernel call each.
+
+    The guard reads |<n|P(x)|state>|^2 on the outcome rule's nodes alone and
+    raises TruncationOverflowError when its integral falls short of the
+    squared norm by more than TRUNCATION_OCCUPATION_LIMIT; only then are the
+    requested outcomes read, on their own.
+    """
+    nodes, weights = _outcome_rule(state, model)
+    joint = np.abs(measurement_amplitudes(state, model, nodes)) ** 2
+    leaked = state.norm() ** 2 - joint.sum(axis=1) @ weights
+    if leaked > TRUNCATION_OCCUPATION_LIMIT:
+        raise TruncationOverflowError(f"the outcome rule misses mass {leaked:.3e}")
+    return joint, measurement_amplitudes(state, model, x_values)
 
 
 def photon_draw_interpolated(joint, i, w, u) -> np.ndarray:

@@ -741,7 +741,7 @@ class TestDimCaps:
     ])
     def test_one_cap_refuses_and_bounds_the_suggestion(self, command, high):
         # The suggestion used to be --dim * 3 / 2 whatever the command took.
-        assert cli._DIM_RANGE[command][1] == high
+        assert cli._COMMANDS[command].dims[1] == high
         for dim, suggested in ((high - 1, f"--dim {high}"), (high, "no --dim")):
             args = cli._build_parser()[0].parse_args(
                 [command, "--delta-x" if command != "setup-check" else "--gain-a", "2",

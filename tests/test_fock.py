@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baeqnd.errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
 from baeqnd.fock import (
     FockState,
     _x_action,
+    require_normalized,
     trusted_levels,
     wavefunction_table,
     x_second_moment,
@@ -208,6 +213,32 @@ class TestStateAndOperator:
         # These raised a bare ValueError ("complex() arg is a malformed string").
         with pytest.raises(InvalidParameterError, match="state amplitudes must be"):
             FockState(amps)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.floats(-300.0, 300.0), dim=st.integers(2, 16), complex_=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_normalize_at_every_scale(self, exponent, dim, complex_, seed):
+        # The squared sum underflowed or overflowed: norm 1.0000055 at 5e-160,
+        # "zero-norm" at 1e-200, and an overflow warning at 1e200.
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=dim) + (1j * rng.normal(size=dim) if complex_ else 0.0)
+        state = FockState(raw * 10.0**exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = state.normalize()
+            nrm = state.norm()
+        assert abs(np.vdot(unit.amplitudes, unit.amplitudes).real - 1.0) <= 1e-15
+        assert nrm == pytest.approx(np.linalg.norm(raw) * 10.0**exponent, rel=1e-14)
+
+    @pytest.mark.parametrize("amps", [
+        [3e-160, 4e-160] + [0.0] * 14, [1e-200, 0.0], [1e-170, 1e-170], [1e200, 1e200],
+        [5e-324, 0.0], [1.5e308, -1.5e308j],
+    ])
+    def test_extreme_scales_normalize(self, amps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = FockState(amps).normalize()
+        require_normalized(state)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -722,6 +722,13 @@ class TestSummarize:
         with pytest.raises(InvalidParameterError):
             summarize(empty, FockState.vacuum(8), MeasurementModel(1.0, 8))
 
+    @pytest.mark.parametrize("photon_n", [[0, 99, 1], [16, 0, 0], [0, 0, 2**40]])
+    def test_photon_numbers_past_the_model_rejected(self, photon_n):
+        # [0, 99, 1] read measured_c -33.3 from a photon number no dim-16 model has.
+        table = ShotTable(np.zeros(3), np.array(photon_n))
+        with pytest.raises(DimensionMismatchError, match="not a level of model dim 16"):
+            summarize(table, FockState.vacuum(16), MeasurementModel(1.0, 16))
+
     def test_shot_table_columns_must_match(self):
         with pytest.raises(DimensionMismatchError):
             ShotTable(x_m=np.zeros(3), photon_n=np.zeros(2, dtype=np.int64))

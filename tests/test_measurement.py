@@ -14,6 +14,7 @@ from baeqnd.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     OutOfRangeError,
+    SetupMismatchError,
     TruncationOverflowError,
 )
 from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, trusted_levels
@@ -29,14 +30,17 @@ from baeqnd.measurement import (
     operator_batch,
     outcome_density,
     outcome_density_table,
+    outcome_span,
     truncated_square_defect,
 )
+from baeqnd.setup_model import Calibration, SetupParams, calibrate_outcome_map, equivalence_defect
 
 from oracles import (
     amplitudes_column_fill,
     completeness_integrals_stacked,
     fidelity,
     grid_audit_defects,
+    guarded_read_two_pass,
     kernel_element_quad,
     kernel_factor_tables,
     kernel_operator_dense,
@@ -392,6 +396,98 @@ class TestConditionalState:
     def test_kernel_leak_raises(self):
         with pytest.raises(TruncationOverflowError, match="leaks mass 2.6"):
             conditional_state(FockState.vacuum(32), MeasurementModel(0.05, 32), 0.0)
+
+
+def _input(kind, dim, top, seed):
+    """The vacuum, |top>, or a real or complex superposition of levels 0..top."""
+    if kind == "vacuum":
+        return FockState.vacuum(dim)
+    if kind == "number":
+        return FockState.number(dim, top)
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[: top + 1] = rng.normal(size=top + 1)
+    if kind == "complex":
+        amps[: top + 1] += 1j * rng.normal(size=top + 1)
+    return FockState(amps).normalize()
+
+
+class TestOneKernelRead:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(gain=st.floats(1.1, 4.0), dim=st.sampled_from([8, 16, 24, 32]),
+           kind=st.sampled_from(["vacuum", "number", "complex"]), x_m=st.floats(-5.0, 5.0))
+    def test_each_guarded_read_is_one_kernel_call(self, gain, dim, kind, x_m):
+        # The leak guard's outcome rule is read in the same call as the
+        # requested outcomes, whether the guard passes or raises.
+        calls = []
+        amplitudes = measurement.measurement_amplitudes
+        params = SetupParams(gain, dim)
+        model = MeasurementModel(params.delta_x, dim)
+        state = _input(kind, dim, 1, dim)
+        reads = {
+            "outcome_density": lambda: outcome_density(state, model, x_m),
+            "conditional_state": lambda: conditional_state(state, model, x_m),
+            "outcome_density_table": lambda: outcome_density_table(state, model, [x_m, -x_m]),
+            "calibrate_outcome_map": lambda: calibrate_outcome_map(params, signal_in=state),
+            "equivalence_defect": lambda: equivalence_defect(
+                state, params, calibration=Calibration(-2.0 * params.delta_x, 0.0)),
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measurement, "measurement_amplitudes",
+                          lambda state, model, x: calls.append(np.size(x))
+                          or amplitudes(state, model, x))
+            for name, read in reads.items():
+                calls.clear()
+                try:
+                    read()
+                except (TruncationOverflowError, DegenerateConditioningError, SetupMismatchError):
+                    pass
+                assert len(calls) == 1, (name, calls)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.1, 30.0), dim=st.sampled_from([8, 16, 32, 64]),
+           kind=st.sampled_from(["vacuum", "number", "real", "complex"]),
+           top=st.integers(0, 5), count=st.integers(1, 7000), reach=st.floats(0.5, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_read_equals_guard_then_read(self, dx, dim, kind, top, count, reach, seed):
+        # Outcome counts on both sides of a chunk.  The vacuum's and a number
+        # state's contractions multiply by 0 and 1 only, so their values keep
+        # every bit; a superposition may round within an ulp of its largest entry.
+        state = _input(kind, dim, top, seed)
+        model = MeasurementModel(dx, dim)
+        x = np.linspace(-1.0, 1.0, count) * reach * outcome_span(dx)
+        try:
+            joint, amps = guarded_read_two_pass(state, model, x)
+        except TruncationOverflowError:
+            with pytest.raises(TruncationOverflowError):
+                measurement._exact_joint(state, model, x)
+            return
+        nodes, weights, got_joint, got_amps = measurement._exact_joint(state, model, x)
+        np.testing.assert_array_equal((nodes, weights), _outcome_rule(state, model))
+        if kind in ("vacuum", "number"):
+            np.testing.assert_array_equal(got_amps, amps)
+            np.testing.assert_array_equal(got_joint, joint)
+        else:
+            assert np.max(np.abs(got_amps - amps)) <= 1e-15 * np.max(np.abs(amps))
+            assert np.max(np.abs(got_joint - joint)) <= 1e-15 * np.max(joint)
+
+    def test_requested_outcomes_keep_their_chunks(self, monkeypatch):
+        # The requested outcomes come first, so they fill the same chunks as
+        # a read of them alone, and the rule's nodes follow.
+        chunks = []
+        kernel_rows = measurement._kernel_rows
+
+        def spy(model, x, width, squared=False):
+            chunks.append(x.copy())
+            return kernel_rows(model, x, width, squared)
+
+        monkeypatch.setattr(measurement, "_kernel_rows", spy)
+        state = FockState.number(16, 3)
+        model = MeasurementModel(1.0, 16)
+        x = np.linspace(-8.0, 8.0, measurement._CHUNK_ELEMENTS // 4 + 5)
+        nodes, *_ = measurement._exact_joint(state, model, x)
+        assert [c.size for c in chunks] == [x.size - 5, 5 + nodes.size]
+        np.testing.assert_array_equal(np.concatenate(chunks), np.concatenate([x, nodes]))
 
 
 class TestJointPhotonDensity:

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from baeqnd import setup_model
+from baeqnd import measurement, setup_model
 from baeqnd.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -411,20 +411,21 @@ class TestCalibration:
 
     def test_one_probe_pass(self, monkeypatch):
         # The circuit is read on the variance rule and once on the probes;
-        # the kernel once, on the probes and their negatives.
+        # the kernel once, on the probes, their negatives and the outcome rule.
         circuit = SetupCircuit(SetupParams(1.5, 24))
         reads, kernel = [], []
         read = circuit.homodyne_amplitudes
-        amplitudes = setup_model.measurement_amplitudes
+        amplitudes = measurement.measurement_amplitudes
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
                             lambda state, raw: reads.append(np.size(raw)) or read(state, raw))
-        monkeypatch.setattr(setup_model, "measurement_amplitudes",
+        monkeypatch.setattr(measurement, "measurement_amplitudes",
                             lambda state, model, x: kernel.append(np.size(x))
                             or amplitudes(state, model, x))
         calibrate_outcome_map(circuit.params, circuit=circuit)
-        # The variance rule's top + dim + 1 nodes, at top 0.
+        # The variance rule's top + dim + 1 nodes and the outcome rule's
+        # dim + top + 2, at top 0.
         assert reads == [25, 51]
-        assert kernel == [102]
+        assert kernel == [102 + 26]
 
     def test_swapped_arms_detected(self, monkeypatch):
         # Swapping the amplifier arms destroys the readout; the one-photon
