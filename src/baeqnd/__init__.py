@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import (
     BaeQndError,

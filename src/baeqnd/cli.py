@@ -8,12 +8,14 @@ carrying the metadata, any non-tabular payload, and the checksums.  Payload
 bytes are deterministic for a fixed configuration and seed; only the
 timestamp in the metadata varies between runs.
 
-A command hands its table to the writer as columns.  Each row is formatted
-once: for a table of ints and floats, the repr of each cell is the token json
-writes, so one text per row is both the JSON row between its brackets and the
-CSV line.  setup-check's table, which holds null and text, is formatted cell by
-cell (null is an empty CSV cell).  The canonical payload is the compact,
-sorted JSON of the other keys with the table's text appended last.
+A command hands its table to the writer as columns, and each column picks
+its formatter once.  In a column of finite ints and floats the repr of each
+cell is the token json writes, so one text serves both the JSON row and the
+CSV line; a column that holds null or text (setup-check's) takes json's token
+for the JSON row and an empty cell for null, the bare text otherwise, for the
+CSV line.  Cells are made lazily, column by column, and joined once per row.
+The canonical payload is the compact, sorted JSON of the other keys with the
+table's text appended last; its bytes are those json writes for the rows.
 
 Each command registers once (@_command: help, the flags it reads, --dim
 range), so argparse refuses any other flag with exit 2 before a file is
@@ -158,19 +160,19 @@ def _finite_numbers(column) -> bool:
 def _row_texts(columns) -> tuple[list, list]:
     """Each row's JSON text between its brackets, and its CSV line.
 
-    A table of finite ints and floats is formatted once, row by row from the
-    columns: repr is the token json writes, so one text is both the JSON row
-    and the CSV line.  Any other table (null or text cells, or a value JSON
-    refuses) takes JSON tokens from _compact_json and CSV cells from
-    _format_cell, cell by cell.
+    Each column picks its formatter once.  A column of finite ints and floats
+    takes repr, the token json writes, so its cells serve the JSON row and the
+    CSV line alike; any other column takes JSON tokens from _compact_json and
+    CSV cells from _format_cell.  Cells are made lazily, column by column, and
+    joined once per row, so no column's texts are held at once.
     """
     values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    if all(_finite_numbers(c) for c in columns):
-        lines = list(map(",".join(["{!r}"] * len(values)).format, *values))
-        return lines, lines
-    rows = list(zip(*values))
-    json_rows = [",".join(_compact_json(v) for v in row) for row in rows]
-    return json_rows, [",".join(_format_cell(v) for v in row) for row in rows]
+    numeric = [_finite_numbers(c) for c in columns]
+    def rows(cell):
+        cells = [map(repr if n else cell, v) for n, v in zip(numeric, values)]
+        return list(map(",".join, zip(*cells)))
+    json_rows = rows(_compact_json)
+    return json_rows, json_rows if all(numeric) else rows(_format_cell)
 
 
 def _report_csv(report: dict) -> str:
@@ -239,15 +241,17 @@ def _write_envelope(args, payload: dict, seed) -> None:
             fh.writelines([head.encode(), b',"payload":', canonical, b"}\n"])
         print(f"wrote {out}")
         return
+    # Like the payload, the CSV text is encoded once, then hashed and written.
+    csv_bytes = csv_text.encode()
     sidecar = {
         "meta": meta,
         "payload_without_table": {k: v for k, v in payload.items() if k != "table"},
         "checksum": checksum,
-        "csv_sha256": "sha256:" + hashlib.sha256(csv_text.encode()).hexdigest(),
+        "csv_sha256": "sha256:" + hashlib.sha256(csv_bytes).hexdigest(),
     }
     sidecar_text = _compact_json(sidecar) + "\n"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
+    with open(out, "wb") as fh:
+        fh.write(csv_bytes)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(sidecar_text)
     print(f"wrote {out} and {out}.meta.json")

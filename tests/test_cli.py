@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +650,53 @@ class TestEnvelopeWriter:
                      "--format", "csv", "--out", str(out)]) == EXIT_OK
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2001
         assert calls == []
+
+    def test_numeric_columns_skip_the_cell_formatters(self, monkeypatch):
+        # Each column picks its formatter once: beside a null/text column, a
+        # numeric column's cells go through neither _compact_json nor
+        # _format_cell, and only the other column's cells do, once per format.
+        calls = []
+        for name in ("_compact_json", "_format_cell"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda v, f=original: calls.append(v) or f(v))
+        numeric = [np.array([0.1, -2.5e-300, 7.0]), np.array([3, -4, 2**62], dtype=np.int64)]
+        other = [None, "overflow", 1.5]
+        json_rows, csv_lines = cli._row_texts([numeric[0], other, numeric[1]])
+        assert calls == other + other
+        assert json_rows == ["0.1,null,3", '-2.5e-300,"overflow",-4', f"7.0,1.5,{2**62}"]
+        assert csv_lines == ["0.1,,3", "-2.5e-300,overflow,-4", f"7.0,1.5,{2**62}"]
+
+    def test_null_and_text_rows_match_the_rowform_writer(self, tmp_path):
+        # setup-check at dim 16 overflows at dims 8 and 12: their rows hold
+        # null and a note.  Both files carry the row-by-row writer's bytes.
+        argv = ["setup-check", "--gain-a", "1.5", "--dim", "16"]
+        json_out, csv_out = tmp_path / "setup.json", tmp_path / "setup.csv"
+        assert main(argv + ["--out", str(json_out)]) == EXIT_OK
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == EXIT_OK
+        payload = read_envelope(json_out)["payload"]
+        assert payload["table"]["rows"][:2] == [[8, None, "truncation-overflow at this dim"],
+                                                [12, None, "truncation-overflow at this dim"]]
+        canonical, csv_text = rowform_payload_texts(payload)
+        assert json_out.read_text(encoding="utf-8").endswith(f',"payload":{canonical}}}\n')
+        assert csv_out.read_bytes() == csv_text.encode()
+        sidecar = read_envelope(Path(str(csv_out) + ".meta.json"))
+        assert sidecar["checksum"] == "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_writer_peak_stays_within_eight_payloads(self):
+        # The cells of a 20,000-row simulate table are made lazily and joined
+        # once per row: the tracemalloc peak of the CSV route reads 6.7 times
+        # the canonical text's length.  Holding every column's texts at once
+        # read 14 times.
+        args = argparse.Namespace(command="simulate", delta_x=[5.0], dim=32, shots=20_000, seed=9,
+                                  record_limit=None)
+        payload, _ = cli._COMMANDS["simulate"].run(args)
+        tracemalloc.start()
+        try:
+            canonical, _ = cli._payload_texts(payload, csv=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(canonical), (peak, len(canonical))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nan_column_refused_without_a_file(self, tmp_path, monkeypatch, capsys, fmt):
