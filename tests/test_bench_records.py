@@ -36,6 +36,7 @@ def check_summary(summary: dict, runs: list) -> None:
         assert entry["relative"] is None or _number(entry["relative"]), name
         assert 0 <= entry["change_wins"] <= entry["pairs"], (name, entry)
         assert type(entry["gain"]) is bool, name
+        assert not entry["gain"] or entry["pairs"] >= ab_bench.PAIRS, (name, entry)
 
 
 def check_runs(runs: list, pairs: int, trace: int) -> None:
@@ -63,7 +64,11 @@ class TestNewestRecord:
         for side in ab_bench.SIDES:
             assert _DIGEST.fullmatch(record[side]["program_sha256"]), side
         settings = record["settings"]
-        assert settings["pairs"] >= 1 and settings["traced"] >= 0 and settings["seconds"] > 0
+        declared = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert (settings["pairs"], settings["traced"]) == (ab_bench.PAIRS, ab_bench.TRACED)
+        assert settings["seconds"] == declared["run_seconds"]
+        # Every workload the benchmark declares, in its order: none left out.
+        assert settings["workloads"] == [w["name"] for w in declared["workloads"]]
         assert {"python", "numpy", "cpus"} <= set(record["machine"])
         assert record["threads"]["PYTHONDONTWRITEBYTECODE"] == "1"
         assert record["threads"]["BAE_QND_THREADS"] == "1"
@@ -95,6 +100,20 @@ class TestSummary:
         assert (flipped["change_wins"], flipped["gain"]) == (0, False)
         close = [p - 0.01 for p in parent]
         assert ab_bench.summarize(self.runs(parent, close), {})["m"]["gain"] is False
+
+    def test_fewer_pairs_than_the_rule_asks_make_no_gain(self):
+        # Three wins of three, by far more than the parent's spread: the claim
+        # rule still asks for at least ten pairs.
+        entry = ab_bench.summarize(self.runs([10.0, 10.1, 10.2], [5.0, 5.1, 5.2]), {})["m"]
+        assert (entry["change_wins"], entry["pairs"], entry["gain"]) == (3, 3, False)
+
+    def test_a_run_without_a_readable_result_is_a_failed_run(self, tmp_path):
+        # bench/run.py exits 0 but prints no JSON and writes no record.
+        (tmp_path / "bench").mkdir()
+        (tmp_path / "bench" / "run.py").write_text("print('no result')\n", encoding="utf-8")
+        run = ab_bench.run_bench(tmp_path, "shots-records", 1, 1.0, 0)
+        assert (run["correct"], run["attempted"], run["metrics"]) == (False, 0, {})
+        assert run["error"].startswith("unreadable result")
 
     def test_pairs_alternate_which_side_runs_first(self):
         assert [ab_bench.pair_order(k)[0] for k in range(1, 5)] == ["parent", "change"] * 2

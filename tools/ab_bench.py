@@ -1,7 +1,6 @@
 """Paired A/B runs of bench/run.py on two trees, written as one BENCH_<n>.json.
 
-    python3 tools/ab_bench.py --parent HEAD --out BENCH_31.json \\
-        --pairs 10 --first-seed 3121 --traced 3
+    python3 tools/ab_bench.py --parent HEAD --out BENCH_31.json --first-seed 3121
 
 Run from the root of a checkout.  The parent is a commit, exported with
 ``git archive``; the change is a commit too (``--change <rev>``) or, by
@@ -11,11 +10,14 @@ exported once into a fresh directory and runs ``bench/run.py`` there under
 PYTHONDONTWRITEBYTECODE=1 with no ``__pycache__`` (the benchmark's peak
 memory moves with the byte-code cache state).
 
-For every workload, pair k runs both sides on seed first-seed + k - 1, the
-parent first in odd pairs and the change first in even ones.  Then each side
-makes --traced ``--trace 1`` runs, alternating the same way, whose per-layer
-metrics are summarised by their medians.  Each run has a timeout, and its
-process group (the benchmark and its workers) is killed when it runs out.
+Every workload of BENCHMARK.json is run, each for its run_seconds.  Pair k
+of PAIRS runs both sides on seed first-seed + k - 1, the parent first in odd
+pairs and the change first in even ones.  Then each side makes TRACED
+``--trace 1`` runs, alternating the same way, whose per-layer metrics are
+summarised by their medians.  Each run has a timeout, and its process group
+(the benchmark and its workers) is killed when it runs out.  A run that
+fails, times out or leaves no readable result is kept with correct false
+and its error.
 The record's schema is SCHEMA; tests/test_bench_records.py checks the newest
 BENCH_*.json against it.
 """
@@ -38,6 +40,10 @@ from pathlib import Path
 
 SCHEMA = "baeqnd-ab-bench/1"
 SIDES = ("parent", "change")
+#: Untraced pairs per workload: the fewest that the claim rule accepts.
+PAIRS = 10
+#: ``--trace 1`` runs per side and workload.
+TRACED = 3
 #: Seconds a run may take beyond --seconds for its start-up timing and checks.
 RUN_SLACK_S = 180
 
@@ -102,24 +108,27 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {**run, "error": (stderr.strip().splitlines() or [f"exit {proc.returncode}"])[-1]}
-    result = json.loads(lines[-1])
-    with open(root / ".bench_out" / workload / "record.json", encoding="utf-8") as fh:
-        record = json.load(fh)
-    op_seconds = {}
-    for p in record["passes"]:
-        for op, value in p["op_seconds"].items():
-            op_seconds.setdefault(op, []).append(value)
-    return {
-        **run,
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        # The fastest in-process time of each operation over the run's passes.
-        "op_min_s": {op: min(values) for op, values in op_seconds.items()},
-        "machine": record["machine"],
-        "threads": record["threads"],
-    }
+    try:
+        result = json.loads(lines[-1])
+        with open(root / ".bench_out" / workload / "record.json", encoding="utf-8") as fh:
+            record = json.load(fh)
+        op_seconds = {}
+        for p in record["passes"]:
+            for op, value in p["op_seconds"].items():
+                op_seconds.setdefault(op, []).append(value)
+        return {
+            **run,
+            "correct": result["correct"],
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            # The fastest in-process time of each operation over the run's passes.
+            "op_min_s": {op: min(values) for op, values in op_seconds.items()},
+            "machine": record["machine"],
+            "threads": record["threads"],
+        }
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        return {**run, "error": f"unreadable result: {exc!r}"}
 
 
 def _spread(values: list) -> dict:
@@ -134,9 +143,10 @@ def summarize(runs: list, better: dict) -> dict:
 
     A pair is won when the change's value is better than the parent's in the
     metric's direction (better[name], "lower" unless named); ties count for
-    neither.  gain applies the claim rule: the change wins at least nine
-    tenths of the pairs, and the medians differ, in its favour, by more than
-    the distance between the parent's quartiles.
+    neither.  gain applies the claim rule: at least PAIRS pairs, the change
+    wins at least nine tenths of them, and the medians differ, in its favour,
+    by more than the distance between the parent's quartiles.  So a traced
+    summary, of TRACED pairs, never reads a gain.
     """
     names = sorted({name for run in runs for name in run["metrics"]})
     summary = {}
@@ -159,7 +169,8 @@ def summarize(runs: list, better: dict) -> dict:
             "relative": change["median"] / parent["median"] - 1.0 if parent["median"] else None,
             "change_wins": wins,
             "pairs": len(both),
-            "gain": bool(both) and wins >= 0.9 * len(both) and margin > parent["q3"] - parent["q1"],
+            "gain": (len(both) >= PAIRS and wins >= 0.9 * len(both)
+                     and margin > parent["q3"] - parent["q1"]),
         }
     return summary
 
@@ -188,20 +199,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default=None,
                         help="change commit; the working tree's files when left out")
     parser.add_argument("--out", required=True, help="path of the BENCH_<n>.json to write")
-    parser.add_argument("--workload", action="append",
-                        choices=[w["name"] for w in declared["workloads"]],
-                        help="workload to run (repeatable; every workload when left out)")
-    parser.add_argument("--pairs", type=int, default=10, help="untraced pairs per workload")
-    parser.add_argument("--seconds", type=float, default=declared["run_seconds"],
-                        help="bench/run.py --seconds (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--first-seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--traced", type=int, default=3, help="--trace 1 runs per side and workload")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.traced < 0 or args.seconds <= 0:
-        parser.error("--pairs must be at least 1, --traced at least 0 and --seconds positive")
     signal.signal(signal.SIGTERM, _stop)
 
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     parent_commit = _git("rev-parse", "--verify", args.parent + "^{commit}").strip()
     change_commit = (_git("rev-parse", "--verify", args.change + "^{commit}").strip()
                      if args.change else None)
@@ -227,12 +230,12 @@ def main(argv=None) -> int:
         results, environment = {}, {}
         for workload in workloads:
             runs, traced = [], []
-            plan = [(pair, 0, args.first_seed + pair - 1, runs) for pair in range(1, args.pairs + 1)]
-            plan += [(pair, 1, args.first_seed + args.pairs + pair - 1, traced)
-                     for pair in range(1, args.traced + 1)]
+            plan = [(pair, 0, args.first_seed + pair - 1, runs) for pair in range(1, PAIRS + 1)]
+            plan += [(pair, 1, args.first_seed + PAIRS + pair - 1, traced)
+                     for pair in range(1, TRACED + 1)]
             for pair, trace, seed, into in plan:
                 for side in pair_order(pair):
-                    run = run_bench(roots[side], workload, seed, args.seconds, trace)
+                    run = run_bench(roots[side], workload, seed, seconds, trace)
                     environment.update({k: run.pop(k) for k in ("machine", "threads") if k in run})
                     into.append({"pair": pair, "side": side, **run})
                     shown = {k: round(v, 4) for k, v in run["metrics"].items()
@@ -253,7 +256,7 @@ def main(argv=None) -> int:
         "command": ["python3", "tools/ab_bench.py", *(argv if argv is not None else sys.argv[1:])],
         "parent": sources["parent"],
         "change": sources["change"],
-        "settings": {"pairs": args.pairs, "traced": args.traced, "seconds": args.seconds,
+        "settings": {"pairs": PAIRS, "traced": TRACED, "seconds": seconds,
                      "first_seed": args.first_seed, "workloads": workloads},
         "machine": {**environment.get("machine", {}), "driver_python": platform.python_version(),
                     "loadavg_start": list(load_start), "loadavg_end": list(os.getloadavg())},
