@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .errors import (
     BaeQndError,
@@ -38,7 +38,6 @@ from .measurement import (
 from .setup_model import (
     Calibration,
     SetupCircuit,
-    SetupParams,
     calibrate_outcome_map,
     equivalence_defect,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "OutOfRangeError",
     "SetupCircuit",
     "SetupMismatchError",
-    "SetupParams",
     "ShotTable",
     "TruncationOverflowError",
     "asymptotic_p1",

@@ -37,16 +37,24 @@ refused with exit 2 before any work, and the exit-4 suggestion of a larger
 --dim never passes the range's top: at the top it says that no --dim the
 command takes holds the mass.
 
+setup-check builds one SetupCircuit per audited dim.  The circuit computes
+its vacuum calibration once, and the report and every equivalence defect on
+that circuit read it; only the one-photon scale takes a calibration of its own.
+
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened), 3 numeric
-precondition failure (degenerate conditioning, calibration mismatch),
+precondition failure (degenerate conditioning, calibration mismatch, and a
+setup-check whose kernel density passes the equivalence floor at no outcome),
 4 truncation overflow (circuit occupation or measurement-kernel leak above
 --dim).
+
+The parser is built once per process and reused by every main() call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,7 +84,7 @@ from .measurement import (
     outcome_span,
     truncated_square_defect,
 )
-from .setup_model import SetupCircuit, SetupParams, calibrate_outcome_map, equivalence_defect
+from .setup_model import SetupCircuit, calibrate_outcome_map, equivalence_defect
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -370,30 +378,23 @@ def _cmd_povm_check(args):
 def _cmd_setup_check(args):
     gain = args.gain_a
     dims = sorted({min(max(8, args.dim // 2), args.dim), max(2, 3 * args.dim // 4), args.dim})
-    params = SetupParams(gain, args.dim)
-    circuit = SetupCircuit(params)
-    calibration = calibrate_outcome_map(params, circuit=circuit)
+    circuit = SetupCircuit(gain, args.dim)
     inputs = {"vacuum": FockState.vacuum(args.dim), "one_photon": FockState.number(args.dim, 1)}
     defects = {}
-    # The report's calibration is the vacuum one; only other inputs need their own.
-    scales = {"vacuum": float(calibration.scale)}
+    # The report's calibration is the circuit's vacuum one; only other inputs need their own.
+    scales = {"vacuum": float(circuit.calibration.scale)}
     for name, state in inputs.items():
-        defects[name] = float(
-            equivalence_defect(state, params, circuit=circuit, calibration=calibration)
-        )
+        defects[name] = float(equivalence_defect(state, circuit))
         if name != "vacuum":
-            scales[name] = float(
-                calibrate_outcome_map(params, circuit=circuit, signal_in=state).scale
-            )
+            scales[name] = float(calibrate_outcome_map(circuit, state).scale)
     rows = []
     for dim in dims:
         # Same circuit, outcomes and calibration as the vacuum defect above.
         if dim == args.dim:
             rows.append([int(dim), defects["vacuum"], ""])
             continue
-        sub = SetupParams(gain, dim)
         try:
-            sub_defect = float(equivalence_defect(FockState.vacuum(dim), sub))
+            sub_defect = float(equivalence_defect(FockState.vacuum(dim), SetupCircuit(gain, dim)))
             rows.append([int(dim), sub_defect, ""])
         except TruncationOverflowError:
             rows.append([int(dim), None, "truncation-overflow at this dim"])
@@ -401,11 +402,11 @@ def _cmd_setup_check(args):
         "table": {"columns": ["dim", "vacuum_defect", "note"], "data": list(zip(*rows))},
         "report": {
             "gain_a": gain,
-            "reflectivity": params.reflectivity,
-            "delta_x": params.delta_x,
-            "calibration_scale": calibration.scale,
+            "reflectivity": circuit.reflectivity,
+            "delta_x": circuit.delta_x,
+            "calibration_scale": circuit.calibration.scale,
             "calibration_offset": 0.0,
-            "calibration_residual": calibration.residual,
+            "calibration_residual": circuit.calibration.residual,
             "scale_by_input": scales,
             "equivalence_defect": defects,
         },
@@ -433,8 +434,9 @@ def _cmd_simulate(args):
     }, args.seed
 
 
+@functools.cache
 def _build_parser():
-    """The root parser and its subparsers by command name."""
+    """The root parser and its subparsers by command name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bae-qnd-sim",
         description=(

@@ -22,7 +22,7 @@ to the single-mode measurement-kernel prediction for all inputs.
 
 Mode layout: index 0 is the rail fed by the signal input and read out by the
 meter homodyne; index 1 is fed by the meter vacuum and carries the signal
-output, reported on its levels 0..SetupParams.dim - 1.
+output, reported on its levels 0..SetupCircuit.dim - 1.
 
 Point map.  The circuit is a Gaussian unitary U with the Bogoliubov map
 U^dag a U = W a + V a^dag on a = (a_0, a_1), composed from the three stages
@@ -54,23 +54,28 @@ builder measurement._scaled_rule, whose (nodes, weights) at g -> 2 g give the
 guard's and the calibration's raw rules; it shares no Fock ladder, and its
 physics enters only through _bogoliubov.
 
-calibrate_outcome_map takes its scale from the ratio of the two outcome
-densities' second moments.  Each density is a Gaussian times a polynomial,
-so Gauss-Hermite rules integrate both exactly.  One pass over 51 probes gives
-its sign and residual, and equivalence_defect compares on EQUIVALENCE_OUTCOMES
-outcomes, both over measurement.outcome_span.  Each reads the kernel once,
-its leak guard's rule included (measurement._exact_joint).  The module needs
-numpy only.
+SetupCircuit(gain_a, dim) is the one description of a setup: it validates
+both, derives the reflectivity and the resolution once, and computes its
+vacuum calibration on first use (SetupCircuit.calibration), so the audits
+take the circuit alone.  calibrate_outcome_map takes its scale from the
+ratio of the two outcome densities' second moments.  Each density is a
+Gaussian times a polynomial, so Gauss-Hermite rules integrate both exactly.
+One pass over 51 probes gives its sign and residual, and equivalence_defect
+compares on EQUIVALENCE_OUTCOMES outcomes at the circuit's calibration, both
+over measurement.outcome_span.  Each reads the kernel once, its leak guard's
+rule included (measurement._exact_joint).  The module needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     TRUNCATION_OCCUPATION_LIMIT,
+    DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
     OutOfRangeError,
@@ -100,61 +105,50 @@ EQUIVALENCE_DENSITY_FLOOR = 1e-6
 EQUIVALENCE_OUTCOMES = 2001
 
 
-@dataclass(frozen=True)
-class SetupParams:
-    """Amplifier gain and the truncation dimension of both circuit modes."""
-
-    gain_a: float
-    dim: int = 40
-
-    def __post_init__(self):
-        a = _real(self.gain_a, "gain_a", above=1.0)
-        object.__setattr__(self, "gain_a", a)
-        # The delta_x property, with a * a so that a huge gain gives 0, not an OverflowError.
-        _require_resolution(a / (2.0 * (a * a - 1.0)), f"gain_a {a!r}")
-        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
-
-    @property
-    def reflectivity(self) -> float:
-        """Beam-splitter reflectivity R = a^2/(a^2+1) matched to the gain."""
-        a2 = self.gain_a**2
-        return a2 / (a2 + 1.0)
-
-    @property
-    def delta_x(self) -> float:
-        """Measurement resolution a/(2(a^2-1)) realized by the circuit."""
-        return self.gain_a / (2.0 * (self.gain_a**2 - 1.0))
-
-
-def _bogoliubov(params: SetupParams) -> tuple[np.ndarray, np.ndarray]:
+def _bogoliubov(circuit: SetupCircuit) -> tuple[np.ndarray, np.ndarray]:
     """(W, V) of the circuit's Heisenberg map U^dag a U = W a + V a^dag.
 
     Every stage is real, so the complex form [[W, V], [V*, W*]] of each is
     [[W, V], [V, W]] and the circuit's is the product splitter, squeezers,
     splitter.
     """
-    theta = float(np.arcsin(np.sqrt(params.reflectivity)))
+    theta = float(np.arcsin(np.sqrt(circuit.reflectivity)))
     c, s = np.cos(theta), np.sin(theta)
     rotation = np.array([[c, s], [-s, c]])
     zero = np.zeros((2, 2))
     splitter = np.block([[rotation, zero], [zero, rotation]])
-    r = np.log(params.gain_a) * np.array([-1.0, 1.0])
+    r = np.log(circuit.gain_a) * np.array([-1.0, 1.0])
     cosh, sinh = np.diag(np.cosh(r)), np.diag(np.sinh(r))
     total = splitter @ np.block([[cosh, sinh], [sinh, cosh]]) @ splitter
     return total[:2, :2], total[:2, 2:]
 
 
 class SetupCircuit:
-    """The circuit's point map for one parameter set, reused across inputs and outcomes."""
+    """The circuit for one amplifier gain and the truncation dimension of both modes.
 
-    def __init__(self, params: SetupParams):
-        self.params = params
-        if params.dim - 1 > MAX_WAVEFUNCTION_LEVEL:
+    gain_a, dim, the matched reflectivity R = a^2/(a^2+1) and the resolution
+    delta_x = a/(2(a^2-1)) are fixed at construction; the point map is reused
+    across inputs and outcomes.
+    """
+
+    def __init__(self, gain_a, dim: int = 40):
+        self.gain_a = gain = _real(gain_a, "gain_a", above=1.0)
+        # gain**2 is the square every payload has used (gain * gain differs from
+        # it in the last bit at gains such as 2.759).  It overflows past about
+        # 1.34e154, where the resolution is below its range anyway.
+        try:
+            square = gain**2
+        except OverflowError:
+            square = np.inf
+        self.delta_x = _require_resolution(gain / (2.0 * (square - 1.0)), f"gain_a {gain!r}")
+        self.reflectivity = square / (square + 1.0)
+        self.dim = _integer(dim, "dim", 2)
+        if self.dim - 1 > MAX_WAVEFUNCTION_LEVEL:
             raise OutOfRangeError(
-                f"dim {params.dim} needs signal-output levels up to {params.dim - 1}, above "
+                f"dim {self.dim} needs signal-output levels up to {self.dim - 1}, above "
                 f"the supported {MAX_WAVEFUNCTION_LEVEL}"
             )
-        w, v = _bogoliubov(params)
+        w, v = _bogoliubov(self)
         a = w + v
         self._b = b = np.linalg.inv(a)
         # The x1 integrand's Gaussian exponent, x1^2 + (B x)_0^2 + (B x)_1^2, is
@@ -167,7 +161,7 @@ class SetupCircuit:
 
     def _point_map(self, psi: np.ndarray, top: int, raw: np.ndarray) -> np.ndarray:
         """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r."""
-        dim = self.params.dim
+        dim = self.dim
         u, factored = _gh_rule((top + dim) // 2 + 2)
         r = raw[:, None]
         x1 = self._shift * r + self._width * u
@@ -194,7 +188,7 @@ class SetupCircuit:
         Raises InvalidParameterError unless raw_values are finite and scalar or 1-D.
         """
         raw = _check_outcomes(raw_values)
-        dim = self.params.dim
+        dim = self.dim
         if signal_in.dim != dim:
             raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")
         psi = signal_in.amplitudes
@@ -213,6 +207,11 @@ class SetupCircuit:
             )
         return amps[: raw.size]
 
+    @cached_property
+    def calibration(self) -> Calibration:
+        """The vacuum calibration, calibrate_outcome_map(self), computed on first use."""
+        return calibrate_outcome_map(self)
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -226,12 +225,7 @@ class Calibration:
             raise InvalidParameterError("calibration scale must be nonzero")
 
 
-def calibrate_outcome_map(
-    params: SetupParams,
-    *,
-    circuit: SetupCircuit | None = None,
-    signal_in: FockState | None = None,
-) -> Calibration:
+def calibrate_outcome_map(circuit: SetupCircuit, signal_in: FockState | None = None) -> Calibration:
     """Map raw homodyne values to measurement outcomes by matching second moments.
 
     Both outcome densities are a Gaussian times a polynomial, so their
@@ -245,19 +239,19 @@ def calibrate_outcome_map(
     closer (trace distance weighted by the circuit's density), and the
     residual the largest density mismatch at that sign over the largest
     probe density.  The analytic scale is -2 dx.  A residual above
-    CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.
+    CALIBRATION_RESIDUAL_LIMIT raises SetupMismatchError.  signal_in defaults
+    to the vacuum; the circuit's own calibration is that one.
     """
-    circuit = circuit or SetupCircuit(params)
     if signal_in is None:
-        signal_in = FockState.vacuum(params.dim)
-    model = MeasurementModel(params.delta_x, params.dim)
-    probe = np.linspace(-1.0, 1.0, 51) * outcome_span(params.delta_x)
+        signal_in = FockState.vacuum(circuit.dim)
+    model = MeasurementModel(circuit.delta_x, circuit.dim)
+    probe = np.linspace(-1.0, 1.0, 51) * outcome_span(circuit.delta_x)
     nodes, weights, joint, kernel_amps = _exact_joint(
         signal_in, model, np.concatenate([probe, -probe]))
     density_kernel = joint.sum(axis=1)
     var_kernel = (density_kernel * nodes**2) @ weights / (density_kernel @ weights)
 
-    count = _top_level(signal_in.amplitudes) + params.dim + 1
+    count = _top_level(signal_in.amplitudes) + circuit.dim + 1
     raw, raw_weights = _scaled_rule(count, 2.0 * circuit._gauss)
     density_raw = np.sum(np.abs(circuit.homodyne_amplitudes(signal_in, raw)) ** 2, axis=1)
     var_raw = (density_raw * raw**2) @ raw_weights / (density_raw @ raw_weights)
@@ -280,36 +274,36 @@ def calibrate_outcome_map(
     return Calibration(scale=-scale if negative else scale, residual=residual)
 
 
-def equivalence_defect(
-    signal_in: FockState,
-    params: SetupParams,
-    *,
-    circuit: SetupCircuit | None = None,
-    calibration: Calibration | None = None,
-) -> float:
+def equivalence_defect(signal_in: FockState, circuit: SetupCircuit) -> float:
     """Worst-case disagreement between the circuit and the measurement kernel.
 
-    The outcomes are EQUIVALENCE_OUTCOMES equally spaced over outcome_span(dx);
-    at each whose kernel density exceeds EQUIVALENCE_DENSITY_FLOOR the defect
-    is |density_setup - density_kernel| plus the trace distance between the
+    The outcomes are EQUIVALENCE_OUTCOMES equally spaced over outcome_span(dx),
+    mapped to raw values by the circuit's vacuum calibration; at each whose
+    kernel density exceeds EQUIVALENCE_DENSITY_FLOOR the defect is
+    |density_setup - density_kernel| plus the trace distance between the
     conditional output states, and the largest is returned.  The kernel read
-    raises TruncationOverflowError like outcome_density_table.
+    raises TruncationOverflowError like outcome_density_table, and
+    DegenerateConditioningError is raised when no outcome passes the floor,
+    where there would be nothing to compare.
     """
-    span = outcome_span(params.delta_x)
+    calibration = circuit.calibration
+    span = outcome_span(circuit.delta_x)
     nodes = np.linspace(-span, span, EQUIVALENCE_OUTCOMES)
-    circuit = circuit or SetupCircuit(params)
-    calibration = calibration or calibrate_outcome_map(params, circuit=circuit)
-
-    model = MeasurementModel(params.delta_x, params.dim)
+    model = MeasurementModel(circuit.delta_x, circuit.dim)
     kernel_amps = _exact_joint(signal_in, model, nodes)[3]
     density_kernel = np.sum(np.abs(kernel_amps) ** 2, axis=1)
 
     keep = density_kernel > EQUIVALENCE_DENSITY_FLOOR
+    if not keep.any():
+        raise DegenerateConditioningError(
+            f"no outcome's kernel density exceeds {EQUIVALENCE_DENSITY_FLOOR:g} "
+            f"(largest {density_kernel.max():.3e}): there is nothing to compare"
+        )
     setup_amps = circuit.homodyne_amplitudes(signal_in, nodes[keep] / calibration.scale)
     density_setup = np.sum(np.abs(setup_amps) ** 2, axis=1) / abs(calibration.scale)
     gap = np.abs(density_setup - density_kernel[keep])
     distance = _state_distance(setup_amps, kernel_amps[keep], density_kernel[keep])
-    return float(np.max(gap + distance, initial=0.0))
+    return float(np.max(gap + distance))
 
 
 def _state_distance(out: np.ndarray, ref: np.ndarray, ref_density: np.ndarray) -> np.ndarray:

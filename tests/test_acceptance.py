@@ -24,7 +24,7 @@ from baeqnd.measurement import (
     asymptotic_p1,
     completeness_defect,
 )
-from baeqnd.setup_model import SetupCircuit, SetupParams, calibrate_outcome_map, equivalence_defect
+from baeqnd.setup_model import SetupCircuit, calibrate_outcome_map, equivalence_defect
 
 from oracles import number_operator, quadrature_x
 
@@ -160,23 +160,20 @@ def test_criterion_5_monte_carlo_consistency():
 def test_criterion_6_setup_equivalence():
     with _Criterion(6, "setup/kernel equivalence", 120.0):
         for gain in (1.2, 1.5, 2.0):
-            params = SetupParams(gain, 40)
-            assert params.reflectivity == pytest.approx(gain**2 / (gain**2 + 1.0), abs=1e-15)
-            assert params.delta_x == pytest.approx(gain / (2.0 * (gain**2 - 1.0)), abs=1e-15)
-            circuit = SetupCircuit(params)
-            calibration = calibrate_outcome_map(params, circuit=circuit)
+            circuit = SetupCircuit(gain, 40)
+            assert circuit.reflectivity == pytest.approx(gain**2 / (gain**2 + 1.0), abs=1e-15)
+            assert circuit.delta_x == pytest.approx(gain / (2.0 * (gain**2 - 1.0)), abs=1e-15)
+            calibration = circuit.calibration
             for state in (FockState.vacuum(40), FockState.number(40, 1)):
-                defect = equivalence_defect(state, params, circuit=circuit, calibration=calibration)
+                defect = equivalence_defect(state, circuit)
                 assert defect < 1e-3, (gain, defect)
-            scale_one = calibrate_outcome_map(
-                params, circuit=circuit, signal_in=FockState.number(40, 1)
-            ).scale
+            scale_one = calibrate_outcome_map(circuit, signal_in=FockState.number(40, 1)).scale
             assert abs(calibration.scale - scale_one) / abs(calibration.scale) < 1e-3
 
         # Every dim agrees to rounding, run at the largest gain whose dim-20
         # circuit stays below the truncation guard so every point is evaluable.
         for dim in (20, 30, 40):
-            defect = equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim))
+            defect = equivalence_defect(FockState.vacuum(dim), SetupCircuit(1.8, dim))
             assert defect <= 1e-12, (dim, defect)
 
 

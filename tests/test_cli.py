@@ -333,6 +333,15 @@ class TestSetupCheck:
         assert lines[1] == "16,,truncation-overflow at this dim"
         assert "None" not in out.read_text(encoding="utf-8")
 
+    def test_nothing_to_compare_exit_code(self, tmp_path, capsys):
+        # At dx 2.5e6 the vacuum's peak density, 1.6e-7, is below the
+        # equivalence floor everywhere: every defect read 0.0 with exit 0.
+        out = tmp_path / "setup.json"
+        code = main(["setup-check", "--gain-a", "1.0000001", "--dim", "8", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert list(tmp_path.iterdir()) == []
+        assert "nothing to compare" in capsys.readouterr().err
+
     def test_overflow_exit_code(self, tmp_path, capsys):
         code = main(["setup-check", "--gain-a", "3", "--dim", "40",
                      "--out", str(tmp_path / "s.json")])
@@ -810,6 +819,17 @@ class TestDimCaps:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "retry with" not in err and "257 at most" in err
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        # Each main() built the parser again, about 1 ms and 39 terminal-size calls.
+        argv = ["jump-sweep", "--delta-x", "1", "--dim", "8", "--out", str(tmp_path / "j.json")]
+        assert main(argv) == EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        assert main(argv) == EXIT_OK
+        assert built == []
 
     def test_correlation_suggests_its_largest_dim(self, tmp_path, capsys):
         # --dim 1500 needs a rule of 1502 nodes and exits 2.

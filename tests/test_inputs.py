@@ -23,7 +23,6 @@ from baeqnd import (
     MeasurementModel,
     OutOfRangeError,
     SetupCircuit,
-    SetupParams,
     ShotTable,
     asymptotic_p1,
     completeness_defect,
@@ -40,7 +39,12 @@ from baeqnd.measurement import measurement_amplitudes
 
 VAC8, MODEL8 = FockState.vacuum(8), MeasurementModel(1.0, 8)
 VAC16, MODEL16 = FockState.vacuum(16), MeasurementModel(1.0, 16)
-CIRCUIT = SetupCircuit(SetupParams(1.5, 16))
+CIRCUIT = SetupCircuit(1.5, 16)
+
+
+def _gain_and_dim(circuit):
+    return circuit.gain_a, circuit.dim
+
 
 #: Site -> (the kind of number it reads, a call that feeds it one value).
 #: "int" is a Python or numpy integer; "int_array", "real" and "complex" are
@@ -72,8 +76,8 @@ SITES = {
     "CorrelationReport jump_probability": ("real", lambda v: CorrelationReport(0.1, 0.125, v)),
     "CorrelationReport standard error": (
         "real", lambda v: CorrelationReport(0.1, 0.125, 0.01, standard_errors={"measured_c": v})),
-    "SetupParams gain_a": ("real", lambda v: SetupParams(v, 8)),
-    "SetupParams dim": ("int", lambda v: SetupParams(1.5, v)),
+    "SetupCircuit gain_a": ("real", lambda v: _gain_and_dim(SetupCircuit(v, 8))),
+    "SetupCircuit dim": ("int", lambda v: _gain_and_dim(SetupCircuit(1.5, v))),
     "SetupCircuit.homodyne_amplitudes": ("real", lambda v: CIRCUIT.homodyne_amplitudes(VAC16, v)),
     "Calibration scale": ("real", lambda v: Calibration(v, 0.0)),
 }
@@ -160,9 +164,11 @@ class TestNumpyScalars:
         assert MeasurementModel(np.array(0.5), np.int64(16)) == MeasurementModel(0.5, 16)
 
     def test_numpy_integer_gain_is_the_plain_number(self):
-        params = SetupParams(np.int64(2), np.int64(16))
-        assert params == SetupParams(2.0, 16)
-        assert type(params.gain_a) is float and type(params.dim) is int
+        circuit = SetupCircuit(np.int64(2), np.int64(16))
+        plain = SetupCircuit(2.0, 16)
+        for name in ("gain_a", "dim", "delta_x", "reflectivity"):
+            assert getattr(circuit, name) == getattr(plain, name)
+        assert type(circuit.gain_a) is float and type(circuit.dim) is int
 
     def test_python_integer_beyond_int64_is_a_seed(self):
         big = 2**70
@@ -308,7 +314,7 @@ class TestHugeOutcomes:
             warnings.simplefilter("error")
             np.testing.assert_array_equal(CIRCUIT.homodyne_amplitudes(VAC16, far), 0.0)
             with pytest.raises(OutOfRangeError, match="float range"):
-                SetupCircuit(SetupParams(1e7, 8)).homodyne_amplitudes(VAC8, far)
+                SetupCircuit(1e7, 8).homodyne_amplitudes(VAC8, far)
 
 
 class TestCliResolution:

@@ -33,7 +33,7 @@ from baeqnd.measurement import (
     outcome_span,
     truncated_square_defect,
 )
-from baeqnd.setup_model import Calibration, SetupParams, calibrate_outcome_map, equivalence_defect
+from baeqnd.setup_model import Calibration, SetupCircuit, calibrate_outcome_map, equivalence_defect
 
 from oracles import (
     amplitudes_column_fill,
@@ -421,16 +421,18 @@ class TestOneKernelRead:
         # requested outcomes, whether the guard passes or raises.
         calls = []
         amplitudes = measurement.measurement_amplitudes
-        params = SetupParams(gain, dim)
-        model = MeasurementModel(params.delta_x, dim)
+        circuit = SetupCircuit(gain, dim)
+        # The analytic calibration, set before counting, so that the defect's
+        # read is counted alone.
+        circuit.calibration = Calibration(-2.0 * circuit.delta_x, 0.0)
+        model = MeasurementModel(circuit.delta_x, dim)
         state = _input(kind, dim, 1, dim)
         reads = {
             "outcome_density": lambda: outcome_density(state, model, x_m),
             "conditional_state": lambda: conditional_state(state, model, x_m),
             "outcome_density_table": lambda: outcome_density_table(state, model, [x_m, -x_m]),
-            "calibrate_outcome_map": lambda: calibrate_outcome_map(params, signal_in=state),
-            "equivalence_defect": lambda: equivalence_defect(
-                state, params, calibration=Calibration(-2.0 * params.delta_x, 0.0)),
+            "calibrate_outcome_map": lambda: calibrate_outcome_map(circuit, signal_in=state),
+            "equivalence_defect": lambda: equivalence_defect(state, circuit),
         }
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(measurement, "measurement_amplitudes",

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from baeqnd import measurement, setup_model
+from baeqnd import cli, measurement, setup_model
 from baeqnd.errors import (
+    DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
     OutOfRangeError,
@@ -17,7 +18,6 @@ from baeqnd.measurement import MeasurementModel, conditional_state, outcome_dens
 from baeqnd.setup_model import (
     EQUIVALENCE_OUTCOMES,
     SetupCircuit,
-    SetupParams,
     _state_distance,
     calibrate_outcome_map,
     equivalence_defect,
@@ -52,7 +52,7 @@ class TestRotations:
 
     @pytest.mark.parametrize("work_dim", [64, 112])
     def test_sector_blocks_match_expm(self, work_dim):
-        reflectivity = SetupParams(1.5).reflectivity
+        reflectivity = SetupCircuit(1.5).reflectivity
         theta = float(np.arcsin(np.sqrt(reflectivity)))
         for n0, n1, block in sector_blocks(reflectivity, (work_dim, work_dim)):
             total = int(n0[0] + n1[0])
@@ -70,36 +70,45 @@ class TestRotations:
             np.testing.assert_allclose(s @ s.T, np.eye(dim), rtol=0, atol=1e-13)
 
 
-class TestSetupParams:
+class TestCircuitParameters:
     def test_matched_reflectivity(self):
-        params = SetupParams(np.sqrt(2.0))
-        assert params.reflectivity == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert params.delta_x == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+        circuit = SetupCircuit(np.sqrt(2.0))
+        assert circuit.reflectivity == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert circuit.delta_x == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
 
     def test_resolution_formula(self):
-        assert SetupParams(1.5).delta_x == pytest.approx(0.6, abs=1e-15)
-        assert SetupParams(2.0).delta_x == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert SetupCircuit(1.5).delta_x == pytest.approx(0.6, abs=1e-15)
+        assert SetupCircuit(2.0).delta_x == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_reflectivity_range(self):
         for a in (1.01, 1.5, 4.0, 25.0):
-            r = SetupParams(a).reflectivity
+            r = SetupCircuit(a).reflectivity
             assert 0.5 < r < 1.0
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -2.0, np.inf])
     def test_gain_must_exceed_one(self, bad):
         with pytest.raises(InvalidParameterError):
-            SetupParams(bad)
+            SetupCircuit(bad)
 
     @pytest.mark.parametrize("dim", [1, 0, 2.0, "40", None])
     def test_dim_must_be_an_integer_of_at_least_two(self, dim):
         with pytest.raises(InvalidParameterError, match="dim must be an integer"):
-            SetupParams(1.5, dim)
+            SetupCircuit(1.5, dim)
 
     @pytest.mark.parametrize("gain", [1e154, 1e200])
     def test_gain_past_the_resolution_range(self, gain):
         # The resolution a/(2(a^2 - 1)) underflows to 0 (or a^2 overflows).
         with pytest.raises(InvalidParameterError, match="gain_a .* gives delta_x"):
-            SetupParams(gain)
+            SetupCircuit(gain)
+
+    @pytest.mark.parametrize("gain", [1.3, 2.759, 4.536])
+    def test_resolution_and_reflectivity_use_gain_squared(self, gain):
+        # The resolution was validated with gain * gain but returned with
+        # gain**2, which differ in the last bit at 2.759 and 4.536.  One value
+        # now serves both, from the gain**2 the payloads have always used.
+        circuit = SetupCircuit(gain)
+        assert circuit.delta_x == gain / (2.0 * (gain**2 - 1.0))
+        assert circuit.reflectivity == gain**2 / (gain**2 + 1.0)
 
 
 def _beam_splitter(reflectivity, dims):
@@ -199,7 +208,7 @@ class TestSqueezer:
             squeeze_matrix(1.5, "sideways", 8)
 
 
-def _compare_with_the_rotation_route(params, amps, atol):
+def _compare_with_the_rotation_route(circuit, amps, atol):
     """The point map's read-out against the reference's on 81 raw values.
 
     Returns False, comparing nothing, when the reference's guard refuses the input.
@@ -207,11 +216,11 @@ def _compare_with_the_rotation_route(params, amps, atol):
     state = FockState(amps).normalize()
     raw = np.linspace(-4.0, 4.0, 81)
     try:
-        reference = SpongeCircuit(params).homodyne_amplitudes(state, raw)
+        reference = SpongeCircuit(circuit).homodyne_amplitudes(state, raw)
     except TruncationOverflowError:
         return False
-    got = SetupCircuit(params).homodyne_amplitudes(state, raw)
-    assert got.shape == reference.shape == (81, params.dim)
+    got = circuit.homodyne_amplitudes(state, raw)
+    assert got.shape == reference.shape == (81, circuit.dim)
     np.testing.assert_allclose(got, reference, rtol=0, atol=atol)
     return True
 
@@ -220,7 +229,7 @@ class TestCircuitEvolution:
     def test_two_mode_norm_preserved(self):
         # The raw density integrates to the input's norm on a fine trapezoid
         # grid, less the mass above the signal output's 24 levels.
-        circuit = SetupCircuit(SetupParams(1.5, 24))
+        circuit = SetupCircuit(1.5, 24)
         nodes, weights = trapezoid_grid(10.0, 4001)
         for level in (0, 1):
             amps = circuit.homodyne_amplitudes(FockState.number(24, level), nodes)
@@ -235,9 +244,9 @@ class TestCircuitEvolution:
     ])
     def test_truncation_overflow_at_high_gain(self, gain, dim, level, raises):
         # Near the 1e-6 limit the guard decides as the reference route does.
-        params = SetupParams(gain, dim)
+        point_map = SetupCircuit(gain, dim)
         state = FockState.number(dim, level)
-        for circuit in (SetupCircuit(params), SpongeCircuit(params)):
+        for circuit in (point_map, SpongeCircuit(point_map)):
             if raises:
                 with pytest.raises(TruncationOverflowError):
                     circuit.homodyne_amplitudes(state, 0.0)
@@ -257,98 +266,96 @@ class TestCircuitEvolution:
             amps[level] = complex(data.draw(parts), data.draw(parts))
         if np.linalg.norm(amps) < 1e-3:
             amps[top] = 1.0
-        _compare_with_the_rotation_route(SetupParams(gain, dim), amps, atol=1e-10)
+        _compare_with_the_rotation_route(SetupCircuit(gain, dim), amps, atol=1e-10)
 
     def test_rotation_route_at_the_guard_limit(self):
         # Near the guard's limit the reference's own truncation can set the
         # difference: 3.1e-10 here with a working space of 2 dim + 16 levels.
         amps = np.zeros(16, dtype=np.complex128)
         amps[:3] = [0.2 + 0.4j, 0.2, 0.1]
-        assert _compare_with_the_rotation_route(SetupParams(1.552, 16), amps, atol=1e-12)
+        assert _compare_with_the_rotation_route(SetupCircuit(1.552, 16), amps, atol=1e-12)
 
     def test_swapped_arms_match_the_rotation_route(self, monkeypatch):
         # The negative control's map (W, -V) is the circuit whose amplifiers
         # swap directions, here built by per-sector and per-chain rotations.
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
-        params = SetupParams(1.3, 24)
-        reference = SpongeCircuit(params)
+        circuit = SetupCircuit(1.3, 24)
+        reference = SpongeCircuit(circuit)
         reference._squeeze0 = squeeze_matrix(1.3, "amplify-x", reference._work)
         reference._squeeze1 = squeeze_matrix(1.3, "amplify-y", reference._work)
         state = FockState.number(24, 1)
         raw = np.linspace(-4.0, 4.0, 81)
-        np.testing.assert_allclose(SetupCircuit(params).homodyne_amplitudes(state, raw),
+        np.testing.assert_allclose(circuit.homodyne_amplitudes(state, raw),
                                    reference.homodyne_amplitudes(state, raw), rtol=0, atol=1e-12)
 
     def test_small_gain_large_resolution_is_fine(self):
-        params = SetupParams(1.05, 40)
-        defect = equivalence_defect(FockState.vacuum(40), params)
-        assert params.delta_x > 5.0
+        circuit = SetupCircuit(1.05, 40)
+        defect = equivalence_defect(FockState.vacuum(40), circuit)
+        assert circuit.delta_x > 5.0
         assert defect < 1e-3
 
     def test_signal_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
-            SetupCircuit(SetupParams(1.5, 24)).homodyne_amplitudes(FockState.vacuum(16), 0.0)
+            SetupCircuit(1.5, 24).homodyne_amplitudes(FockState.vacuum(16), 0.0)
 
     def test_outcomes_must_be_finite_and_one_dimensional(self):
-        circuit = SetupCircuit(SetupParams(1.5, 16))
+        circuit = SetupCircuit(1.5, 16)
         for raw in (np.zeros((2, 3)), [[0.0]], [0.0, np.nan], np.inf):
             with pytest.raises(InvalidParameterError, match="outcome values must be"):
                 circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
 
     def test_non_real_outcomes_are_refused(self):
         # A complex array used to be read at its real part with only a ComplexWarning.
-        circuit = SetupCircuit(SetupParams(1.5, 16))
+        circuit = SetupCircuit(1.5, 16)
         for raw in (np.array([1 + 2j]), 1 + 2j, "abc", [1.0, "x"]):
             with pytest.raises(InvalidParameterError, match="outcome values must be numeric"):
                 circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
 
     def test_dim_past_the_wavefunction_levels_is_refused(self):
         # The signal output's levels 0..dim-1 are validated up to level 256.
-        assert SetupCircuit(SetupParams(1.5, 257)).params.dim == 257
+        assert SetupCircuit(1.5, 257).dim == 257
         for dim in (258, 1000):
             with pytest.raises(OutOfRangeError, match=f"up to {dim - 1}"):
-                SetupCircuit(SetupParams(1.5, dim))
+                SetupCircuit(1.5, dim)
 
 
-def _readout(params, signal_in, x_m):
+def _readout(circuit, signal_in, x_m):
     """Outcome density and signal-output amplitudes of the circuit at calibrated outcomes x_m."""
-    circuit = SetupCircuit(params)
-    scale = calibrate_outcome_map(params, circuit=circuit).scale
+    scale = circuit.calibration.scale
     amps = circuit.homodyne_amplitudes(signal_in, np.asarray(x_m) / scale)
-    return np.sum(np.abs(amps) ** 2, axis=1) / abs(scale), amps[:, : params.dim]
+    return np.sum(np.abs(amps) ** 2, axis=1) / abs(scale), amps[:, : circuit.dim]
 
 
 class TestRunSetup:
     """The circuit read out at calibrated outcomes against the measurement kernel."""
 
     def test_density_symmetric_for_vacuum(self):
-        densities, _ = _readout(SetupParams(1.5, 40), FockState.vacuum(40), [0.7, -0.7])
+        densities, _ = _readout(SetupCircuit(1.5, 40), FockState.vacuum(40), [0.7, -0.7])
         assert densities[0] == pytest.approx(densities[1], rel=1e-12)
 
     def test_conditional_state_matches_kernel(self):
-        params = SetupParams(1.2, 40)
-        model = MeasurementModel(params.delta_x, 40)
+        circuit = SetupCircuit(1.2, 40)
+        model = MeasurementModel(circuit.delta_x, 40)
         vac = FockState.vacuum(40)
-        (density,), (out,) = _readout(params, vac, [1.1])
+        (density,), (out,) = _readout(circuit, vac, [1.1])
         state = FockState(out).normalize()
         assert fidelity(state, conditional_state(vac, model, 1.1)) >= 1.0 - 1e-3
         assert density == pytest.approx(outcome_density(vac, model, 1.1), rel=1e-3)
 
     def test_outcome_variance(self):
-        params = SetupParams(1.5, 40)
-        nodes, weights = trapezoid_grid(outcome_span(params.delta_x), 801)
-        densities, _ = _readout(params, FockState.vacuum(40), nodes)
+        circuit = SetupCircuit(1.5, 40)
+        nodes, weights = trapezoid_grid(outcome_span(circuit.delta_x), 801)
+        densities, _ = _readout(circuit, FockState.vacuum(40), nodes)
         variance = (densities * nodes**2) @ weights / (densities @ weights)
-        assert variance == pytest.approx(params.delta_x**2 + 0.25, abs=1e-3)
+        assert variance == pytest.approx(circuit.delta_x**2 + 0.25, abs=1e-3)
 
 
 class TestCalibration:
     def test_offset_zero_and_small_residual(self):
         # The map x_m = scale * raw has no offset: the circuit's parity makes
         # the raw density of an even input symmetric, so its mean is 0.
-        params = SetupParams(1.2, 40)
-        circuit = SetupCircuit(params)
-        calibration = calibrate_outcome_map(params, circuit=circuit)
+        circuit = SetupCircuit(1.2, 40)
+        calibration = calibrate_outcome_map(circuit)
         assert not hasattr(calibration, "offset")
         raw = np.linspace(-6.0, 6.0, 1201)
         density = np.sum(np.abs(circuit.homodyne_amplitudes(FockState.vacuum(40), raw)) ** 2, axis=1)
@@ -358,34 +365,31 @@ class TestCalibration:
     def test_scale_matches_analytic_value(self):
         # The Heisenberg analysis gives x_m = -2 dx * raw exactly.
         for gain in (1.2, 1.5, 2.0):
-            params = SetupParams(gain, 40)
-            calibration = calibrate_outcome_map(params)
-            assert calibration.scale == pytest.approx(-2.0 * params.delta_x, rel=1e-12)
+            circuit = SetupCircuit(gain, 40)
+            calibration = calibrate_outcome_map(circuit)
+            assert calibration.scale == pytest.approx(-2.0 * circuit.delta_x, rel=1e-12)
 
     def test_scale_independent_of_input_state(self):
-        params = SetupParams(1.5, 40)
-        circuit = SetupCircuit(params)
-        scale_vac = calibrate_outcome_map(params, circuit=circuit).scale
-        scale_one = calibrate_outcome_map(
-            params, circuit=circuit, signal_in=FockState.number(40, 1)
-        ).scale
+        circuit = SetupCircuit(1.5, 40)
+        scale_vac = calibrate_outcome_map(circuit).scale
+        scale_one = calibrate_outcome_map(circuit, signal_in=FockState.number(40, 1)).scale
         assert abs(scale_vac - scale_one) / abs(scale_vac) < 1e-10
 
     @pytest.mark.parametrize("gain", [1.2, 1.5])
     def test_residual_at_rounding_level(self, gain):
         # Matched second moments give the exact scale, so the probe densities
         # agree to rounding.
-        assert calibrate_outcome_map(SetupParams(gain, 40)).residual < 1e-10
+        assert calibrate_outcome_map(SetupCircuit(gain, 40)).residual < 1e-10
 
     def test_uneven_input_calibrates(self):
         # (|0> + |1>)/sqrt(2) has an outcome density that is not even, so a
         # residual taken before the sign read 0.73 and raised.
         amps = np.zeros(24)
         amps[:2] = np.sqrt(0.5)
-        params = SetupParams(1.5, 24)
-        calibration = calibrate_outcome_map(params, signal_in=FockState(amps))
+        circuit = SetupCircuit(1.5, 24)
+        calibration = calibrate_outcome_map(circuit, signal_in=FockState(amps))
         assert calibration.residual <= 1e-10
-        assert calibration.scale == pytest.approx(-2.0 * params.delta_x, rel=1e-12)
+        assert calibration.scale == pytest.approx(-2.0 * circuit.delta_x, rel=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -401,18 +405,18 @@ class TestCalibration:
         assume(norm > 1e-3)
         amps = np.zeros(dim, dtype=complex)
         amps[:4] = levels / norm
-        params = SetupParams(gain, dim)
+        circuit = SetupCircuit(gain, dim)
         try:
-            calibration = calibrate_outcome_map(params, signal_in=FockState(amps))
+            calibration = calibrate_outcome_map(circuit, signal_in=FockState(amps))
         except TruncationOverflowError:
             return
-        assert calibration.scale == pytest.approx(-2.0 * params.delta_x, rel=5e-9)
+        assert calibration.scale == pytest.approx(-2.0 * circuit.delta_x, rel=5e-9)
         assert calibration.residual <= 2e-7
 
     def test_one_probe_pass(self, monkeypatch):
         # The circuit is read on the variance rule and once on the probes;
         # the kernel once, on the probes, their negatives and the outcome rule.
-        circuit = SetupCircuit(SetupParams(1.5, 24))
+        circuit = SetupCircuit(1.5, 24)
         reads, kernel = [], []
         read = circuit.homodyne_amplitudes
         amplitudes = measurement.measurement_amplitudes
@@ -421,7 +425,7 @@ class TestCalibration:
         monkeypatch.setattr(measurement, "measurement_amplitudes",
                             lambda state, model, x: kernel.append(np.size(x))
                             or amplitudes(state, model, x))
-        calibrate_outcome_map(circuit.params, circuit=circuit)
+        calibrate_outcome_map(circuit)
         # The variance rule's top + dim + 1 nodes and the outcome rule's
         # dim + top + 2, at top 0.
         assert reads == [25, 51]
@@ -432,7 +436,7 @@ class TestCalibration:
         # outcome density no longer matches any rescaled kernel density.
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
         with pytest.raises(SetupMismatchError):
-            calibrate_outcome_map(SetupParams(1.5, 40), signal_in=FockState.number(40, 1))
+            calibrate_outcome_map(SetupCircuit(1.5, 40), signal_in=FockState.number(40, 1))
 
 
 class TestEquivalence:
@@ -472,42 +476,89 @@ class TestEquivalence:
 
     def test_unreachable_outcome_counts_as_fully_distinct(self, monkeypatch):
         # Where the circuit leaves no meter amplitude, the defect is the density gap plus 1.
-        params = SetupParams(1.5, 24)
-        circuit = SetupCircuit(params)
-        calibration = calibrate_outcome_map(params, circuit=circuit)
-        nodes, _ = trapezoid_grid(outcome_span(params.delta_x), EQUIVALENCE_OUTCOMES)
+        circuit = SetupCircuit(1.5, 24)
+        circuit.calibration  # computed before the circuit's reads are replaced
+        nodes, _ = trapezoid_grid(outcome_span(circuit.delta_x), EQUIVALENCE_OUTCOMES)
         monkeypatch.setattr(circuit, "homodyne_amplitudes",
                             lambda state, raw: np.zeros((np.size(raw), 24), complex))
         vac = FockState.vacuum(24)
-        density = np.array([outcome_density(vac, MeasurementModel(params.delta_x, 24), x)
+        density = np.array([outcome_density(vac, MeasurementModel(circuit.delta_x, 24), x)
                             for x in nodes])
-        defect = equivalence_defect(vac, params, circuit=circuit, calibration=calibration)
+        defect = equivalence_defect(vac, circuit)
         assert defect == pytest.approx(density.max() + 1.0, rel=1e-12)
 
     @pytest.mark.parametrize("gain", [1.2, 1.5, 2.0])
     def test_defect_small_for_both_inputs(self, gain):
-        params = SetupParams(gain, 40)
-        circuit = SetupCircuit(params)
-        calibration = calibrate_outcome_map(params, circuit=circuit)
+        circuit = SetupCircuit(gain, 40)
         for state in (FockState.vacuum(40), FockState.number(40, 1)):
-            defect = equivalence_defect(state, params, circuit=circuit, calibration=calibration)
+            defect = equivalence_defect(state, circuit)
             assert defect < 1e-3
 
     def test_defect_at_rounding_for_every_dim(self):
         # Mode 0 is not truncated, so no dim leaves a truncation error.
         for dim in (20, 30, 40):
-            assert equivalence_defect(FockState.vacuum(dim), SetupParams(1.8, dim)) <= 1e-12
+            assert equivalence_defect(FockState.vacuum(dim), SetupCircuit(1.8, dim)) <= 1e-12
 
     def test_swapped_arms_fail_equivalence(self, monkeypatch):
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
-        defect = equivalence_defect(FockState.vacuum(40), SetupParams(1.5, 40))
+        defect = equivalence_defect(FockState.vacuum(40), SetupCircuit(1.5, 40))
         assert defect > 0.1
 
     def test_no_count_parameter(self):
         with pytest.raises(TypeError):
-            equivalence_defect(FockState.vacuum(24), SetupParams(1.5, 24), 201)
+            equivalence_defect(FockState.vacuum(24), SetupCircuit(1.5, 24), 201)
 
     def test_overflow_propagates(self):
-        params = SetupParams(3.0, 40)
+        circuit = SetupCircuit(3.0, 40)
         with pytest.raises(TruncationOverflowError):
-            equivalence_defect(FockState.vacuum(40), params)
+            equivalence_defect(FockState.vacuum(40), circuit)
+
+    @pytest.mark.parametrize("gain, state", [
+        (1.0000001, FockState.vacuum(8)),  # dx 2.5e6: the peak density is 1.6e-7
+        (1.5, FockState([1e-3] + [0.0] * 15)),  # squared norm 1e-6
+    ])
+    def test_nothing_above_the_floor_is_refused(self, gain, state):
+        # No outcome's kernel density passed the floor, and the defect read 0.0.
+        with pytest.raises(DegenerateConditioningError, match="nothing to compare"):
+            equivalence_defect(state, SetupCircuit(gain, state.dim))
+
+    def test_one_calibration_per_circuit(self, monkeypatch):
+        # Both inputs read the circuit's vacuum calibration, made on first use.
+        calls = []
+        calibrate = setup_model.calibrate_outcome_map
+        monkeypatch.setattr(setup_model, "calibrate_outcome_map",
+                            lambda *args: calls.append(args) or calibrate(*args))
+        circuit = SetupCircuit(1.5, 24)
+        for state in (FockState.vacuum(24), FockState.number(24, 1)):
+            assert equivalence_defect(state, circuit) < 1e-12
+        assert calls == [(circuit,)]
+        assert circuit.calibration == calibrate(circuit)
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestWorkCounts:
+    def test_setup_check_work(self, tmp_path, monkeypatch):
+        # setup-check 1.5/48 audits dims 24, 36 and 48: one circuit each, the
+        # vacuum calibration of each and the one-photon one, and one kernel
+        # read per calibration and per defect.  Each calibration reads the
+        # circuit twice and each defect once.
+        counts = {}
+        for owner, name in ((SetupCircuit, "__init__"), (SetupCircuit, "homodyne_amplitudes"),
+                            (setup_model, "calibrate_outcome_map"),
+                            (cli, "calibrate_outcome_map"),
+                            (measurement, "measurement_amplitudes")):
+            _count_calls(monkeypatch, owner, name, counts)
+        out = tmp_path / "setup.json"
+        assert cli.main(["setup-check", "--gain-a", "1.5", "--dim", "48",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert counts == {"__init__": 3, "calibrate_outcome_map": 4,
+                          "measurement_amplitudes": 8, "homodyne_amplitudes": 12}
