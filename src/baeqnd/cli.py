@@ -20,6 +20,12 @@ table's text appended last; its bytes are those json writes for the rows.
 Each command registers once (@_command: help, the flags it reads, --dim
 range), so argparse refuses any other flag with exit 2 before a file is
 opened, and meta.config holds exactly the settings that shaped the payload.
+A command returns its payload alone, and the writer takes meta.seed from
+--seed.  Only simulate and correlation take --seed, and only to draw shots:
+simulate requires both --shots and --seed, and correlation refuses either
+one without the other with exit 2, so meta.seed is set exactly when shots
+were drawn.
+
 Only distribution tabulates on uniform outcomes, np.linspace(-span, span,
 --grid-count) with span = measurement.outcome_span(--delta-x), so only it
 takes --grid-count; it refuses a --grid-count below 2 and an --n-max outside
@@ -227,7 +233,7 @@ def _payload_texts(payload: dict, csv: bool) -> tuple[str, str | None]:
     return canonical, "\n".join([",".join(table["columns"]), *csv_lines]) + "\n"
 
 
-def _write_envelope(args, payload: dict, seed) -> None:
+def _write_envelope(args, payload: dict) -> None:
     # The canonical payload text is hashed and written as is: one serialisation.
     canonical, csv_text = _payload_texts(payload, csv=args.format == "csv")
     canonical = canonical.encode()
@@ -237,7 +243,8 @@ def _write_envelope(args, payload: dict, seed) -> None:
         "version": __version__,
         "command": args.command,
         "config": vars(args).copy(),
-        "seed": seed,
+        # Set exactly where shots were drawn: no command takes --seed without them.
+        "seed": getattr(args, "seed", None),
         "threads": _env_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -287,11 +294,12 @@ def _cmd_distribution(args):
         + [f"p_{n}" for n in range(args.n_max + 1)]
         + ["p1_asymptotic", "x_scaled", "p1_scaled", "p1_asymptotic_scaled"]
     )
-    p1 = table[:, 1] if args.n_max >= 1 else np.zeros(x.size)
+    # Level 1 is in every table (dim >= 2), whatever --n-max tabulates.
+    p1 = table[:, 1]
     cube = delta_x**3
     per_photon = table[:, : args.n_max + 1].T
     data = [x, table.sum(axis=1), *per_photon, asym, x / delta_x, cube * p1, cube * asym]
-    return {"table": {"columns": columns, "data": data}}, None
+    return {"table": {"columns": columns, "data": data}}
 
 
 @_command("jump-sweep", "exact jump probability against the wide-kernel 1/(16 dx^2) law",
@@ -309,25 +317,29 @@ def _cmd_jump_sweep(args):
             "columns": ["delta_x", "jump_exact", "jump_asymptotic", "ratio"],
             "data": list(zip(*rows)),
         }
-    }, None
+    }
+
+
+def _sampled(args, model):
+    """The vacuum's seeded shots at --shots and --seed, and their correlation report."""
+    state = FockState.vacuum(args.dim)
+    shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
+    return shots, summarize(shots, state, model)
 
 
 @_command("correlation", "jump/outcome correlation report (exact, optionally sampled)",
           ("delta-x", "shots", "seed"))
 def _cmd_correlation(args):
-    delta_x = _require_delta_x(args)
-    model = MeasurementModel(delta_x, args.dim)
-    state = FockState.vacuum(args.dim)
+    model = MeasurementModel(_require_delta_x(args), args.dim)
     if args.shots is None:
-        report = exact_report(state, model)
-        seed = None
+        if args.seed is not None:
+            raise InvalidParameterError("--seed requires --shots (the seed shapes only sampled shots)")
+        report = exact_report(FockState.vacuum(args.dim), model)
     else:
         if args.seed is None:
             raise InvalidParameterError("--shots requires --seed (no silent default seed)")
-        shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-        report = summarize(shots, state, model)
-        seed = args.seed
-    return {"report": report.to_dict()}, seed
+        report = _sampled(args, model)[1]
+    return {"report": report.to_dict()}
 
 
 @_command("povm-check", "completeness audit of the squared measurement kernel",
@@ -369,7 +381,7 @@ def _cmd_povm_check(args):
             "grid_span": span,
             "max_defect": max(r[2] for r in rows),
         },
-    }, None
+    }
 
 
 @_command("setup-check", "two-mode circuit vs measurement kernel equivalence", ("gain-a",),
@@ -410,7 +422,7 @@ def _cmd_setup_check(args):
             "scale_by_input": scales,
             "equivalence_defect": defects,
         },
-    }, None
+    }
 
 
 @_command("simulate", "seeded Monte Carlo shots plus summary report",
@@ -421,17 +433,14 @@ def _cmd_simulate(args):
         raise InvalidParameterError("simulate requires --shots and --seed")
     if args.record_limit is not None:
         _integer(args.record_limit, "--record-limit", 0)
-    model = MeasurementModel(delta_x, args.dim)
-    state = FockState.vacuum(args.dim)
-    shots = run_experiment(state, model, args.shots, args.seed, threads=_env_threads())
-    report = summarize(shots, state, model)
+    shots, report = _sampled(args, MeasurementModel(delta_x, args.dim))
     emit = slice(args.record_limit)
     data = [c[emit] for c in (shots.shot_index, shots.rng_stream_id, shots.x_m, shots.photon_n)]
     return {
         "table": {"columns": ["shot_index", "rng_stream_id", "x_m", "photon_n"], "data": data},
         "report": report.to_dict(),
         "records_emitted": data[0].size,
-    }, args.seed
+    }
 
 
 @functools.cache
@@ -483,15 +492,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_dim(args)
-        payload, seed = _COMMANDS[args.command].run(args)
-        _write_envelope(args, payload, seed)
+        _write_envelope(args, _COMMANDS[args.command].run(args))
     except TruncationOverflowError as exc:
         print(f"error: {exc} ({_dim_suggestion(args)})", file=sys.stderr)
         return EXIT_TRUNCATION
     except (DegenerateConditioningError, SetupMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InvalidParameterError, BaeQndError, OSError) as exc:
+    except (BaeQndError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -31,8 +31,9 @@ CDF values bracket u, and a binary search only for the shots where they do
 not.  The table then becomes its cumulative sum over the photon number, one
 vector add per level in place, and the shot's photon CDF is the same linear
 interpolation between the two cumulative columns around x_m, adjacent in
-memory.  x_m lies in the node cell of u's CDF cell, or an ulp past its end,
-which one comparison with each end of the cell corrects.  The photon number
+memory.  x_m is read in the node cell of u's CDF cell: the draw puts it at
+or past the cell's left node, and a shot that rounds onto the right node
+reads that node's column alone, its weight clipped to 1.  The photon number
 is the first level whose interpolated CDF reaches the shot's uniform: 0 after
 one read where level 0 already does (most shots at wide dx), otherwise found
 by bisection over the levels, so each shot costs O(log dim) and no kernel
@@ -67,7 +68,7 @@ digits and then read 0.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -268,26 +269,15 @@ def _outcome_draw(xs, cdf, slopes, guide, u):
     return x, j
 
 
-def _cell(xs: np.ndarray, x: np.ndarray, guess: np.ndarray) -> np.ndarray:
-    """Index of the cell [xs[i], xs[i + 1]) of the nodes xs holding each x.
-
-    The same index as np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
-    for a guess in 0..xs.size - 2 that is off by at most one: one comparison
-    with each end of the guessed cell corrects it.
-    """
-    i = guess - (xs[guess] > x) + (xs[guess + 1] <= x)
-    return np.clip(i, 0, xs.size - 2)
-
-
 def _run_shard(xs, cdf, slopes, guide, cum, seed, stream_id, count):
     rng = np.random.default_rng([seed, stream_id])
     x, j = _outcome_draw(xs, cdf, slopes, guide, rng.random(count))
     u_n = rng.random(count)
-    # x lies in the node cell j up to rounding, which can push it an ulp into
-    # the next cell; the guessed cell absorbs that, and w stays in [0, 1].
-    i = _cell(xs, x, j)
-    w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
-    return x, _photon_draw(cum, i, w, u_n)
+    # x = xs[j] + slopes[j] (u - cdf[j]) with both terms >= 0, so x >= xs[j].
+    # Where it rounds onto xs[j + 1], w clips to 1 and reads that node's
+    # column alone, as the next cell would at w = 0.
+    w = np.clip((x - xs[j]) / (xs[j + 1] - xs[j]), 0.0, 1.0)
+    return x, _photon_draw(cum, j, w, u_n)
 
 
 def run_experiment(
@@ -416,7 +406,7 @@ def operator_correlation(state: FockState) -> float:
 
 
 def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> CorrelationReport:
-    """Combine sampled estimators with their deterministic counterparts.
+    """exact_report's report with the sampled estimators filled in.
 
     Sampled quantities: the jump fraction, the correlation estimator
     mean of n (x_m^2 - dx^2), and the sample covariance of (n, x_m^2), each
@@ -429,7 +419,7 @@ def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> Co
     top = int(table.photon_n.max())
     if top >= model.dim:
         raise DimensionMismatchError(f"photon number {top} is not a level of model dim {model.dim}")
-    exact = _exact_report_fields(state, model)
+    exact = exact_report(state, model)
 
     x = table.x_m
     n = table.photon_n.astype(np.float64)
@@ -449,10 +439,8 @@ def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> Co
         se_cov = float(influence.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     _require_finite(model.delta_x, measured_c, se_c, measured_cov, se_cov)
 
-    return CorrelationReport(
-        exact_c_integral=exact["exact_c_integral"],
-        operator_c=exact["operator_c"],
-        jump_probability=exact["jump_probability"],
+    return replace(
+        exact,
         shots=shots,
         measured_c=measured_c,
         measured_covariance=measured_cov,
@@ -467,13 +455,9 @@ def summarize(table: ShotTable, state: FockState, model: MeasurementModel) -> Co
 
 def exact_report(state: FockState, model: MeasurementModel) -> CorrelationReport:
     """Deterministic quantities only; sampled fields are absent."""
-    return CorrelationReport(**_exact_report_fields(state, model))
-
-
-def _exact_report_fields(state, model) -> dict:
     correlation, jump = _exact_integrals(state, model)
-    return {
-        "exact_c_integral": correlation,
-        "operator_c": operator_correlation(state),
-        "jump_probability": jump,
-    }
+    return CorrelationReport(
+        exact_c_integral=correlation,
+        operator_c=operator_correlation(state),
+        jump_probability=jump,
+    )

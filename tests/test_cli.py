@@ -104,6 +104,19 @@ class TestDistribution:
         x_m = [row[table["columns"].index("x_m")] for row in table["rows"]]
         assert x_m == np.linspace(-6.0 * math.sqrt(2.0), 6.0 * math.sqrt(2.0), 201).tolist()
 
+    def test_p1_scaled_does_not_depend_on_n_max(self, tmp_path):
+        # The table holds level 1 at every dim, so p1_scaled = dx^3 p_1 is
+        # tabulated whatever --n-max is; at --n-max 0 it read 0.0 in every row.
+        columns = {}
+        for n_max in (0, 4):
+            out = tmp_path / f"dist-{n_max}.json"
+            assert main(["distribution", "--delta-x", "10", "--dim", "16", "--grid-count", "5",
+                         "--n-max", str(n_max), "--out", str(out)]) == EXIT_OK
+            table = read_envelope(out)["payload"]["table"]
+            columns[n_max] = [row[table["columns"].index("p1_scaled")] for row in table["rows"]]
+        assert columns[0] == columns[4]
+        assert columns[0][1] > 0.0
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid-count", "1", "grid count must be an integer >= 2, got 1"),
@@ -183,6 +196,16 @@ class TestCorrelation:
         code = main(["correlation", "--delta-x", "5", "--shots", "100",
                      "--out", str(tmp_path / "c.json")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_seed_without_shots_is_config_error(self, tmp_path, capsys, fmt):
+        # The exact report draws nothing, so a seed would be recorded in
+        # meta.config without shaping the payload.
+        code = main(["correlation", "--delta-x", "1", "--dim", "16", "--seed", "7",
+                     "--format", fmt, "--out", str(tmp_path / f"c.{fmt}")])
+        assert code == EXIT_CONFIG
+        assert "--seed requires --shots" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["correlation", "simulate"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
@@ -698,7 +721,7 @@ class TestEnvelopeWriter:
         # read 14 times.
         args = argparse.Namespace(command="simulate", delta_x=[5.0], dim=32, shots=20_000, seed=9,
                                   record_limit=None)
-        payload, _ = cli._COMMANDS["simulate"].run(args)
+        payload = cli._COMMANDS["simulate"].run(args)
         tracemalloc.start()
         try:
             canonical, _ = cli._payload_texts(payload, csv=True)

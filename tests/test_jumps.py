@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -227,23 +227,35 @@ class TestTabulatedPhotonDraw:
             return
         np.testing.assert_array_equal(jumps._photon_draw(cum, i, w, u), expected)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(span=st.floats(1e-3, 1e8), centre=st.floats(-1.0, 1.0),
-           count=st.sampled_from([2, 3, 17, 1000, SAMPLING_GRID_COUNT]), data=st.data())
-    def test_cell_lookup_equals_the_search(self, span, centre, count, data):
-        # Every node, both float neighbours of each, points beyond both ends
-        # and points drawn inside the grid find the cell the search finds,
-        # from a guessed cell that is off by at most one.
-        xs = np.linspace(centre * span - span, centre * span + span, count)
-        inside = data.draw(arrays(np.float64, 50, elements=st.floats(0.0, 1.0)), label="inside")
-        x = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
-                            xs[0] + inside * (xs[-1] - xs[0]),
-                            [xs[0] - span, xs[-1] + span]])
-        expected = np.clip(np.searchsorted(xs, x, "right") - 1, 0, xs.size - 2)
-        slip = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="slip")).integers(
-            -1, 2, x.size)
-        guess = np.clip(expected + slip, 0, xs.size - 2)
-        np.testing.assert_array_equal(jumps._cell(xs, x, guess), expected)
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(nodes=st.sampled_from([2, 3, 17, 1000]), offset=st.sampled_from([0.0, 1.0, -1e3]),
+           span=st.floats(-14.0, 3.0), decades=st.floats(0.0, 30.0), empty=st.sampled_from([0.0, 0.3]),
+           dim=st.sampled_from([2, 3, 8, 33]), seed=st.integers(0, 2**32 - 1), stream=st.integers(0, 3))
+    def test_shard_reads_the_searched_node_cell(self, nodes, offset, span, decades, empty, dim,
+                                                seed, stream):
+        # Oracle: the node cell np.searchsorted finds for each outcome.  The
+        # shard reads the outcome draw's own CDF cell instead; a shot whose
+        # outcome rounds onto the cell's right node reads that node's column
+        # either way.  Cells a few ulps wide, around an offset node range,
+        # make such shots common.
+        width = 10.0**span * max(1.0, abs(offset))
+        xs = offset + np.linspace(-width, width, nodes)
+        assume(np.all(np.diff(xs) > 0.0))
+        rng = np.random.default_rng(seed)
+        mass = 10.0 ** (-decades * rng.random(nodes - 1))
+        mass[rng.random(nodes - 1) < empty] = 0.0
+        cdf = _tilted_cdf(mass)
+        with np.errstate(divide="ignore"):
+            slopes = np.diff(xs) / np.diff(cdf)
+        cum = np.ascontiguousarray(np.cumsum(rng.random((nodes, dim)) ** 4, axis=1).T)
+        count = 2000
+        x, n = jumps._run_shard(xs, cdf, slopes, jumps._outcome_guide(cdf), cum, seed, stream, count)
+        draws = np.random.default_rng([seed, stream])
+        u_x, u_n = draws.random(count), draws.random(count)
+        assert x.tobytes() == np.interp(u_x, cdf, xs).tobytes()
+        i = np.clip(np.searchsorted(xs, x, "right") - 1, 0, nodes - 2)
+        w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+        np.testing.assert_array_equal(n, jumps._photon_draw(cum, i, w, u_n))
 
     @pytest.mark.parametrize("shots, threads", [(1000, 1), (120_000, 1), (120_000, 2)])
     def test_kernel_rows_do_not_grow_with_shots(self, monkeypatch, shots, threads):
