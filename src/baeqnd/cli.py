@@ -13,8 +13,13 @@ its formatter once.  In a column of finite ints and floats the repr of each
 cell is the token json writes, so one text serves both the JSON row and the
 CSV line; a column that holds null or text (setup-check's) takes json's token
 for the JSON row and an empty cell for null, the bare text otherwise, for the
-CSV line.  Cells are made lazily, column by column, and joined once per row.
-The canonical payload is the compact, sorted JSON of the other keys with the
+CSV line.  The rows are formatted in blocks of _BLOCK_ROWS: a block's cells
+are made lazily, column by column, and joined once per row, and its text is
+encoded once and fed to the canonical SHA-256 (in CSV mode to the CSV one
+too).  Only the encoded bytes of the file being written are kept, and they
+are written at once after the last block, so no file is opened before every
+cell is formatted and the writer holds those bytes and one block's texts.  The
+canonical payload is the compact, sorted JSON of the other keys with the
 table's text appended last; its bytes are those json writes for the rows.
 
 Each command registers once (@_command: help, the flags it reads, --dim
@@ -48,7 +53,8 @@ its vacuum calibration once, and the report and every equivalence defect on
 that circuit read it; only the one-photon scale takes a calibration of its own.
 
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
-cannot write, such as NaN, refused before any file is opened), 3 numeric
+cannot write, such as NaN, refused before any file is opened, and an
+allocation that fails, such as a --grid-count too large to hold), 3 numeric
 precondition failure (degenerate conditioning, calibration mismatch, and a
 setup-check whose kernel density passes the equivalence floor at no outcome),
 4 truncation overflow (circuit occupation or measurement-kernel leak above
@@ -100,6 +106,9 @@ EXIT_TRUNCATION = 4
 #: Highest photon number distribution tabulates by default; for vacuum-like
 #: inputs at dx >= 1 only the lowest few photon numbers carry any weight.
 DEFAULT_N_MAX = 4
+
+#: Table rows formatted, encoded and hashed together by the envelope writer.
+_BLOCK_ROWS = 2048
 
 #: Flag -> its add_argument keywords, in usage order.  Every command takes
 #: --dim, --out and --format; the others only where it registers them.
@@ -171,22 +180,31 @@ def _finite_numbers(column) -> bool:
     return all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in column)
 
 
-def _row_texts(columns) -> tuple[list, list]:
-    """Each row's JSON text between its brackets, and its CSV line.
+def _row_blocks(columns, csv: bool):
+    """Each block of _BLOCK_ROWS rows: its JSON texts between brackets, and its CSV lines.
 
-    Each column picks its formatter once.  A column of finite ints and floats
-    takes repr, the token json writes, so its cells serve the JSON row and the
-    CSV line alike; any other column takes JSON tokens from _compact_json and
-    CSV cells from _format_cell.  Cells are made lazily, column by column, and
-    joined once per row, so no column's texts are held at once.
+    Each column picks its formatter once, over the whole column.  A column of
+    finite ints and floats takes repr, the token json writes, so its cells
+    serve the JSON row and the CSV line alike; any other column takes JSON
+    tokens from _compact_json and CSV cells from _format_cell.  The CSV lines
+    are None unless csv is set.  Only one block's cells are made at a time.
     """
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     numeric = [_finite_numbers(c) for c in columns]
-    def rows(cell):
+
+    def rows(values, cell):
         cells = [map(repr if n else cell, v) for n, v in zip(numeric, values)]
         return list(map(",".join, zip(*cells)))
-    json_rows = rows(_compact_json)
-    return json_rows, json_rows if all(numeric) else rows(_format_cell)
+
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+        values = [c[start:start + _BLOCK_ROWS] for c in columns]
+        values = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+        json_rows = rows(values, _compact_json)
+        csv_lines = None
+        if csv:
+            csv_lines = json_rows if all(numeric) else rows(values, _format_cell)
+        # Only the block's row texts are held while the writer encodes them.
+        del values
+        yield json_rows, csv_lines
 
 
 def _report_csv(report: dict) -> str:
@@ -203,41 +221,48 @@ def _report_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _payload_texts(payload: dict, csv: bool) -> tuple[str, str | None]:
-    """The canonical payload text, and the CSV text when csv is set.
+def _payload_bytes(payload: dict, csv: bool) -> tuple[str, str | None, list]:
+    """The payload's checksum, the CSV text's when csv is set, and the file's bytes.
 
-    A command hands its table over as columns, {"columns": names, "data":
-    [column, ...]}; the canonical text holds it as {"columns", "rows"}, so
-    the rows are written and hashed as if json had serialised them.  Every
-    other payload key sorts before "table", so the table text goes last.
+    The bytes are the canonical payload text's, or the CSV text's when csv is
+    set; only they are kept.  A command hands its table over as columns,
+    {"columns": names, "data": [column, ...]}; the canonical text holds it as
+    {"columns", "rows"}, so the rows are written and hashed as if json had
+    serialised them.  Every other payload key sorts before "table", so the
+    table text goes last.  Each text is encoded once, block by block, and fed
+    to its hash.
     """
+    canonical, csv_hash, kept = hashlib.sha256(), hashlib.sha256(), []
+
+    def feed(json_text, csv_text=None):
+        data = json_text.encode()
+        canonical.update(data)
+        if csv:
+            data = csv_text.encode()
+            csv_hash.update(data)
+        kept.append(data)
+
     table = payload.get("table")
     if table is None:
-        report_csv = _report_csv(payload.get("report", payload)) if csv else None
-        return _compact_json(payload), report_csv
-    rest = {k: v for k, v in payload.items() if k != "table"}
-    assert all(key < "table" for key in rest), sorted(rest)
-    json_rows, csv_lines = _row_texts(table["data"])
-    rows = ["[[", "],[".join(json_rows), "]]"] if json_rows else ["[]"]
-    canonical = "".join([
-        _compact_json(rest)[:-1],
-        "," if rest else "",
-        '"table":{"columns":',
-        _compact_json(table["columns"]),
-        ',"rows":',
-        *rows,
-        "}}",
-    ])
-    if not csv:
-        return canonical, None
-    return canonical, "\n".join([",".join(table["columns"]), *csv_lines]) + "\n"
+        feed(_compact_json(payload), _report_csv(payload.get("report", payload)) if csv else None)
+    else:
+        rest = {k: v for k, v in payload.items() if k != "table"}
+        assert all(key < "table" for key in rest), sorted(rest)
+        head = "".join([_compact_json(rest)[:-1], "," if rest else "", '"table":{"columns":',
+                        _compact_json(table["columns"]), ',"rows":'])
+        feed(head, ",".join(table["columns"]) + "\n")
+        opening = "[["
+        for json_rows, csv_lines in _row_blocks(table["data"], csv):
+            feed(opening + "],[".join(json_rows), "\n".join(csv_lines) + "\n" if csv else None)
+            opening = "],["
+        feed("[]}}" if opening == "[[" else "]]}}", "")
+    return ("sha256:" + canonical.hexdigest(),
+            "sha256:" + csv_hash.hexdigest() if csv else None, kept)
 
 
 def _write_envelope(args, payload: dict) -> None:
-    # The canonical payload text is hashed and written as is: one serialisation.
-    canonical, csv_text = _payload_texts(payload, csv=args.format == "csv")
-    canonical = canonical.encode()
-    checksum = "sha256:" + hashlib.sha256(canonical).hexdigest()
+    # Every cell is formatted and hashed before a file is opened.
+    checksum, csv_sha256, chunks = _payload_bytes(payload, csv=args.format == "csv")
     meta = {
         "tool": "bae-qnd-sim",
         "version": __version__,
@@ -249,24 +274,22 @@ def _write_envelope(args, payload: dict) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     out = args.out
-    if csv_text is None:
+    if csv_sha256 is None:
         # Keys sort as checksum, meta, payload, so the payload text goes last.
         head = _compact_json({"checksum": checksum, "meta": meta})[:-1]
         with open(out, "wb") as fh:
-            fh.writelines([head.encode(), b',"payload":', canonical, b"}\n"])
+            fh.writelines([head.encode(), b',"payload":', *chunks, b"}\n"])
         print(f"wrote {out}")
         return
-    # Like the payload, the CSV text is encoded once, then hashed and written.
-    csv_bytes = csv_text.encode()
     sidecar = {
         "meta": meta,
         "payload_without_table": {k: v for k, v in payload.items() if k != "table"},
         "checksum": checksum,
-        "csv_sha256": "sha256:" + hashlib.sha256(csv_bytes).hexdigest(),
+        "csv_sha256": csv_sha256,
     }
     sidecar_text = _compact_json(sidecar) + "\n"
     with open(out, "wb") as fh:
-        fh.write(csv_bytes)
+        fh.writelines(chunks)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(sidecar_text)
     print(f"wrote {out} and {out}.meta.json")
@@ -297,7 +320,8 @@ def _cmd_distribution(args):
     # Level 1 is in every table (dim >= 2), whatever --n-max tabulates.
     p1 = table[:, 1]
     cube = delta_x**3
-    per_photon = table[:, : args.n_max + 1].T
+    # Copied out, so that no column keeps the --dim-wide table alive through the writer.
+    per_photon = table[:, : args.n_max + 1].T.copy()
     data = [x, table.sum(axis=1), *per_photon, asym, x / delta_x, cube * p1, cube * asym]
     return {"table": {"columns": columns, "data": data}}
 
@@ -501,6 +525,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (BaeQndError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError names none.
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

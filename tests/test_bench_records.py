@@ -37,6 +37,8 @@ def check_summary(summary: dict, runs: list) -> None:
         assert 0 <= entry["change_wins"] <= entry["pairs"], (name, entry)
         assert type(entry["gain"]) is bool, name
         assert not entry["gain"] or entry["pairs"] >= ab_bench.PAIRS, (name, entry)
+        for key in ("worse", "unresolved"):
+            assert entry[key] in (True, False, None), (name, key, entry)
 
 
 def check_runs(runs: list, pairs: int, trace: int) -> None:
@@ -79,6 +81,10 @@ class TestNewestRecord:
             check_summary(workload["summary"], workload["runs"])
             check_summary(workload["traced_summary"], workload["traced_runs"])
             assert {"wall_s", "setup_s", "peak_rss_mb"} <= set(workload["summary"])
+            # Every end-to-end metric has a bound, so it reads worse or not, resolved or not.
+            for metric in declared["end_to_end"]:
+                entry = workload["summary"][metric["name"]]
+                assert type(entry["worse"]) is bool and type(entry["unresolved"]) is bool, entry
 
 
 class TestSummary:
@@ -106,6 +112,37 @@ class TestSummary:
         # rule still asks for at least ten pairs.
         entry = ab_bench.summarize(self.runs([10.0, 10.1, 10.2], [5.0, 5.1, 5.2]), {})["m"]
         assert (entry["change_wins"], entry["pairs"], entry["gain"]) == (3, 3, False)
+
+    def test_worse_by_more_than_the_bound(self):
+        # A 10 % bound on a parent median of 10.45: the change may read up to
+        # 1.045 worse.  Worse is read in the metric's direction.
+        parent = [10.0 + 0.1 * k for k in range(10)]
+        bounds = {"m": 0.1}
+        for shift, worse in ((2.0, True), (1.0, False), (-2.0, False)):
+            entry = ab_bench.summarize(self.runs(parent, [p + shift for p in parent]), {}, bounds)
+            assert (entry["m"]["worse"], entry["m"]["unresolved"]) == (worse, False), shift
+        entry = ab_bench.summarize(self.runs(parent, [p - 2.0 for p in parent]), {"m": "higher"},
+                                   bounds)["m"]
+        assert entry["worse"] is True
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        # The parent's quartiles lie 4.5 apart around a median of 14.5: wider
+        # than a 10 % bound, so no verdict, unless every change run beats
+        # every parent run.
+        parent = [10.0 + k for k in range(10)]
+        bounds = {"m": 0.1}
+        close = ab_bench.summarize(self.runs(parent, [p - 0.5 for p in parent]), {}, bounds)["m"]
+        assert (close["worse"], close["unresolved"]) == (False, True)
+        clear = ab_bench.summarize(self.runs(parent, [p - 10.5 for p in parent]), {}, bounds)["m"]
+        assert (clear["worse"], clear["unresolved"]) == (False, False)
+        # Beating every parent run in the wrong direction does not resolve it.
+        higher = ab_bench.summarize(self.runs(parent, [p - 10.5 for p in parent]),
+                                    {"m": "higher"}, bounds)["m"]
+        assert (higher["worse"], higher["unresolved"]) == (True, True)
+
+    def test_a_metric_without_a_bound_reads_neither(self):
+        entry = ab_bench.summarize(self.runs([10.0, 11.0], [20.0, 21.0]), {})["m"]
+        assert (entry["worse"], entry["unresolved"]) == (None, None)
 
     def test_a_run_without_a_readable_result_is_a_failed_run(self, tmp_path):
         # bench/run.py exits 0 but prints no JSON and writes no record.

@@ -644,6 +644,33 @@ def _column(draw, rows):
     return draw(st.lists(cell, min_size=rows, max_size=rows))
 
 
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def block_texts(payload: dict) -> tuple[str, str]:
+    """(canonical text, CSV text) as the block writer makes them, its checksums read against them."""
+    checksum, no_csv, chunks = cli._payload_bytes(payload, csv=False)
+    canonical = b"".join(chunks)
+    assert (checksum, no_csv) == (_sha256(canonical), None)
+    csv_checksum, csv_sha256, chunks = cli._payload_bytes(payload, csv=True)
+    csv_bytes = b"".join(chunks)
+    assert (csv_checksum, csv_sha256) == (checksum, _sha256(csv_bytes))
+    return canonical.decode(), csv_bytes.decode()
+
+
+def _run_payload(command: str, **flags) -> dict:
+    return cli._COMMANDS[command].run(argparse.Namespace(command=command, **flags))
+
+
+#: The writer's largest payloads: the 20,000-shot simulate records and the
+#: 20,001-row distribution table.
+_LARGE_PAYLOADS = {
+    "simulate": dict(delta_x=[5.0], dim=32, shots=20_000, seed=9, record_limit=None),
+    "distribution": dict(delta_x=[10.0], dim=32, grid_count=20_001, n_max=4),
+}
+
+
 class TestEnvelopeWriter:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -651,6 +678,8 @@ class TestEnvelopeWriter:
         # Columns in, the same canonical payload and CSV bytes as the
         # row-by-row writer: numbers at repr's edges, int64 near +-2^62,
         # null/text/bool cells, bool arrays, zero rows and a single column.
+        # Blocks of 1, 2 and 3 rows end the tables on, just before and just
+        # after a block edge.
         rows = data.draw(st.sampled_from([0, 1, 2, 7]), label="rows")
         width = data.draw(st.integers(1, 4), label="width")
         names = [f"c{i}" for i in range(width)]
@@ -663,8 +692,10 @@ class TestEnvelopeWriter:
         rowform = {**extras, "table": {"columns": names, "rows": [list(r) for r in zip(*values)]}}
         expected = rowform_payload_texts(rowform)
         payload = {**extras, "table": {"columns": names, "data": columns}}
-        assert cli._payload_texts(payload, csv=True) == expected
-        assert cli._payload_texts(payload, csv=False) == (expected[0], None)
+        for block_rows in (cli._BLOCK_ROWS, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_BLOCK_ROWS", block_rows)
+                assert block_texts(payload) == expected, block_rows
 
     def test_numeric_table_formats_no_cell_alone(self, tmp_path, monkeypatch):
         # simulate's records are formatted row by row from the columns; no
@@ -693,7 +724,7 @@ class TestEnvelopeWriter:
             monkeypatch.setattr(cli, name, lambda v, f=original: calls.append(v) or f(v))
         numeric = [np.array([0.1, -2.5e-300, 7.0]), np.array([3, -4, 2**62], dtype=np.int64)]
         other = [None, "overflow", 1.5]
-        json_rows, csv_lines = cli._row_texts([numeric[0], other, numeric[1]])
+        [(json_rows, csv_lines)] = cli._row_blocks([numeric[0], other, numeric[1]], csv=True)
         assert calls == other + other
         assert json_rows == ["0.1,null,3", '-2.5e-300,"overflow",-4', f"7.0,1.5,{2**62}"]
         assert csv_lines == ["0.1,,3", "-2.5e-300,overflow,-4", f"7.0,1.5,{2**62}"]
@@ -714,37 +745,109 @@ class TestEnvelopeWriter:
         sidecar = read_envelope(Path(str(csv_out) + ".meta.json"))
         assert sidecar["checksum"] == "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
-    def test_writer_peak_stays_within_eight_payloads(self):
-        # The cells of a 20,000-row simulate table are made lazily and joined
-        # once per row: the tracemalloc peak of the CSV route reads 6.7 times
-        # the canonical text's length.  Holding every column's texts at once
-        # read 14 times.
-        args = argparse.Namespace(command="simulate", delta_x=[5.0], dim=32, shots=20_000, seed=9,
-                                  record_limit=None)
-        payload = cli._COMMANDS["simulate"].run(args)
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--delta-x", "5", "--dim", "16", "--shots", "5000", "--seed", "3"],
+        ["distribution", "--delta-x", "10", "--dim", "32", "--grid-count", "5001"],
+    ])
+    def test_three_block_tables_match_the_rowform_writer(self, tmp_path, argv):
+        # At the real block size both tables fill two blocks and part of a
+        # third; both files, the checksum and the CSV's SHA-256 are the
+        # row-by-row writer's.
+        json_out, csv_out = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main(argv + ["--out", str(json_out)]) == EXIT_OK
+        assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == EXIT_OK
+        envelope = read_envelope(json_out)
+        assert 2 * cli._BLOCK_ROWS < len(envelope["payload"]["table"]["rows"]) < 3 * cli._BLOCK_ROWS
+        canonical, csv_text = rowform_payload_texts(envelope["payload"])
+        assert json_out.read_text(encoding="utf-8").endswith(f',"payload":{canonical}}}\n')
+        assert envelope["checksum"] == _sha256(canonical.encode())
+        assert csv_out.read_bytes() == csv_text.encode()
+        sidecar = read_envelope(Path(str(csv_out) + ".meta.json"))
+        assert sidecar["checksum"] == envelope["checksum"]
+        assert sidecar["csv_sha256"] == _sha256(csv_text.encode())
+
+    @pytest.mark.parametrize("command", sorted(_LARGE_PAYLOADS))
+    @pytest.mark.parametrize("csv", [True, False])
+    def test_writer_peak_stays_within_two_and_a_half_outputs(self, command, csv):
+        # Rows are formatted, encoded and hashed in blocks, and only the
+        # file's bytes are kept: the tracemalloc peak reads 1.26 (distribution)
+        # to 1.76 (simulate CSV) times the bytes written.  Holding every row's
+        # text, the joined text and its encoded copy read 6.7 times.
+        payload = _run_payload(command, **_LARGE_PAYLOADS[command])
         tracemalloc.start()
         try:
-            canonical, _ = cli._payload_texts(payload, csv=True)
+            chunks = cli._payload_bytes(payload, csv=csv)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * len(canonical), (peak, len(canonical))
+        written = sum(map(len, chunks))
+        assert peak <= 2.5 * written, (peak, written)
+
+    def test_distribution_payload_holds_its_columns_alone(self):
+        # The payload's columns are copies: no column keeps the 20,001 x 32
+        # density table (5 MiB) alive through the writer.  Its eleven columns
+        # take 1.7 MiB.
+        tracemalloc.start()
+        try:
+            payload = _run_payload("distribution", **_LARGE_PAYLOADS["distribution"])
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(payload["table"]["data"]) == 11
+        assert retained <= 2 * 2**20, retained
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_nan_column_refused_without_a_file(self, tmp_path, monkeypatch, capsys, fmt):
-        def asymptote_with_nan(delta_x, x_m):
-            values = np.zeros(np.shape(x_m))
-            values[3] = np.nan
-            return values
+    @pytest.mark.parametrize("column", ["array", "list"])
+    def test_nan_column_refused_without_a_file(self, tmp_path, monkeypatch, capsys, fmt, column):
+        # A NaN in an array column (distribution's asymptote) or in a list
+        # column (jump-sweep's, in the last of three blocks): exit 2, no file,
+        # and files already at --out and its sidecar keep their bytes.
+        out = tmp_path / f"out.{fmt}"
+        files = (out, Path(str(out) + ".meta.json"))
+        if column == "array":
+            def asymptote_with_nan(delta_x, x_m):
+                values = np.zeros(np.shape(x_m))
+                values[3] = np.nan
+                return values
 
-        monkeypatch.setattr(cli, "asymptotic_p1", asymptote_with_nan)
-        out = tmp_path / f"dist.{fmt}"
-        code = main(["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "11",
-                     "--format", fmt, "--out", str(out)])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert not Path(str(out) + ".meta.json").exists()
+            monkeypatch.setattr(cli, "asymptotic_p1", asymptote_with_nan)
+            argv = ["distribution", "--delta-x", "2", "--dim", "16", "--grid-count", "11"]
+        else:
+            exact = cli.jump_probability
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+            monkeypatch.setattr(cli, "jump_probability", lambda state, model: (
+                math.nan if model.delta_x == 5.0 else exact(state, model)))
+            argv = ["jump-sweep", *(a for dx in "12345" for a in ("--delta-x", dx)), "--dim", "16"]
+            for path in files:
+                path.write_bytes(b"written before: " + path.name.encode())
+        before = {path: path.read_bytes() for path in files if path.exists()}
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == EXIT_CONFIG
+        assert {path: path.read_bytes() for path in files if path.exists()} == before
         assert "JSON cannot write" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type float64",
+         "Unable to allocate 22.4 GiB"),
+        ("", "an allocation failed"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_allocation_failure_is_config_error(self, tmp_path, monkeypatch, capsys, message,
+                                                shown, fmt):
+        # A grid too large to allocate ends in one error line and exit 2, not
+        # a traceback and exit 1; no file is written.
+        def no_memory(state, model, x_m):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "outcome_density_table", no_memory)
+        out = tmp_path / f"dist.{fmt}"
+        assert main(["distribution", "--delta-x", "1", "--grid-count", "11", "--format", fmt,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and shown in err
+        assert err.count("\n") == 1, err
 
 
 class TestExtremeResolution:

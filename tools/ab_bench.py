@@ -138,7 +138,7 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, better: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's median and quartiles, and the pairs the change wins.
 
     A pair is won when the change's value is better than the parent's in the
@@ -147,6 +147,12 @@ def summarize(runs: list, better: dict) -> dict:
     wins at least nine tenths of them, and the medians differ, in its favour,
     by more than the distance between the parent's quartiles.  So a traced
     summary, of TRACED pairs, never reads a gain.
+
+    A metric with a bound (bounds[name], BENCHMARK.json's relative bound)
+    also reads worse, when the change's median is worse than the parent's by
+    more than bound times the parent's median, and unresolved, when the
+    parent's quartile distance is wider than that, unless every change run
+    beats every parent run.  Both are None for a metric without a bound.
     """
     names = sorted({name for run in runs for name in run["metrics"]})
     summary = {}
@@ -164,6 +170,13 @@ def summarize(runs: list, better: dict) -> dict:
         wins = sum(sign * (v["change"] - v["parent"]) < 0 for v in both)
         parent, change = sides["parent"], sides["change"]
         margin = sign * (parent["median"] - change["median"])
+        worse = unresolved = None
+        if name in (bounds or {}):
+            allowed = bounds[name] * abs(parent["median"])
+            worse = -margin > allowed
+            values = {side: [sign * v[side] for v in by_pair.values() if side in v] for side in SIDES}
+            unresolved = (parent["q3"] - parent["q1"] > allowed
+                          and not max(values["change"]) < min(values["parent"]))
         summary[name] = {
             **sides,
             "relative": change["median"] / parent["median"] - 1.0 if parent["median"] else None,
@@ -171,6 +184,8 @@ def summarize(runs: list, better: dict) -> dict:
             "pairs": len(both),
             "gain": (len(both) >= PAIRS and wins >= 0.9 * len(both)
                      and margin > parent["q3"] - parent["q1"]),
+            "worse": worse,
+            "unresolved": unresolved,
         }
     return summary
 
@@ -194,6 +209,7 @@ def main(argv=None) -> int:
     with open(repo / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = json.load(fh)
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git revision)")
     parser.add_argument("--change", default=None,
@@ -244,11 +260,11 @@ def main(argv=None) -> int:
                          f"{shown or run.get('error')}")
             results[workload] = {
                 "runs": runs,
-                "summary": summarize(runs, better),
+                "summary": summarize(runs, better, bounds),
                 "op_min_summary": summarize([{**r, "metrics": r.get("op_min_s", {})} for r in runs],
                                             better),
                 "traced_runs": traced,
-                "traced_summary": summarize(traced, better),
+                "traced_summary": summarize(traced, better, bounds),
             }
 
     record = {
