@@ -180,24 +180,46 @@ def _finite_numbers(column) -> bool:
     return all(type(v) is int or (type(v) is float and math.isfinite(v)) for v in column)
 
 
+def _number_texts(block):
+    """The repr of each cell of a block of finite ints and floats, lazily.
+
+    An integer array whose values span fewer integers than it has cells
+    (rng_stream_id, photon_n) formats each integer of its span once, and its
+    cells look their texts up.  Their offsets from the lowest value are taken
+    modulo 2**64, exact below the span whatever the integer dtype.
+    """
+    if isinstance(block, np.ndarray):
+        if block.dtype.kind in "iu" and block.size:
+            low = block.min()
+            span = int(block.max()) - int(low) + 1
+            if span < block.size:
+                texts = [repr(value) for value in range(int(low), int(low) + span)]
+                offsets = np.subtract(block, low, dtype=np.uint64, casting="unsafe")
+                return map(texts.__getitem__, offsets.tolist())
+        block = block.tolist()
+    return map(repr, block)
+
+
 def _row_blocks(columns, csv: bool):
     """Each block of _BLOCK_ROWS rows: its JSON texts between brackets, and its CSV lines.
 
     Each column picks its formatter once, over the whole column.  A column of
-    finite ints and floats takes repr, the token json writes, so its cells
-    serve the JSON row and the CSV line alike; any other column takes JSON
-    tokens from _compact_json and CSV cells from _format_cell.  The CSV lines
-    are None unless csv is set.  Only one block's cells are made at a time.
+    finite ints and floats takes repr, the token json writes (_number_texts),
+    so its cells serve the JSON row and the CSV line alike; any other column
+    takes JSON tokens from _compact_json and CSV cells from _format_cell.  The
+    CSV lines are None unless csv is set.  Only one block's cells are made at
+    a time.
     """
     numeric = [_finite_numbers(c) for c in columns]
 
     def rows(values, cell):
-        cells = [map(repr if n else cell, v) for n, v in zip(numeric, values)]
+        cells = [_number_texts(v) if n else map(cell, v) for n, v in zip(numeric, values)]
         return list(map(",".join, zip(*cells)))
 
     for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
         values = [c[start:start + _BLOCK_ROWS] for c in columns]
-        values = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+        values = [v if n or not isinstance(v, np.ndarray) else v.tolist()
+                  for n, v in zip(numeric, values)]
         json_rows = rows(values, _compact_json)
         csv_lines = None
         if csv:

@@ -191,8 +191,13 @@ def _hermite_levels(count: int, xi: np.ndarray, seed):
 
     h_0 = pi^(-1/4), h_{n+1} = sqrt(2/(n+1)) xi h_n - sqrt(n/(n+1)) h_{n-1}: no
     factorials, and a Gaussian folded into the seed keeps every level inside
-    double-precision range.  Two levels are alive at a time; callers must not
-    modify the yielded arrays.  This is the package's only Hermite recurrence.
+    double-precision range.  Each level is one new array, built in place as
+    (sqrt(2/(n+1)) xi) h_n minus sqrt(n/(n+1)) h_{n-1}, the latter taken in
+    one scratch array reused across levels: the operations and their order
+    of a one-expression step, so the same bits, without its three
+    temporaries.  Callers may keep the yielded levels (wavefunction_table and
+    _gh_rule do) but must not modify them.  This is the package's only
+    Hermite recurrence.
     """
     prev = np.pi**-0.25 * seed
     yield prev
@@ -200,8 +205,12 @@ def _hermite_levels(count: int, xi: np.ndarray, seed):
         return
     cur = np.sqrt(2.0) * xi * prev
     yield cur
+    scratch = np.empty_like(cur)
     for n in range(1, count - 1):
-        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
+        nxt = np.sqrt(2.0 / (n + 1)) * xi
+        nxt *= cur
+        nxt -= np.multiply(np.sqrt(n / (n + 1.0)), prev, out=scratch)
+        prev, cur = cur, nxt
         yield cur
 
 

@@ -37,7 +37,16 @@ and signal-output level n is the integral over x1 of phi_n(x1) times that:
 a Gaussian in x1 times a polynomial of degree top + n, top the input's
 highest level, which a Gauss-Hermite rule of (top + dim) // 2 + 2 nodes
 centred on the Gaussian at each r integrates exactly.  The parity (-1)^n
-undoes the signal-frame inversion.  Mode 0 is never truncated.
+undoes the signal-frame inversion.  Mode 0 is never truncated.  The raw
+values are read in the kernel's row blocks, measurement._chunks(count,
+2 nodes), so that a block's integrand stack and its Hermite levels, about
+measurement._CHUNK_ELEMENTS entries each, stay in cache at any dim.  An input
+whose imaginary parts are all zero (the vacuum and every number state) is
+integrated in real arithmetic, one real integrand instead of a real and an
+imaginary half.  Each level's contraction is written into one level-major
+buffer, and the complex (count, dim) result is the transpose of its
+level-major sum: the row sums downstream (densities, norms, overlaps) round
+by memory layout, and a C-ordered result would move their last bits.
 
 Truncation guard.  Every amplitude is exp(-g r^2) times a polynomial of
 degree top + n in r, so each read also evaluates them on a raw rule of
@@ -86,6 +95,7 @@ from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, _gh_rule, _integer, _real, 
 from .measurement import (
     MeasurementModel,
     _check_outcomes,
+    _chunks,
     _exact_joint,
     _require_resolution,
     _scaled_rule,
@@ -160,32 +170,44 @@ class SetupCircuit:
         self._norm = (abs(np.linalg.det(a)) * alpha) ** -0.5
 
     def _point_map(self, psi: np.ndarray, top: int, raw: np.ndarray) -> np.ndarray:
-        """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r."""
+        """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r.
+
+        The raw values run in row blocks of measurement._chunks(raw.size, 2 nodes).
+        A real psi keeps the integrand real, one part row, and leaves the
+        imaginary row of the level-major (dim, 2, raw.size) buffer zero; each
+        level's einsum writes its block there.  The result is the transpose of
+        the buffer's complex sum (the module's Point map says why).
+        """
         dim = self.dim
         u, factored = _gh_rule((top + dim) // 2 + 2)
-        r = raw[:, None]
-        x1 = self._shift * r + self._width * u
-        q0 = self._b[0, 0] * r + self._b[0, 1] * x1
-        q1 = self._b[1, 0] * r + self._b[1, 1] * x1
-        # The x1 integrand but phi_n(x1), times the rule's factored weights:
-        # |det A|^(-1/2) alpha^(-1/2) phi_0(q1) psi(q0).
-        psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels(top + 1, q0)))
-        weight = (self._norm * (2.0 / np.pi) ** 0.25 * factored) * np.exp(-q1 * q1) * psi_q0
-        # Real and imaginary parts in one real stack, so no level is cast to complex.
-        parts = np.stack([weight.real, weight.imag])
-        out = np.empty((dim, 2, raw.size))
-        for n, level in enumerate(_wavefunction_levels(dim, x1)):
-            out[n] = np.einsum("rk,crk->cr", level, parts)
+        scale = self._norm * (2.0 / np.pi) ** 0.25 * factored
+        out = np.zeros((dim, 2, raw.size))
+        for sl in _chunks(raw.size, 2 * u.size):
+            r = raw[sl, None]
+            x1 = self._shift * r + self._width * u
+            q0 = self._b[0, 0] * r + self._b[0, 1] * x1
+            q1 = self._b[1, 0] * r + self._b[1, 1] * x1
+            # The x1 integrand but phi_n(x1), times the rule's factored weights:
+            # |det A|^(-1/2) alpha^(-1/2) phi_0(q1) psi(q0).
+            psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels(top + 1, q0)))
+            weight = scale * np.exp(-q1 * q1) * psi_q0
+            # Real and imaginary parts in one real stack, so no level is cast to complex.
+            parts = np.stack([weight.real, weight.imag]) if np.iscomplexobj(weight) else weight[None]
+            rows = out[:, : parts.shape[0], sl]
+            for n, level in enumerate(_wavefunction_levels(dim, x1)):
+                np.einsum("rk,crk->cr", level, parts, out=rows[n])
         out[1::2] *= -1.0
         return (out[:, 0] + 1j * out[:, 1]).T
 
     def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
         """Signal-output amplitudes after reading mode 0 at raw outcome values.
 
-        Shape (len(raw_values), dim), parity-corrected; squared row norms are
-        the outcome density in the raw homodyne variable.  The same pass reads
-        the guard's raw rule and raises TruncationOverflowError on its verdict.
-        Raises InvalidParameterError unless raw_values are finite and scalar or 1-D.
+        Shape (len(raw_values), dim), complex and parity-corrected; squared
+        row norms are the outcome density in the raw homodyne variable.  An
+        input whose imaginary parts are all zero is read in real arithmetic.
+        The same pass reads the guard's raw rule and raises
+        TruncationOverflowError on its verdict.  Raises InvalidParameterError
+        unless raw_values are finite and scalar or 1-D.
         """
         raw = _check_outcomes(raw_values)
         dim = self.dim
@@ -194,8 +216,9 @@ class SetupCircuit:
         psi = signal_in.amplitudes
         top = _top_level(psi)
         nodes, weights = _scaled_rule(top + dim, 2.0 * self._gauss)
+        source = psi.real if np.all(psi.imag == 0.0) else psi
         with np.errstate(over="ignore", invalid="ignore"):  # far out, exp(-inf) is 0
-            amps = self._point_map(psi, top, np.concatenate([raw, nodes]))
+            amps = self._point_map(source, top, np.concatenate([raw, nodes]))
         if not np.all(np.isfinite(amps)):
             raise OutOfRangeError("the point map leaves the float range at these raw values")
         below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)

@@ -44,6 +44,12 @@ sector_blocks, apply_sectors and squeeze_matrix are its parts, checked
 against scipy's expm.
 swapped_arms gives the Bogoliubov map of the circuit with its two amplifier
 arms exchanged, the negative control of the setup audits.
+hermite_levels_reference is the Hermite recurrence written as one expression
+per level (four temporaries each), and point_map_reference the circuit's
+point map in one pass over all raw values with the x1 integrand in complex
+arithmetic, both kept as the byte-for-byte references for the recurrence
+that reuses one scratch array and the point map that runs in row blocks
+with real inputs kept real.
 """
 
 import json
@@ -60,7 +66,7 @@ from baeqnd.errors import (
     InvalidParameterError,
     TruncationOverflowError,
 )
-from baeqnd.fock import FockState, trusted_levels, wavefunction_table
+from baeqnd.fock import FockState, _gh_rule, trusted_levels, wavefunction_table
 from baeqnd.jumps import SAMPLING_GRID_COUNT, SHARD_SIZE, sampling_span
 from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
@@ -386,6 +392,50 @@ def swapped_arms(bogoliubov):
         return w, -v
 
     return swapped
+
+
+def hermite_levels_reference(count: int, xi, seed):
+    """Yield seed * h_n(xi), n = 0..count-1, one expression per level.
+
+    h_0 = pi^(-1/4), h_{n+1} = sqrt(2/(n+1)) xi h_n - sqrt(n/(n+1)) h_{n-1},
+    the same operations in the same order as fock._hermite_levels.
+    """
+    prev = np.pi**-0.25 * seed
+    yield prev
+    if count == 1:
+        return
+    cur = np.sqrt(2.0) * xi * prev
+    yield cur
+    for n in range(1, count - 1):
+        prev, cur = cur, np.sqrt(2.0 / (n + 1)) * xi * cur - np.sqrt(n / (n + 1.0)) * prev
+        yield cur
+
+
+def _wavefunction_levels_reference(count: int, x):
+    return hermite_levels_reference(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))
+
+
+def point_map_reference(circuit, psi, top: int, raw) -> np.ndarray:
+    """(-1)^n <n|<r| U |psi, 0> for n < circuit.dim at raw values r, one x1 rule per r.
+
+    All raw values in one pass, the input cast to complex, so the x1
+    integrand's imaginary half is integrated even where it is all zeros.
+    """
+    psi = np.asarray(psi, dtype=np.complex128)
+    dim = circuit.dim
+    u, factored = _gh_rule((top + dim) // 2 + 2)
+    r = raw[:, None]
+    x1 = circuit._shift * r + circuit._width * u
+    q0 = circuit._b[0, 0] * r + circuit._b[0, 1] * x1
+    q1 = circuit._b[1, 0] * r + circuit._b[1, 1] * x1
+    psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels_reference(top + 1, q0)))
+    weight = (circuit._norm * (2.0 / np.pi) ** 0.25 * factored) * np.exp(-q1 * q1) * psi_q0
+    parts = np.stack([weight.real, weight.imag])
+    out = np.empty((dim, 2, raw.size))
+    for n, level in enumerate(_wavefunction_levels_reference(dim, x1)):
+        out[n] = np.einsum("rk,crk->cr", level, parts)
+    out[1::2] *= -1.0
+    return (out[:, 0] + 1j * out[:, 1]).T
 
 
 def completeness_integrals_stacked(model, nodes, weights) -> tuple[np.ndarray, np.ndarray]:

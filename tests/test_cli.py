@@ -729,6 +729,27 @@ class TestEnvelopeWriter:
         assert json_rows == ["0.1,null,3", '-2.5e-300,"overflow",-4', f"7.0,1.5,{2**62}"]
         assert csv_lines == ["0.1,,3", "-2.5e-300,overflow,-4", f"7.0,1.5,{2**62}"]
 
+    @pytest.mark.parametrize("column", [
+        np.array([-3, -3, -2, -3, -3, -2, -2], dtype=np.int64),
+        np.full(7, -42, dtype=np.int64),
+        np.array([2**64 - 1, 2**64 - 1, 2**64 - 2, 2**64 - 2, 2**64 - 2, 5, 5], dtype=np.uint64),
+    ])
+    def test_narrow_integer_blocks_format_each_value_once(self, column, monkeypatch):
+        # An integer block spanning fewer values than it has cells formats each
+        # value of its span once and looks its cells up; the texts stay repr's.
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        for block_rows in (1, 2, 3):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+            calls.clear()
+            texts = [line for _, csv_lines in cli._row_blocks([column], csv=True)
+                     for line in csv_lines]
+            assert texts == [repr(v) for v in column.tolist()], block_rows
+            blocks = [column[i:i + block_rows].tolist() for i in range(0, column.size, block_rows)]
+            spans = [max(b) - min(b) + 1 for b in blocks]
+            assert len(calls) == sum(min(s, len(b)) for s, b in zip(spans, blocks)), block_rows
+            assert len(calls) < column.size or block_rows == 1
+
     def test_null_and_text_rows_match_the_rowform_writer(self, tmp_path):
         # setup-check at dim 16 overflows at dims 8 and 12: their rows hold
         # null and a note.  Both files carry the row-by-row writer's bytes.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from baeqnd import fock
 from baeqnd.errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
 from baeqnd.fock import (
     FockState,
@@ -17,6 +18,7 @@ from baeqnd.fock import (
 from baeqnd.measurement import MeasurementModel, _outcome_rule
 
 from oracles import (
+    hermite_levels_reference,
     is_hermitian,
     ladder,
     number_operator,
@@ -265,3 +267,21 @@ class TestStateAndOperator:
         assert trusted_levels(16) == 12
         assert trusted_levels(40) == 30
         assert trusted_levels(2) == 2
+
+
+class TestRecurrenceBytes:
+    """The in-place recurrence against the one-expression-per-level reference, byte for byte."""
+
+    @pytest.mark.parametrize("x", [np.linspace(-31.0, 31.0, 2001), np.array(0.7)])
+    def test_wavefunction_table(self, x, monkeypatch):
+        got = wavefunction_table(257, x)
+        monkeypatch.setattr(fock, "_hermite_levels", hermite_levels_reference)
+        assert got.tobytes() == wavefunction_table(257, x).tobytes()
+
+    @pytest.mark.parametrize("count", [2, 51, 700, 1400])
+    def test_gh_rule(self, count, monkeypatch):
+        nodes, factored = fock._gh_rule(count)
+        monkeypatch.setattr(fock, "_hermite_levels", hermite_levels_reference)
+        ref_nodes, ref_factored = fock._gh_rule.__wrapped__(count)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert factored.tobytes() == ref_factored.tobytes()

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from scipy.linalg import expm
 
 from baeqnd import cli, measurement, setup_model
 from baeqnd.errors import (
+    BaeQndError,
     DegenerateConditioningError,
     DimensionMismatchError,
     InvalidParameterError,
@@ -28,6 +31,7 @@ from oracles import (
     apply_sectors,
     beam_splitter_dense,
     fidelity,
+    point_map_reference,
     quadrature_x,
     quadrature_y,
     sector_blocks,
@@ -223,6 +227,66 @@ def _compare_with_the_rotation_route(circuit, amps, atol):
     assert got.shape == reference.shape == (81, circuit.dim)
     np.testing.assert_allclose(got, reference, rtol=0, atol=atol)
     return True
+
+
+def _reference_read(circuit, state, raw):
+    """homodyne_amplitudes on the one-pass point map, run on the state's complex amplitudes."""
+
+    def point_map(self, psi, top, raw):
+        return point_map_reference(self, state.amplitudes, top, raw)
+
+    with mock.patch.object(SetupCircuit, "_point_map", point_map):
+        return circuit.homodyne_amplitudes(state, raw)
+
+
+def _result_or_error(read, *args):
+    try:
+        return read(*args), None
+    except BaeQndError as exc:
+        return None, type(exc)
+
+
+class TestPointMapBlocks:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(gain=st.floats(1.05, 5.0), dim=st.sampled_from([2, 16, 48, 130, 257]),
+           kind=st.sampled_from(["real", "complex", "zero imaginary"]), data=st.data())
+    def test_matches_the_one_pass_complex_point_map(self, gain, dim, kind, data):
+        # Row blocks and real arithmetic for real inputs keep every byte, the
+        # memory layout and the raised error of the one-pass complex route, at
+        # raw counts around one block's rows, alone and with the guard's nodes.
+        top = data.draw(st.integers(0, min(3, dim - 1)), label="top")
+        parts = st.floats(-1.0, 1.0)
+        if kind == "real":
+            amps = np.zeros(dim)
+            amps[: top + 1] = [data.draw(parts) for _ in range(top + 1)]
+        else:
+            amps = np.zeros(dim, dtype=np.complex128)
+            for level in range(top + 1):
+                imag = data.draw(parts) if kind == "complex" else data.draw(st.sampled_from([0.0, -0.0]))
+                amps[level] = complex(data.draw(parts), imag)
+        if amps[top] == 0:
+            amps[top] = 1.0
+        state = FockState(amps).normalize()
+        circuit = SetupCircuit(gain, dim)
+        block = measurement._CHUNK_ELEMENTS // (2 * ((top + dim) // 2 + 2))
+        counts = {0, 1} | {block + k for k in (-1, 0, 1)} | {block - top - dim + k for k in (-1, 0, 1)}
+        count = data.draw(st.sampled_from(sorted(c for c in counts if c >= 0)), label="count")
+        raw = np.random.default_rng(count).uniform(-6.0, 6.0, count)
+        raw[-1:] = 40.0  # far out, where every amplitude is zero
+        got, error = _result_or_error(circuit.homodyne_amplitudes, state, raw)
+        expected, expected_error = _result_or_error(_reference_read, circuit, state, raw)
+        assert error is expected_error
+        if expected is not None:
+            assert got.tobytes() == expected.tobytes()
+            assert got.strides == expected.strides
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+        psi = state.amplitudes
+        source = psi.real if kind != "complex" else psi
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = circuit._point_map(source, top, raw)
+            reference = point_map_reference(circuit, psi, top, raw)
+        assert whole.tobytes() == reference.tobytes()
+        assert whole.flags.f_contiguous and reference.flags.f_contiguous
 
 
 class TestCircuitEvolution:
