@@ -1,6 +1,6 @@
 """Backaction-evasion quadrature-measurement simulator in truncated Fock space."""
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 from .errors import (
     BaeQndError,

@@ -42,15 +42,17 @@ audits dims up to fock.MAX_RULE_NODES // 2 = 700.
 
 Each command takes --dim within its registered range: up to 1,398 where
 the vacuum's outcome rule of --dim + 2 nodes bounds it, 8..700 for
-povm-check and up to 257 for setup-check, whose signal output is read on
-wavefunction levels up to fock.MAX_WAVEFUNCTION_LEVEL.  A --dim outside is
-refused with exit 2 before any work, and the exit-4 suggestion of a larger
---dim never passes the range's top: at the top it says that no --dim the
-command takes holds the mass.
+povm-check, and up to 1,397 for setup-check, whose one-photon input's
+outcome rule has --dim + 3 nodes (the circuit's own raw rules have --dim + 1
+and --dim + 2).  A --dim outside is refused with exit 2 before any work, and
+the exit-4 suggestion of a larger --dim never passes the range's top: at the
+top it says that no --dim the command takes holds the mass.
 
 setup-check builds one SetupCircuit per audited dim.  The circuit computes
 its vacuum calibration once, and the report and every equivalence defect on
 that circuit read it; only the one-photon scale takes a calibration of its own.
+Its report's triple_defect compares the circuit's Gaussian triple with the
+kernel's (setup_model.triple_defect), with no outcome sampled.
 
 Exit codes: 0 success, 2 configuration error (also a payload value JSON
 cannot write, such as NaN, refused before any file is opened, and an
@@ -86,7 +88,7 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_RULE_NODES, MAX_WAVEFUNCTION_LEVEL, FockState, _integer, trusted_levels
+from .fock import MAX_RULE_NODES, FockState, _integer, trusted_levels
 from .jumps import exact_report, jump_probability, run_experiment, summarize
 from .measurement import (
     MeasurementModel,
@@ -96,7 +98,7 @@ from .measurement import (
     outcome_span,
     truncated_square_defect,
 )
-from .setup_model import SetupCircuit, calibrate_outcome_map, equivalence_defect
+from .setup_model import SetupCircuit, calibrate_outcome_map, equivalence_defect, triple_defect
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -431,8 +433,8 @@ def _cmd_povm_check(args):
 
 
 @_command("setup-check", "two-mode circuit vs measurement kernel equivalence", ("gain-a",),
-          dims=(2, MAX_WAVEFUNCTION_LEVEL + 1, "--dim {dim} needs signal-output levels up to "
-                f"{{last}}, above the supported {MAX_WAVEFUNCTION_LEVEL}"))
+          dims=(2, MAX_RULE_NODES - 3, "the one-photon input's outcome rule of --dim + 3 nodes "
+                f"must stay within the {MAX_RULE_NODES}-node limit of double precision"))
 def _cmd_setup_check(args):
     gain = args.gain_a
     dims = sorted({min(max(8, args.dim // 2), args.dim), max(2, 3 * args.dim // 4), args.dim})
@@ -467,6 +469,7 @@ def _cmd_setup_check(args):
             "calibration_residual": circuit.calibration.residual,
             "scale_by_input": scales,
             "equivalence_defect": defects,
+            "triple_defect": triple_defect(circuit),
         },
     }
 

@@ -17,8 +17,10 @@ top levels, so identities should be checked on the "trusted subspace" that
 excludes the top quarter of levels (see :func:`trusted_levels`).
 
 The orthonormal Hermite recurrence (_hermite_levels) gives the position
-wavefunctions and the Gauss-Hermite rules (_gh_rule) of the exact outcome
-integrals; the measurement kernel itself needs neither.  A rule is a plain
+wavefunctions (wavefunction_table) and the Gauss-Hermite rules (_gh_rule) of
+the exact outcome integrals; the measurement kernel and the setup circuit
+read their Fock entries on their own Gaussian recurrence and need only the
+rules.  A rule is a plain
 pair of read-only arrays (nodes, factored weights), scaled to an outcome
 Gaussian by measurement._scaled_rule; an integral over it is values @ weights.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, InvalidParameterError, OutOfRangeError
 
-#: Highest wavefunction level for which the recurrence is validated.
+#: Highest level wavefunction_table evaluates, where its recurrence is validated.
 MAX_WAVEFUNCTION_LEVEL = 256
 
 #: Largest Gauss-Hermite rule _gh_rule builds: near 1,450 nodes the outermost
@@ -195,9 +197,9 @@ def _hermite_levels(count: int, xi: np.ndarray, seed):
     (sqrt(2/(n+1)) xi) h_n minus sqrt(n/(n+1)) h_{n-1}, the latter taken in
     one scratch array reused across levels: the operations and their order
     of a one-expression step, so the same bits, without its three
-    temporaries.  Callers may keep the yielded levels (wavefunction_table and
-    _gh_rule do) but must not modify them.  This is the package's only
-    Hermite recurrence.
+    temporaries.  Its callers, wavefunction_table and _gh_rule, keep the
+    yielded levels; a caller must not modify them.  This is the package's
+    only Hermite recurrence.
     """
     prev = np.pi**-0.25 * seed
     yield prev
@@ -258,11 +260,6 @@ def wavefunction_table(count: int, x: np.ndarray) -> np.ndarray:
         raise OutOfRangeError(
             f"wavefunction level {count - 1} exceeds supported maximum {MAX_WAVEFUNCTION_LEVEL}"
         )
-    x = _finite_reals(x, "wavefunction argument")
     # Every level is 0 where exp(-x^2) is, from |x| = 27.3: the clip keeps x^2 finite.
-    return np.stack(list(_wavefunction_levels(count, np.clip(x, -30.0, 30.0))))
-
-
-def _wavefunction_levels(count: int, x: np.ndarray):
-    """Yield psi_n(x) = 2^(1/4) exp(-x^2) h_n(sqrt(2) x), n = 0..count-1, as _hermite_levels."""
-    return _hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))
+    x = np.clip(_finite_reals(x, "wavefunction argument"), -30.0, 30.0)
+    return np.stack(list(_hermite_levels(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))))

@@ -23,7 +23,9 @@ underflows from |x_m| ~ 19.5 at dx 0.05 while the rows near the turning point
 n ~ x_m^2 are of order one, so each outcome's rows are carried in units of
 their own power of two and scaled back as they leave the recurrence.  The
 exact square P^2 is the same Gaussian with kappa -> 2 kappa and the squared
-prefactor.
+prefactor.  The recurrence takes a Gaussian triple (_Gaussian), so the
+kernel, its square and the setup circuit's read-out (setup_model) share the
+seed lift, the power-of-two units and the chunks.
 
 There are two routes through the recurrence.  operator_batch fills whole rows
 of P(x) (or of P(x)^2) for a batch of outcomes; the completeness audits read
@@ -36,7 +38,8 @@ smaller dim's integrals as leading blocks.  measurement_amplitudes gives
 columns 0..top only, top the state's last nonzero level, and contracts them
 with the state, at cost O(count dim (top + 1)).  Densities, conditional
 states, outcome_density_table and the jump integrals read it through
-_exact_joint, the sampler through _amplitude_levels.
+_exact_joint, the sampler through _amplitude_levels, and the circuit reads
+its own triple through _levels, the contraction both share.
 _amplitude_levels fills a level-major (dim, count) buffer, level n as one
 contiguous row np.dot(rows, state) (a strided column of a (count, dim) array
 costs several times the recurrence), and the sampler keeps that layout: its
@@ -74,6 +77,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,36 +211,54 @@ def _exact_joint(state: FockState, model: MeasurementModel, x_values=()):
     return nodes, weights, joint, rows[: x.size]
 
 
-def _ladder(kappa: float, x: np.ndarray, first: np.ndarray, exponent: np.ndarray):
-    """Yield the rows P[n, :width], n = 0, 1, ..., of the Gaussian kernel with exponent kappa.
+class _Gaussian(NamedTuple):
+    """A Gaussian operator G(x) on the Fock levels: its recurrence and its corner G[0, 0].
 
-    x holds a batch of outcomes and first the row P[0, :width], shape
-    (len(x), width), in units of 2**exponent per outcome.  Commuting the
-    ladder operator through P = N exp(-kappa (x_m - x)^2) gives
-    P a P^-1 = (1 + kappa/2) a + (kappa/2) a* - kappa x_m; taking <n| . |m>
-    of P a = (P a P^-1) P,
-
-        (1 + kappa/2) sqrt(n+1) P[n+1, m]
-            = sqrt(m) P[n, m-1] - (kappa/2) sqrt(n) P[n-1, m] + kappa x_m P[n, m],
-
-    one vector operation per row.  Towards the classical turning point
-    n ~ x_m^2 the rows grow by up to exp(2 kappa x_m^2 / (2 + kappa)), more
-    than double precision spans.  A step grows the larger of the last two
-    rows by at most the factor grow, so once that bound passes
-    _RESCALE_ABOVE every outcome whose last two rows pass 1 has both divided
-    by a power of two, which exponent, updated in place, takes up.  Yielded
-    rows are never changed.
+    lower sqrt(n+1) G[n+1, m] = drive[0] x G[n, m] + diag[0] sqrt(n) G[n-1, m]
+    + cross sqrt(m) G[n, m-1] along the rows (s, the output level n), the same
+    in m with drive[1] and diag[1] along the columns (t, the input level m),
+    |diag| <= lower, and G[0, 0] = norm exp(-gauss[0] x^2 / gauss[1]).
     """
-    drive = kappa * x[:, None]
-    lower = 1.0 + 0.5 * kappa
+
+    lower: float
+    diag: tuple[float, float]
+    drive: tuple[float, float]
+    cross: float
+    norm: float
+    gauss: tuple[float, float]
+
+
+def _kernel_gaussian(model: MeasurementModel, squared: bool = False) -> _Gaussian:
+    """The triple of P (or of P^2), symmetric, in the form its rows have always rounded in."""
+    kappa = 2.0 * model.kappa if squared else model.kappa
+    norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
+    diag = -0.5 * kappa
+    return _Gaussian(1.0 + 0.5 * kappa, (diag, diag), (kappa, kappa), 1.0,
+                     norm * np.sqrt(2.0 / (2.0 + kappa)), (2.0 * kappa, 2.0 + kappa))
+
+
+def _ladder(gaussian: _Gaussian, axis: int, x: np.ndarray, first: np.ndarray, exponent: np.ndarray):
+    """Yield G[0, :width], G[1, :width], ... along axis 0 (rows) or 1 (columns, at width 1).
+
+    first is the starting row for the batch of outcomes x, shape (len(x),
+    width), in units of 2**exponent per outcome; each step is one vector
+    operation.  Towards the turning point the rows grow by more than double
+    precision spans.  A step grows the larger of the last two rows by at most
+    the factor grow, so once that bound passes _RESCALE_ABOVE every outcome
+    whose last two rows pass 1 has both divided by a power of two, which
+    exponent, updated in place, takes up.  Yielded rows are never changed.
+    """
+    lower, diag, cross = gaussian.lower, gaussian.diag[axis], gaussian.cross
+    drive = gaussian.drive[axis] * x[:, None]
     width = first.shape[1]
-    shift = np.sqrt(np.arange(1.0, width))
-    grow = (kappa * np.max(np.abs(x), initial=0.0) + math.sqrt(width)) / lower + 1.0
+    shift = cross * np.sqrt(np.arange(1.0, width))
+    grow = ((abs(gaussian.drive[axis]) * np.max(np.abs(x), initial=0.0)
+             + abs(cross) * math.sqrt(width)) / lower + 1.0)
     reach = np.max(np.abs(first), initial=0.0)
     prev, row = 0.0, first
     for n in itertools.count():
         yield row
-        step = drive * row - (0.5 * kappa * math.sqrt(n)) * prev
+        step = drive * row + (diag * math.sqrt(n)) * prev
         if shift.size:  # column 0 alone has no sqrt(m) term
             step[:, 1:] += shift * row[:, :-1]
         step /= lower * math.sqrt(n + 1)
@@ -253,32 +275,26 @@ def _ladder(kappa: float, x: np.ndarray, first: np.ndarray, exponent: np.ndarray
         prev, row = row, step
 
 
-def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bool = False):
-    """The rows P[n, :width] (or of the exact P^2), n = 0..dim-1, for a batch of outcomes.
+def _kernel_rows(gaussian: _Gaussian, x: np.ndarray, width: int, count: int):
+    """The rows G[n, :width], n = 0..count-1, of a Gaussian operator for a batch of outcomes.
 
-    P[0, 0] = N sqrt(2 / (2 + kappa)) exp(-g) with g = 2 kappa x_m^2 / (2 + kappa)
-    and N = (2 pi dx^2)^(-1/4); P^2 is the same Gaussian with kappa -> 2 kappa
-    and N -> N^2.  Row 0 is column 0 (P is symmetric), which the recurrence
-    builds from P[0, 0] alone since its sqrt(m) term vanishes.
-
-    The corner underflows once g passes about 745 (|x_m| ~ 19.5 at dx 0.05)
-    while the rows near the turning point are still of order one, so where
+    Row 0 comes from the corner by the column recurrence (at width 1 its
+    sqrt(n) term vanishes), the rows from row 0.  The corner underflows once
+    its exponent g passes about 745 (|x_m| ~ 19.5 for the kernel at dx 0.05)
+    while the rows near the turning point are of order one, so where
     g / ln 2 exceeds _SEED_EXPONENT the recurrence starts from the corner
     times 2**k, k = ceil(g / ln 2 - _SEED_EXPONENT), with exponent -k, and
-    every row leaves scaled back by its outcome's 2**exponent.  Elsewhere the
-    exponent stays 0 and the rows are the recurrence's own.
+    every row leaves scaled back by its outcome's 2**exponent.
     """
-    kappa = 2.0 * model.kappa if squared else model.kappa
-    norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
     with np.errstate(over="ignore"):  # an infinite g lifts the outcome to 2**30 below
-        gauss = 2.0 * kappa * x * x / (2.0 + kappa)
+        gauss = gaussian.gauss[0] * x * x / gaussian.gauss[1]
     lift = np.ceil(np.clip(gauss / _LN2 - _SEED_EXPONENT, 0.0, 2.0**30))
-    corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(lift * _LN2 - gauss)
+    corner = gaussian.norm * np.exp(lift * _LN2 - gauss)
     # int32, not int64: numpy's ldexp loop is about 15 times faster for it.
     # Past a lift of 2**30 every row is 0 anyway, so its ladder runs at x_m = 0.
     exponent = -lift.astype(np.int32)
     x = np.where(lift < 2.0**30, x, 0.0)
-    column = _ladder(kappa, x, corner[:, None], exponent)
+    column = _ladder(gaussian, 1, x, corner[:, None], exponent)
     parts, units = [], []
     for _ in range(width):
         parts.append(next(column))
@@ -286,7 +302,7 @@ def _kernel_rows(model: MeasurementModel, x: np.ndarray, width: int, squared: bo
     first = np.hstack(parts)
     if np.any(units[-1] != units[0]):  # bring the columns to the last one's units
         first = np.ldexp(first, np.stack(units, axis=1) - exponent[:, None])
-    for row in itertools.islice(_ladder(kappa, x, first, exponent), model.dim):
+    for row in itertools.islice(_ladder(gaussian, 0, x, first, exponent), count):
         yield np.ldexp(row, exponent[:, None]) if exponent.any() else row
 
 
@@ -315,29 +331,35 @@ def operator_batch(model: MeasurementModel, x_values, squared: bool = False) -> 
     Returns an array of shape (len(x), dim, dim).
     """
     x = _check_outcomes(x_values)
+    gaussian = _kernel_gaussian(model, squared)
     out = np.empty((x.size, model.dim, model.dim))
     for sl in _chunks(x.size, model.dim):
-        for n, row in enumerate(_kernel_rows(model, x[sl], model.dim, squared)):
+        for n, row in enumerate(_kernel_rows(gaussian, x[sl], model.dim, model.dim)):
             out[sl, n] = row
     return out
 
 
 def _amplitude_levels(state: FockState, model: MeasurementModel, x_values) -> np.ndarray:
-    """Amplitudes <n|P(x)|state> for a batch of outcomes, level-major: shape (dim, len(x)).
-
-    Real when the state's amplitudes are, complex otherwise.
-    """
+    """Amplitudes <n|P(x)|state> for a batch of outcomes, level-major: shape (dim, len(x))."""
     if state.dim != model.dim:
         raise DimensionMismatchError(f"state dim {state.dim} != model dim {model.dim}")
-    x = _check_outcomes(x_values)
+    return _levels(_kernel_gaussian(model), state, _check_outcomes(x_values))
+
+
+def _levels(gaussian: _Gaussian, state: FockState, x: np.ndarray) -> np.ndarray:
+    """<n|G(x)|state>, n < state.dim, level-major: shape (state.dim, len(x)).
+
+    The rows run on the columns 0..top only, top the state's last nonzero
+    level; real when the state's amplitudes are, complex otherwise.
+    """
     amps = state.amplitudes
     if np.all(amps.imag == 0.0):
         amps = amps.real
-    levels = np.empty((model.dim, x.size), dtype=amps.dtype)
+    levels = np.empty((state.dim, x.size), dtype=amps.dtype)
     top = _top_level(amps)
     source = amps[: top + 1]
     for sl in _chunks(x.size, top + 1):
-        for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
+        for n, row in enumerate(_kernel_rows(gaussian, x[sl], top + 1, state.dim)):
             levels[n, sl] = np.dot(row, source)
     return levels
 
@@ -439,9 +461,10 @@ def completeness_defect(model: MeasurementModel, dims=None) -> tuple[float, ...]
     dims, top = _audit_dims(model, dims)
     kappa = top.kappa
     nodes, weights = _scaled_rule(top.dim + 1, 4.0 * kappa / (2.0 + 2.0 * kappa))
+    gaussian = _kernel_gaussian(top, squared=True)
     total = np.zeros((top.dim, top.dim))
     for sl in _chunks(nodes.size, top.dim):
-        for n, row in enumerate(_kernel_rows(top, nodes[sl], top.dim, squared=True)):
+        for n, row in enumerate(_kernel_rows(gaussian, nodes[sl], top.dim, top.dim)):
             total[n] += weights[sl] @ row
     return tuple(_deviation(total, trusted_levels(d)) for d in dims)
 
@@ -470,9 +493,10 @@ def truncated_square_defect(model: MeasurementModel, dims=None) -> tuple[tuple[f
     ends = sorted(set(dims))
     part_of_row = np.searchsorted(ends, np.arange(top.dim), side="right")
     parts = np.zeros((len(ends), top.dim, top.dim))
+    gaussian = _kernel_gaussian(top)
     for sl in _chunks(nodes.size, top.dim):
         root = np.sqrt(weights[sl])[:, None]
-        for n, row in enumerate(_kernel_rows(top, nodes[sl], top.dim)):
+        for n, row in enumerate(_kernel_rows(gaussian, nodes[sl], top.dim, top.dim)):
             q = root * row
             parts[part_of_row[n]] += q.T @ q
     totals = dict(zip(ends, np.cumsum(parts, axis=0)))

@@ -24,44 +24,34 @@ Mode layout: index 0 is the rail fed by the signal input and read out by the
 meter homodyne; index 1 is fed by the meter vacuum and carries the signal
 output, reported on its levels 0..SetupCircuit.dim - 1.
 
-Point map.  The circuit is a Gaussian unitary U with the Bogoliubov map
-U^dag a U = W a + V a^dag on a = (a_0, a_1), composed from the three stages
-by _bogoliubov.  Every stage is real and none mixes x with y, so
-U^dag x U = A x with A = W + V, and U acts on two-mode wavefunctions as a
-point map: with B = A^-1 and x = (r, x1),
+Gaussian ladder.  The circuit is a Gaussian unitary U with the Bogoliubov
+map U^dag a U = W a + V a^dag on a = (a_0, a_1) (_bogoliubov, its physics'
+one entry), and U^dag x U = A x with A = W + V.  Reading mode 0 at raw value
+r gives a Gaussian operator G(r) from the input (mode 0) to the signal
+output (mode 1), on the kernel's recurrence (measurement._Gaussian).  With
+B = A^-1, alpha = 1 + B01^2 + B11^2, c = B00 B01 + B10 B11, s the output
+level and t the input level:
 
-    <r, x1|U|psi, 0> = |det A|^(-1/2) psi((B x)_0) phi_0((B x)_1),
+    A_ss = 2/alpha - 1,  A_tt = 2 B01^2/alpha - 1,  A_st = 2 B01/alpha,
+    b_s = -2 c r/alpha,  b_t = 2 (B00 - B01 c/alpha) r,
+    G[0, 0] = (2/pi)^(3/4) |det A|^(-1/2) (pi/alpha)^(1/2) exp(-g r^2),
 
-whose sign <0, 0|U|0, 0> > 0 fixes.  The homodyne amplitude at raw value r
-and signal-output level n is the integral over x1 of phi_n(x1) times that:
-a Gaussian in x1 times a polynomial of degree top + n, top the input's
-highest level, which a Gauss-Hermite rule of (top + dim) // 2 + 2 nodes
-centred on the Gaussian at each r integrates exactly.  The parity (-1)^n
-undoes the signal-frame inversion.  Mode 0 is never truncated.  The raw
-values are read in the kernel's row blocks, measurement._chunks(count,
-2 nodes), so that a block's integrand stack and its Hermite levels, about
-measurement._CHUNK_ELEMENTS entries each, stay in cache at any dim.  An input
-whose imaginary parts are all zero (the vacuum and every number state) is
-integrated in real arithmetic, one real integrand instead of a real and an
-imaginary half.  Each level's contraction is written into one level-major
-buffer, and the complex (count, dim) result is the transpose of its
-level-major sum: the row sums downstream (densities, norms, overlaps) round
-by memory layout, and a C-ordered result would move their last bits.
+g = B00^2 + B10^2 - c^2/alpha, summed as (B00^2 + B10^2 + det(B)^2)/alpha
+without cancellation.  The triple holds the parity (-1)^n that undoes the
+signal-frame inversion, which flips A_st and b_s, and then equals the
+kernel's at x_m = -2 dx r, its corner sqrt(2 dx) times the kernel's:
+triple_defect reads the gap.  Mode 0 is never truncated.  The reads share
+the kernel's contraction (measurement._levels) and rule builder
+(measurement._scaled_rule, at g -> 2 g for the raw rules).
 
 Truncation guard.  Every amplitude is exp(-g r^2) times a polynomial of
-degree top + n in r, so each read also evaluates them on a raw rule of
-top + dim nodes matched to exp(-2 g r^2), on which the output mass below the
-signal mode's top quarter is exact.  ||psi||^2 minus that mass is the exact
-occupation of levels dim - dim // 4 and above, and TruncationOverflowError
-is raised when it exceeds TRUNCATION_OCCUPATION_LIMIT.  The wavefunction
-levels are validated up to MAX_WAVEFUNCTION_LEVEL, so a dim above it plus
-one is refused with OutOfRangeError when the circuit is constructed.
-
-The circuit shares with the measurement kernel the Hermite recurrence
-(fock._hermite_levels), the per-r rule in x1 (fock._gh_rule) and the rule
-builder measurement._scaled_rule, whose (nodes, weights) at g -> 2 g give the
-guard's and the calibration's raw rules; it shares no Fock ladder, and its
-physics enters only through _bogoliubov.
+degree top + n in r, top the input's highest level, so each read also
+evaluates them, in the same ladder pass, on a raw rule of top + dim nodes
+matched to exp(-2 g r^2), on which the output mass below the signal mode's
+top quarter is exact.  ||psi||^2 minus that mass is the exact occupation of
+levels dim - dim // 4 and above, and TruncationOverflowError is raised when
+it exceeds TRUNCATION_OCCUPATION_LIMIT.  Past fock.MAX_RULE_NODES =
+top + dim the rule raises OutOfRangeError before any ladder work.
 
 SetupCircuit(gain_a, dim) is the one description of a setup: it validates
 both, derives the reflectivity and the resolution once, and computes its
@@ -91,12 +81,14 @@ from .errors import (
     SetupMismatchError,
     TruncationOverflowError,
 )
-from .fock import MAX_WAVEFUNCTION_LEVEL, FockState, _gh_rule, _integer, _real, _wavefunction_levels
+from .fock import FockState, _integer, _real
 from .measurement import (
     MeasurementModel,
     _check_outcomes,
-    _chunks,
     _exact_joint,
+    _Gaussian,
+    _kernel_gaussian,
+    _levels,
     _require_resolution,
     _scaled_rule,
     _top_level,
@@ -137,8 +129,8 @@ class SetupCircuit:
     """The circuit for one amplifier gain and the truncation dimension of both modes.
 
     gain_a, dim, the matched reflectivity R = a^2/(a^2+1) and the resolution
-    delta_x = a/(2(a^2-1)) are fixed at construction; the point map is reused
-    across inputs and outcomes.
+    delta_x = a/(2(a^2-1)) are fixed at construction, and so is the Gaussian
+    triple of the read-out, reused across inputs and outcomes.
     """
 
     def __init__(self, gain_a, dim: int = 40):
@@ -153,76 +145,41 @@ class SetupCircuit:
         self.delta_x = _require_resolution(gain / (2.0 * (square - 1.0)), f"gain_a {gain!r}")
         self.reflectivity = square / (square + 1.0)
         self.dim = _integer(dim, "dim", 2)
-        if self.dim - 1 > MAX_WAVEFUNCTION_LEVEL:
-            raise OutOfRangeError(
-                f"dim {self.dim} needs signal-output levels up to {self.dim - 1}, above "
-                f"the supported {MAX_WAVEFUNCTION_LEVEL}"
-            )
         w, v = _bogoliubov(self)
-        a = w + v
-        self._b = b = np.linalg.inv(a)
-        # The x1 integrand's Gaussian exponent, x1^2 + (B x)_0^2 + (B x)_1^2, is
-        # alpha (x1 - shift r)^2 + g r^2, with g > 0.
-        alpha = 1.0 + b[0, 1] ** 2 + b[1, 1] ** 2
-        self._shift = -(b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]) / alpha
-        self._gauss = b[0, 0] ** 2 + b[1, 0] ** 2 - alpha * self._shift**2
-        self._width = alpha**-0.5
-        self._norm = (abs(np.linalg.det(a)) * alpha) ** -0.5
-
-    def _point_map(self, psi: np.ndarray, top: int, raw: np.ndarray) -> np.ndarray:
-        """(-1)^n <n|<r| U |psi, 0> for n < dim at raw values r, one x1 rule per r.
-
-        The raw values run in row blocks of measurement._chunks(raw.size, 2 nodes).
-        A real psi keeps the integrand real, one part row, and leaves the
-        imaginary row of the level-major (dim, 2, raw.size) buffer zero; each
-        level's einsum writes its block there.  The result is the transpose of
-        the buffer's complex sum (the module's Point map says why).
-        """
-        dim = self.dim
-        u, factored = _gh_rule((top + dim) // 2 + 2)
-        scale = self._norm * (2.0 / np.pi) ** 0.25 * factored
-        out = np.zeros((dim, 2, raw.size))
-        for sl in _chunks(raw.size, 2 * u.size):
-            r = raw[sl, None]
-            x1 = self._shift * r + self._width * u
-            q0 = self._b[0, 0] * r + self._b[0, 1] * x1
-            q1 = self._b[1, 0] * r + self._b[1, 1] * x1
-            # The x1 integrand but phi_n(x1), times the rule's factored weights:
-            # |det A|^(-1/2) alpha^(-1/2) phi_0(q1) psi(q0).
-            psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels(top + 1, q0)))
-            weight = scale * np.exp(-q1 * q1) * psi_q0
-            # Real and imaginary parts in one real stack, so no level is cast to complex.
-            parts = np.stack([weight.real, weight.imag]) if np.iscomplexobj(weight) else weight[None]
-            rows = out[:, : parts.shape[0], sl]
-            for n, level in enumerate(_wavefunction_levels(dim, x1)):
-                np.einsum("rk,crk->cr", level, parts, out=rows[n])
-        out[1::2] *= -1.0
-        return (out[:, 0] + 1j * out[:, 1]).T
+        b = np.linalg.inv(w + v)
+        det, alpha = np.linalg.det(b), 1.0 + b[0, 1] ** 2 + b[1, 1] ** 2
+        c = b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]
+        # The raw density's Gaussian is exp(-2 g r^2), g = B00^2 + B10^2 - c^2 / alpha
+        # summed without cancellation (Lagrange's identity).
+        self._gauss = (b[0, 0] ** 2 + b[1, 0] ** 2 + det**2) / alpha
+        # The triple holds the parity (-1)^n on the output levels: A_st and b_s flip sign.
+        self._gaussian = _Gaussian(
+            lower=1.0, cross=-2.0 * b[0, 1] / alpha,
+            diag=(2.0 / alpha - 1.0, 2.0 * b[0, 1] ** 2 / alpha - 1.0),
+            drive=(2.0 * c / alpha, 2.0 * (b[0, 0] - b[0, 1] * c / alpha)),
+            norm=(2.0 / np.pi) ** 0.75 * (np.pi * abs(det) / alpha) ** 0.5, gauss=(self._gauss, 1.0))
 
     def homodyne_amplitudes(self, signal_in: FockState, raw_values) -> np.ndarray:
         """Signal-output amplitudes after reading mode 0 at raw outcome values.
 
-        Shape (len(raw_values), dim), complex and parity-corrected; squared
-        row norms are the outcome density in the raw homodyne variable.  An
-        input whose imaginary parts are all zero is read in real arithmetic.
-        The same pass reads the guard's raw rule and raises
-        TruncationOverflowError on its verdict.  Raises InvalidParameterError
-        unless raw_values are finite and scalar or 1-D.
+        Shape (len(raw_values), dim), parity-corrected, real for an input whose
+        imaginary parts are all zero; squared row norms are the outcome density
+        in the raw homodyne variable.  Raises TruncationOverflowError on the
+        guard's verdict, InvalidParameterError unless raw_values are finite and
+        scalar or 1-D, and OutOfRangeError past MAX_RULE_NODES or where the
+        input's mass leaves the float range.
         """
         raw = _check_outcomes(raw_values)
         dim = self.dim
         if signal_in.dim != dim:
             raise DimensionMismatchError(f"signal dim {signal_in.dim} != circuit dim {dim}")
         psi = signal_in.amplitudes
-        top = _top_level(psi)
-        nodes, weights = _scaled_rule(top + dim, 2.0 * self._gauss)
-        source = psi.real if np.all(psi.imag == 0.0) else psi
-        with np.errstate(over="ignore", invalid="ignore"):  # far out, exp(-inf) is 0
-            amps = self._point_map(source, top, np.concatenate([raw, nodes]))
-        if not np.all(np.isfinite(amps)):
-            raise OutOfRangeError("the point map leaves the float range at these raw values")
+        nodes, weights = _scaled_rule(_top_level(psi) + dim, 2.0 * self._gauss)
+        amps = _levels(self._gaussian, signal_in, np.concatenate([raw, nodes])).T
         below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)
         occupation = float(np.vdot(psi, psi).real) - below @ weights
+        if not np.isfinite(occupation):
+            raise OutOfRangeError("the circuit's output mass leaves the float range for this input")
         if occupation > TRUNCATION_OCCUPATION_LIMIT:
             raise TruncationOverflowError(
                 f"top-quarter occupation {occupation:.3e} of mode 1 exceeds "
@@ -327,6 +284,23 @@ def equivalence_defect(signal_in: FockState, circuit: SetupCircuit) -> float:
     gap = np.abs(density_setup - density_kernel[keep])
     distance = _state_distance(setup_amps, kernel_amps[keep], density_kernel[keep])
     return float(np.max(gap + distance))
+
+
+def triple_defect(circuit: SetupCircuit) -> float:
+    """Largest relative gap between the circuit's triple and the kernel's at x_m = -2 dx r.
+
+    Both are read at lower 1: the five recurrence scalars (diag, cross,
+    drive), the corner's norm over sqrt(2 dx) and its exponent.  Equal, they
+    make homodyne_amplitudes(r) exactly sqrt(2 dx) <n|P(-2 dx r)|psi>.
+    """
+    scale = 2.0 * circuit.delta_x
+    kernel = _kernel_gaussian(MeasurementModel(circuit.delta_x, circuit.dim))
+    setup = circuit._gaussian
+    got = [*setup.diag, setup.cross, *setup.drive, setup.norm, setup.gauss[0] / setup.gauss[1]]
+    want = [*kernel.diag, kernel.cross, *(-scale * d for d in kernel.drive)]
+    want = [w / kernel.lower for w in want]
+    want += [np.sqrt(scale) * kernel.norm, scale**2 * kernel.gauss[0] / kernel.gauss[1]]
+    return float(np.max(np.abs(np.subtract(got, want)) / np.abs(want)))
 
 
 def _state_distance(out: np.ndarray, ref: np.ndarray, ref_density: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Everything here is computed by a different route than the library: explicit
 Hermite polynomials from scipy.special instead of the in-package recurrence,
 adaptive quadrature instead of Gauss-Hermite rules, scipy's Pade matrix
 exponential of a full generator instead of per-sector rotations, per-sector
-rotations instead of the circuit's point map, and closed-form
+rotations and the point map instead of the circuit's Gaussian ladder, and closed-form
 Gaussian integrals worked out by completing the square.  Values asserted in the tests
 are frozen from these, never from the code under test.
 fidelity, is_hermitian and quadrature_y are helpers only the tests need.
@@ -35,23 +35,28 @@ every shot, kept as the byte-for-byte reference for the sampler that reads
 the kernel's level-major rows.  rowform_payload_texts is the envelope writer's row-by-row route
 (one json dump of the row payload, then one formatting call per CSV cell),
 the reference for the writer that formats each row once from the columns.
-SpongeCircuit is the circuit route the library used before its Gaussian Fock
-recurrence, since replaced by the point map (beam-splitter rotations per
-photon-number sector and squeezer rotations per parity chain, each from one
-eigh, on a padded working space, read out through the homodyne's
-wavefunction table), kept as the reference for the point map; rotation,
-sector_blocks, apply_sectors and squeeze_matrix are its parts, checked
-against scipy's expm.
+SpongeCircuit is the circuit route the library used before its first
+Gaussian Fock recurrence (beam-splitter rotations per photon-number sector
+and squeezer rotations per parity chain, each from one eigh, on a padded
+working space, read out through the homodyne's wavefunction table), kept as
+a reference for the circuit's read-out; rotation, sector_blocks,
+apply_sectors and squeeze_matrix are its parts, checked against scipy's expm.
 swapped_arms gives the Bogoliubov map of the circuit with its two amplifier
 arms exchanged, the negative control of the setup audits.
 hermite_levels_reference is the Hermite recurrence written as one expression
-per level (four temporaries each), and point_map_reference the circuit's
-point map in one pass over all raw values with the x1 integrand in complex
-arithmetic, both kept as the byte-for-byte references for the recurrence
-that reuses one scratch array and the point map that runs in row blocks
-with real inputs kept real.
+per level (four temporaries each), kept as the byte-for-byte reference for
+the recurrence that reuses one scratch array.  point_map_reference is the
+route the circuit took before it ran on the kernel's Gaussian ladder: the
+two-mode wavefunction as a point map, each raw value's amplitudes one exact
+Gauss-Hermite integral over x1, with constants taken from the Bogoliubov
+map alone; point_map_homodyne adds its truncation guard.  They are the
+independent reference for the ladder at the circuit's triple, within
+rounding.  kernel_rows_reference is the kernel's ladder frozen as it was
+before the recurrence took a Gaussian triple, the byte-for-byte reference
+for the kernel's rows on the shared recurrence.
 """
 
+import itertools
 import json
 import math
 
@@ -60,10 +65,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_hermite, roots_hermite
 
+from baeqnd import setup_model
 from baeqnd.errors import (
     TRUNCATION_OCCUPATION_LIMIT,
     DegenerateConditioningError,
     InvalidParameterError,
+    OutOfRangeError,
     TruncationOverflowError,
 )
 from baeqnd.fock import FockState, _gh_rule, trusted_levels, wavefunction_table
@@ -71,7 +78,6 @@ from baeqnd.jumps import SAMPLING_GRID_COUNT, SHARD_SIZE, sampling_span
 from baeqnd.measurement import (
     _CHUNK_ELEMENTS,
     MeasurementModel,
-    _kernel_rows,
     _outcome_rule,
     _top_level,
     measurement_amplitudes,
@@ -415,27 +421,135 @@ def _wavefunction_levels_reference(count: int, x):
     return hermite_levels_reference(count, np.sqrt(2.0) * x, 2.0**0.25 * np.exp(-x * x))
 
 
+def _point_map_constants(circuit):
+    """(B, shift, g, width, norm) of the point map, from the circuit's Bogoliubov map alone.
+
+    With B = A^-1, A = W + V, the x1 integrand's Gaussian exponent
+    x1^2 + (B x)_0^2 + (B x)_1^2 is alpha (x1 - shift r)^2 + g r^2; width is
+    alpha^(-1/2) and norm |det A|^(-1/2) alpha^(-1/2).
+    """
+    w, v = setup_model._bogoliubov(circuit)
+    a = w + v
+    b = np.linalg.inv(a)
+    alpha = 1.0 + b[0, 1] ** 2 + b[1, 1] ** 2
+    shift = -(b[0, 0] * b[0, 1] + b[1, 0] * b[1, 1]) / alpha
+    gauss = b[0, 0] ** 2 + b[1, 0] ** 2 - alpha * shift**2
+    return b, shift, gauss, alpha**-0.5, (abs(np.linalg.det(a)) * alpha) ** -0.5
+
+
 def point_map_reference(circuit, psi, top: int, raw) -> np.ndarray:
     """(-1)^n <n|<r| U |psi, 0> for n < circuit.dim at raw values r, one x1 rule per r.
 
-    All raw values in one pass, the input cast to complex, so the x1
-    integrand's imaginary half is integrated even where it is all zeros.
+    U acts on two-mode wavefunctions as a point map, <r, x1|U|psi, 0> =
+    |det A|^(-1/2) psi((B x)_0) phi_0((B x)_1) with x = (r, x1), and the
+    amplitude at output level n is its integral against phi_n(x1): a
+    Gaussian in x1 times a polynomial of degree top + n, integrated exactly
+    by a Gauss-Hermite rule of (top + dim) // 2 + 2 nodes centred at each r.
+    All raw values in one pass, the input cast to complex.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     dim = circuit.dim
+    b, shift, _, width, norm = _point_map_constants(circuit)
     u, factored = _gh_rule((top + dim) // 2 + 2)
     r = raw[:, None]
-    x1 = circuit._shift * r + circuit._width * u
-    q0 = circuit._b[0, 0] * r + circuit._b[0, 1] * x1
-    q1 = circuit._b[1, 0] * r + circuit._b[1, 1] * x1
+    x1 = shift * r + width * u
+    q0 = b[0, 0] * r + b[0, 1] * x1
+    q1 = b[1, 0] * r + b[1, 1] * x1
     psi_q0 = sum(c * level for c, level in zip(psi, _wavefunction_levels_reference(top + 1, q0)))
-    weight = (circuit._norm * (2.0 / np.pi) ** 0.25 * factored) * np.exp(-q1 * q1) * psi_q0
+    weight = (norm * (2.0 / np.pi) ** 0.25 * factored) * np.exp(-q1 * q1) * psi_q0
     parts = np.stack([weight.real, weight.imag])
     out = np.empty((dim, 2, raw.size))
     for n, level in enumerate(_wavefunction_levels_reference(dim, x1)):
         out[n] = np.einsum("rk,crk->cr", level, parts)
     out[1::2] *= -1.0
     return (out[:, 0] + 1j * out[:, 1]).T
+
+
+def point_map_homodyne(circuit, state, raw) -> np.ndarray:
+    """The circuit's read of state at raw values by point_map_reference, with its guard.
+
+    The same pass reads the guard's raw rule, top + dim Gauss-Hermite nodes
+    for exp(-2 g r^2), and raises TruncationOverflowError when the output
+    mass it misses below the signal mode's top quarter exceeds
+    TRUNCATION_OCCUPATION_LIMIT, and OutOfRangeError where an amplitude is
+    not finite.
+    """
+    psi = state.amplitudes
+    dim = circuit.dim
+    top = _top_level(psi)
+    scale = (2.0 * _point_map_constants(circuit)[2]) ** -0.5
+    u, factored = _gh_rule(top + dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = point_map_reference(circuit, psi, top, np.concatenate([raw, scale * u]))
+    if not np.all(np.isfinite(amps)):
+        raise OutOfRangeError("the point map leaves the float range at these raw values")
+    below = np.sum(np.abs(amps[raw.size :, : dim - dim // 4]) ** 2, axis=1)
+    occupation = float(np.vdot(psi, psi).real) - below @ (scale * factored)
+    if occupation > TRUNCATION_OCCUPATION_LIMIT:
+        raise TruncationOverflowError(f"top-quarter occupation {occupation:.3e} of mode 1")
+    return amps[: raw.size]
+
+
+#: kernel_rows_reference's seed exponent and rescale bound, frozen with it.
+_REFERENCE_SEED_EXPONENT = 900
+_REFERENCE_RESCALE_ABOVE = 2.0**500
+
+
+def _ladder_reference(kappa: float, x, first, exponent):
+    """Yield the kernel's rows from first: its one-coefficient ladder, power-of-two units in exponent."""
+    drive = kappa * x[:, None]
+    lower = 1.0 + 0.5 * kappa
+    width = first.shape[1]
+    shift = np.sqrt(np.arange(1.0, width))
+    grow = (kappa * np.max(np.abs(x), initial=0.0) + math.sqrt(width)) / lower + 1.0
+    reach = np.max(np.abs(first), initial=0.0)
+    prev, row = 0.0, first
+    for n in itertools.count():
+        yield row
+        step = drive * row - (0.5 * kappa * math.sqrt(n)) * prev
+        if shift.size:
+            step[:, 1:] += shift * row[:, :-1]
+        step /= lower * math.sqrt(n + 1)
+        reach *= grow
+        if reach > _REFERENCE_RESCALE_ABOVE:
+            peak = np.maximum(np.max(np.abs(step), axis=1), np.max(np.abs(row), axis=1))
+            high = np.flatnonzero(peak > 1.0)
+            drop = np.frexp(peak[high])[1]
+            step[high] = np.ldexp(step[high], -drop[:, None])
+            row = row.copy()
+            row[high] = np.ldexp(row[high], -drop[:, None])
+            exponent[high] += drop
+            reach = min(np.max(peak), 1.0)
+        prev, row = row, step
+
+
+def kernel_rows_reference(model, x, width: int, squared: bool = False):
+    """Yield the rows P[n, :width] (or of the exact P^2), n = 0..dim-1, for a batch of outcomes.
+
+    The kernel's ladder as it was before the recurrence took a Gaussian
+    triple: kappa and the prefactor written into each step, the corner
+    N sqrt(2 / (2 + kappa)) exp(-2 kappa x^2 / (2 + kappa)) lifted by 2**k
+    past the seed exponent, row 0 built as column 0 (P is symmetric).
+    """
+    kappa = 2.0 * model.kappa if squared else model.kappa
+    norm = (2.0 * np.pi * model.delta_x**2) ** (-0.5 if squared else -0.25)
+    ln2 = math.log(2.0)
+    with np.errstate(over="ignore"):
+        gauss = 2.0 * kappa * x * x / (2.0 + kappa)
+    lift = np.ceil(np.clip(gauss / ln2 - _REFERENCE_SEED_EXPONENT, 0.0, 2.0**30))
+    corner = norm * np.sqrt(2.0 / (2.0 + kappa)) * np.exp(lift * ln2 - gauss)
+    exponent = -lift.astype(np.int32)
+    x = np.where(lift < 2.0**30, x, 0.0)
+    column = _ladder_reference(kappa, x, corner[:, None], exponent)
+    parts, units = [], []
+    for _ in range(width):
+        parts.append(next(column))
+        units.append(exponent.copy())
+    first = np.hstack(parts)
+    if np.any(units[-1] != units[0]):
+        first = np.ldexp(first, np.stack(units, axis=1) - exponent[:, None])
+    for row in itertools.islice(_ladder_reference(kappa, x, first, exponent), model.dim):
+        yield np.ldexp(row, exponent[:, None]) if exponent.any() else row
 
 
 def completeness_integrals_stacked(model, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -502,7 +616,7 @@ def amplitudes_column_fill(state, model, x_values) -> np.ndarray:
     chunk = max(1, _CHUNK_ELEMENTS // (top + 1))
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
-        for n, row in enumerate(_kernel_rows(model, x[sl], top + 1)):
+        for n, row in enumerate(kernel_rows_reference(model, x[sl], top + 1)):
             out[sl, n] = row @ source
     return out
 

@@ -281,12 +281,13 @@ class TestPovmCheck:
         # ladder-row entries, so at dim 200 it is many outcomes, not one.
         started = {True: 0, False: 0}
         kernel_rows = measurement._kernel_rows
+        square = measurement._kernel_gaussian(measurement.MeasurementModel(0.05, 200), squared=True)
 
-        def spy(model, x, width, squared=False):
-            assert model.dim == width == 200
+        def spy(gaussian, x, width, count):
+            assert count == width == 200
             assert x.size > 1
-            started[squared] += 1
-            return kernel_rows(model, x, width, squared)
+            started[gaussian == square] += 1
+            return kernel_rows(gaussian, x, width, count)
 
         monkeypatch.setattr(measurement, "_kernel_rows", spy)
         out = tmp_path / "povm.json"
@@ -332,6 +333,8 @@ class TestSetupCheck:
         assert abs(report["calibration_scale"] + 1.2) < 1e-14
         assert report["calibration_residual"] < 1e-12
         assert max(report["equivalence_defect"].values()) < 1e-12
+        assert report["triple_defect"] == setup_model.triple_defect(setup_model.SetupCircuit(1.5, 48))
+        assert report["triple_defect"] < 1e-14
         dims, defects, _ = zip(*payload["table"]["rows"])
         assert dims == (24, 36, 48)
         assert max(defects) <= 1e-12
@@ -386,18 +389,24 @@ class TestSetupCheck:
         assert [row[0] for row in read_envelope(out)["payload"]["table"]["rows"]] == swept
 
     def test_dim_beyond_the_homodyne_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # The signal output's levels 0..dim-1 are validated up to 256, and the
-        # refusal comes before the circuit's map is built.
+        # Dims 258 and 1000 were refused while the point map read the signal
+        # output on wavefunction levels up to 256.  The ladder has no level
+        # cap: the one-photon input's outcome rule of --dim + 3 nodes sets the
+        # limit, 1,397, and the refusal comes before the circuit is built.
         def build(params):
             raise AssertionError("circuit built")
 
+        args = cli._build_parser()[0].parse_args(
+            ["setup-check", "--gain-a", "1.5", "--dim", "258", "--out", "unused.json"])
+        cli._check_dim(args)
         monkeypatch.setattr(setup_model, "_bogoliubov", build)
-        for dim in (258, 1000):
+        for dim in (1398, 100000):
             code = main(["setup-check", "--gain-a", "1.5", "--dim", str(dim),
                          "--out", str(tmp_path / "s.json")])
             assert code == EXIT_CONFIG
             assert list(tmp_path.iterdir()) == []
-            assert f"up to {dim - 1}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"dims 2..1397, got --dim {dim}" in err and "--dim + 3 nodes" in err
 
     def test_high_gain_audit_at_rounding(self, tmp_path):
         # The forward Fock recurrence read defects of 3.7e-5 and 1.2e-4 here,
@@ -942,7 +951,7 @@ class TestDimCaps:
 
     @pytest.mark.parametrize("command, high", [
         ("distribution", 1398), ("jump-sweep", 1398), ("correlation", 1398),
-        ("simulate", 1398), ("povm-check", 700), ("setup-check", 257),
+        ("simulate", 1398), ("povm-check", 700), ("setup-check", 1397),
     ])
     def test_one_cap_refuses_and_bounds_the_suggestion(self, command, high):
         # The suggestion used to be --dim * 3 / 2 whatever the command took.
@@ -958,14 +967,21 @@ class TestDimCaps:
             cli._check_dim(args)
 
     def test_setup_check_suggests_no_dim_it_refuses(self, tmp_path, capsys):
-        # The kernel leaks 3.7e-6 at gain 7, dim 257; the suggested --dim 385
-        # exited 2.
+        # The kernel leaks 3.7e-6 at gain 7, dim 257.  The suggested --dim 385
+        # exited 2 while setup-check stopped at 257; now each suggestion is
+        # taken, and following them ends in exit 0: 385 still exits 4 (the
+        # circuit's top-quarter occupation reads 1.4e-6), 577 holds the mass.
         out = tmp_path / "setup.json"
-        assert main(["setup-check", "--gain-a", "7", "--dim", "257",
-                     "--out", str(out)]) == EXIT_TRUNCATION
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "retry with" not in err and "257 at most" in err
+        dim, tried = 257, []
+        while (code := main(["setup-check", "--gain-a", "7", "--dim", str(dim),
+                             "--out", str(out)])) == EXIT_TRUNCATION:
+            assert not out.exists()
+            tried.append(dim)
+            dim = int(re.search(r"retry with --dim (\d+)\)", capsys.readouterr().err).group(1))
+            assert dim <= 1397
+        assert code == EXIT_OK
+        assert tried == [257, 385] and dim == 577
+        assert read_envelope(out)["payload"]["report"]["triple_defect"] < 1e-12
 
     def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
         # Each main() built the parser again, about 1 ms and 39 terminal-size calls.

@@ -24,6 +24,7 @@ from baeqnd import (
     OutOfRangeError,
     SetupCircuit,
     ShotTable,
+    TruncationOverflowError,
     asymptotic_p1,
     completeness_defect,
     conditional_state,
@@ -307,14 +308,26 @@ class TestHugeOutcomes:
         np.testing.assert_array_equal(table, 0.0)
 
     def test_circuit_reads_zero_or_refuses(self):
-        # The point map's squares overflowed with a RuntimeWarning; at gain
-        # 1e7 the outcome 1.79e308 gave NaN amplitudes.
+        # The point map's squares overflowed with a RuntimeWarning, and at
+        # gain 1e7 the outcome 1.79e308 gave NaN amplitudes, refused with
+        # OutOfRangeError.  The ladder lifts the corner's exponent as the
+        # kernel's does, so far amplitudes are 0 at any gain, and at gain 1e7
+        # the guard refuses dim 8, which holds none of the output's mass.
         far = [1e200, -1.79e308]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             np.testing.assert_array_equal(CIRCUIT.homodyne_amplitudes(VAC16, far), 0.0)
-            with pytest.raises(OutOfRangeError, match="float range"):
+            with pytest.raises(TruncationOverflowError, match="occupation 1.000e"):
                 SetupCircuit(1e7, 8).homodyne_amplitudes(VAC8, far)
+
+    def test_circuit_refuses_an_input_whose_mass_overflows(self):
+        # ||psi||^2 and the guard's mass are both infinite: their difference,
+        # NaN, passed the guard's comparison.
+        amps = np.zeros(16)
+        amps[:2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):  # the squares overflow first
+            with pytest.raises(OutOfRangeError, match="float range"):
+                CIRCUIT.homodyne_amplitudes(FockState(amps), [0.0])
 
 
 class TestCliResolution:

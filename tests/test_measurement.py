@@ -21,6 +21,8 @@ from baeqnd.fock import MAX_RULE_NODES, FockState, _gh_rule, trusted_levels
 from baeqnd.measurement import (
     MeasurementModel,
     _check_captured,
+    _kernel_gaussian,
+    _kernel_rows,
     _outcome_rule,
     _scaled_rule,
     asymptotic_p1,
@@ -44,6 +46,7 @@ from oracles import (
     kernel_element_quad,
     kernel_factor_tables,
     kernel_operator_dense,
+    kernel_rows_reference,
     p1_asymptotic,
     p1_exact,
     trapezoid_grid,
@@ -204,9 +207,9 @@ class TestMeasurementAmplitudes:
         chunks = []
         kernel_rows = measurement._kernel_rows
 
-        def spy(model, x, width, squared=False):
+        def spy(gaussian, x, width, count):
             chunks.append((x.size, width))
-            return kernel_rows(model, x, width, squared)
+            return kernel_rows(gaussian, x, width, count)
 
         monkeypatch.setattr(measurement, "_kernel_rows", spy)
         model = MeasurementModel(1.0, dim)
@@ -304,6 +307,31 @@ class TestLadderKernel:
         amps = measurement_amplitudes(state, model, x)
         assert np.max(np.abs(amps[lost])) > 1e-2
         np.testing.assert_allclose(amps, reference @ state.amplitudes, rtol=0, atol=1e-13)
+
+
+class TestKernelRowBytes:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dx=st.floats(0.05, 20.0), dim=st.sampled_from([2, 9, 33, 64, 130]),
+           squared=st.booleans(), far=st.booleans(), data=st.data())
+    def test_rows_equal_the_frozen_ladder(self, dx, dim, squared, far, data):
+        # The kernel's triple enters the shared recurrence by exact rewrites
+        # (cross coefficient 1.0, diagonal -kappa/2 added, the same growth
+        # bound), so every row keeps its bytes, also where the corner is
+        # lifted and the rows rescaled: at dx 0.05 from |x_m| ~ 19.5.
+        width = data.draw(st.integers(1, dim), label="width")
+        if far:
+            dx = 0.05
+            size = st.floats(19.0, 40.0)
+            x = np.array(data.draw(st.lists(size, min_size=1, max_size=12), label="far"))
+            x *= np.where(data.draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)), -1, 1)
+        else:
+            x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12), label="x"))
+        model = MeasurementModel(dx, dim)
+        got = list(_kernel_rows(_kernel_gaussian(model, squared), x, width, dim))
+        expected = list(kernel_rows_reference(model, x, width, squared))
+        assert len(got) == len(expected) == dim
+        for n, (row, reference) in enumerate(zip(got, expected)):
+            assert row.tobytes() == reference.tobytes(), n
 
 
 class TestOutcomeDensity:
@@ -479,9 +507,9 @@ class TestOneKernelRead:
         chunks = []
         kernel_rows = measurement._kernel_rows
 
-        def spy(model, x, width, squared=False):
+        def spy(gaussian, x, width, count):
             chunks.append(x.copy())
-            return kernel_rows(model, x, width, squared)
+            return kernel_rows(gaussian, x, width, count)
 
         monkeypatch.setattr(measurement, "_kernel_rows", spy)
         state = FockState.number(16, 3)

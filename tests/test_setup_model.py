@@ -24,6 +24,7 @@ from baeqnd.setup_model import (
     _state_distance,
     calibrate_outcome_map,
     equivalence_defect,
+    triple_defect,
 )
 
 from oracles import (
@@ -31,7 +32,7 @@ from oracles import (
     apply_sectors,
     beam_splitter_dense,
     fidelity,
-    point_map_reference,
+    point_map_homodyne,
     quadrature_x,
     quadrature_y,
     sector_blocks,
@@ -229,16 +230,6 @@ def _compare_with_the_rotation_route(circuit, amps, atol):
     return True
 
 
-def _reference_read(circuit, state, raw):
-    """homodyne_amplitudes on the one-pass point map, run on the state's complex amplitudes."""
-
-    def point_map(self, psi, top, raw):
-        return point_map_reference(self, state.amplitudes, top, raw)
-
-    with mock.patch.object(SetupCircuit, "_point_map", point_map):
-        return circuit.homodyne_amplitudes(state, raw)
-
-
 def _result_or_error(read, *args):
     try:
         return read(*args), None
@@ -246,14 +237,24 @@ def _result_or_error(read, *args):
         return None, type(exc)
 
 
-class TestPointMapBlocks:
+#: Ladder-row entries per chunk in the point-map property: small enough that
+#: the point map can follow the raw counts around a chunk's edges.
+_TEST_CHUNK_ELEMENTS = 256
+
+
+class TestPointMapOracle:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(gain=st.floats(1.05, 5.0), dim=st.sampled_from([2, 16, 48, 130, 257]),
            kind=st.sampled_from(["real", "complex", "zero imaginary"]), data=st.data())
-    def test_matches_the_one_pass_complex_point_map(self, gain, dim, kind, data):
-        # Row blocks and real arithmetic for real inputs keep every byte, the
-        # memory layout and the raised error of the one-pass complex route, at
-        # raw counts around one block's rows, alone and with the guard's nodes.
+    def test_matches_the_point_map_within_rounding(self, gain, dim, kind, data):
+        # The ladder on the circuit's Gaussian triple against the point map's
+        # exact x1 integrals: real rows for a real input, the guard's verdict
+        # (the same error class) at raw counts around one ladder chunk, alone
+        # and with the guard's nodes, and each row within 1e-13 of its largest
+        # entry.  Every entry is exp(-g r^2) times a polynomial, so an ulp of
+        # the exponent moves it by g r^2 eps relative: at the far value r = 40,
+        # where g r^2 reaches 1,600, each row is allowed 1e-15 g r^2 more (the
+        # routes differ by up to 3.2e-13 of the row at g r^2 = 648, 2.2 ulps).
         top = data.draw(st.integers(0, min(3, dim - 1)), label="top")
         parts = st.floats(-1.0, 1.0)
         if kind == "real":
@@ -268,25 +269,28 @@ class TestPointMapBlocks:
             amps[top] = 1.0
         state = FockState(amps).normalize()
         circuit = SetupCircuit(gain, dim)
-        block = measurement._CHUNK_ELEMENTS // (2 * ((top + dim) // 2 + 2))
-        counts = {0, 1} | {block + k for k in (-1, 0, 1)} | {block - top - dim + k for k in (-1, 0, 1)}
-        count = data.draw(st.sampled_from(sorted(c for c in counts if c >= 0)), label="count")
+        # Chunks of 256 ladder-row entries put the chunk edges within reach
+        # of the point map's cost: the raw values end at an edge, or the
+        # guard's top + dim nodes after them do.
+        chunk = _TEST_CHUNK_ELEMENTS // (top + 1)
+        edge = -(top + dim) % chunk
+        counts = {0, 1} | {chunk + k for k in (-1, 0, 1)} | {edge + chunk + k for k in (-1, 0, 1)}
+        count = data.draw(st.sampled_from(sorted(counts)), label="count")
         raw = np.random.default_rng(count).uniform(-6.0, 6.0, count)
-        raw[-1:] = 40.0  # far out, where every amplitude is zero
-        got, error = _result_or_error(circuit.homodyne_amplitudes, state, raw)
-        expected, expected_error = _result_or_error(_reference_read, circuit, state, raw)
+        raw[-1:] = 40.0  # far out in the raw density's tail
+        with mock.patch.object(measurement, "_CHUNK_ELEMENTS", _TEST_CHUNK_ELEMENTS):
+            got, error = _result_or_error(circuit.homodyne_amplitudes, state, raw)
+        expected, expected_error = _result_or_error(point_map_homodyne, circuit, state, raw)
         assert error is expected_error
         if expected is not None:
-            assert got.tobytes() == expected.tobytes()
-            assert got.strides == expected.strides
-            assert got.flags.f_contiguous == expected.flags.f_contiguous
-        psi = state.amplitudes
-        source = psi.real if kind != "complex" else psi
-        with np.errstate(over="ignore", invalid="ignore"):
-            whole = circuit._point_map(source, top, raw)
-            reference = point_map_reference(circuit, psi, top, raw)
-        assert whole.tobytes() == reference.tobytes()
-        assert whole.flags.f_contiguous and reference.flags.f_contiguous
+            assert got.shape == expected.shape == (count, dim)
+            assert np.iscomplexobj(got) == bool(np.any(state.amplitudes.imag != 0.0))
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            # Below the normal range (2.2e-308) an entry holds only absolute
+            # precision, 4.9e-324 per rounding, which the point map's sum over
+            # its nodes accumulates: at gain 1.8, r = 40 a row peaks at 2e-315.
+            relative = 1e-13 + 1e-15 * circuit._gauss * raw[:, None] ** 2
+            assert np.all(np.abs(got - expected) <= relative * scale + 1e-320)
 
 
 class TestCircuitEvolution:
@@ -308,9 +312,9 @@ class TestCircuitEvolution:
     ])
     def test_truncation_overflow_at_high_gain(self, gain, dim, level, raises):
         # Near the 1e-6 limit the guard decides as the reference route does.
-        point_map = SetupCircuit(gain, dim)
+        ladder = SetupCircuit(gain, dim)
         state = FockState.number(dim, level)
-        for circuit in (point_map, SpongeCircuit(point_map)):
+        for circuit in (ladder, SpongeCircuit(ladder)):
             if raises:
                 with pytest.raises(TruncationOverflowError):
                     circuit.homodyne_amplitudes(state, 0.0)
@@ -375,12 +379,19 @@ class TestCircuitEvolution:
             with pytest.raises(InvalidParameterError, match="outcome values must be numeric"):
                 circuit.homodyne_amplitudes(FockState.vacuum(16), raw)
 
-    def test_dim_past_the_wavefunction_levels_is_refused(self):
-        # The signal output's levels 0..dim-1 are validated up to level 256.
-        assert SetupCircuit(1.5, 257).dim == 257
-        for dim in (258, 1000):
-            with pytest.raises(OutOfRangeError, match=f"up to {dim - 1}"):
-                SetupCircuit(1.5, dim)
+    def test_dim_past_the_rule_limit_is_refused(self):
+        # Levels past 256 were refused when the point map read the signal
+        # output on wavefunction levels.  The ladder has no level cap: the
+        # guard's raw rule of top + dim nodes bounds a read at MAX_RULE_NODES,
+        # refused before any ladder work.
+        for dim in (258, 1400):
+            amps = SetupCircuit(1.5, dim).homodyne_amplitudes(FockState.vacuum(dim), [0.0, 1.0])
+            assert amps.shape == (2, dim) and np.all(np.isfinite(amps))
+        circuit = SetupCircuit(1.5, 1401)
+        with pytest.raises(OutOfRangeError, match="1401 nodes"):
+            circuit.homodyne_amplitudes(FockState.vacuum(1401), 0.0)
+        with pytest.raises(OutOfRangeError, match="1402 nodes"):
+            circuit.homodyne_amplitudes(FockState.number(1401, 1), 0.0)
 
 
 def _readout(circuit, signal_in, x_m):
@@ -562,6 +573,17 @@ class TestEquivalence:
         # Mode 0 is not truncated, so no dim leaves a truncation error.
         for dim in (20, 30, 40):
             assert equivalence_defect(FockState.vacuum(dim), SetupCircuit(1.8, dim)) <= 1e-12
+
+    @pytest.mark.parametrize("gain", [1.3, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0])
+    def test_triple_is_the_kernels(self, gain):
+        # After the parity the circuit's Gaussian is the kernel's at
+        # x_m = -2 dx r, its corner sqrt(2 dx) times the kernel's: 3.1e-15 at
+        # most over these gains.
+        assert triple_defect(SetupCircuit(gain, 8)) < 1e-14
+
+    def test_swapped_arms_break_the_triple(self, monkeypatch):
+        monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
+        assert triple_defect(SetupCircuit(1.5, 40)) > 1.0
 
     def test_swapped_arms_fail_equivalence(self, monkeypatch):
         monkeypatch.setattr(setup_model, "_bogoliubov", swapped_arms(setup_model._bogoliubov))
